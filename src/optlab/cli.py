@@ -1,9 +1,10 @@
 """Command-line entry point: `optlab generate|train|oracle|tune|experiment`.
 
-Every command takes long-form flags, or `--config FILE` with the same keys
-(flags override file values), and is deterministic: identical configuration
-produces byte-identical output files.  Exit codes: 0 ok, 1 usage error,
-2 numerical failure (divergence, singular systems), 3 I/O failure.
+Each command's options are the fields of one frozen dataclass, set by
+`--flag` (the field name with `_` -> `-`) or by field name in `--config FILE`
+(flags override file values).  Every command is deterministic: identical
+configuration produces byte-identical output files.  Exit codes: 0 ok,
+1 usage error, 2 numerical failure (divergence, singular systems), 3 I/O.
 """
 
 from __future__ import annotations
@@ -13,28 +14,22 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+import typing
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import lsq, oracle
-from .errors import (
-    AllTrialsDivergedError,
-    DataGenerationError,
-    DivergedError,
-    LemmaPreconditionError,
-    OptlabError,
-    SingularKernelError,
-    SingularPreconditionerError,
-)
-from .optim import ADAPTIVE_METHODS, MethodKind, OptimizerSpec
-from .schedules import DecayPolicy
-from .training import dev_labels_for, run_training, write_trace_csv
+from .errors import LemmaPreconditionError, OptlabError
+from .optim import ADAPTIVE_METHODS, MethodKind, OptimizerSpec, spec_to_document
+from .schedules import DECAY_KINDS, DecayPolicy
+from .training import RunResult, dev_labels_for, run_training, write_trace_csv
 from .tune import make_log_grid, tune, tune_report_to_document
 
-__all__ = ["main", "run_experiment", "ExperimentConfig", "EXIT_OK", "EXIT_USAGE",
-           "EXIT_NUMERICAL", "EXIT_IO"]
+__all__ = ["main", "run_experiment", "ExperimentConfig", "GenerateOptions", "TrainOptions",
+           "OracleOptions", "TuneOptions", "EXIT_OK", "EXIT_USAGE", "EXIT_NUMERICAL",
+           "EXIT_IO"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -42,6 +37,10 @@ EXIT_NUMERICAL = 2
 EXIT_IO = 3
 
 ALL_METHODS = tuple(m.value for m in MethodKind)
+
+# Field metadata read by `build_parser`.
+_METHOD = {"choices": ALL_METHODS}
+_DECAY = {"choices": DECAY_KINDS}
 
 # Spawn keys carving independent RNG streams out of one experiment seed.
 _TEST_STREAM = 101
@@ -67,56 +66,79 @@ def _write_json(doc: dict, path: Path) -> None:
         fh.write("\n")
 
 
-def _spec_document(spec: OptimizerSpec) -> dict:
-    return {
-        "method": spec.method.value,
-        "alpha": spec.alpha,
-        "beta": spec.beta,
-        "beta1": spec.beta1,
-        "beta2": spec.beta2,
-        "epsilon": spec.epsilon,
-        "g_init": spec.g_init,
-    }
-
-
-def _policy_from(options: dict) -> DecayPolicy:
-    kind = options.get("decay") or "none"
+def _policy_from(options) -> DecayPolicy:
+    kind = options.decay or "none"
     if kind == "fixed_decay":
-        return DecayPolicy(kind=kind, delta=options.get("delta", 0.9),
-                           period=options.get("period") or 10)
+        return DecayPolicy(kind=kind, delta=options.delta, period=options.period or 10)
     if kind == "dev_decay":
-        return DecayPolicy(kind=kind, delta=options.get("delta", 0.9))
+        return DecayPolicy(kind=kind, delta=options.delta)
     return DecayPolicy(kind="none")
 
 
-def _merge_options(defaults: dict, args: argparse.Namespace) -> dict:
-    """defaults <- config file <- explicit flags."""
-    merged = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        with open(config_path, "r", encoding="utf-8") as fh:
+def _name_list(value) -> tuple[str, ...]:
+    """Comma-separated names (a flag) or a list of names (a config file)."""
+    if isinstance(value, str):
+        return tuple(m.strip() for m in value.split(",") if m.strip())
+    return tuple(value)
+
+
+def _parse_fn(hint):
+    """Converter for an options field of type `hint`; `T | None` parses as T."""
+    if typing.get_origin(hint) is tuple:
+        return _name_list
+    kinds = [t for t in typing.get_args(hint) if t is not type(None)]
+    return kinds[0] if kinds else hint
+
+
+def _merge_options(cls, args: argparse.Namespace):
+    """Field defaults <- config file <- explicit flags, as one `cls`."""
+    hints = typing.get_type_hints(cls)
+    values = {}
+    if args.config:
+        with open(args.config, "r", encoding="utf-8") as fh:
             file_values = json.load(fh)
-        unknown = set(file_values) - set(defaults)
+        unknown = set(file_values) - set(hints)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        merged.update(file_values)
-    for key in defaults:
-        value = getattr(args, key, None)
+        for key, value in file_values.items():
+            optional = type(None) in typing.get_args(hints[key])
+            try:
+                values[key] = None if value is None and optional else _parse_fn(hints[key])(value)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from None
+    for f in fields(cls):
+        value = getattr(args, f.name)
         if value is not None:
-            merged[key] = value
-    return merged
+            values[f.name] = value
+    return cls(**values)
+
+
+def _weights_document(spec: OptimizerSpec, result: RunResult) -> dict:
+    return {
+        "spec": spec_to_document(spec),
+        "status": result.status,
+        "converged": result.converged,
+        "iterations": result.iterations,
+        "final_train_loss": result.final_loss,
+        "w": [float(v) for v in result.w],
+    }
 
 
 # ---------------------------------------------------------------------------
 # generate
 # ---------------------------------------------------------------------------
 
-GENERATE_DEFAULTS = dict(n=100, p=0.75, seed=1, out="dataset.json")
+@dataclass(frozen=True)
+class GenerateOptions:
+    n: int = 100
+    p: float = 0.75
+    seed: int = 1
+    out: str = "dataset.json"
 
 
-def cmd_generate(options: dict) -> int:
-    ds = lsq.generate_synthetic(int(options["n"]), float(options["p"]), int(options["seed"]))
-    out = Path(options["out"])
+def cmd_generate(options: GenerateOptions) -> int:
+    ds = lsq.generate_synthetic(options.n, options.p, options.seed)
+    out = Path(options.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     lsq.save_dataset(ds, out)
     print(
@@ -130,70 +152,60 @@ def cmd_generate(options: dict) -> int:
 # train
 # ---------------------------------------------------------------------------
 
-TRAIN_DEFAULTS = dict(
-    dataset="dataset.json",
-    method="sgd",
-    alpha=0.1,
-    beta=0.9,
-    beta1=0.9,
-    beta2=0.999,
-    epsilon=1e-8,
-    g_init=0.0,
-    iters=1000,
-    seed=1,
-    decay="none",
-    delta=0.9,
-    period=None,
-    dev_size=2000,
-    stop_loss=None,
-    trace_every=None,
-    out="run",
-)
+@dataclass(frozen=True)
+class TrainOptions:
+    dataset: str = "dataset.json"
+    method: str = field(default="sgd", metadata=_METHOD)
+    alpha: float = 0.1
+    beta: float = 0.9
+    beta1: float = 0.9
+    beta2: float = 0.999
+    epsilon: float = 1e-8
+    g_init: float = 0.0
+    iters: int = 1000
+    seed: int = 1
+    decay: str = field(default="none", metadata=_DECAY)
+    delta: float = 0.9
+    period: int | None = None
+    dev_size: int | None = 2000
+    stop_loss: float | None = None
+    trace_every: int | None = None
+    out: str = "run"
 
 
-def cmd_train(options: dict) -> int:
-    ds = lsq.load_dataset(options["dataset"])
-    method = MethodKind.parse(options["method"])
+def cmd_train(options: TrainOptions) -> int:
+    ds = lsq.load_dataset(options.dataset)
+    method = MethodKind.parse(options.method)
     spec = OptimizerSpec(
         method=method,
-        alpha=float(options["alpha"]),
-        beta=float(options["beta"]),
-        beta1=float(options["beta1"]),
-        beta2=float(options["beta2"]),
-        epsilon=float(options["epsilon"]),
-        g_init=float(options["g_init"]),
+        alpha=options.alpha,
+        beta=options.beta,
+        beta1=options.beta1,
+        beta2=options.beta2,
+        epsilon=options.epsilon,
+        g_init=options.g_init,
     )
     policy = _policy_from(options)
     dev_labels = None
-    if options["dev_size"] and ds.p is not None:
-        ss = np.random.SeedSequence(entropy=int(options["seed"]), spawn_key=(_DEV_STREAM,))
-        dev_labels = dev_labels_for(ds.p, int(options["dev_size"]), ss)
+    if options.dev_size and ds.p is not None:
+        ss = np.random.SeedSequence(entropy=options.seed, spawn_key=(_DEV_STREAM,))
+        dev_labels = dev_labels_for(ds.p, options.dev_size, ss)
     result = run_training(
         ds,
         spec,
-        int(options["iters"]),
+        options.iters,
         policy=policy,
         dev_labels=dev_labels,
-        stop_loss=options["stop_loss"],
-        trace_every=options["trace_every"],
+        stop_loss=options.stop_loss,
+        trace_every=options.trace_every,
     )
-    out = Path(options["out"])
+    out = Path(options.out)
     out.mkdir(parents=True, exist_ok=True)
     write_trace_csv(result.trace, out / "trace.csv")
+    _write_json(_weights_document(spec, result), out / "weights.json")
     _write_json(
         {
-            "spec": _spec_document(spec),
-            "status": result.status,
-            "converged": result.converged,
-            "iterations": result.iterations,
-            "final_train_loss": result.final_loss,
-            "w": [float(v) for v in result.w],
-        },
-        out / "weights.json",
-    )
-    _write_json(
-        {
-            "options": {k: options[k] for k in sorted(options)},
+            "options": asdict(options),
             "status": result.status,
             "converged": result.converged,
             "iterations": result.iterations,
@@ -211,7 +223,10 @@ def cmd_train(options: dict) -> int:
 # oracle
 # ---------------------------------------------------------------------------
 
-ORACLE_DEFAULTS = dict(dataset="dataset.json", out="oracle.json")
+@dataclass(frozen=True)
+class OracleOptions:
+    dataset: str = "dataset.json"
+    out: str = "oracle.json"
 
 
 def _oracle_report(ds: lsq.Dataset) -> dict:
@@ -245,10 +260,10 @@ def _oracle_report(ds: lsq.Dataset) -> dict:
     return report
 
 
-def cmd_oracle(options: dict) -> int:
-    ds = lsq.load_dataset(options["dataset"])
+def cmd_oracle(options: OracleOptions) -> int:
+    ds = lsq.load_dataset(options.dataset)
     report = _oracle_report(ds)
-    out = Path(options["out"])
+    out = Path(options.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     _write_json(report, out)
     c = report.get("sign", None)
@@ -261,44 +276,42 @@ def cmd_oracle(options: dict) -> int:
 # tune
 # ---------------------------------------------------------------------------
 
-TUNE_DEFAULTS = dict(
-    dataset="dataset.json",
-    method="sgd",
-    alpha=0.5,
-    ratio=2.0,
-    count=5,
-    iters=2000,
-    seeds=5,
-    decay="none",
-    delta=0.9,
-    period=None,
-    dev_size=2000,
-    extension_cap=8,
-    stop_loss=1e-12,
-    workers=1,
-    out="tune.json",
-)
+@dataclass(frozen=True)
+class TuneOptions:
+    dataset: str = "dataset.json"
+    method: str = field(default="sgd", metadata=_METHOD)
+    alpha: float = field(default=0.5, metadata={"help": "grid center"})
+    ratio: float = 2.0
+    count: int = 5
+    iters: int = 2000
+    seeds: int = 5
+    decay: str = field(default="none", metadata=_DECAY)
+    delta: float = 0.9
+    period: int | None = None
+    dev_size: int | None = 2000
+    extension_cap: int = 8
+    stop_loss: float | None = 1e-12
+    out: str = "tune.json"
 
 
-def cmd_tune(options: dict) -> int:
-    ds = lsq.load_dataset(options["dataset"])
-    method = MethodKind.parse(options["method"])
-    grid = make_log_grid(float(options["alpha"]), float(options["ratio"]), int(options["count"]))
+def cmd_tune(options: TuneOptions) -> int:
+    ds = lsq.load_dataset(options.dataset)
+    method = MethodKind.parse(options.method)
+    grid = make_log_grid(options.alpha, options.ratio, options.count)
     policy = _policy_from(options)
-    dev_size = options["dev_size"] if ds.p is not None else None
+    dev_size = options.dev_size if ds.p is not None else None
     report = tune(
         ds,
         method,
         grid,
         policy,
-        int(options["iters"]),
-        int(options["seeds"]),
+        options.iters,
+        options.seeds,
         dev_size=dev_size,
-        extension_cap=int(options["extension_cap"]),
-        stop_loss=options["stop_loss"],
-        workers=int(options["workers"]),
+        extension_cap=options.extension_cap,
+        stop_loss=options.stop_loss,
     )
-    out = Path(options["out"])
+    out = Path(options.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     _write_json(tune_report_to_document(report), out)
     print(
@@ -311,24 +324,6 @@ def cmd_tune(options: dict) -> int:
 # ---------------------------------------------------------------------------
 # experiment
 # ---------------------------------------------------------------------------
-
-EXPERIMENT_DEFAULTS = dict(
-    n=100,
-    p=0.75,
-    seed=1,
-    seeds=5,
-    iters=40000,
-    m_test=20000,
-    stop_loss=1e-12,
-    grid_center=0.5,
-    grid_ratio=2.0,
-    grid_count=5,
-    extension_cap=8,
-    workers=1,
-    methods=",".join(ALL_METHODS),
-    out="experiment",
-)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -343,29 +338,10 @@ class ExperimentConfig:
     grid_ratio: float = 2.0
     grid_count: int = 5
     extension_cap: int = 8
-    workers: int = 1
-    methods: tuple[str, ...] = ALL_METHODS
-
-    @classmethod
-    def from_options(cls, options: dict) -> "ExperimentConfig":
-        methods = options["methods"]
-        if isinstance(methods, str):
-            methods = tuple(m.strip() for m in methods.split(",") if m.strip())
-        return cls(
-            n=int(options["n"]),
-            p=float(options["p"]),
-            seed=int(options["seed"]),
-            seeds=int(options["seeds"]),
-            iters=int(options["iters"]),
-            m_test=int(options["m_test"]),
-            stop_loss=float(options["stop_loss"]),
-            grid_center=float(options["grid_center"]),
-            grid_ratio=float(options["grid_ratio"]),
-            grid_count=int(options["grid_count"]),
-            extension_cap=int(options["extension_cap"]),
-            workers=int(options["workers"]),
-            methods=tuple(methods),
-        )
+    methods: tuple[str, ...] = field(
+        default=ALL_METHODS, metadata={"help": "comma-separated subset of methods"}
+    )
+    out: str = "experiment"
 
 
 def base_spec_for(method: MethodKind) -> OptimizerSpec:
@@ -385,7 +361,8 @@ def _relative_distance(w: np.ndarray, target: np.ndarray) -> float:
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     """Tune and train every method, compare against both oracles, and write
-    the summary documents.  Returns the summary dictionary."""
+    the summary documents to `out_dir` (not `cfg.out`).  Returns the
+    summary dictionary."""
     out = Path(out_dir)
     (out / "traces").mkdir(parents=True, exist_ok=True)
     (out / "weights").mkdir(exist_ok=True)
@@ -421,7 +398,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
             selection="train_loss",
             extension_cap=cfg.extension_cap,
             stop_loss=cfg.stop_loss,
-            workers=cfg.workers,
         )
         _write_json(tune_report_to_document(report), out / "tune" / f"{method.value}.json")
 
@@ -436,7 +412,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
             cfg.iters,
             dev_labels=dev_labels,
             stop_loss=cfg.stop_loss,
-            analytic_bound=analytic,
         )
         write_trace_csv(final.trace, out / "traces" / f"{method.value}.csv")
 
@@ -457,17 +432,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
             verdict_gen = empirical == 0.0
             verdict_oracle = dist_mn <= 1e-4
 
-        _write_json(
-            {
-                "spec": _spec_document(report.winner.spec),
-                "status": final.status,
-                "converged": final.converged,
-                "iterations": final.iterations,
-                "final_train_loss": final.final_loss,
-                "w": [float(v) for v in w],
-            },
-            out / "weights" / f"{method.value}.json",
-        )
+        _write_json(_weights_document(report.winner.spec, final),
+                    out / "weights" / f"{method.value}.json")
         rows.append(
             {
                 "method": method.value,
@@ -491,21 +457,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
             }
         )
 
+    config = asdict(cfg)
+    del config["out"]  # where the artifacts go is not part of what they record
     summary = {
-        "config": {
-            "n": cfg.n,
-            "p": cfg.p,
-            "seed": cfg.seed,
-            "seeds": cfg.seeds,
-            "iters": cfg.iters,
-            "m_test": cfg.m_test,
-            "stop_loss": cfg.stop_loss,
-            "grid_center": cfg.grid_center,
-            "grid_ratio": cfg.grid_ratio,
-            "grid_count": cfg.grid_count,
-            "extension_cap": cfg.extension_cap,
-            "methods": list(cfg.methods),
-        },
+        "config": config,
         "dataset": {
             "n": ds.n,
             "d": ds.d,
@@ -544,9 +499,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     return summary
 
 
-def cmd_experiment(options: dict) -> int:
-    cfg = ExperimentConfig.from_options(options)
-    summary = run_experiment(cfg, options["out"])
+def cmd_experiment(cfg: ExperimentConfig) -> int:
+    summary = run_experiment(cfg, cfg.out)
     for row in summary["methods"]:
         print(
             f"{row['method']:>8}: alpha={row['alpha']!r} "
@@ -564,91 +518,27 @@ def cmd_experiment(options: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON file with option values; flags override")
+_COMMANDS = {
+    "generate": (GenerateOptions, cmd_generate, "draw a synthetic dataset"),
+    "train": (TrainOptions, cmd_train, "run one optimizer on a dataset"),
+    "oracle": (OracleOptions, cmd_oracle, "closed-form solutions for a dataset"),
+    "tune": (TuneOptions, cmd_tune, "step-size grid search"),
+    "experiment": (ExperimentConfig, cmd_experiment, "full tuned comparison of all methods"),
+}
 
 
 def build_parser() -> _Parser:
+    """One subcommand per `_COMMANDS` entry, one `--flag` per options field."""
     parser = _Parser(prog="optlab", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    g = subs.add_parser("generate", help="draw a synthetic dataset")
-    g.add_argument("--n", type=int)
-    g.add_argument("--p", type=float)
-    g.add_argument("--seed", type=int)
-    g.add_argument("--out")
-    _add_common(g)
-
-    t = subs.add_parser("train", help="run one optimizer on a dataset")
-    t.add_argument("--dataset")
-    t.add_argument("--method", choices=ALL_METHODS)
-    t.add_argument("--alpha", type=float)
-    t.add_argument("--beta", type=float)
-    t.add_argument("--beta1", type=float)
-    t.add_argument("--beta2", type=float)
-    t.add_argument("--epsilon", type=float)
-    t.add_argument("--g-init", dest="g_init", type=float)
-    t.add_argument("--iters", type=int)
-    t.add_argument("--seed", type=int)
-    t.add_argument("--decay", choices=["none", "dev_decay", "fixed_decay"])
-    t.add_argument("--delta", type=float)
-    t.add_argument("--period", type=int)
-    t.add_argument("--dev-size", dest="dev_size", type=int)
-    t.add_argument("--stop-loss", dest="stop_loss", type=float)
-    t.add_argument("--trace-every", dest="trace_every", type=int)
-    t.add_argument("--out")
-    _add_common(t)
-
-    o = subs.add_parser("oracle", help="closed-form solutions for a dataset")
-    o.add_argument("--dataset")
-    o.add_argument("--out")
-    _add_common(o)
-
-    u = subs.add_parser("tune", help="step-size grid search")
-    u.add_argument("--dataset")
-    u.add_argument("--method", choices=ALL_METHODS)
-    u.add_argument("--alpha", type=float, help="grid center")
-    u.add_argument("--ratio", type=float)
-    u.add_argument("--count", type=int)
-    u.add_argument("--iters", type=int)
-    u.add_argument("--seeds", type=int)
-    u.add_argument("--decay", choices=["none", "dev_decay", "fixed_decay"])
-    u.add_argument("--delta", type=float)
-    u.add_argument("--period", type=int)
-    u.add_argument("--dev-size", dest="dev_size", type=int)
-    u.add_argument("--extension-cap", dest="extension_cap", type=int)
-    u.add_argument("--stop-loss", dest="stop_loss", type=float)
-    u.add_argument("--workers", type=int)
-    u.add_argument("--out")
-    _add_common(u)
-
-    e = subs.add_parser("experiment", help="full tuned comparison of all methods")
-    e.add_argument("--n", type=int)
-    e.add_argument("--p", type=float)
-    e.add_argument("--seed", type=int)
-    e.add_argument("--seeds", type=int)
-    e.add_argument("--iters", type=int)
-    e.add_argument("--m-test", dest="m_test", type=int)
-    e.add_argument("--stop-loss", dest="stop_loss", type=float)
-    e.add_argument("--grid-center", dest="grid_center", type=float)
-    e.add_argument("--grid-ratio", dest="grid_ratio", type=float)
-    e.add_argument("--grid-count", dest="grid_count", type=int)
-    e.add_argument("--extension-cap", dest="extension_cap", type=int)
-    e.add_argument("--workers", type=int)
-    e.add_argument("--methods", help="comma-separated subset of methods")
-    e.add_argument("--out")
-    _add_common(e)
-
+    for name, (cls, _, help_text) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        hints = typing.get_type_hints(cls)
+        for f in fields(cls):
+            sub.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                             type=_parse_fn(hints[f.name]), **f.metadata)
+        sub.add_argument("--config", help="JSON file with option values; flags override")
     return parser
-
-
-_COMMANDS = {
-    "generate": (GENERATE_DEFAULTS, cmd_generate),
-    "train": (TRAIN_DEFAULTS, cmd_train),
-    "oracle": (ORACLE_DEFAULTS, cmd_oracle),
-    "tune": (TUNE_DEFAULTS, cmd_tune),
-    "experiment": (EXPERIMENT_DEFAULTS, cmd_experiment),
-}
 
 
 def main(argv=None) -> int:
@@ -657,23 +547,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits on usage errors and --help
         return int(exc.code or 0)
-    defaults, handler = _COMMANDS[args.command]
+    cls, handler, _ = _COMMANDS[args.command]
     try:
-        options = _merge_options(defaults, args)
+        options = _merge_options(cls, args)
         return handler(options)
     except (ValueError, LemmaPreconditionError) as exc:
         print(f"optlab: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (
-        DivergedError,
-        SingularPreconditionerError,
-        SingularKernelError,
-        AllTrialsDivergedError,
-        DataGenerationError,
-    ) as exc:
-        print(f"optlab: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except OptlabError as exc:
+    except OptlabError as exc:  # divergence, singular systems, generator exhaustion
         print(f"optlab: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

@@ -9,7 +9,9 @@ where ``g_k`` is the gradient at the extrapolated point
 from a running combination ``G_k`` of squared gradients,
 ``H_k = sqrt(G_k) + epsilon`` elementwise.  Non-adaptive methods use the
 identity preconditioner.  `table1_coefficients` supplies the per-method,
-per-step scalars (a_k, b_k, c_k) and the G-recurrence weights.
+per-step scalars (a_k, b_k, c_k), the G-recurrence weights, and the scale
+under the square root (``H_k = sqrt(h_scale_k G_k) + epsilon``); the engine
+reads nothing else.
 
 Conventions that the rest of the lab relies on:
 
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -44,6 +46,7 @@ __all__ = [
     "table1_coefficients",
     "step",
     "preconditioner_diag",
+    "spec_to_document",
     "framework_preset",
     "reference_adam_run",
     "adam_recurrence_deviation",
@@ -115,12 +118,12 @@ class OptimizerState:
 
     `g_accum` holds the *raw* weighted sum of squared gradients.  For
     AdaGrad and RMSProp that is already the preconditioner square; Adam's
-    preconditioner square additionally divides by ``1 - beta2^k``
-    (equivalently, the published combination weights
-    ``beta2/(1-beta2^k)`` and ``(1-beta2)/(1-beta2^k)`` applied to the raw
-    sum).  Keeping the raw sum is what makes the corrected combination
-    finite at every k; compounding the correction into the stored
-    accumulator itself grows like ``prod_j beta2/(1-beta2^j)`` and
+    preconditioner square additionally multiplies by the table's
+    ``h_scale = 1/(1 - beta2^k)`` (equivalently, the published combination
+    weights ``beta2/(1-beta2^k)`` and ``(1-beta2)/(1-beta2^k)`` applied to
+    the raw sum).  Keeping the raw sum is what makes the corrected
+    combination finite at every k; compounding the correction into the
+    stored accumulator itself grows like ``prod_j beta2/(1-beta2^j)`` and
     overflows float64 within a few hundred steps at beta2 = 0.999.
 
     Arrays are treated as read-only by the engine; `step` returns a fresh
@@ -138,8 +141,9 @@ class StepCoefficients:
     alpha_k: float
     beta_k: float
     gamma_k: float
-    g_keep: float  # weight on the previous accumulator
-    g_new: float   # weight on the current squared gradient
+    g_keep: float   # raw-sum weight on the previous accumulator
+    g_new: float    # raw-sum weight on the current squared gradient
+    h_scale: float  # turns the raw sum into the preconditioner square
 
 
 def init_state(spec: OptimizerSpec, w0: np.ndarray) -> OptimizerState:
@@ -153,58 +157,46 @@ def init_state(spec: OptimizerSpec, w0: np.ndarray) -> OptimizerState:
     )
 
 
-def table1_coefficients(spec: OptimizerSpec, k: int) -> StepCoefficients:
+def table1_coefficients(spec: OptimizerSpec, k: int,
+                        alpha: float | None = None) -> StepCoefficients:
     """Per-step scalars of the unified update for step index ``k >= 1``.
 
+    `alpha`, when given, replaces ``spec.alpha`` as the base step size.
     Only Adam has k-dependent coefficients: its step size and momentum carry
-    the usual zero-initialization corrections, and both accumulator weights
-    are divided by ``1 - beta2^k``.
+    the usual zero-initialization corrections, and its preconditioner square
+    is the raw sum scaled by ``h_scale = 1/(1 - beta2^k)``.  The published
+    Adam accumulator weights are ``h_scale * g_keep`` and ``h_scale * g_new``.
     """
     if k < 1:
         raise ValueError("step index k starts at 1")
-    a, m = spec.alpha, spec.method
+    a = spec.alpha if alpha is None else alpha
+    m = spec.method
     if m is MethodKind.SGD:
-        return StepCoefficients(a, 0.0, 0.0, 1.0, 0.0)
+        return StepCoefficients(a, 0.0, 0.0, 1.0, 0.0, 1.0)
     if m is MethodKind.HB:
-        return StepCoefficients(a, spec.beta, 0.0, 1.0, 0.0)
+        return StepCoefficients(a, spec.beta, 0.0, 1.0, 0.0, 1.0)
     if m is MethodKind.NAG:
-        return StepCoefficients(a, spec.beta, spec.beta, 1.0, 0.0)
+        return StepCoefficients(a, spec.beta, spec.beta, 1.0, 0.0, 1.0)
     if m is MethodKind.ADAGRAD:
-        return StepCoefficients(a, 0.0, 0.0, 1.0, 1.0)
+        return StepCoefficients(a, 0.0, 0.0, 1.0, 1.0, 1.0)
     if m is MethodKind.RMSPROP:
-        return StepCoefficients(a, 0.0, 0.0, spec.beta2, 1.0 - spec.beta2)
+        return StepCoefficients(a, 0.0, 0.0, spec.beta2, 1.0 - spec.beta2, 1.0)
     if m is MethodKind.ADAM:
         b1, b2 = spec.beta1, spec.beta2
         corr1 = 1.0 - b1**k
-        corr2 = 1.0 - b2**k
         return StepCoefficients(
             alpha_k=a * (1.0 - b1) / corr1,
             beta_k=b1 * (1.0 - b1 ** (k - 1)) / corr1,
             gamma_k=0.0,
-            g_keep=b2 / corr2,
-            g_new=(1.0 - b2) / corr2,
+            g_keep=b2,
+            g_new=1.0 - b2,
+            h_scale=1.0 / (1.0 - b2**k),
         )
     raise AssertionError(f"unhandled method {m}")
 
 
-def _raw_accum_weights(spec: OptimizerSpec) -> tuple[float, float]:
-    """(keep, new) weights for the raw squared-gradient sum."""
-    if spec.method is MethodKind.ADAGRAD:
-        return 1.0, 1.0
-    if spec.method in (MethodKind.RMSPROP, MethodKind.ADAM):
-        return spec.beta2, 1.0 - spec.beta2
-    return 1.0, 0.0
-
-
-def _precond_scale(spec: OptimizerSpec, k: int) -> float:
-    """Factor turning the raw accumulator into the preconditioner square."""
-    if spec.method is MethodKind.ADAM and k >= 1:
-        return 1.0 / (1.0 - spec.beta2**k)
-    return 1.0
-
-
-def _precond_diag(spec: OptimizerSpec, g_accum: np.ndarray, k: int) -> np.ndarray:
-    return np.sqrt(_precond_scale(spec, k) * g_accum) + spec.epsilon
+def _precond_diag(spec: OptimizerSpec, g_accum: np.ndarray, h_scale: float) -> np.ndarray:
+    return np.sqrt(h_scale * g_accum) + spec.epsilon
 
 
 def step(
@@ -218,9 +210,8 @@ def step(
     `alpha_override`, when given, replaces the base step size for this step
     only (decay schedules feed the current rate through here).
     """
-    eff = spec if alpha_override is None else replace(spec, alpha=float(alpha_override))
     k = state.k + 1
-    c = table1_coefficients(eff, k)
+    c = table1_coefficients(spec, k, alpha_override)
     w, w_prev = state.w, state.w_prev
 
     if c.gamma_k != 0.0:
@@ -237,13 +228,8 @@ def step(
             w_next = w_next + c.beta_k * (w - w_prev)
         g_accum = state.g_accum
     else:
-        keep, new = _raw_accum_weights(eff)
-        g_accum = keep * state.g_accum + new * (g * g)
-        h_now = _precond_diag(spec, g_accum, k)
-        if state.k == 0:
-            h_prev = np.ones_like(w)
-        else:
-            h_prev = _precond_diag(spec, state.g_accum, state.k)
+        g_accum = c.g_keep * state.g_accum + c.g_new * (g * g)
+        h_now = _precond_diag(spec, g_accum, c.h_scale)
         dw = w - w_prev
         dead = h_now == 0.0
         if dead.any():
@@ -260,6 +246,7 @@ def step(
             h_safe = h_now
         w_next = w - c.alpha_k * (g / h_safe)
         if c.beta_k != 0.0:
+            h_prev = preconditioner_diag(state, spec) if state.k else np.ones_like(w)
             w_next = w_next + c.beta_k * ((h_prev / h_safe) * dw)
 
     if not np.all(np.isfinite(w_next)):
@@ -271,7 +258,13 @@ def preconditioner_diag(state: OptimizerState, spec: OptimizerSpec) -> np.ndarra
     """Current diagonal of H; all ones for the non-adaptive methods."""
     if not spec.method.adaptive:
         return np.ones_like(state.w)
-    return _precond_diag(spec, state.g_accum, state.k)
+    h_scale = table1_coefficients(spec, state.k).h_scale if state.k else 1.0
+    return _precond_diag(spec, state.g_accum, h_scale)
+
+
+def spec_to_document(spec: OptimizerSpec) -> dict:
+    """JSON-compatible view of a spec: its fields, with the method by name."""
+    return {**asdict(spec), "method": spec.method.value}
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +275,7 @@ FRAMEWORKS = ("torch", "tensorflow", "dynet")
 
 # Published framework defaults for the adaptive family.  "epsilon=0.0" for
 # tensorflow AdaGrad encodes that the smoothing term is not used there.
-_ADAPTIVE_DEFAULTS = {
+_ADAPTIVE_PRESETS = {
     ("torch", MethodKind.ADAGRAD): dict(g_init=0.0, epsilon=1e-10),
     ("tensorflow", MethodKind.ADAGRAD): dict(g_init=0.1, epsilon=0.0),
     ("dynet", MethodKind.ADAGRAD): dict(g_init=0.0, epsilon=1e-20),
@@ -307,9 +300,9 @@ def framework_preset(framework: str, method: MethodKind, alpha: float = 0.001) -
     if method in (MethodKind.SGD, MethodKind.HB, MethodKind.NAG):
         return OptimizerSpec(method=method, alpha=alpha, beta=0.9)
     key = (framework, method)
-    if key not in _ADAPTIVE_DEFAULTS:
+    if key not in _ADAPTIVE_PRESETS:
         raise UnsupportedPresetError(f"{method.value} has no {framework} preset")
-    return OptimizerSpec(method=method, alpha=alpha, **_ADAPTIVE_DEFAULTS[key])
+    return OptimizerSpec(method=method, alpha=alpha, **_ADAPTIVE_PRESETS[key])
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,6 @@ class TraceRow:
     alpha: float
     train_loss: float
     dev_error: float
-    analytic_test_error_bound: float
     w_l2: float
     w_linf: float
     margin: float
@@ -101,7 +100,6 @@ def run_training(
     record_trace: bool = True,
     keep_iterates: bool = False,
     keep_precond: bool = False,
-    analytic_bound: float = math.nan,
     w0: np.ndarray | None = None,
 ) -> RunResult:
     """Run `spec` on `ds` for up to `iters` full-batch iterations.
@@ -138,7 +136,6 @@ def run_training(
                 alpha=alpha,
                 train_loss=loss_value,
                 dev_error=dev_value,
-                analytic_test_error_bound=analytic_bound,
                 w_l2=norm,
                 w_linf=float(np.max(np.abs(w))) if w.size else 0.0,
                 margin=lsq.margin(ds, w) if norm > 0.0 else math.nan,

@@ -13,14 +13,13 @@ Exact ties break toward the larger step size.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import AllTrialsDivergedError
 from .lsq import Dataset
-from .optim import MethodKind, OptimizerSpec
+from .optim import MethodKind, OptimizerSpec, spec_to_document
 from .schedules import DecayPolicy, next_alpha  # re-exported: part of this surface
 
 __all__ = [
@@ -155,7 +154,6 @@ def tune(
     selection: str | None = None,
     extension_cap: int = DEFAULT_EXTENSION_CAP,
     stop_loss: float | None = None,
-    workers: int = 1,
 ) -> TuneReport:
     """Grid-search the step size for `method` on `ds`.
 
@@ -163,8 +161,8 @@ def tune(
     is one trial and seeds only drive the per-trial development stream (runs
     start from the zero vector, so full-batch trajectories are seed
     independent).  Selection uses the best dev metric when a dev stream
-    exists, otherwise the final training loss.  Trials are independent and
-    run on `workers` threads; results are reduced in deterministic order.
+    exists, otherwise the final training loss.  Dev labels are drawn with
+    the dataset's `p`, so a dataset without one needs ``dev_size=None``.
 
     Raises `AllTrialsDivergedError` when every step size, extensions
     included, diverged.
@@ -183,6 +181,9 @@ def tune(
         selection = "dev" if dev_size is not None else "train_loss"
     if policy.kind == "dev_decay" and dev_size is None:
         raise ValueError("dev_decay policy needs a dev stream")
+    if dev_size is not None and ds.p is None:
+        raise ValueError("dataset has no label probability p to draw dev labels from; "
+                         "pass dev_size=None")
 
     base = base_spec if base_spec is not None else OptimizerSpec(method=method, alpha=1.0)
     if base.method is not method:
@@ -200,7 +201,7 @@ def tune(
         labels = None
         if dev_size is not None:
             ss = np.random.SeedSequence(entropy=seed, spawn_key=(alpha_index,))
-            labels = dev_labels_for(ds.p if ds.p is not None else 0.75, dev_size, ss)
+            labels = dev_labels_for(ds.p, dev_size, ss)
         if labels is None and alpha in shared_runs:
             result = shared_runs[alpha]
         else:
@@ -227,13 +228,7 @@ def tune(
     alpha_order: list[float] = []
 
     def evaluate(alpha_index: int, alpha: float) -> None:
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(run_trial, alpha_index, alpha, s) for s in seed_values]
-                results = [f.result() for f in futures]
-        else:
-            results = [run_trial(alpha_index, alpha, s) for s in seed_values]
-        by_alpha[alpha] = results
+        by_alpha[alpha] = [run_trial(alpha_index, alpha, s) for s in seed_values]
         alpha_order.append(alpha)
 
     current = grid
@@ -286,17 +281,6 @@ def tune(
 def tune_report_to_document(report: TuneReport) -> dict:
     """JSON-compatible view of a tuning report."""
 
-    def spec_doc(spec: OptimizerSpec) -> dict:
-        return {
-            "method": spec.method.value,
-            "alpha": spec.alpha,
-            "beta": spec.beta,
-            "beta1": spec.beta1,
-            "beta2": spec.beta2,
-            "epsilon": spec.epsilon,
-            "g_init": spec.g_init,
-        }
-
     def policy_doc(policy: DecayPolicy) -> dict:
         return {"kind": policy.kind, "delta": policy.delta, "period": policy.period}
 
@@ -325,7 +309,7 @@ def tune_report_to_document(report: TuneReport) -> dict:
         ],
         "winner": {
             "alpha": report.winner.alpha,
-            "spec": spec_doc(report.winner.spec),
+            "spec": spec_to_document(report.winner.spec),
             "policy": policy_doc(report.winner.policy),
             "selection": report.winner.selection,
             "metric_mean": report.winner.metric_mean,

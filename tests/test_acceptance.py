@@ -302,6 +302,21 @@ def test_criterion_9_tuning_protocol():
            "on non-improving epochs")
 
 
+@pytest.mark.parametrize("center", [0.3, 0.7])
+def test_adaptive_verdicts_with_off_grid_center(center, tmp_path):
+    # The default grid contains alpha = tau = 0.25, where one adaptive step
+    # lands on the sign solution; off that grid the verdicts must still hold.
+    summary = run_experiment(
+        ExperimentConfig(grid_center=center, methods=("adagrad", "adam")), tmp_path
+    )
+    rows = {r["method"]: r for r in summary["methods"]}
+    for name, row in rows.items():
+        assert row["verdict_generalization"] and row["verdict_oracle_agreement"], name
+    assert rows["adam"]["iterations"] > 1
+    report("off-grid center", True,
+           f"center {center}: adam needs {rows['adam']['iterations']} steps")
+
+
 # ---------------------------------------------------------------------------
 # 10. determinism
 # ---------------------------------------------------------------------------

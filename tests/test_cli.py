@@ -1,10 +1,20 @@
+import argparse
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from optlab import lsq
-from optlab.cli import main
+from optlab.cli import (
+    ExperimentConfig,
+    GenerateOptions,
+    OracleOptions,
+    TrainOptions,
+    TuneOptions,
+    build_parser,
+    main,
+)
 from optlab.training import TRACE_HEADER
 
 
@@ -109,10 +119,48 @@ def test_train_config_file_with_flag_override(dataset_file, tmp_path):
     assert run_doc["options"]["alpha"] == 0.002
 
 
-def test_config_rejects_unknown_keys(dataset_file, tmp_path):
+OPTIONS = {
+    "generate": GenerateOptions,
+    "train": TrainOptions,
+    "oracle": OracleOptions,
+    "tune": TuneOptions,
+    "experiment": ExperimentConfig,
+}
+
+
+@pytest.mark.parametrize("command", list(OPTIONS))
+def test_config_rejects_unknown_keys(command, tmp_path, capsys):
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    flags = {s for a in subparsers.choices[command]._actions for s in a.option_strings}
+    names = {f.name for f in fields(OPTIONS[command])}
+    assert flags - {"-h", "--help"} == {"--" + n.replace("_", "-") for n in names} | {"--config"}
+
     config = tmp_path / "bad.json"
-    config.write_text(json.dumps({"dataset": str(dataset_file), "grandient": 1}))
+    for key in ("grandient", "workers"):
+        config.write_text(json.dumps({key: 1}))
+        assert run_cli(command, "--config", str(config)) == 1
+        assert "unknown config keys" in capsys.readouterr().err
+        assert run_cli(command, f"--{key}", "1") == 1
+
+
+def test_config_values_take_the_field_types(dataset_file, tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"dataset": str(dataset_file), "alpha": 1, "iters": 0,
+                                  "period": None, "out": str(tmp_path / "run")}))
+    assert run_cli("train", "--config", str(config)) == 0
+    options = json.loads((tmp_path / "run" / "run.json").read_text())["options"]
+    assert isinstance(options["alpha"], float) and options["period"] is None
+    config.write_text(json.dumps({"alpha": "fast"}))
     assert run_cli("train", "--config", str(config)) == 1
+
+    config.write_text(json.dumps({"n": 12, "seeds": 1, "iters": 50, "m_test": 100,
+                                  "methods": ["sgd"], "out": str(tmp_path / "exp")}))
+    assert run_cli("experiment", "--config", str(config), "--grid-count", "3") == 0
+    summary = json.loads((tmp_path / "exp" / "summary.json").read_text())
+    assert summary["config"]["methods"] == ["sgd"]
+    assert summary["config"]["grid_count"] == 3
+    assert "out" not in summary["config"]
 
 
 # ---------------------------------------------------------------------------

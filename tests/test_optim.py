@@ -75,8 +75,9 @@ def test_adam_coefficients_general_k():
     c = table1_coefficients(make_spec("adam", alpha=a, beta1=b1, beta2=b2), 7)
     assert c.alpha_k == pytest.approx(a * (1 - b1) / (1 - b1**7), rel=1e-15)
     assert c.beta_k == pytest.approx(b1 * (1 - b1**6) / (1 - b1**7), rel=1e-15)
-    assert c.g_keep == pytest.approx(b2 / (1 - b2**7), rel=1e-15)
-    assert c.g_new == pytest.approx((1 - b2) / (1 - b2**7), rel=1e-15)
+    # the published weights are the raw-sum weights times the table's scale
+    assert c.h_scale * c.g_keep == pytest.approx(b2 / (1 - b2**7), rel=1e-15)
+    assert c.h_scale * c.g_new == pytest.approx((1 - b2) / (1 - b2**7), rel=1e-15)
 
 
 def test_nag_gamma_equals_beta():

@@ -281,19 +281,41 @@ def test_tune_grid_never_duplicates(small_ds):
     assert len(set(report.grid.values)) == len(report.grid.values)
 
 
-def test_tune_parallel_matches_serial(small_ds):
-    kwargs = dict(
-        grid=make_log_grid(0.01, 2, 3),
-        policy=DecayPolicy(kind="none"),
-        epochs=800,
-        seeds=2,
+def test_tune_without_dev_stream_runs_once_per_step_size(small_ds, monkeypatch):
+    from optlab import training
+
+    calls = []
+    original = training.run_training
+
+    def counting_run_training(*args, **kwargs):
+        calls.append(args[1].alpha)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(training, "run_training", counting_run_training)
+    report = tune(
+        small_ds,
+        MethodKind.SGD,
+        make_log_grid(0.002, 2, 3),
+        DecayPolicy(kind="none"),
+        epochs=300,
+        seeds=5,
         dev_size=None,
-        stop_loss=1e-12,
+        extension_cap=0,
     )
-    serial = tune(small_ds, MethodKind.SGD, workers=1, **kwargs)
-    parallel = tune(small_ds, MethodKind.SGD, workers=4, **kwargs)
-    assert serial.winner.alpha == parallel.winner.alpha
-    assert serial.winner.final_loss_mean == parallel.winner.final_loss_mean
+    assert len(report.trials) == 15
+    assert sorted(calls) == sorted(report.grid.values)
+
+
+def test_tune_dev_stream_needs_dataset_p():
+    ds = lsq.Dataset(
+        n=2, d=2,
+        rows=(((1, 1.0), (2, 1.0)), ((1, 1.0), (2, -1.0))),
+        y=np.array([1.0, 1.0]),
+    )
+    assert ds.p is None
+    with pytest.raises(ValueError, match="dev_size=None"):
+        tune(ds, MethodKind.SGD, make_log_grid(0.1, 2, 3), DecayPolicy(kind="none"),
+             epochs=10, seeds=1, dev_size=200)
 
 
 def test_tune_report_document(small_ds):
