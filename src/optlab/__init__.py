@@ -9,11 +9,9 @@ closed-form oracles for both, and the grid/decay tuning protocol.
 from .errors import (
     AllTrialsDivergedError,
     DataGenerationError,
-    DivergedError,
     LemmaPreconditionError,
     OptlabError,
     SingularKernelError,
-    SingularPreconditionerError,
     UnsupportedPresetError,
 )
 from .lsq import (
@@ -55,7 +53,7 @@ from .oracle import (
     verify_lemma_trajectory,
 )
 from .schedules import DecayPolicy, next_alpha
-from .training import RunResult, TraceRow, run_training
+from .training import RunResult, TraceRow, run_lockstep, run_training
 from .tune import Grid, TrialResult, TuneReport, extend_if_edge, make_log_grid, tune
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ import json
 import math
 import sys
 import typing
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -148,6 +148,15 @@ def cmd_generate(options: GenerateOptions) -> int:
     return EXIT_OK
 
 
+def _dev_size_for(ds: lsq.Dataset, dev_size: int | None) -> int | None:
+    """`dev_size`, or None, with a note on stderr, when `ds` has no p to draw dev labels with."""
+    if dev_size is None or ds.p is not None:
+        return dev_size
+    print("note: the dataset has no label probability p, so no dev stream runs "
+          "(dev_size=None)", file=sys.stderr)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------
@@ -186,8 +195,9 @@ def cmd_train(options: TrainOptions) -> int:
         g_init=options.g_init,
     )
     policy = _policy_from(options)
+    options = replace(options, dev_size=_dev_size_for(ds, options.dev_size))
     dev_labels = None
-    if options.dev_size and ds.p is not None:
+    if options.dev_size:
         ss = np.random.SeedSequence(entropy=options.seed, spawn_key=(_DEV_STREAM,))
         dev_labels = dev_labels_for(ds.p, options.dev_size, ss)
     result = run_training(
@@ -299,7 +309,7 @@ def cmd_tune(options: TuneOptions) -> int:
     method = MethodKind.parse(options.method)
     grid = make_log_grid(options.alpha, options.ratio, options.count)
     policy = _policy_from(options)
-    dev_size = options.dev_size if ds.p is not None else None
+    dev_size = _dev_size_for(ds, options.dev_size)
     report = tune(
         ds,
         method,

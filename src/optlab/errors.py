@@ -5,14 +5,6 @@ class OptlabError(Exception):
     """Base class for all optlab-specific failures."""
 
 
-class DivergedError(OptlabError):
-    """An iterate or gradient became non-finite; the run must be aborted."""
-
-
-class SingularPreconditionerError(OptlabError):
-    """A zero preconditioner entry would have to divide a nonzero quantity."""
-
-
 class UnsupportedPresetError(OptlabError):
     """The requested framework/method default combination does not exist."""
 

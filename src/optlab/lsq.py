@@ -32,6 +32,9 @@ __all__ = [
     "generate_synthetic",
     "loss",
     "gradient",
+    "residual",
+    "residual_loss",
+    "residual_gradient",
     "test_score",
     "test_scores",
     "error_rate",
@@ -185,11 +188,28 @@ def _check_dim(ds: Dataset, w: np.ndarray) -> np.ndarray:
     return w
 
 
+def residual(ds: Dataset, w: np.ndarray) -> np.ndarray:
+    """``Xw - y`` for a weight vector, or row by row for an (R, d) stack.
+
+    The stacked matmul runs one matrix-vector product per row, so each row is
+    bit for bit ``ds.dense @ w - ds.y`` whatever R is (a GEMM would not be).
+    """
+    return np.matmul(ds.dense, w[..., None])[..., 0] - ds.y
+
+
+def residual_loss(r: np.ndarray) -> np.ndarray:
+    """``r . r`` for a residual, or per row of a stack of them."""
+    return np.matmul(r[..., None, :], r[..., :, None])[..., 0, 0]
+
+
+def residual_gradient(ds: Dataset, r: np.ndarray) -> np.ndarray:
+    """``2 X^T r`` for a residual, or per row of a stack of them."""
+    return 2.0 * np.matmul(r[..., None, :], ds.dense)[..., 0, :]
+
+
 def loss(ds: Dataset, w: np.ndarray) -> float:
     """Squared interpolation error ``||Xw - y||^2``."""
-    w = _check_dim(ds, w)
-    r = ds.dense @ w - ds.y
-    return float(r @ r)
+    return float(residual_loss(residual(ds, _check_dim(ds, w))))
 
 
 def gradient(ds: Dataset, w: np.ndarray) -> np.ndarray:
@@ -198,9 +218,7 @@ def gradient(ds: Dataset, w: np.ndarray) -> np.ndarray:
     Sparse columns never touched by any example receive an exact 0.0, which
     the trajectory checks in the oracle module rely on.
     """
-    w = _check_dim(ds, w)
-    r = ds.dense @ w - ds.y
-    return 2.0 * (r @ ds.dense)
+    return residual_gradient(ds, residual(ds, _check_dim(ds, w)))
 
 
 def test_score(w: np.ndarray, y_test: float) -> float:
@@ -216,11 +234,13 @@ def test_score(w: np.ndarray, y_test: float) -> float:
 
 
 def test_scores(w: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Vectorized `test_score` over an array of fresh labels."""
+    """Vectorized `test_score` over an array of fresh labels; for an (R, d)
+    stack of weight vectors, row i of `labels` goes with row i of `w`."""
     w = np.asarray(w, dtype=np.float64)
-    if w.shape[0] < 3:
+    if w.shape[-1] < 3:
         raise ValueError("weight vector must have at least 3 coordinates")
-    return w[0] * np.asarray(labels, dtype=np.float64) + w[1] + w[2]
+    labels = np.asarray(labels, dtype=np.float64)
+    return w[..., 0, None] * labels + w[..., 1, None] + w[..., 2, None]
 
 
 def error_rate(scores) -> float:

@@ -21,8 +21,13 @@ Conventions that the rest of the lab relies on:
   preconditioner is exactly proportional to accumulated |gradient| patterns.
 * A coordinate whose preconditioner entry is zero can only arise when that
   coordinate has never seen a nonzero gradient; such coordinates simply do
-  not move.  A zero entry that would have to divide a nonzero quantity
-  raises `SingularPreconditionerError` instead of producing NaN.
+  not move.  A zero entry that would have to divide a nonzero quantity is
+  reported as a ``singular_preconditioner`` failure instead of producing NaN.
+
+The state holds one trajectory (arrays of shape ``(d,)``) or a lockstep
+stack of R rows (shape ``(R, d)``) that share the step index and the spec but
+the step size.  Every operation is elementwise or per row, so a row's bits do
+not depend on the rows beside it, and a row that fails does not stop the rest.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DivergedError, SingularPreconditionerError, UnsupportedPresetError
+from .errors import UnsupportedPresetError
 
 __all__ = [
     "MethodKind",
@@ -126,6 +131,10 @@ class OptimizerState:
     stored accumulator itself grows like ``prod_j beta2/(1-beta2^j)`` and
     overflows float64 within a few hundred steps at beta2 = 0.999.
 
+    `h` carries H_k of an adaptive method (None before its first step).
+    `failures` lists the rows the step could not advance, as ``(row, status,
+    message)`` with status ``diverged`` or ``singular_preconditioner``.
+
     Arrays are treated as read-only by the engine; `step` returns a fresh
     state and never mutates its input.
     """
@@ -134,11 +143,13 @@ class OptimizerState:
     w: np.ndarray
     w_prev: np.ndarray
     g_accum: np.ndarray
+    h: np.ndarray | None = None
+    failures: tuple[tuple[int, str, str], ...] = ()
 
 
 @dataclass(frozen=True)
 class StepCoefficients:
-    alpha_k: float
+    alpha_k: float  # or per-row step sizes, shape (R, 1), for a stack
     beta_k: float
     gamma_k: float
     g_keep: float   # raw-sum weight on the previous accumulator
@@ -161,7 +172,8 @@ def table1_coefficients(spec: OptimizerSpec, k: int,
                         alpha: float | None = None) -> StepCoefficients:
     """Per-step scalars of the unified update for step index ``k >= 1``.
 
-    `alpha`, when given, replaces ``spec.alpha`` as the base step size.
+    `alpha`, when given, replaces ``spec.alpha`` as the base step size; an
+    array of per-row step sizes gives an array `alpha_k`.
     Only Adam has k-dependent coefficients: its step size and momentum carry
     the usual zero-initialization corrections, and its preconditioner square
     is the raw sum scaled by ``h_scale = 1/(1 - beta2^k)``.  The published
@@ -203,12 +215,15 @@ def step(
     state: OptimizerState,
     spec: OptimizerSpec,
     grad_at: GradientFn,
-    alpha_override: float | None = None,
+    alpha_override: float | np.ndarray | None = None,
 ) -> OptimizerState:
-    """Advance one iteration; returns the new state.
+    """Advance every row one iteration; returns the new state.
 
     `alpha_override`, when given, replaces the base step size for this step
-    only (decay schedules feed the current rate through here).
+    only (decay schedules feed the current rates through here): a scalar, or
+    one step size per row, shape (R, 1).  A row whose gradient or new iterate
+    is not finite, or whose zero preconditioner entry would divide a nonzero
+    quantity, is listed in the new state's `failures`.
     """
     k = state.k + 1
     c = table1_coefficients(spec, k, alpha_override)
@@ -219,9 +234,9 @@ def step(
     else:
         eval_point = w
     g = np.asarray(grad_at(eval_point), dtype=np.float64)
-    if not np.all(np.isfinite(g)):
-        raise DivergedError(f"non-finite gradient at step {k}")
 
+    singular = False
+    h_now = None
     if not spec.method.adaptive:
         w_next = w - c.alpha_k * g
         if c.beta_k != 0.0:
@@ -230,36 +245,52 @@ def step(
     else:
         g_accum = c.g_keep * state.g_accum + c.g_new * (g * g)
         h_now = _precond_diag(spec, g_accum, c.h_scale)
-        dw = w - w_prev
+        dw = w - w_prev if c.beta_k != 0.0 else None
         dead = h_now == 0.0
+        h_safe = h_now
         if dead.any():
-            needs_div = bool(np.any(g[dead] != 0.0)) or (
-                c.beta_k != 0.0 and bool(np.any(dw[dead] != 0.0))
-            )
-            if needs_div:
-                raise SingularPreconditionerError(
-                    f"zero preconditioner entry with nonzero update at step {k} "
-                    f"(epsilon={spec.epsilon})"
-                )
+            needs_div = g != 0.0
+            if dw is not None:
+                needs_div |= dw != 0.0
+            singular = (dead & needs_div).any(axis=-1)
             h_safe = np.where(dead, 1.0, h_now)
-        else:
-            h_safe = h_now
         w_next = w - c.alpha_k * (g / h_safe)
-        if c.beta_k != 0.0:
-            h_prev = preconditioner_diag(state, spec) if state.k else np.ones_like(w)
+        if dw is not None:
+            h_prev = state.h if state.h is not None else np.ones_like(w)
             w_next = w_next + c.beta_k * ((h_prev / h_safe) * dw)
 
-    if not np.all(np.isfinite(w_next)):
-        raise DivergedError(f"non-finite iterate at step {k}")
-    return OptimizerState(k=k, w=w_next, w_prev=w, g_accum=g_accum)
+    # A non-finite gradient always makes its row's new iterate non-finite, so
+    # checking the iterates finds every failing row; their sum is finite
+    # only if every entry is.
+    failures = ()
+    if np.any(singular) or not math.isfinite(w_next.sum()):
+        failures = _row_failures(k, g, w_next, singular, spec.epsilon)
+    return OptimizerState(k=k, w=w_next, w_prev=w, g_accum=g_accum, h=h_now, failures=failures)
+
+
+def _row_failures(k, g, w_next, singular, epsilon) -> tuple[tuple[int, str, str], ...]:
+    """Why each failed row failed, checked in the order a solo run meets them."""
+    g = g.reshape(-1, g.shape[-1])
+    failed = np.atleast_1d(~np.isfinite(w_next).all(axis=-1) | singular)
+    singular = np.broadcast_to(singular, failed.shape)
+    out = []
+    for i in np.flatnonzero(failed):
+        if not np.isfinite(g[i]).all():
+            out.append((int(i), "diverged", f"non-finite gradient at step {k}"))
+        elif singular[i]:
+            out.append((int(i), "singular_preconditioner",
+                        f"zero preconditioner entry with nonzero update at step {k} "
+                        f"(epsilon={epsilon})"))
+        else:
+            out.append((int(i), "diverged", f"non-finite iterate at step {k}"))
+    return tuple(out)
 
 
 def preconditioner_diag(state: OptimizerState, spec: OptimizerSpec) -> np.ndarray:
     """Current diagonal of H; all ones for the non-adaptive methods."""
     if not spec.method.adaptive:
         return np.ones_like(state.w)
-    h_scale = table1_coefficients(spec, state.k).h_scale if state.k else 1.0
-    return _precond_diag(spec, state.g_accum, h_scale)
+    return state.h if state.h is not None else _precond_diag(spec, state.g_accum, 1.0)
 
 
 def spec_to_document(spec: OptimizerSpec) -> dict:

@@ -1,10 +1,13 @@
 """Full-batch training runs with per-iteration traces.
 
-A run owns one optimizer state, advances it with the unified engine, and
-records loss/norm/margin/span diagnostics at a configurable cadence.  The
-default cadence keeps every iteration up to 1000, then every 10th, plus the
-final one.  Divergence (non-finite loss or iterate) and preconditioner
-singularities abort the run with a status instead of propagating NaN.
+The run loop advances a lockstep stack of R rows (state arrays of shape
+(R, d)): one trajectory each, all with the same spec, policy and start but
+each with its own step size and dev labels.  The engine steps the stack once
+per iteration; a single run is a stack of one row.  A row that converges, or
+fails (non-finite loss or iterate, singular preconditioner), stops with its
+status and drops out while the others go on, so each row is bit for bit the
+run it gives alone.  Each row records loss/norm/margin/span diagnostics
+every iteration up to 1000, then every 10th, plus the final one (default).
 
 One iteration equals one epoch here: all gradients are full-batch.
 """
@@ -18,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lsq
-from .errors import DivergedError, SingularPreconditionerError
 from .optim import OptimizerSpec, OptimizerState, init_state, preconditioner_diag, step
 from .schedules import DecayPolicy, next_alpha
 
@@ -28,6 +30,7 @@ __all__ = [
     "RunResult",
     "dev_labels_for",
     "run_training",
+    "run_lockstep",
     "write_trace_csv",
 ]
 
@@ -75,11 +78,11 @@ def dev_labels_for(p: float, size: int, seed_sequence) -> np.ndarray:
     return np.where(rng.random(size) < p, 1.0, -1.0)
 
 
-def _dev_error(w: np.ndarray, labels: np.ndarray | None) -> float:
+def _dev_errors(w: np.ndarray, labels: np.ndarray | None) -> np.ndarray | None:
+    """Dev error of each row of a stack, row i scored on labels row i."""
     if labels is None:
-        return math.nan
-    scores = lsq.test_scores(w, labels)
-    return float(np.mean(scores * labels <= 0.0))
+        return None
+    return np.mean(lsq.test_scores(w, labels) * labels <= 0.0, axis=-1)
 
 
 def _should_record(k: int, trace_every: int | None) -> bool:
@@ -88,121 +91,137 @@ def _should_record(k: int, trace_every: int | None) -> bool:
     return k <= DENSE_TRACE_LIMIT or k % SPARSE_TRACE_EVERY == 0
 
 
-def run_training(
-    ds: lsq.Dataset,
-    spec: OptimizerSpec,
-    iters: int,
-    *,
-    policy: DecayPolicy | None = None,
-    dev_labels: np.ndarray | None = None,
-    stop_loss: float | None = None,
-    trace_every: int | None = None,
-    record_trace: bool = True,
-    keep_iterates: bool = False,
-    keep_precond: bool = False,
-    w0: np.ndarray | None = None,
-) -> RunResult:
-    """Run `spec` on `ds` for up to `iters` full-batch iterations.
+def _rows(state: OptimizerState, index) -> OptimizerState:
+    """Rows `index` of a stacked state (a single row for an integer)."""
+    h = None if state.h is None else state.h[index]
+    return OptimizerState(state.k, state.w[index], state.w_prev[index], state.g_accum[index], h)
 
-    The run stops early once the training loss reaches `stop_loss` (that is
-    the operational meaning of "converged"; hitting the budget without it
-    leaves status "ok" with converged=False).  `policy` adjusts the step
-    size between epochs; dev-driven decay requires `dev_labels`.
+
+def run_training(ds: lsq.Dataset, spec: OptimizerSpec, iters: int, *,
+                 dev_labels: np.ndarray | None = None, **options) -> RunResult:
+    """Run `spec` on `ds` for up to `iters` full-batch iterations: a
+    `run_lockstep` stack of one row, with step size ``spec.alpha``."""
+    labels = None if dev_labels is None else [dev_labels]
+    return run_lockstep(ds, spec, [spec.alpha], iters, dev_labels=labels, **options)[0]
+
+
+def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
+                 policy: DecayPolicy | None = None, dev_labels=None,
+                 stop_loss: float | None = None, trace_every: int | None = None,
+                 record_trace: bool = True, keep_iterates: bool = False,
+                 keep_precond: bool = False, w0: np.ndarray | None = None) -> list[RunResult]:
+    """Run `spec` once per base step size in `alphas`, as one lockstep stack.
+
+    Row i uses step size ``alphas[i]`` (not ``spec.alpha``) and scores its dev
+    error on ``dev_labels[i]``, if given; the results come in that order.  A
+    row stops early once its training loss reaches `stop_loss` (that is the
+    operational meaning of "converged"; hitting the budget without it leaves
+    status "ok" with converged=False).  `policy` adjusts each row's step size
+    between epochs; dev-driven decay requires `dev_labels`.
     """
     if iters < 0:
         raise ValueError("iters must be nonnegative")
     if policy is not None and policy.kind == "dev_decay" and dev_labels is None:
         raise ValueError("dev_decay policy needs a dev label stream")
 
-    if w0 is None:
-        w0 = np.zeros(ds.d)
-    state = init_state(spec, w0)
-    grad_at = lambda w: lsq.gradient(ds, w)
+    alpha = np.array(alphas, dtype=np.float64).reshape(-1, 1)
+    n_rows = len(alpha)
+    labels = None if dev_labels is None else np.asarray(dev_labels, dtype=np.float64)
+    state = init_state(spec, np.tile(np.zeros(ds.d) if w0 is None else w0, (n_rows, 1)))
+    # Row r's result collects its trace as it runs and is completed when r stops.
+    results = [RunResult("ok", False, None, math.nan, 0, [],
+                         iterates=[w.copy()] if keep_iterates else None,
+                         precond_diags=[h] if keep_precond else None)
+               for w, h in zip(state.w, preconditioner_diag(state, spec))]
+    rows = list(range(n_rows))  # stack position -> row
 
-    alpha = spec.alpha
-    cur_loss = lsq.loss(ds, state.w)
-    trace: list[TraceRow] = []
-    iterates = [state.w.copy()] if keep_iterates else None
-    precond = [preconditioner_diag(state, spec)] if keep_precond else None
+    resid = lsq.residual(ds, state.w)
+    loss = lsq.residual_loss(resid)
+    dev = best_dev = _dev_errors(state.w, labels)
+    epoch_of_best = np.zeros(n_rows, dtype=np.int64)
 
-    def record(k: int, loss_value: float, dev_value: float) -> None:
-        if not record_trace:
-            return
-        w = state.w
+    def grad_at(v: np.ndarray) -> np.ndarray:
+        # Without extrapolation the engine asks for the gradient at state.w
+        # itself, whose residual the loss has already computed.
+        return lsq.residual_gradient(ds, resid if v is state.w else lsq.residual(ds, v))
+
+    def record(i: int, k: int) -> None:
+        w = state.w[i]
         norm = float(np.linalg.norm(w))
-        trace.append(
-            TraceRow(
-                iteration=k,
-                alpha=alpha,
-                train_loss=loss_value,
-                dev_error=dev_value,
-                w_l2=norm,
-                w_linf=float(np.max(np.abs(w))) if w.size else 0.0,
-                margin=lsq.margin(ds, w) if norm > 0.0 else math.nan,
-                rowspan_resid=lsq.row_span_residual(ds, w),
-            )
-        )
+        results[rows[i]].trace.append(TraceRow(
+            iteration=k,
+            alpha=float(alpha[i, 0]),
+            train_loss=float(loss[i]),
+            dev_error=math.nan if dev is None else float(dev[i]),
+            w_l2=norm,
+            w_linf=float(np.max(np.abs(w))) if w.size else 0.0,
+            margin=lsq.margin(ds, w) if norm > 0.0 else math.nan,
+            rowspan_resid=lsq.row_span_residual(ds, w),
+        ))
 
-    dev0 = _dev_error(state.w, dev_labels)
-    record(0, cur_loss, dev0)
-    best_dev = dev0 if dev_labels is not None else None
-    epoch_of_best = 0
+    def finish(i: int, st: OptimizerState, k: int, status: str = "ok",
+               converged: bool = False, failure: str | None = None) -> None:
+        res = results[rows[i]]
+        res.status, res.converged, res.failure = status, converged, failure
+        res.state, res.final_loss, res.iterations = _rows(st, i), float(loss[i]), k
+        if best_dev is not None:
+            res.best_dev, res.epoch_of_best = float(best_dev[i]), int(epoch_of_best[i])
 
-    status = "ok"
-    failure = None
-    converged = stop_loss is not None and cur_loss <= stop_loss
     k = 0
+    done = np.zeros(n_rows, dtype=bool)  # rows finished since the stack last shrank
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while k < iters and not converged:
-            try:
-                state = step(state, spec, grad_at, alpha_override=alpha)
-            except DivergedError as exc:
-                status, failure = "diverged", str(exc)
+        while True:
+            converged = (~done & (loss <= stop_loss) if stop_loss is not None
+                         else np.zeros_like(done))
+            if record_trace:
+                cadence = k == iters or _should_record(k, trace_every)
+                for i in np.flatnonzero(~done & (converged | cadence)):
+                    record(i, k)
+            for i in np.flatnonzero(converged | (~done & (k == iters))):
+                finish(i, state, k, converged=bool(converged[i]))
+            if k == iters:
                 break
-            except SingularPreconditionerError as exc:
-                status, failure = "singular_preconditioner", str(exc)
-                break
-            k += 1
-            cur_loss = lsq.loss(ds, state.w)
-            if not math.isfinite(cur_loss):
-                status, failure = "diverged", f"non-finite loss at iteration {k}"
-                break
-            if keep_iterates:
-                iterates.append(state.w.copy())
-            if keep_precond:
-                precond.append(preconditioner_diag(state, spec))
-            dev_value = _dev_error(state.w, dev_labels)
-            best_before = best_dev
-            if dev_labels is not None and dev_value < best_dev:
-                best_dev, epoch_of_best = dev_value, k
-            if stop_loss is not None and cur_loss <= stop_loss:
-                converged = True
-            if converged or k == iters or _should_record(k, trace_every):
-                record(k, cur_loss, dev_value)
-            if policy is not None and not converged and k < iters:
+            done |= converged
+            if policy is not None and k > 0:
                 # The decay decision compares against the best *before* this
                 # epoch, so a new best keeps the rate.
-                alpha, _ = next_alpha(
-                    policy,
-                    alpha,
-                    k,
-                    dev_metric=dev_value if dev_labels is not None else None,
-                    best_so_far=best_before,
-                )
-
-    return RunResult(
-        status=status,
-        converged=converged,
-        state=state,
-        final_loss=cur_loss,
-        iterations=k,
-        trace=trace,
-        best_dev=best_dev,
-        epoch_of_best=epoch_of_best,
-        iterates=iterates,
-        precond_diags=precond,
-        failure=failure,
-    )
+                for i in np.flatnonzero(~done):
+                    alpha[i, 0], _ = next_alpha(
+                        policy, float(alpha[i, 0]), k,
+                        dev_metric=None if dev is None else float(dev[i]),
+                        best_so_far=None if best_before is None else float(best_before[i]))
+            if done.any():
+                keep = ~done
+                rows = [r for r, kept in zip(rows, keep) if kept]
+                state, resid = _rows(state, keep), resid[keep]
+                loss, alpha, epoch_of_best = loss[keep], alpha[keep], epoch_of_best[keep]
+                if labels is not None:
+                    labels, best_dev = labels[keep], best_dev[keep]
+                if not rows:
+                    break
+            new = step(state, spec, grad_at, alpha)
+            done = np.zeros(len(rows), dtype=bool)
+            for i, status, failure in new.failures:
+                finish(i, state, k, status, failure=failure)
+                done[i] = True
+            state = new
+            k += 1
+            resid = lsq.residual(ds, state.w)
+            loss = lsq.residual_loss(resid)
+            for i in np.flatnonzero(~done & ~np.isfinite(loss)):
+                finish(i, state, k, "diverged", failure=f"non-finite loss at iteration {k}")
+                done[i] = True
+            for i in np.flatnonzero(~done) if keep_iterates else ():
+                results[rows[i]].iterates.append(state.w[i].copy())
+            for i in np.flatnonzero(~done) if keep_precond else ():
+                results[rows[i]].precond_diags.append(preconditioner_diag(_rows(state, i), spec))
+            best_before = best_dev
+            if labels is not None:
+                dev = _dev_errors(state.w, labels)
+                improved = dev < best_dev
+                best_dev = np.where(improved, dev, best_dev)
+                epoch_of_best = np.where(improved, k, epoch_of_best)
+    return results
 
 
 def write_trace_csv(trace: list[TraceRow], path) -> None:

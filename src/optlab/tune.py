@@ -190,50 +190,41 @@ def tune(
         raise ValueError("base_spec method does not match")
 
     # Deferred import: the run loop depends on the schedule types above.
-    from .training import dev_labels_for, run_training
+    from .training import dev_labels_for, run_lockstep
 
-    # Without a dev stream, trials start at zero and are full batch, so the
-    # trajectory is seed independent; run each step size once and share it.
-    shared_runs: dict[float, object] = {}
+    by_alpha: dict[float, list[TrialResult]] = {}  # in the order of evaluation
 
-    def run_trial(alpha_index: int, alpha: float, seed: int) -> TrialResult:
-        spec = replace(base, alpha=alpha)
-        labels = None
-        if dev_size is not None:
-            ss = np.random.SeedSequence(entropy=seed, spawn_key=(alpha_index,))
-            labels = dev_labels_for(ds.p, dev_size, ss)
-        if labels is None and alpha in shared_runs:
-            result = shared_runs[alpha]
-        else:
-            result = run_training(
-                ds, spec, epochs, policy=policy, dev_labels=labels, stop_loss=stop_loss,
-                record_trace=False,
-            )
-            if labels is None:
-                shared_runs[alpha] = result
-        return TrialResult(
-            spec=spec,
-            policy=policy,
-            seed=seed,
-            alpha0=alpha,
-            final_train_loss=result.final_loss,
-            best_dev_metric=result.best_dev,
-            epoch_of_best=result.epoch_of_best,
-            trace_ref=f"{method.value}/a{alpha_index}/s{seed}",
-            status=result.status,
-            iterations=result.iterations,
-        )
-
-    by_alpha: dict[float, list[TrialResult]] = {}
-    alpha_order: list[float] = []
-
-    def evaluate(alpha_index: int, alpha: float) -> None:
-        by_alpha[alpha] = [run_trial(alpha_index, alpha, s) for s in seed_values]
-        alpha_order.append(alpha)
+    def evaluate(alphas) -> None:
+        """One tune round as one lockstep stack: a row per step size and dev
+        stream, or a row per step size, shared by every seed, without one."""
+        indexed = list(enumerate(alphas, start=len(by_alpha)))
+        streams = seed_values if dev_size is not None else (None,)
+        keys = [(i, a, s) for i, a in indexed for s in streams]
+        labels = None if dev_size is None else [
+            dev_labels_for(ds.p, dev_size, np.random.SeedSequence(entropy=s, spawn_key=(i,)))
+            for i, _, s in keys]
+        runs = iter(run_lockstep(ds, base, [a for _, a, _ in keys], epochs, policy=policy,
+                                 dev_labels=labels, stop_loss=stop_loss, record_trace=False))
+        for i, alpha in indexed:
+            shared = next(runs) if dev_size is None else None
+            by_alpha[alpha] = []
+            for seed in seed_values:
+                result = shared if shared is not None else next(runs)
+                by_alpha[alpha].append(TrialResult(
+                    spec=replace(base, alpha=alpha),
+                    policy=policy,
+                    seed=seed,
+                    alpha0=alpha,
+                    final_train_loss=result.final_loss,
+                    best_dev_metric=result.best_dev,
+                    epoch_of_best=result.epoch_of_best,
+                    trace_ref=f"{method.value}/a{i}/s{seed}",
+                    status=result.status,
+                    iterations=result.iterations,
+                ))
 
     current = grid
-    for i, alpha in enumerate(current.values):
-        evaluate(i, alpha)
+    evaluate(current.values)
 
     while True:
         best_alpha = min(by_alpha, key=lambda a: _rank_key(a, by_alpha[a], selection))
@@ -243,7 +234,7 @@ def tune(
         if candidate is None or candidate in current.values:
             break
         current = current.with_value(candidate)
-        evaluate(len(alpha_order), candidate)
+        evaluate([candidate])
 
     completed = {a: t for a, t in by_alpha.items() if all(r.status == "ok" for r in t)}
     if not completed:
@@ -267,10 +258,9 @@ def tune(
         trace_refs=tuple(t.trace_ref for t in winner_trials),
         statuses=tuple(t.status for t in winner_trials),
     )
-    all_trials = tuple(t for a in alpha_order for t in by_alpha[a])
     return TuneReport(
         method=method,
-        trials=all_trials,
+        trials=tuple(t for trials in by_alpha.values() for t in trials),
         winner=winner,
         grid=current,
         extensions=current.extensions,

@@ -210,6 +210,27 @@ def test_oracle_flags_unavailable_sign(tmp_path):
     assert "min_norm" in doc
 
 
+def test_dev_stream_needs_dataset_p(tmp_path, capsys):
+    # a hand-built design has no p, so no dev labels can be drawn
+    ds = lsq.Dataset(
+        n=2, d=2,
+        rows=(((1, 1.0), (2, 1.0)), ((1, 1.0), (2, -1.0))),
+        y=np.array([1.0, 1.0]),
+    )
+    path = tmp_path / "toy.json"
+    lsq.save_dataset(ds, path)
+    note = "no dev stream runs (dev_size=None)"
+    out = tmp_path / "run"
+    assert run_cli("train", "--dataset", str(path), "--iters", "5", "--out", str(out)) == 0
+    assert note in capsys.readouterr().err
+    assert json.loads((out / "run.json").read_text())["options"]["dev_size"] is None
+    assert run_cli("tune", "--dataset", str(path), "--alpha", "0.1", "--count", "3",
+                   "--iters", "5", "--seeds", "2", "--out", str(tmp_path / "tune.json")) == 0
+    assert note in capsys.readouterr().err
+    doc = json.loads((tmp_path / "tune.json").read_text())
+    assert all(t["best_dev"] is None for t in doc["trials"])
+
+
 # ---------------------------------------------------------------------------
 # tune
 # ---------------------------------------------------------------------------

@@ -176,6 +176,24 @@ def test_small_gradient_step_decreases_loss(seed):
     assert lsq.loss(ds, w2) < lsq.loss(ds, w)
 
 
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(1, 60), seed=st.integers(0, 1000))
+def test_stacked_products_do_not_depend_on_stack_size(n, seed):
+    # Each row of a stack must be bit for bit the single-vector product, so a
+    # trajectory does not change with the rows that run beside it.
+    ds = lsq.generate_synthetic(n, 0.75, seed)
+    W = np.random.default_rng(seed).standard_normal((8, ds.d)) * 10.0
+    for size in (1, 2, 5, 8):
+        resid = lsq.residual(ds, W[:size])
+        grads = lsq.residual_gradient(ds, resid)
+        losses = lsq.residual_loss(resid)
+        for i in range(size):
+            r = ds.dense @ W[i] - ds.y
+            assert resid[i].tobytes() == r.tobytes()
+            assert grads[i].tobytes() == (2.0 * (r @ ds.dense)).tobytes()
+            assert float(losses[i]) == float(r @ r)
+
+
 def test_dimension_mismatch_raises():
     ds = lsq.generate_synthetic(3, 0.75, seed=1)
     with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optlab.errors import DivergedError, UnsupportedPresetError
+from optlab.errors import UnsupportedPresetError
 from optlab.optim import (
     MethodKind,
     OptimizerSpec,
@@ -132,10 +132,10 @@ def test_heavy_ball_two_steps_scalar_recurrence():
     np.testing.assert_allclose([t[0] for t in traj[1:]], expected, rtol=1e-15)
 
 
-def test_divergence_raises():
+def test_divergence_is_reported_per_row():
     spec = make_spec("sgd", alpha=1.0)
-    with pytest.raises(DivergedError):
-        run_steps(spec, [1.0], lambda w: np.array([np.inf]), 1)
+    _, state = run_steps(spec, [1.0], lambda w: np.array([np.inf]), 1)
+    assert state.failures == ((0, "diverged", "non-finite gradient at step 1"),)
 
 
 def test_zero_gradient_coordinate_coasts_without_error():

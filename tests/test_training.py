@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optlab import lsq, oracle
-from optlab.optim import MethodKind, OptimizerSpec
-from optlab.schedules import DecayPolicy
+from optlab.optim import MethodKind, OptimizerSpec, init_state, step
+from optlab.schedules import DecayPolicy, next_alpha
 from optlab.training import (
     TRACE_HEADER,
     dev_labels_for,
+    run_lockstep,
     run_training,
     write_trace_csv,
 )
@@ -160,3 +163,113 @@ def test_dev_labels_stream_deterministic():
     b = dev_labels_for(0.75, 100, np.random.SeedSequence(entropy=1, spawn_key=(2,)))
     np.testing.assert_array_equal(a, b)
     assert set(np.unique(a)) <= {-1.0, 1.0}
+
+
+# ---------------------------------------------------------------------------
+# lockstep stacks: every row must equal its solo run bit for bit
+# ---------------------------------------------------------------------------
+
+
+def assert_same_run(row, solo):
+    assert row.w.tobytes() == solo.w.tobytes()
+    assert np.float64(row.final_loss).tobytes() == np.float64(solo.final_loss).tobytes()
+    assert (row.iterations, row.status, row.failure, row.converged) == (
+        solo.iterations, solo.status, solo.failure, solo.converged)
+    assert (row.best_dev, row.epoch_of_best) == (solo.best_dev, solo.epoch_of_best)
+
+
+def reference_run(ds, spec, iters, policy, labels, stop_loss):
+    """One trajectory, run plainly with `step` on a single vector, with no
+    shared residual: the outcome each lockstep row must reproduce."""
+    def dev_error(w):
+        return float(np.mean(lsq.test_scores(w, labels) * labels <= 0.0))
+
+    state = init_state(spec, np.zeros(ds.d))
+    alpha, loss, k, status, failure = spec.alpha, lsq.loss(ds, state.w), 0, "ok", None
+    best, epoch_of_best = (None if labels is None else dev_error(state.w)), 0
+    converged = stop_loss is not None and loss <= stop_loss
+    with np.errstate(all="ignore"):
+        while k < iters and not converged:
+            new = step(state, spec, lambda w: lsq.gradient(ds, w), alpha)
+            if new.failures:
+                [(_, status, failure)] = new.failures
+                break
+            state, k = new, k + 1
+            loss = lsq.loss(ds, state.w)
+            if not math.isfinite(loss):
+                status, failure = "diverged", f"non-finite loss at iteration {k}"
+                break
+            dev, best_before = (None if labels is None else dev_error(state.w)), best
+            if dev is not None and dev < best:
+                best, epoch_of_best = dev, k
+            converged = stop_loss is not None and loss <= stop_loss
+            if policy is not None and not converged and k < iters:
+                alpha, _ = next_alpha(policy, alpha, k, dev_metric=dev, best_so_far=best_before)
+    return state.w, loss, k, status, failure, converged, best, epoch_of_best
+
+
+def singular_dataset():
+    """Adagrad with epsilon 0 from w0 = (0, 0, 1) moves only feature 1 at the
+    first step (to alpha).  Example 2 then has residual 1e-20 * alpha + 1 - 1:
+    zero for moderate alpha, about 1e-10 at alpha = 1e10, where feature 2's
+    gradient 2 * 5e-161 * 1e-10 = 1e-170 squares to 0 and meets H = 0."""
+    rows = (((1, 1.0),), ((1, 1e-20), (2, 5e-161), (3, 1.0)))
+    return lsq.Dataset(n=2, d=3, rows=rows, y=np.array([1.0, 1.0]))
+
+
+def test_singular_preconditioner_stops_only_its_row():
+    ds = singular_dataset()
+    spec = OptimizerSpec(method=MethodKind.ADAGRAD, alpha=1e10, epsilon=0.0)
+    w0 = np.array([0.0, 0.0, 1.0])
+    solo = run_training(ds, spec, 50, w0=w0, record_trace=False)
+    assert solo.status == "singular_preconditioner"
+    assert solo.iterations == 1
+    assert solo.failure == ("zero preconditioner entry with nonzero update at step 2 "
+                            "(epsilon=0.0)")
+
+    alphas = [0.5, 1e10, 0.25]
+    rows = run_lockstep(ds, spec, alphas, 50, w0=w0, record_trace=False)
+    assert [r.status for r in rows] == ["ok", "singular_preconditioner", "ok"]
+    assert [r.iterations for r in rows] == [50, 1, 50]
+    for alpha, row in zip(alphas, rows):
+        solo = run_training(ds, OptimizerSpec(method=MethodKind.ADAGRAD, alpha=alpha,
+                                              epsilon=0.0), 50, w0=w0, record_trace=False)
+        assert_same_run(row, solo)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 30),
+    seed=st.integers(0, 1000),
+    method=st.sampled_from(list(MethodKind)),
+    # 2^-9 converges for every method at n <= 30; 2^4 diverges for the
+    # non-adaptive ones and oscillates to the budget for the adaptive ones;
+    # 2^1023 overflows the first non-adaptive iterate.
+    log2_alphas=st.lists(st.integers(-9, 4) | st.just(1023), min_size=1, max_size=6),
+    iters=st.integers(0, 150),
+    stop_loss=st.sampled_from([None, 1e-3]),
+    dev=st.booleans(),
+)
+def test_lockstep_rows_equal_solo_runs(n, seed, method, log2_alphas, iters, stop_loss, dev):
+    ds = lsq.generate_synthetic(n, 0.75, seed)
+    spec = OptimizerSpec(method=method, alpha=1.0, beta2=0.9, epsilon=0.0)
+    alphas = [2.0 ** e for e in log2_alphas]
+    labels = policy = None
+    if dev:
+        labels = [dev_labels_for(0.75, 50, np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+                  for i in range(len(alphas))]
+        policy = DecayPolicy(kind="dev_decay", delta=0.5)
+    rows = run_lockstep(ds, spec, alphas, iters, policy=policy, dev_labels=labels,
+                        stop_loss=stop_loss, trace_every=7)
+    for i, (alpha, row) in enumerate(zip(alphas, rows)):
+        row_spec = OptimizerSpec(method=method, alpha=alpha, beta2=0.9, epsilon=0.0)
+        row_labels = None if labels is None else labels[i]
+        solo = run_training(ds, row_spec, iters, policy=policy, dev_labels=row_labels,
+                            stop_loss=stop_loss, trace_every=7)
+        assert_same_run(row, solo)
+        assert row.trace == solo.trace
+        w, loss, *outcome = reference_run(ds, row_spec, iters, policy, row_labels, stop_loss)
+        assert row.w.tobytes() == w.tobytes()
+        assert np.float64(row.final_loss).tobytes() == np.float64(loss).tobytes()
+        assert outcome == [row.iterations, row.status, row.failure, row.converged,
+                           row.best_dev, row.epoch_of_best]

@@ -284,26 +284,28 @@ def test_tune_grid_never_duplicates(small_ds):
 def test_tune_without_dev_stream_runs_once_per_step_size(small_ds, monkeypatch):
     from optlab import training
 
-    calls = []
-    original = training.run_training
+    original = training.run_lockstep
+    for seeds in (1, 5):
+        rounds = []
 
-    def counting_run_training(*args, **kwargs):
-        calls.append(args[1].alpha)
-        return original(*args, **kwargs)
+        def recording_run_lockstep(ds, spec, alphas, *args, **kwargs):
+            rounds.append(list(alphas))
+            return original(ds, spec, alphas, *args, **kwargs)
 
-    monkeypatch.setattr(training, "run_training", counting_run_training)
-    report = tune(
-        small_ds,
-        MethodKind.SGD,
-        make_log_grid(0.002, 2, 3),
-        DecayPolicy(kind="none"),
-        epochs=300,
-        seeds=5,
-        dev_size=None,
-        extension_cap=0,
-    )
-    assert len(report.trials) == 15
-    assert sorted(calls) == sorted(report.grid.values)
+        monkeypatch.setattr(training, "run_lockstep", recording_run_lockstep)
+        report = tune(
+            small_ds,
+            MethodKind.SGD,
+            make_log_grid(0.002, 2, 3),
+            DecayPolicy(kind="none"),
+            epochs=300,
+            seeds=seeds,
+            dev_size=None,
+            extension_cap=0,
+        )
+        assert len(report.trials) == 3 * seeds
+        # one lockstep round, one trajectory row per step size, whatever the seed count
+        assert rounds == [list(report.grid.values)]
 
 
 def test_tune_dev_stream_needs_dataset_p():
