@@ -32,6 +32,7 @@ __all__ = [
     "generate_synthetic",
     "loss",
     "gradient",
+    "product",
     "residual",
     "residual_loss",
     "residual_gradient",
@@ -50,6 +51,9 @@ Row = tuple[tuple[int, float], ...]
 
 #: Redraws allowed before the generator gives up on a label imbalance.
 MAX_REDRAWS = 1000
+
+#: Rows per block of the Gram build, which bounds its sparse intermediate.
+GRAM_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -111,7 +115,9 @@ class Dataset:
 
     @cached_property
     def dense(self) -> np.ndarray:
-        """Dense copy of the design matrix, used for all matvecs.
+        """Dense copy of the design matrix, used for the matvecs ``Xw`` and
+        ``X^T r`` (the run loop computes ``Xw`` once per iterate and its trace
+        reuses it) and the span projector's ``X^T c``; `gram` reads CSR.
 
         Desk-scale dimensions make BLAS on the dense array much faster than
         sparse products; all-zero columns still produce exactly zero
@@ -123,14 +129,29 @@ class Dataset:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        """Row inner-product matrix ``X X^T`` (dense, n-by-n)."""
-        g = self.dense @ self.dense.T
+        """Row inner-product matrix ``X X^T`` (dense, n-by-n).
+
+        Built from the CSR matrix, `GRAM_BLOCK_ROWS` rows at a time into one
+        preallocated array, so it needs neither the dense copy nor an n-by-n
+        sparse intermediate.  On integer designs (every generated dataset)
+        each entry is an exact sum, so it equals ``dense @ dense.T`` bit for
+        bit; on real-valued designs the two agree to roundoff.
+        """
+        X = self.matrix
+        g = np.empty((self.n, self.n))
+        for start in range(0, self.n, GRAM_BLOCK_ROWS):
+            g[start:start + GRAM_BLOCK_ROWS] = (X[start:start + GRAM_BLOCK_ROWS] @ X.T).toarray()
         g.setflags(write=False)
         return g
 
     @cached_property
     def _span_projector(self):
-        """Callable mapping w to its projection onto span of the rows."""
+        """Callable ``project(w, xw=None)`` mapping w onto the span of the rows.
+
+        `xw` is the product ``X w`` when the caller already has it (the run
+        loop computes it once per iterate for the loss); without it the
+        projector computes it.
+        """
         X = self.dense
         try:
             factor = cho_factor(self.gram)
@@ -138,15 +159,20 @@ class Dataset:
             factor = None
         if factor is not None:
 
-            def project(w: np.ndarray) -> np.ndarray:
-                return X.T @ cho_solve(factor, X @ w)
+            def project(w: np.ndarray, xw: np.ndarray | None = None) -> np.ndarray:
+                xw = X @ w if xw is None else xw
+                # cho_factor checked the Gram it factored and the factor never
+                # changes, so only the right-hand side needs checking per call.
+                if not np.all(np.isfinite(xw)):
+                    raise ValueError("array must not contain infs or NaNs")
+                return X.T @ cho_solve(factor, xw, check_finite=False)
 
         else:
             # Dependent rows: fall back to the pseudo-inverse of the Gram.
             pinv = np.linalg.pinv(self.gram)
 
-            def project(w: np.ndarray) -> np.ndarray:
-                return X.T @ (pinv @ (X @ w))
+            def project(w: np.ndarray, xw: np.ndarray | None = None) -> np.ndarray:
+                return X.T @ (pinv @ (X @ w if xw is None else xw))
 
         return project
 
@@ -188,13 +214,18 @@ def _check_dim(ds: Dataset, w: np.ndarray) -> np.ndarray:
     return w
 
 
-def residual(ds: Dataset, w: np.ndarray) -> np.ndarray:
-    """``Xw - y`` for a weight vector, or row by row for an (R, d) stack.
+def product(ds: Dataset, w: np.ndarray) -> np.ndarray:
+    """``Xw`` for a weight vector, or row by row for an (R, d) stack.
 
     The stacked matmul runs one matrix-vector product per row, so each row is
-    bit for bit ``ds.dense @ w - ds.y`` whatever R is (a GEMM would not be).
+    bit for bit ``ds.dense @ w`` whatever R is (a GEMM would not be).
     """
-    return np.matmul(ds.dense, w[..., None])[..., 0] - ds.y
+    return np.matmul(ds.dense, w[..., None])[..., 0]
+
+
+def residual(ds: Dataset, w: np.ndarray) -> np.ndarray:
+    """``Xw - y`` for a weight vector, or row by row for an (R, d) stack."""
+    return product(ds, w) - ds.y
 
 
 def residual_loss(r: np.ndarray) -> np.ndarray:
@@ -257,19 +288,25 @@ def error_rate(scores) -> float:
     return float(np.mean(s * labels <= 0.0))
 
 
-def margin(ds: Dataset, w: np.ndarray) -> float:
-    """Normalized worst-case score ``min_i y_i <w, x_i> / ||w||``."""
+def margin(ds: Dataset, w: np.ndarray, xw: np.ndarray | None = None) -> float:
+    """Normalized worst-case score ``min_i y_i <w, x_i> / ||w||``.
+
+    `xw` is the product ``X w`` if the caller already has it.
+    """
     w = _check_dim(ds, w)
     norm = float(np.linalg.norm(w))
     if norm == 0.0:
         raise ValueError("margin is undefined for the zero vector")
-    return float(np.min(ds.y * (ds.dense @ w)) / norm)
+    return float(np.min(ds.y * (ds.dense @ w if xw is None else xw)) / norm)
 
 
-def row_span_residual(ds: Dataset, w: np.ndarray) -> float:
-    """Distance from `w` to the span of the data rows."""
+def row_span_residual(ds: Dataset, w: np.ndarray, xw: np.ndarray | None = None) -> float:
+    """Distance from `w` to the span of the data rows.
+
+    `xw` is the product ``X w`` if the caller already has it.
+    """
     w = _check_dim(ds, w)
-    return float(np.linalg.norm(w - ds._span_projector(w)))
+    return float(np.linalg.norm(w - ds._span_projector(w, xw)))
 
 
 # ---------------------------------------------------------------------------

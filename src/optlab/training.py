@@ -7,7 +7,9 @@ per iteration; a single run is a stack of one row.  A row that converges, or
 fails (non-finite loss or iterate, singular preconditioner), stops with its
 status and drops out while the others go on, so each row is bit for bit the
 run it gives alone.  Each row records loss/norm/margin/span diagnostics
-every iteration up to 1000, then every 10th, plus the final one (default).
+every iteration up to 1000, then every 10th, plus the final one (default);
+the loss, the next gradient and the margin and span diagnostics all use the
+one product ``Xw`` computed per iterate.
 
 One iteration equals one epoch here: all gradients are full-batch.
 """
@@ -78,17 +80,40 @@ def dev_labels_for(p: float, size: int, seed_sequence) -> np.ndarray:
     return np.where(rng.random(size) < p, 1.0, -1.0)
 
 
-def _dev_errors(w: np.ndarray, labels: np.ndarray | None) -> np.ndarray | None:
-    """Dev error of each row of a stack, row i scored on labels row i."""
-    if labels is None:
+#: The two dev label values, in the column order of `_label_counts`.
+_SIGNS = np.array([1.0, -1.0])
+
+
+def _label_counts(labels) -> np.ndarray:
+    """Counts of +1 and -1 labels in each row of a stack of dev label streams."""
+    labels = np.asarray(labels, dtype=np.float64)
+    if not np.all(np.abs(labels) == 1.0):
+        raise ValueError("dev labels must be +1 or -1")
+    return np.stack([np.sum(labels > 0.0, axis=-1), np.sum(labels < 0.0, axis=-1)], axis=-1)
+
+
+def _dev_errors(w: np.ndarray, counts: np.ndarray | None) -> np.ndarray | None:
+    """Dev error of each row of a stack, on the labels counted in row i of `counts`.
+
+    A fresh point's score depends only on its label, so each row scores the
+    two labels once and weights its misses by their counts: the same exact
+    count as scoring every label, hence the same bits.
+    """
+    if counts is None:
         return None
-    return np.mean(lsq.test_scores(w, labels) * labels <= 0.0, axis=-1)
+    wrong = lsq.test_scores(w, _SIGNS) * _SIGNS <= 0.0
+    return np.sum(wrong * counts, axis=-1) / np.sum(counts, axis=-1)
 
 
 def _should_record(k: int, trace_every: int | None) -> bool:
     if trace_every is not None:
         return k % trace_every == 0
     return k <= DENSE_TRACE_LIMIT or k % SPARSE_TRACE_EVERY == 0
+
+
+def _set(mask: np.ndarray | None):
+    """Positions set in `mask`, without a scan when none is (the usual case)."""
+    return np.flatnonzero(mask) if mask is not None and np.count_nonzero(mask) else ()
 
 
 def _rows(state: OptimizerState, index) -> OptimizerState:
@@ -126,7 +151,7 @@ def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
 
     alpha = np.array(alphas, dtype=np.float64).reshape(-1, 1)
     n_rows = len(alpha)
-    labels = None if dev_labels is None else np.asarray(dev_labels, dtype=np.float64)
+    counts = None if dev_labels is None else _label_counts(dev_labels)
     state = init_state(spec, np.tile(np.zeros(ds.d) if w0 is None else w0, (n_rows, 1)))
     # Row r's result collects its trace as it runs and is completed when r stops.
     results = [RunResult("ok", False, None, math.nan, 0, [],
@@ -135,10 +160,14 @@ def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
                for w, h in zip(state.w, preconditioner_diag(state, spec))]
     rows = list(range(n_rows))  # stack position -> row
 
-    resid = lsq.residual(ds, state.w)
+    # One product per iterate: the loss, the next gradient (via the residual)
+    # and the trace's margin and span projection all use it.
+    xw = lsq.product(ds, state.w)
+    resid = xw - ds.y
     loss = lsq.residual_loss(resid)
-    dev = best_dev = _dev_errors(state.w, labels)
+    dev = best_dev = _dev_errors(state.w, counts)
     epoch_of_best = np.zeros(n_rows, dtype=np.int64)
+    decays = policy is not None and policy.kind != "none"
 
     def grad_at(v: np.ndarray) -> np.ndarray:
         # Without extrapolation the engine asks for the gradient at state.w
@@ -155,8 +184,8 @@ def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
             dev_error=math.nan if dev is None else float(dev[i]),
             w_l2=norm,
             w_linf=float(np.max(np.abs(w))) if w.size else 0.0,
-            margin=lsq.margin(ds, w) if norm > 0.0 else math.nan,
-            rowspan_resid=lsq.row_span_residual(ds, w),
+            margin=lsq.margin(ds, w, xw[i]) if norm > 0.0 else math.nan,
+            rowspan_resid=lsq.row_span_residual(ds, w, xw[i]),
         ))
 
     def finish(i: int, st: OptimizerState, k: int, status: str = "ok",
@@ -171,18 +200,19 @@ def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
     done = np.zeros(n_rows, dtype=bool)  # rows finished since the stack last shrank
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while True:
-            converged = (~done & (loss <= stop_loss) if stop_loss is not None
-                         else np.zeros_like(done))
+            last = k == iters
+            converged = None if stop_loss is None else ~done & (loss <= stop_loss)
             if record_trace:
-                cadence = k == iters or _should_record(k, trace_every)
-                for i in np.flatnonzero(~done & (converged | cadence)):
+                cadence = last or _should_record(k, trace_every)
+                for i in np.flatnonzero(~done) if cadence else _set(converged):
                     record(i, k)
-            for i in np.flatnonzero(converged | (~done & (k == iters))):
-                finish(i, state, k, converged=bool(converged[i]))
-            if k == iters:
+            for i in _set(~done if last else converged):
+                finish(i, state, k, converged=converged is not None and bool(converged[i]))
+            if last:
                 break
-            done |= converged
-            if policy is not None and k > 0:
+            if converged is not None:
+                done |= converged
+            if decays and k > 0:
                 # The decay decision compares against the best *before* this
                 # epoch, so a new best keeps the rate.
                 for i in np.flatnonzero(~done):
@@ -190,13 +220,13 @@ def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
                         policy, float(alpha[i, 0]), k,
                         dev_metric=None if dev is None else float(dev[i]),
                         best_so_far=None if best_before is None else float(best_before[i]))
-            if done.any():
+            if np.count_nonzero(done):
                 keep = ~done
                 rows = [r for r, kept in zip(rows, keep) if kept]
                 state, resid = _rows(state, keep), resid[keep]
                 loss, alpha, epoch_of_best = loss[keep], alpha[keep], epoch_of_best[keep]
-                if labels is not None:
-                    labels, best_dev = labels[keep], best_dev[keep]
+                if counts is not None:
+                    counts, best_dev = counts[keep], best_dev[keep]
                 if not rows:
                     break
             new = step(state, spec, grad_at, alpha)
@@ -206,9 +236,10 @@ def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
                 done[i] = True
             state = new
             k += 1
-            resid = lsq.residual(ds, state.w)
+            xw = lsq.product(ds, state.w)
+            resid = xw - ds.y
             loss = lsq.residual_loss(resid)
-            for i in np.flatnonzero(~done & ~np.isfinite(loss)):
+            for i in _set(~(done | np.isfinite(loss))):
                 finish(i, state, k, "diverged", failure=f"non-finite loss at iteration {k}")
                 done[i] = True
             for i in np.flatnonzero(~done) if keep_iterates else ():
@@ -216,8 +247,8 @@ def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
             for i in np.flatnonzero(~done) if keep_precond else ():
                 results[rows[i]].precond_diags.append(preconditioner_diag(_rows(state, i), spec))
             best_before = best_dev
-            if labels is not None:
-                dev = _dev_errors(state.w, labels)
+            if counts is not None:
+                dev = _dev_errors(state.w, counts)
                 improved = dev < best_dev
                 best_dev = np.where(improved, dev, best_dev)
                 epoch_of_best = np.where(improved, k, epoch_of_best)

@@ -106,6 +106,18 @@ def test_train_divergence_exit_code(dataset_file, tmp_path):
     assert run_doc["status"] == "diverged"
 
 
+@pytest.mark.parametrize("method, alpha", [("adagrad", "0.25"), ("sgd", "1e-4")])
+def test_train_is_deterministic(tmp_path, method, alpha):
+    dataset = tmp_path / "ds.json"
+    assert run_cli("generate", "--n", "200", "--seed", "3", "--out", str(dataset)) == 0
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert run_cli("train", "--dataset", str(dataset), "--method", method,
+                       "--alpha", alpha, "--iters", "30", "--out", str(out)) == 0
+    for name in ("trace.csv", "weights.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_train_config_file_with_flag_override(dataset_file, tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from optlab import lsq, oracle
@@ -187,11 +187,38 @@ def test_stacked_products_do_not_depend_on_stack_size(n, seed):
         resid = lsq.residual(ds, W[:size])
         grads = lsq.residual_gradient(ds, resid)
         losses = lsq.residual_loss(resid)
+        xw = lsq.product(ds, W[:size])
         for i in range(size):
+            assert xw[i].tobytes() == (ds.dense @ W[i]).tobytes()
             r = ds.dense @ W[i] - ds.y
             assert resid[i].tobytes() == r.tobytes()
             assert grads[i].tobytes() == (2.0 * (r @ ds.dense)).tobytes()
             assert float(losses[i]) == float(r @ r)
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(1, 600), seed=st.integers(0, 1000))
+@example(n=1, seed=0)
+@example(n=lsq.GRAM_BLOCK_ROWS, seed=1)
+@example(n=lsq.GRAM_BLOCK_ROWS + 1, seed=2)
+@example(n=2 * lsq.GRAM_BLOCK_ROWS + 1, seed=3)
+def test_gram_equals_dense_product_exactly(n, seed):
+    # Generated designs are integer-valued, so every Gram entry is an exact
+    # sum and the blocked sparse build must match the dense product bit for
+    # bit, below, at and across the row-block size.
+    ds = lsq.generate_synthetic(n, 0.75, seed)
+    assert ds.gram.tobytes() == (ds.dense @ ds.dense.T).tobytes()
+
+
+def test_gram_of_real_valued_design():
+    # Tolerance, stated up front: 1e-12 relative to the largest entry.
+    rng = np.random.default_rng(7)
+    n, d = lsq.GRAM_BLOCK_ROWS + 44, 40
+    a = rng.standard_normal((n, d)) * (rng.random((n, d)) < 0.3)
+    rows = tuple(tuple((j + 1, float(v)) for j, v in enumerate(r) if v != 0.0) for r in a)
+    ds = lsq.Dataset(n=n, d=d, rows=rows, y=np.ones(n))
+    ref = ds.dense @ ds.dense.T
+    assert np.max(np.abs(ds.gram - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_dimension_mismatch_raises():
@@ -274,6 +301,17 @@ def test_row_span_residual_cases():
     e = np.zeros(ds.d)
     e[free - 1] = 1.0
     assert lsq.row_span_residual(ds, e) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_row_span_residual_rejects_non_finite(bad):
+    ds = lsq.generate_synthetic(6, 0.75, seed=11)
+    w = np.zeros(ds.d)
+    w[0] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        lsq.row_span_residual(ds, w)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        lsq.row_span_residual(ds, w, lsq.product(ds, w))
 
 
 # ---------------------------------------------------------------------------

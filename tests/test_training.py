@@ -10,6 +10,8 @@ from optlab.optim import MethodKind, OptimizerSpec, init_state, step
 from optlab.schedules import DecayPolicy, next_alpha
 from optlab.training import (
     TRACE_HEADER,
+    _dev_errors,
+    _label_counts,
     dev_labels_for,
     run_lockstep,
     run_training,
@@ -156,6 +158,55 @@ def test_trace_csv_header_and_shape(ds, tmp_path):
     assert lines[0] == TRACE_HEADER
     assert len(lines) == 1 + len(res.trace)
     assert all(len(line.split(",")) == 8 for line in lines[1:])
+
+
+def dependent_rows_dataset():
+    """Two equal rows make the Gram singular, so the span projector falls
+    back to the pseudo-inverse."""
+    rows = (((1, 1.0),), ((1, 1.0),), ((2, -1.0), (3, 1.0)))
+    return lsq.Dataset(n=3, d=4, rows=rows, y=np.array([1.0, 1.0, -1.0]))
+
+
+@pytest.mark.parametrize("method", list(MethodKind))
+@pytest.mark.parametrize("dependent", [False, True])
+def test_trace_diagnostics_equal_standalone_calls(ds, method, dependent):
+    # The loop hands each row's product X w_k to the margin and the span
+    # projector; both must equal the calls that compute it themselves, exactly.
+    data = dependent_rows_dataset() if dependent else ds
+    spec = OptimizerSpec(method=method, alpha=1.0)
+    for row in run_lockstep(data, spec, [0.002, 0.01, 0.05], 30, keep_iterates=True):
+        assert [t.iteration for t in row.trace] == list(range(len(row.iterates)))
+        for t, w in zip(row.trace, row.iterates):
+            margin = lsq.margin(data, w) if np.linalg.norm(w) > 0.0 else math.nan
+            assert np.float64(t.margin).tobytes() == np.float64(margin).tobytes()
+            assert t.rowspan_resid == lsq.row_span_residual(data, w)
+
+
+_SCORE_PARTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, math.nan, math.inf, -math.inf])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    w=st.lists(st.lists(_SCORE_PARTS | st.floats(), min_size=3, max_size=3),
+               min_size=1, max_size=5),
+    size=st.integers(1, 40),
+    seed=st.integers(0, 1000),
+)
+def test_dev_errors_equal_per_label_mean(w, size, seed):
+    # Scoring the two label values once and weighting by the label counts must
+    # give the per-label mean bit for bit, NaN scores (never wrong) and signed
+    # zero scores (always wrong) included.
+    w = np.array(w)
+    labels = np.where(np.random.default_rng(seed).random((len(w), size)) < 0.75, 1.0, -1.0)
+    with np.errstate(invalid="ignore"):
+        per_label = np.mean(lsq.test_scores(w, labels) * labels <= 0.0, axis=-1)
+        by_class = _dev_errors(w, _label_counts(labels))
+    assert by_class.tobytes() == per_label.tobytes()
+
+
+def test_dev_labels_must_be_signs(ds):
+    with pytest.raises(ValueError, match="dev labels"):
+        run_training(ds, sgd_spec(0.002), 5, dev_labels=np.array([1.0, 0.5]))
 
 
 def test_dev_labels_stream_deterministic():
