@@ -12,11 +12,9 @@ from .errors import (
     LemmaPreconditionError,
     OptlabError,
     SingularKernelError,
-    UnsupportedPresetError,
 )
 from .lsq import (
     Dataset,
-    error_rate,
     generate_synthetic,
     gradient,
     load_dataset,
@@ -24,7 +22,6 @@ from .lsq import (
     margin,
     row_span_residual,
     save_dataset,
-    test_score,
     test_scores,
 )
 from .optim import (
@@ -33,9 +30,7 @@ from .optim import (
     OptimizerSpec,
     OptimizerState,
     StepCoefficients,
-    framework_preset,
     init_state,
-    preconditioner_diag,
     step,
     table1_coefficients,
 )
@@ -44,7 +39,6 @@ from .oracle import (
     OracleSolution,
     analytic_test_error,
     exact_synthetic_alphas,
-    kernel_matrix,
     lemma_condition_check,
     min_norm_solution,
     predicted_test_score,

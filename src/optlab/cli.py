@@ -97,6 +97,8 @@ def _merge_options(cls, args: argparse.Namespace):
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             file_values = json.load(fh)
+        if not isinstance(file_values, dict):
+            raise ValueError(f"config file {args.config}: the top level must be a JSON object")
         unknown = set(file_values) - set(hints)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")

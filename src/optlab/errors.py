@@ -1,12 +1,16 @@
 """Exception hierarchy shared across the lab."""
 
+__all__ = [
+    "OptlabError",
+    "LemmaPreconditionError",
+    "SingularKernelError",
+    "DataGenerationError",
+    "AllTrialsDivergedError",
+]
+
 
 class OptlabError(Exception):
     """Base class for all optlab-specific failures."""
-
-
-class UnsupportedPresetError(OptlabError):
-    """The requested framework/method default combination does not exist."""
 
 
 class LemmaPreconditionError(OptlabError):

@@ -12,7 +12,7 @@ example owns a private block of indicator features -- width 1 for positive
 examples and width 5 for negative ones -- so only the first feature carries
 out-of-sample signal.  Fresh test points are never materialized as rows:
 their private block would land outside the training dimensions, so a test
-inner product reduces to the first three coordinates (see `test_score`).
+inner product reduces to the first three coordinates (see `test_scores`).
 """
 
 from __future__ import annotations
@@ -36,9 +36,7 @@ __all__ = [
     "residual",
     "residual_loss",
     "residual_gradient",
-    "test_score",
     "test_scores",
-    "error_rate",
     "margin",
     "row_span_residual",
     "dataset_to_document",
@@ -252,40 +250,18 @@ def gradient(ds: Dataset, w: np.ndarray) -> np.ndarray:
     return residual_gradient(ds, residual(ds, _check_dim(ds, w)))
 
 
-def test_score(w: np.ndarray, y_test: float) -> float:
-    """Inner product of `w` with a fresh draw of label `y_test`.
+def test_scores(w: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Inner products of `w` with fresh draws of the given labels.
 
     A fresh point's private block lies outside the training dimensions, so
-    only the first three coordinates of `w` contribute.
+    only the first three coordinates of `w` contribute.  For an (R, d) stack
+    of weight vectors, row i of `labels` goes with row i of `w`.
     """
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape[0] < 3:
-        raise ValueError("weight vector must have at least 3 coordinates")
-    return float(w[0] * y_test + w[1] + w[2])
-
-
-def test_scores(w: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Vectorized `test_score` over an array of fresh labels; for an (R, d)
-    stack of weight vectors, row i of `labels` goes with row i of `w`."""
     w = np.asarray(w, dtype=np.float64)
     if w.shape[-1] < 3:
         raise ValueError("weight vector must have at least 3 coordinates")
     labels = np.asarray(labels, dtype=np.float64)
     return w[..., 0, None] * labels + w[..., 1, None] + w[..., 2, None]
-
-
-def error_rate(scores) -> float:
-    """Fraction of (score, label) pairs classified wrong.
-
-    A score of exactly zero counts as an error regardless of the label.
-    """
-    pairs = np.asarray(list(scores), dtype=np.float64)
-    if pairs.size == 0:
-        raise ValueError("error_rate needs at least one (score, label) pair")
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise ValueError("expected a sequence of (score, label) pairs")
-    s, labels = pairs[:, 0], pairs[:, 1]
-    return float(np.mean(s * labels <= 0.0))
 
 
 def margin(ds: Dataset, w: np.ndarray, xw: np.ndarray | None = None) -> float:
@@ -327,16 +303,24 @@ def dataset_to_document(ds: Dataset) -> dict:
 
 
 def dataset_from_document(doc: dict) -> Dataset:
-    rows = tuple(tuple((int(j), float(v)) for j, v in row) for row in doc["rows"])
-    return Dataset(
-        n=int(doc["n"]),
-        d=int(doc["d"]),
-        rows=rows,
-        y=np.asarray(doc["labels"], dtype=np.float64),
-        p=None if doc.get("p") is None else float(doc["p"]),
-        seed=None if doc.get("seed") is None else int(doc["seed"]),
-        rejections=int(doc.get("rejections", 0)),
-    )
+    if not isinstance(doc, dict):
+        raise ValueError("dataset document must be a JSON object")
+    missing = [key for key in ("n", "d", "labels", "rows") if key not in doc]
+    if missing:
+        raise ValueError(f"dataset document lacks {', '.join(map(repr, missing))}")
+    try:
+        rows = tuple(tuple((int(j), float(v)) for j, v in row) for row in doc["rows"])
+        return Dataset(
+            n=int(doc["n"]),
+            d=int(doc["d"]),
+            rows=rows,
+            y=np.asarray(doc["labels"], dtype=np.float64),
+            p=None if doc.get("p") is None else float(doc["p"]),
+            seed=None if doc.get("seed") is None else int(doc["seed"]),
+            rejections=int(doc.get("rejections", 0)),
+        )
+    except TypeError as exc:  # a value of the wrong JSON type
+        raise ValueError(f"malformed dataset document: {exc}") from None
 
 
 def save_dataset(ds: Dataset, path) -> None:

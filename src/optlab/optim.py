@@ -39,8 +39,6 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import UnsupportedPresetError
-
 __all__ = [
     "MethodKind",
     "ADAPTIVE_METHODS",
@@ -50,11 +48,7 @@ __all__ = [
     "init_state",
     "table1_coefficients",
     "step",
-    "preconditioner_diag",
     "spec_to_document",
-    "framework_preset",
-    "reference_adam_run",
-    "adam_recurrence_deviation",
 ]
 
 GradientFn = Callable[[np.ndarray], np.ndarray]
@@ -207,10 +201,6 @@ def table1_coefficients(spec: OptimizerSpec, k: int,
     raise AssertionError(f"unhandled method {m}")
 
 
-def _precond_diag(spec: OptimizerSpec, g_accum: np.ndarray, h_scale: float) -> np.ndarray:
-    return np.sqrt(h_scale * g_accum) + spec.epsilon
-
-
 def step(
     state: OptimizerState,
     spec: OptimizerSpec,
@@ -244,7 +234,7 @@ def step(
         g_accum = state.g_accum
     else:
         g_accum = c.g_keep * state.g_accum + c.g_new * (g * g)
-        h_now = _precond_diag(spec, g_accum, c.h_scale)
+        h_now = np.sqrt(c.h_scale * g_accum) + spec.epsilon
         dw = w - w_prev if c.beta_k != 0.0 else None
         dead = h_now == 0.0
         h_safe = h_now
@@ -286,117 +276,6 @@ def _row_failures(k, g, w_next, singular, epsilon) -> tuple[tuple[int, str, str]
     return tuple(out)
 
 
-def preconditioner_diag(state: OptimizerState, spec: OptimizerSpec) -> np.ndarray:
-    """Current diagonal of H; all ones for the non-adaptive methods."""
-    if not spec.method.adaptive:
-        return np.ones_like(state.w)
-    return state.h if state.h is not None else _precond_diag(spec, state.g_accum, 1.0)
-
-
 def spec_to_document(spec: OptimizerSpec) -> dict:
     """JSON-compatible view of a spec: its fields, with the method by name."""
     return {**asdict(spec), "method": spec.method.value}
-
-
-# ---------------------------------------------------------------------------
-# framework presets
-# ---------------------------------------------------------------------------
-
-FRAMEWORKS = ("torch", "tensorflow", "dynet")
-
-# Published framework defaults for the adaptive family.  "epsilon=0.0" for
-# tensorflow AdaGrad encodes that the smoothing term is not used there.
-_ADAPTIVE_PRESETS = {
-    ("torch", MethodKind.ADAGRAD): dict(g_init=0.0, epsilon=1e-10),
-    ("tensorflow", MethodKind.ADAGRAD): dict(g_init=0.1, epsilon=0.0),
-    ("dynet", MethodKind.ADAGRAD): dict(g_init=0.0, epsilon=1e-20),
-    ("torch", MethodKind.RMSPROP): dict(g_init=0.0, beta2=0.99, epsilon=1e-8),
-    ("tensorflow", MethodKind.RMSPROP): dict(g_init=1.0, beta2=0.9, epsilon=1e-10),
-    ("torch", MethodKind.ADAM): dict(beta1=0.9, beta2=0.999, epsilon=1e-8),
-    ("tensorflow", MethodKind.ADAM): dict(beta1=0.9, beta2=0.999, epsilon=1e-8),
-    ("dynet", MethodKind.ADAM): dict(beta1=0.9, beta2=0.999, epsilon=1e-8),
-}
-
-
-def framework_preset(framework: str, method: MethodKind, alpha: float = 0.001) -> OptimizerSpec:
-    """Spec pre-filled with a framework's default hyperparameters.
-
-    The base step size is not part of any framework's defaults table here;
-    pass `alpha` explicitly for anything but smoke tests.  Momentum methods
-    use the constant beta = 0.9 everywhere.  RMSProp is unavailable under
-    dynet and raises `UnsupportedPresetError`.
-    """
-    if framework not in FRAMEWORKS:
-        raise ValueError(f"unknown framework {framework!r}; expected one of {FRAMEWORKS}")
-    if method in (MethodKind.SGD, MethodKind.HB, MethodKind.NAG):
-        return OptimizerSpec(method=method, alpha=alpha, beta=0.9)
-    key = (framework, method)
-    if key not in _ADAPTIVE_PRESETS:
-        raise UnsupportedPresetError(f"{method.value} has no {framework} preset")
-    return OptimizerSpec(method=method, alpha=alpha, **_ADAPTIVE_PRESETS[key])
-
-
-# ---------------------------------------------------------------------------
-# diagnostic: table-form Adam vs the classic moment-estimate form
-# ---------------------------------------------------------------------------
-
-
-def reference_adam_run(
-    spec: OptimizerSpec, w0: np.ndarray, grad_at: GradientFn, iters: int
-) -> list[np.ndarray]:
-    """Classic Adam (explicit first/second moment estimates), for comparison.
-
-    Written in the textbook moment form rather than the unified
-    gradient-plus-momentum-term form of `step`; `adam_recurrence_deviation`
-    measures the gap between the two, which should be roundoff-level.
-    """
-    w = np.asarray(w0, dtype=np.float64).copy()
-    m = np.zeros_like(w)
-    v = np.full_like(w, spec.g_init)
-    out = [w.copy()]
-    for k in range(1, iters + 1):
-        g = np.asarray(grad_at(w), dtype=np.float64)
-        m = spec.beta1 * m + (1.0 - spec.beta1) * g
-        v = spec.beta2 * v + (1.0 - spec.beta2) * (g * g)
-        m_hat = m / (1.0 - spec.beta1**k)
-        v_hat = v / (1.0 - spec.beta2**k)
-        denom = np.sqrt(v_hat) + spec.epsilon
-        dead = denom == 0.0
-        if dead.any():
-            denom = np.where(dead & (m_hat == 0.0), 1.0, denom)
-        w = w - spec.alpha * m_hat / denom
-        out.append(w.copy())
-    return out
-
-
-def adam_recurrence_deviation(
-    spec: OptimizerSpec, w0: np.ndarray, grad_at: GradientFn, iters: int
-) -> float:
-    """Max relative L2 gap between the engine's Adam and `reference_adam_run`."""
-    if spec.method is not MethodKind.ADAM:
-        raise ValueError("diagnostic is specific to the adam method")
-    ref = reference_adam_run(spec, w0, grad_at, iters)
-    state = init_state(spec, w0)
-    gap = 0.0
-    for k in range(1, iters + 1):
-        state = step(state, spec, grad_at)
-        scale = max(float(np.linalg.norm(ref[k])), 1e-30)
-        gap = max(gap, float(np.linalg.norm(state.w - ref[k])) / scale)
-    return gap
-
-
-def self_corrected_accumulator_log10_scale(beta2: float, iters: int) -> float:
-    """log10 of the growth factor of the *self-referential* corrected
-    recurrence ``G_k = beta2/(1-beta2^k) G_{k-1} + ...``.
-
-    Compounding the correction into the stored accumulator multiplies it by
-    ``beta2/(1-beta2^k)`` every step; this returns the log10 of that product,
-    which crosses float64 range (~308) within a few hundred steps at
-    beta2 = 0.999.  It documents why the engine stores the raw sum and
-    applies the correction in the preconditioner instead.
-    """
-    if not 0.0 < beta2 < 1.0:
-        raise ValueError("beta2 must lie in (0, 1)")
-    return float(
-        sum(math.log10(beta2) - math.log10(1.0 - beta2**k) for k in range(1, iters + 1))
-    )

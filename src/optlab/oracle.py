@@ -24,7 +24,6 @@ the same classification signs for every ``n_pos, n_neg >= 1``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,16 +38,12 @@ __all__ = [
     "lemma_condition_check",
     "sign_solution",
     "min_norm_solution",
-    "kernel_matrix",
     "synthetic_alphas",
     "exact_synthetic_alphas",
     "predicted_test_score",
     "analytic_test_error",
     "verify_lemma_trajectory",
     "solution_to_document",
-    "solution_from_document",
-    "save_solution",
-    "load_solution",
 ]
 
 
@@ -72,16 +67,12 @@ class LemmaTrace:
     coordinate; `max_deviation` is the largest gap to ``lambda_k * sign(u)``
     over supported coordinates; `off_support_max` is the largest absolute
     value ever seen on coordinates where ``u = X^T y`` vanishes (exactly 0.0
-    for a conforming run).  `mus`/`nus` are optional diagnostics: the scalar
-    residual factor and preconditioner scale of the constant-direction
-    recursion.
+    for a conforming run).
     """
 
     lambdas: np.ndarray
     max_deviation: float
     off_support_max: float
-    mus: np.ndarray | None = None
-    nus: np.ndarray | None = None
 
 
 def label_correlation(ds: Dataset) -> np.ndarray:
@@ -130,14 +121,9 @@ def sign_solution(ds: Dataset) -> OracleSolution:
     return OracleSolution(kind="sign", w=w, c=c, tau=tau)
 
 
-def kernel_matrix(ds: Dataset) -> np.ndarray:
-    """The row Gram matrix ``X X^T``."""
-    return ds.gram
-
-
 def min_norm_solution(ds: Dataset) -> OracleSolution:
     """The least-L2-norm interpolant ``X^T (XX^T)^{-1} y``."""
-    K = kernel_matrix(ds)
+    K = ds.gram
     try:
         coef = np.linalg.solve(K, ds.y)
     except np.linalg.LinAlgError as exc:
@@ -223,9 +209,7 @@ def analytic_test_error(kind: str, p: float, n_pos: int, n_neg: int) -> float:
     return err
 
 
-def verify_lemma_trajectory(
-    iterates, ds: Dataset, precond_diags=None
-) -> LemmaTrace:
+def verify_lemma_trajectory(iterates, ds: Dataset) -> LemmaTrace:
     """Measure how far a trajectory strays from the constant-sign line.
 
     `iterates` must start at the zero vector (raises otherwise).  For each
@@ -234,11 +218,6 @@ def verify_lemma_trajectory(
     whose correlation is n > 0); the deviation is measured on supported
     coordinates and the largest magnitude seen off support is reported
     separately, since a conforming run keeps those exactly zero.
-
-    When per-iterate preconditioner diagonals are supplied, the implied
-    scale ``nu_k = h_k / |u|`` at the reference coordinate is recorded.
-    The residual factors ``mu_k`` are reconstructed from the lambdas when
-    the proportionality scalar of `lemma_condition_check` exists.
     """
     iterates = list(iterates)
     if not iterates:
@@ -266,30 +245,11 @@ def verify_lemma_trajectory(
         if not support.all():
             off_max = max(off_max, float(np.max(np.abs(w[~support]))))
 
-    mus = None
-    c = lemma_condition_check(ds)
-    if c is not None and len(lambdas) > 1:
-        # Residual factor of the scalar recursion, one per performed step
-        # (gradient evaluated at the pre-step iterate; no extrapolation,
-        # matching the adaptive columns where gamma = 0).
-        mus = c * lambdas[:-1] - 1.0
-
-    nus = None
-    if precond_diags is not None:
-        diags = [np.asarray(h, dtype=np.float64) for h in precond_diags]
-        nus = np.array([float(h[j0] / abs(u[j0])) for h in diags])
-
-    return LemmaTrace(
-        lambdas=lambdas,
-        max_deviation=max_dev,
-        off_support_max=off_max,
-        mus=mus,
-        nus=nus,
-    )
+    return LemmaTrace(lambdas=lambdas, max_deviation=max_dev, off_support_max=off_max)
 
 
 # ---------------------------------------------------------------------------
-# serialization (same document style as datasets, plus a metadata block)
+# serialization (the JSON document the oracle report embeds)
 # ---------------------------------------------------------------------------
 
 
@@ -302,25 +262,3 @@ def solution_to_document(sol: OracleSolution) -> dict:
         "alpha_minus": sol.alpha_minus,
         "w": [float(v) for v in sol.w],
     }
-
-
-def solution_from_document(doc: dict) -> OracleSolution:
-    return OracleSolution(
-        kind=str(doc["kind"]),
-        w=np.asarray(doc["w"], dtype=np.float64),
-        c=None if doc.get("c") is None else float(doc["c"]),
-        tau=None if doc.get("tau") is None else float(doc["tau"]),
-        alpha_plus=None if doc.get("alpha_plus") is None else float(doc["alpha_plus"]),
-        alpha_minus=None if doc.get("alpha_minus") is None else float(doc["alpha_minus"]),
-    )
-
-
-def save_solution(sol: OracleSolution, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(solution_to_document(sol), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_solution(path) -> OracleSolution:
-    with open(path, "r", encoding="utf-8") as fh:
-        return solution_from_document(json.load(fh))

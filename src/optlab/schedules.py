@@ -34,43 +34,18 @@ class DecayPolicy:
             raise ValueError(f"{self.kind} does not take a period")
 
 
-def next_alpha(
-    policy: DecayPolicy,
-    current_alpha: float,
-    epoch: int,
-    dev_metric: float | None = None,
-    best_so_far: float | None = None,
-    higher_is_better: bool = False,
-) -> tuple[float, float | None]:
-    """Step size for the next epoch, plus the updated best metric.
+def next_alpha(policy: DecayPolicy, alpha: float, epoch: int, improved: bool = False) -> float:
+    """Step size for the epoch after `epoch`.
 
-    For ``dev_decay`` an epoch that strictly improves on `best_so_far`
-    keeps the rate (a missing best counts as an improvement); any other
-    epoch multiplies it by delta.  For ``fixed_decay`` the rate shrinks
-    exactly when `epoch` is a multiple of the period.
+    For ``dev_decay`` an epoch whose dev metric is a new best (`improved`:
+    strictly below every earlier epoch's, so a tie is not) keeps the rate, and
+    any other epoch multiplies it by delta.  For ``fixed_decay`` the rate
+    shrinks exactly when `epoch` is a multiple of the period.
     """
     if epoch < 1:
         raise ValueError("epochs are counted from 1")
-    best = best_so_far
-    if dev_metric is not None:
-        if best is None:
-            improved = True
-        elif higher_is_better:
-            improved = dev_metric > best
-        else:
-            improved = dev_metric < best
-        if improved:
-            best = dev_metric
-    else:
-        improved = False
-
-    if policy.kind == "none":
-        return current_alpha, best
     if policy.kind == "dev_decay":
-        if dev_metric is None:
-            raise ValueError("dev_decay needs a dev metric each epoch")
-        return (current_alpha if improved else current_alpha * policy.delta), best
-    # fixed_decay
-    if epoch % policy.period == 0:
-        return current_alpha * policy.delta, best
-    return current_alpha, best
+        return alpha if improved else alpha * policy.delta
+    if policy.kind == "fixed_decay" and epoch % policy.period == 0:
+        return alpha * policy.delta
+    return alpha

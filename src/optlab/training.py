@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lsq
-from .optim import OptimizerSpec, OptimizerState, init_state, preconditioner_diag, step
+from .optim import OptimizerSpec, OptimizerState, init_state, step
 from .schedules import DecayPolicy, next_alpha
 
 __all__ = [
@@ -66,7 +66,6 @@ class RunResult:
     best_dev: float | None = None
     epoch_of_best: int = 0
     iterates: list[np.ndarray] | None = None
-    precond_diags: list[np.ndarray] | None = None
     failure: str | None = None
 
     @property
@@ -134,7 +133,7 @@ def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
                  policy: DecayPolicy | None = None, dev_labels=None,
                  stop_loss: float | None = None, trace_every: int | None = None,
                  record_trace: bool = True, keep_iterates: bool = False,
-                 keep_precond: bool = False, w0: np.ndarray | None = None) -> list[RunResult]:
+                 w0: np.ndarray | None = None) -> list[RunResult]:
     """Run `spec` once per base step size in `alphas`, as one lockstep stack.
 
     Row i uses step size ``alphas[i]`` (not ``spec.alpha``) and scores its dev
@@ -142,10 +141,14 @@ def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
     row stops early once its training loss reaches `stop_loss` (that is the
     operational meaning of "converged"; hitting the budget without it leaves
     status "ok" with converged=False).  `policy` adjusts each row's step size
-    between epochs; dev-driven decay requires `dev_labels`.
+    between epochs; dev-driven decay requires `dev_labels`.  `trace_every`,
+    if given, records every `trace_every`-th iteration (and the last) instead
+    of the default cadence.
     """
     if iters < 0:
         raise ValueError("iters must be nonnegative")
+    if trace_every is not None and trace_every < 1:
+        raise ValueError(f"trace_every must be at least 1, got {trace_every}")
     if policy is not None and policy.kind == "dev_decay" and dev_labels is None:
         raise ValueError("dev_decay policy needs a dev label stream")
 
@@ -155,9 +158,8 @@ def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
     state = init_state(spec, np.tile(np.zeros(ds.d) if w0 is None else w0, (n_rows, 1)))
     # Row r's result collects its trace as it runs and is completed when r stops.
     results = [RunResult("ok", False, None, math.nan, 0, [],
-                         iterates=[w.copy()] if keep_iterates else None,
-                         precond_diags=[h] if keep_precond else None)
-               for w, h in zip(state.w, preconditioner_diag(state, spec))]
+                         iterates=[w.copy()] if keep_iterates else None)
+               for w in state.w]
     rows = list(range(n_rows))  # stack position -> row
 
     # One product per iterate: the loss, the next gradient (via the residual)
@@ -166,6 +168,7 @@ def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
     resid = xw - ds.y
     loss = lsq.residual_loss(resid)
     dev = best_dev = _dev_errors(state.w, counts)
+    improved = None  # whether each row's dev error at iteration k is a new best
     epoch_of_best = np.zeros(n_rows, dtype=np.int64)
     decays = policy is not None and policy.kind != "none"
 
@@ -213,13 +216,10 @@ def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
             if converged is not None:
                 done |= converged
             if decays and k > 0:
-                # The decay decision compares against the best *before* this
-                # epoch, so a new best keeps the rate.
+                # Before the stack shrinks, so `improved` still lines up with it.
                 for i in np.flatnonzero(~done):
-                    alpha[i, 0], _ = next_alpha(
-                        policy, float(alpha[i, 0]), k,
-                        dev_metric=None if dev is None else float(dev[i]),
-                        best_so_far=None if best_before is None else float(best_before[i]))
+                    alpha[i, 0] = next_alpha(policy, float(alpha[i, 0]), k,
+                                             improved=improved is not None and bool(improved[i]))
             if np.count_nonzero(done):
                 keep = ~done
                 rows = [r for r, kept in zip(rows, keep) if kept]
@@ -244,9 +244,6 @@ def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
                 done[i] = True
             for i in np.flatnonzero(~done) if keep_iterates else ():
                 results[rows[i]].iterates.append(state.w[i].copy())
-            for i in np.flatnonzero(~done) if keep_precond else ():
-                results[rows[i]].precond_diags.append(preconditioner_diag(_rows(state, i), spec))
-            best_before = best_dev
             if counts is not None:
                 dev = _dev_errors(state.w, counts)
                 improved = dev < best_dev

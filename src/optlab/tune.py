@@ -20,19 +20,16 @@ import numpy as np
 from .errors import AllTrialsDivergedError
 from .lsq import Dataset
 from .optim import MethodKind, OptimizerSpec, spec_to_document
-from .schedules import DecayPolicy, next_alpha  # re-exported: part of this surface
+from .schedules import DecayPolicy
 
 __all__ = [
     "Grid",
-    "DecayPolicy",
     "TrialResult",
     "TuneReport",
     "make_log_grid",
     "extend_if_edge",
-    "next_alpha",
     "tune",
     "tune_report_to_document",
-    "APPENDIX_GRIDS",
 ]
 
 DEFAULT_EXTENSION_CAP = 8
@@ -113,7 +110,6 @@ class WinnerSummary:
     final_loss_mean: float
     final_loss_std: float
     trace_refs: tuple[str, ...]
-    statuses: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -147,7 +143,7 @@ def tune(
     grid: Grid,
     policy: DecayPolicy,
     epochs: int,
-    seeds,
+    seeds: int,
     *,
     base_spec: OptimizerSpec | None = None,
     dev_size: int | None = 2000,
@@ -157,8 +153,8 @@ def tune(
 ) -> TuneReport:
     """Grid-search the step size for `method` on `ds`.
 
-    `seeds` is a count or an explicit sequence; each (step size, seed) pair
-    is one trial and seeds only drive the per-trial development stream (runs
+    `seeds` counts the seeds ``0 .. seeds-1``; each (step size, seed) pair is
+    one trial and seeds only drive the per-trial development stream (runs
     start from the zero vector, so full-batch trajectories are seed
     independent).  Selection uses the best dev metric when a dev stream
     exists, otherwise the final training loss.  Dev labels are drawn with
@@ -167,14 +163,9 @@ def tune(
     Raises `AllTrialsDivergedError` when every step size, extensions
     included, diverged.
     """
-    if isinstance(seeds, int):
-        if seeds < 1:
-            raise ValueError("need at least one seed")
-        seed_values = tuple(range(seeds))
-    else:
-        seed_values = tuple(int(s) for s in seeds)
-        if not seed_values:
-            raise ValueError("need at least one seed")
+    if seeds < 1:
+        raise ValueError("need at least one seed")
+    seed_values = tuple(range(seeds))
     if dev_size is None and selection == "dev":
         raise ValueError("dev selection needs a dev stream")
     if selection is None:
@@ -189,7 +180,7 @@ def tune(
     if base.method is not method:
         raise ValueError("base_spec method does not match")
 
-    # Deferred import: the run loop depends on the schedule types above.
+    # Looked up at call time, so the run loop can be substituted.
     from .training import dev_labels_for, run_lockstep
 
     by_alpha: dict[float, list[TrialResult]] = {}  # in the order of evaluation
@@ -256,7 +247,6 @@ def tune(
         final_loss_mean=float(losses.mean()),
         final_loss_std=float(losses.std()),
         trace_refs=tuple(t.trace_ref for t in winner_trials),
-        statuses=tuple(t.status for t in winner_trials),
     )
     return TuneReport(
         method=method,
@@ -309,38 +299,3 @@ def tune_report_to_document(report: TuneReport) -> dict:
             "trace_refs": list(report.winner.trace_refs),
         },
     }
-
-
-# Named step-size grids that shipped with the deep-learning experiments this
-# lab's protocol mirrors.  Kept as read-only reference data; the experiments
-# themselves are out of scope here.
-APPENDIX_GRIDS: dict[str, dict[str, tuple[float, ...]]] = {
-    "cifar10": {
-        "sgd": (2, 1, 0.5, 0.25, 0.05, 0.01),
-        "hb": (2, 1, 0.5, 0.25, 0.05, 0.01),
-        "adagrad": (0.1, 0.05, 0.01, 0.0075, 0.005),
-        "rmsprop": (0.005, 0.001, 0.0005, 0.0003, 0.0001),
-        "adam": (0.005, 0.001, 0.0005, 0.0003, 0.0001, 0.00005),
-    },
-    "war_and_peace": {
-        "sgd": (2, 1, 0.5, 0.25, 0.125),
-        "hb": (2, 1, 0.5, 0.25, 0.125),
-        "adagrad": (0.4, 0.2, 0.1, 0.05, 0.025),
-        "rmsprop": (0.02, 0.01, 0.005, 0.0025, 0.00125, 0.000625, 0.0005, 0.0001),
-        "adam": (0.005, 0.0025, 0.00125, 0.000625, 0.0003125, 0.00015625),
-    },
-    "discriminative_parsing": {
-        "sgd": (1.0, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01),
-        "hb": (1.0, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002),
-        "adagrad": (1.0, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001,
-                    0.0005, 0.0002, 0.0001),
-        "adam": (0.01, 0.005, 0.002, 0.001, 0.0005, 0.0002, 0.0001),
-    },
-    "generative_parsing": {
-        "sgd": (1.0, 0.5, 0.25, 0.1, 0.05, 0.025, 0.01),
-        "hb": (0.25, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001),
-        "adagrad": (5.0, 2.5, 1.0, 0.5, 0.25, 0.1, 0.05, 0.02, 0.01),
-        "rmsprop": (0.05, 0.02, 0.01, 0.005, 0.002, 0.001, 0.0005, 0.0002, 0.0001),
-        "adam": (0.005, 0.001, 0.0005, 0.0002, 0.0001),
-    },
-}

@@ -19,8 +19,8 @@ import pytest
 from optlab import lsq, oracle
 from optlab.cli import ExperimentConfig, run_experiment
 from optlab.optim import MethodKind, OptimizerSpec
-from optlab.schedules import DecayPolicy, next_alpha
-from optlab.training import run_training
+from optlab.schedules import DecayPolicy
+from optlab.training import dev_labels_for, run_training
 from optlab.tune import extend_if_edge, make_log_grid
 
 NONADAPTIVE = ("sgd", "hb", "nag")
@@ -143,7 +143,7 @@ def test_criterion_4_closed_form_and_kernel_structure():
         ds = lsq.generate_synthetic(n, 0.75, seed=seed)
         if ds.n_neg == 0:
             continue
-        coef = np.linalg.solve(oracle.kernel_matrix(ds), ds.y)
+        coef = np.linalg.solve(ds.gram, ds.y)
         pos, neg = coef[ds.y > 0], -coef[ds.y < 0]
         scale = float(np.max(np.abs(coef)))
         worst_structure = max(worst_structure,
@@ -171,7 +171,7 @@ def test_criterion_4_closed_form_and_kernel_structure():
 )
 def test_criterion_4_strict_published_form_matches_kernel_solve():
     ds = lsq.generate_synthetic(25, 0.75, seed=3)
-    coef = np.linalg.solve(oracle.kernel_matrix(ds), ds.y)
+    coef = np.linalg.solve(ds.gram, ds.y)
     a_plus, a_minus = oracle.synthetic_alphas(ds.n_pos, ds.n_neg)
     pos, neg = coef[ds.y > 0], -coef[ds.y < 0]
     assert abs(pos[0] - a_plus) <= 1e-10 * a_plus
@@ -187,7 +187,7 @@ def test_criterion_5_kernel_entries():
     checked = 0
     for n, p, seed in [(5, 0.75, 0), (20, 0.6, 1), (35, 0.9, 2), (60, 0.75, 3)]:
         ds = lsq.generate_synthetic(n, p, seed=seed)
-        K = oracle.kernel_matrix(ds)
+        K = ds.gram
         y = ds.y
         diag_expected = np.where(y > 0, 4.0, 8.0)
         off_expected = np.where(np.outer(y, y) > 0, 3.0, 1.0)
@@ -291,15 +291,32 @@ def test_criterion_9_tuning_protocol():
     assert grid.values == (2.0, 1.0, 0.5, 0.25, 0.125)
     assert extend_if_edge(grid, 2.0) == 4.0
 
+    # dev_decay keeps the rate after an epoch whose dev error is a new best
+    # (strictly below every earlier one) and multiplies it by exactly 0.9
+    # after any other epoch, a tie included.
+    ds = lsq.generate_synthetic(30, 0.75, seed=2)
+    labels = dev_labels_for(0.75, 200, np.random.SeedSequence(9))
     policy = DecayPolicy(kind="dev_decay", delta=0.9)
+    epochs = {"new best": 0, "tie": 0, "worse": 0}
     for alpha in (1.0, 0.3, 0.001953125):
-        decayed, _ = next_alpha(policy, alpha, epoch=4, dev_metric=0.5, best_so_far=0.4)
-        assert decayed == alpha * 0.9
-        kept, _ = next_alpha(policy, alpha, epoch=4, dev_metric=0.3, best_so_far=0.4)
-        assert kept == alpha
+        trace = run_training(ds, OptimizerSpec(method=MethodKind.SGD, alpha=alpha), 60,
+                             policy=policy, dev_labels=labels, trace_every=1).trace
+        assert [r.iteration for r in trace] == list(range(61))
+        assert trace[0].alpha == trace[1].alpha == alpha
+        best = trace[0].dev_error
+        for row, after in zip(trace[1:], trace[2:]):
+            if row.dev_error < best:
+                best = row.dev_error
+                assert after.alpha == row.alpha
+                epochs["new best"] += 1
+            else:
+                assert after.alpha == row.alpha * 0.9
+                epochs["tie" if row.dev_error == best else "worse"] += 1
+    assert all(epochs.values()), epochs
     report("criterion 9 (tuning protocol)", True,
-           "edge extension 2 -> 4; dev-decay multiplies by 0.9 exactly and only "
-           "on non-improving epochs")
+           f"edge extension 2 -> 4; dev-decay kept the rate on {epochs['new best']} "
+           f"new-best epochs and multiplied it by 0.9 exactly on {epochs['tie']} ties "
+           f"and {epochs['worse']} worse epochs")
 
 
 @pytest.mark.parametrize("center", [0.3, 0.7])

@@ -156,6 +156,33 @@ def test_config_rejects_unknown_keys(command, tmp_path, capsys):
         assert run_cli(command, f"--{key}", "1") == 1
 
 
+@pytest.mark.parametrize("dataset_text, config_text, flags", [
+    (None, None, ["--trace-every", "0"]),
+    (None, None, ["--trace-every", "-3"]),
+    ("{}", None, []),
+    ("[1]", None, []),
+    ('{"n": 1, "d": 4, "labels": [1], "rows": 5}', None, []),
+    (None, "[]", []),
+], ids=["trace_every_0", "trace_every_negative", "empty_dataset", "dataset_not_object",
+        "dataset_rows_not_list", "config_not_object"])
+def test_malformed_input_is_usage_error(dataset_text, config_text, flags, dataset_file,
+                                        tmp_path, capsys):
+    dataset = dataset_file
+    if dataset_text is not None:
+        dataset = tmp_path / "bad_dataset.json"
+        dataset.write_text(dataset_text)
+    if config_text is not None:
+        config = tmp_path / "bad_config.json"
+        config.write_text(config_text)
+        flags = ["--config", str(config)]
+    out = tmp_path / "run"
+    assert run_cli("train", "--dataset", str(dataset), "--iters", "5", "--out", str(out),
+                   *flags) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("optlab: "), err
+    assert not out.exists()
+
+
 def test_config_values_take_the_field_types(dataset_file, tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"dataset": str(dataset_file), "alpha": 1, "iters": 0,

@@ -236,27 +236,19 @@ def test_dimension_mismatch_raises():
 
 def test_test_score_examples():
     w = np.ones(10)
-    assert lsq.test_score(w, -1.0) == 1.0
+    assert lsq.test_scores(w, [-1.0]) == [1.0]
     e1 = np.zeros(10)
     e1[0] = 1.0
-    assert lsq.test_score(e1, -1.0) == -1.0
-    assert lsq.test_score(np.zeros(10), 1.0) == 0.0
-
-
-def test_error_rate_conventions():
-    assert lsq.error_rate([(0.0, 1.0), (0.0, -1.0)]) == 1.0
-    assert lsq.error_rate([(2.0, 1.0), (-1.0, -1.0)]) == 0.0
-    assert lsq.error_rate([(2.0, -1.0), (-1.0, -1.0)]) == 0.5
-    with pytest.raises(ValueError):
-        lsq.error_rate([])
+    assert lsq.test_scores(e1, [-1.0]) == [-1.0]
+    assert lsq.test_scores(np.zeros(10), [1.0]) == [0.0]
 
 
 def test_sign_solution_scores_misclassify_negatives():
     rng = np.random.default_rng(7)
     labels = np.where(rng.random(4000) < 0.75, 1.0, -1.0)
-    tau = 0.25
-    scores = tau * (labels + 2.0)
-    err = lsq.error_rate(np.column_stack([scores, labels]))
+    w = oracle.sign_solution(lsq.generate_synthetic(6, 0.75, seed=2)).w
+    scores = lsq.test_scores(w, labels)
+    err = np.mean(scores * labels <= 0.0)
     assert err == np.mean(labels < 0)
     assert abs(err - 0.25) < 0.03
 
@@ -266,7 +258,7 @@ def test_min_norm_scores_make_no_errors():
     w = oracle.min_norm_solution(ds).w
     labels = np.array([1.0, -1.0, 1.0, -1.0])
     scores = lsq.test_scores(w, labels)
-    assert lsq.error_rate(np.column_stack([scores, labels])) == 0.0
+    assert np.all(scores * labels > 0.0)
 
 
 def test_margin_symmetric_case():

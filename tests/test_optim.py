@@ -1,18 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optlab.errors import UnsupportedPresetError
 from optlab.optim import (
     MethodKind,
     OptimizerSpec,
-    adam_recurrence_deviation,
-    framework_preset,
     init_state,
-    preconditioner_diag,
-    reference_adam_run,
-    self_corrected_accumulator_log10_scale,
     step,
     table1_coefficients,
 )
@@ -160,11 +156,14 @@ def quadratic_problem(seed, dim=10):
 
 
 def textbook_run(method, spec, w0, grad, iters):
+    """Each method in its classic form (Adam with explicit first and second
+    moment estimates), independent of the unified update `step` uses."""
     w = w0.copy()
     w_prev = w.copy()
     G = np.zeros_like(w)
+    m = np.zeros_like(w)
     out = []
-    for _ in range(iters):
+    for k in range(1, iters + 1):
         if method == "sgd":
             w, w_prev = w - spec.alpha * grad(w), w
         elif method == "hb":
@@ -176,11 +175,22 @@ def textbook_run(method, spec, w0, grad, iters):
             g = grad(w)
             G = G + g * g
             w, w_prev = w - spec.alpha * g / (np.sqrt(G) + spec.epsilon), w
+        elif method == "rmsprop":
+            g = grad(w)
+            G = spec.beta2 * G + (1.0 - spec.beta2) * g * g
+            w, w_prev = w - spec.alpha * g / (np.sqrt(G) + spec.epsilon), w
+        elif method == "adam":
+            g = grad(w)
+            m = spec.beta1 * m + (1.0 - spec.beta1) * g
+            G = spec.beta2 * G + (1.0 - spec.beta2) * g * g
+            m_hat = m / (1.0 - spec.beta1**k)
+            v_hat = G / (1.0 - spec.beta2**k)
+            w, w_prev = w - spec.alpha * m_hat / (np.sqrt(v_hat) + spec.epsilon), w
         out.append(w.copy())
     return out
 
 
-@pytest.mark.parametrize("method", ["sgd", "hb", "nag", "adagrad"])
+@pytest.mark.parametrize("method", ["sgd", "hb", "nag", "adagrad", "rmsprop"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_engine_matches_textbook_updates(method, seed):
     grad, w0 = quadratic_problem(seed)
@@ -192,24 +202,26 @@ def test_engine_matches_textbook_updates(method, seed):
 
 
 def test_engine_adam_matches_reference_adam():
+    # The table form (bias corrections folded into a_k, b_k and h_scale) and
+    # the moment form differ only by roundoff.
     grad, w0 = quadratic_problem(5)
     spec = make_spec("adam", alpha=0.05, beta1=0.9, beta2=0.999, epsilon=1e-8)
-    gap = adam_recurrence_deviation(spec, w0, grad, 50)
+    ours, _ = run_steps(spec, w0, grad, 50)
+    ref = textbook_run("adam", spec, w0, grad, 50)
+    gap = max(np.linalg.norm(mine - theirs) / max(np.linalg.norm(theirs), 1e-30)
+              for mine, theirs in zip(ours[1:], ref))
     print(f"adam unified-vs-reference max relative gap over 50 steps: {gap:.3e}")
     assert gap < 1e-10
 
 
-def test_reference_adam_shapes():
-    grad, w0 = quadratic_problem(6)
-    spec = make_spec("adam", alpha=0.05)
-    traj = reference_adam_run(spec, w0, grad, 3)
-    assert len(traj) == 4 and traj[0].shape == w0.shape
-
-
 def test_self_corrected_recurrence_overflows_float64():
-    # The self-referential corrected accumulator would overflow well before
-    # 500 steps at beta2 = 0.999; this pins why the raw sum is stored.
-    assert self_corrected_accumulator_log10_scale(0.999, 500) > 308.0
+    # Compounding Adam's correction into the stored accumulator,
+    # G_k = beta2/(1-beta2^k) G_{k-1} + ..., multiplies it by beta2/(1-beta2^k)
+    # every step: at beta2 = 0.999 the product passes float64's ~1e308 well
+    # before 500 steps.  This pins why the engine stores the raw sum.
+    beta2 = 0.999
+    log10_growth = sum(math.log10(beta2) - math.log10(1.0 - beta2**k) for k in range(1, 501))
+    assert log10_growth > 308.0
 
 
 def test_alpha_override_changes_only_this_step():
@@ -228,10 +240,10 @@ def test_alpha_override_changes_only_this_step():
 
 
 def test_preconditioner_identity_for_sgd_family():
+    # Non-adaptive methods carry no H: their preconditioner is the identity.
     for method in ["sgd", "hb", "nag"]:
-        spec = make_spec(method)
-        state = init_state(spec, np.zeros(4))
-        np.testing.assert_array_equal(preconditioner_diag(state, spec), np.ones(4))
+        _, state = run_steps(make_spec(method), np.zeros(4), lambda w: np.ones(4), 2)
+        assert state.h is None
 
 
 def test_preconditioner_after_one_gradient():
@@ -239,8 +251,7 @@ def test_preconditioner_after_one_gradient():
     for method, kw in [("adagrad", {}), ("adam", {"beta2": 0.99})]:
         spec = make_spec(method, epsilon=0.0, g_init=0.0, **kw)
         _, state = run_steps(spec, np.zeros(2), lambda w: g, 1)
-        np.testing.assert_allclose(preconditioner_diag(state, spec), [3.0, 4.0],
-                                   rtol=1e-15)
+        np.testing.assert_allclose(state.h, [3.0, 4.0], rtol=1e-15)
 
 
 @settings(max_examples=30, deadline=None)
@@ -267,7 +278,7 @@ def test_trajectories_are_bitwise_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# validation / presets
+# validation
 # ---------------------------------------------------------------------------
 
 
@@ -280,29 +291,6 @@ def test_spec_validation():
         make_spec("adam", alpha=1.0, beta2=-0.1)
     with pytest.raises(ValueError):
         make_spec("adam", alpha=1.0, epsilon=-1e-9)
-
-
-def test_framework_presets():
-    spec = framework_preset("torch", MethodKind.RMSPROP)
-    assert spec.beta2 == 0.99 and spec.epsilon == 1e-8
-    spec = framework_preset("tensorflow", MethodKind.ADAGRAD)
-    assert spec.g_init == 0.1 and spec.epsilon == 0.0
-    spec = framework_preset("dynet", MethodKind.HB)
-    assert spec.beta == 0.9
-    spec = framework_preset("tensorflow", MethodKind.RMSPROP)
-    assert spec.beta2 == 0.9 and spec.g_init == 1.0
-    spec = framework_preset("dynet", MethodKind.ADAGRAD)
-    assert spec.epsilon == 1e-20
-
-
-def test_rmsprop_unavailable_in_dynet():
-    with pytest.raises(UnsupportedPresetError):
-        framework_preset("dynet", MethodKind.RMSPROP)
-
-
-def test_unknown_framework_rejected():
-    with pytest.raises(ValueError):
-        framework_preset("jax", MethodKind.ADAM)
 
 
 def test_method_parse():

@@ -251,11 +251,12 @@ def reference_run(ds, spec, iters, policy, labels, stop_loss):
                 status, failure = "diverged", f"non-finite loss at iteration {k}"
                 break
             dev, best_before = (None if labels is None else dev_error(state.w)), best
-            if dev is not None and dev < best:
+            improved = dev is not None and dev < best_before
+            if improved:
                 best, epoch_of_best = dev, k
             converged = stop_loss is not None and loss <= stop_loss
             if policy is not None and not converged and k < iters:
-                alpha, _ = next_alpha(policy, alpha, k, dev_metric=dev, best_so_far=best_before)
+                alpha = next_alpha(policy, alpha, k, improved=improved)
     return state.w, loss, k, status, failure, converged, best, epoch_of_best
 
 

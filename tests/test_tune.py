@@ -8,7 +8,6 @@ from optlab.errors import AllTrialsDivergedError
 from optlab.optim import MethodKind, OptimizerSpec
 from optlab.schedules import DecayPolicy, next_alpha
 from optlab.tune import (
-    APPENDIX_GRIDS,
     Grid,
     extend_if_edge,
     make_log_grid,
@@ -91,33 +90,22 @@ def test_generated_grids_are_geometric_and_duplicate_free(center_milli, ratio_te
 
 def test_dev_decay_keeps_rate_on_improvement():
     policy = DecayPolicy(kind="dev_decay", delta=0.9)
-    alpha, best = next_alpha(policy, 0.4, epoch=3, dev_metric=0.1, best_so_far=0.2)
-    assert alpha == 0.4 and best == 0.1
+    assert next_alpha(policy, 0.4, epoch=3, improved=True) == 0.4
 
 
 def test_dev_decay_shrinks_rate_exactly():
     policy = DecayPolicy(kind="dev_decay", delta=0.9)
-    alpha, best = next_alpha(policy, 0.4, epoch=3, dev_metric=0.3, best_so_far=0.2)
-    assert alpha == 0.4 * 0.9 and best == 0.2
-
-
-def test_dev_decay_first_epoch_counts_as_improvement():
-    policy = DecayPolicy(kind="dev_decay", delta=0.5)
-    alpha, best = next_alpha(policy, 1.0, epoch=1, dev_metric=0.7, best_so_far=None)
-    assert alpha == 1.0 and best == 0.7
+    assert next_alpha(policy, 0.4, epoch=3, improved=False) == 0.4 * 0.9
 
 
 def test_fixed_decay_on_period():
     policy = DecayPolicy(kind="fixed_decay", delta=0.1, period=10)
-    alpha, _ = next_alpha(policy, 2.0, epoch=10)
-    assert alpha == 2.0 * 0.1
-    alpha, _ = next_alpha(policy, 2.0, epoch=9)
-    assert alpha == 2.0
+    assert next_alpha(policy, 2.0, epoch=10) == 2.0 * 0.1
+    assert next_alpha(policy, 2.0, epoch=9, improved=True) == 2.0
 
 
 def test_none_policy_keeps_rate():
-    alpha, _ = next_alpha(DecayPolicy(kind="none"), 0.3, epoch=5, dev_metric=1.0)
-    assert alpha == 0.3
+    assert next_alpha(DecayPolicy(kind="none"), 0.3, epoch=5) == 0.3
 
 
 def test_epoch_zero_rejected():
@@ -136,26 +124,16 @@ def test_policy_validation():
         DecayPolicy(kind="step")
 
 
-def test_higher_is_better_direction():
-    policy = DecayPolicy(kind="dev_decay", delta=0.5)
-    alpha, best = next_alpha(policy, 1.0, epoch=2, dev_metric=0.9, best_so_far=0.8,
-                             higher_is_better=True)
-    assert alpha == 1.0 and best == 0.9
-    alpha, best = next_alpha(policy, 1.0, epoch=2, dev_metric=0.7, best_so_far=0.8,
-                             higher_is_better=True)
-    assert alpha == 0.5 and best == 0.8
-
-
 @settings(max_examples=30, deadline=None)
 @given(
-    metrics=st.lists(st.floats(0, 1, allow_nan=False), min_size=1, max_size=30),
+    improved=st.lists(st.booleans(), min_size=1, max_size=30),
     delta_pct=st.integers(10, 99),
 )
-def test_alpha_sequence_never_increases(metrics, delta_pct):
+def test_alpha_sequence_never_increases(improved, delta_pct):
     policy = DecayPolicy(kind="dev_decay", delta=delta_pct / 100.0)
-    alpha, best = 1.0, None
-    for epoch, metric in enumerate(metrics, start=1):
-        new_alpha, best = next_alpha(policy, alpha, epoch, metric, best)
+    alpha = 1.0
+    for epoch, better in enumerate(improved, start=1):
+        new_alpha = next_alpha(policy, alpha, epoch, better)
         assert new_alpha <= alpha
         alpha = new_alpha
 
@@ -337,8 +315,3 @@ def test_tune_report_document(small_ds):
             "epoch_of_best", "trace_ref", "status", "iterations"} <= set(doc["trials"][0])
     assert doc["winner"]["alpha"] == report.winner.alpha
 
-
-def test_appendix_grids_are_descending():
-    for task, per_method in APPENDIX_GRIDS.items():
-        for method, values in per_method.items():
-            assert list(values) == sorted(values, reverse=True), (task, method)
