@@ -368,7 +368,7 @@ def base_spec_for(method: MethodKind) -> OptimizerSpec:
 
 
 def _relative_distance(w: np.ndarray, target: np.ndarray) -> float:
-    return float(np.linalg.norm(w - target) / np.linalg.norm(target))
+    return lsq.l2_norm(w - target) / lsq.l2_norm(target)
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
@@ -432,7 +432,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
         empirical = float(np.mean(scores * test_labels <= 0.0))
         dist_mn = _relative_distance(w, mn.w)
         dist_sg = _relative_distance(w, sg.w)
-        w_l2 = float(np.linalg.norm(w))
+        w_l2 = lsq.l2_norm(w)
         resid = lsq.row_span_residual(ds, w)
         trace_ratio = max(
             (r.rowspan_resid / (1.0 + r.w_l2) for r in final.trace), default=math.nan

@@ -1,10 +1,11 @@
 """Least-squares binary classification with sparse rows.
 
 The training objective is the squared interpolation error ``||Xw - y||^2``
-over labels in {-1, +1}.  Rows are stored as sparse ``(index, value)`` pairs
-with 1-based feature indices; the synthetic generator only ever emits values
-in {-1, +1}, but general reals are accepted so small hand-built designs can
-be used in tests.
+over labels in {-1, +1}.  Rows arrive as sparse ``(index, value)`` pairs
+with 1-based feature indices (the generator emits values in {-1, +1}; hand-
+built designs may use any reals), and the design's one numeric form is CSR:
+every product, loss, gradient and diagnostic reads it, and the Gram system
+``X X^T c = b`` is solved by conjugate gradients on it, never formed.
 
 The synthetic family is deliberately overparameterized (``d = 3 + 5n``):
 feature 1 equals the label, features 2 and 3 are constant one, and every
@@ -23,7 +24,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DataGenerationError
 
@@ -36,6 +36,7 @@ __all__ = [
     "residual",
     "residual_loss",
     "residual_gradient",
+    "l2_norm",
     "test_scores",
     "margin",
     "row_span_residual",
@@ -50,17 +51,18 @@ Row = tuple[tuple[int, float], ...]
 #: Redraws allowed before the generator gives up on a label imbalance.
 MAX_REDRAWS = 1000
 
-#: Rows per block of the Gram build, which bounds its sparse intermediate.
-GRAM_BLOCK_ROWS = 256
+#: Relative residual at which `Dataset.gram_solve` stops.
+CG_TOL = 1e-14
 
 
 @dataclass(frozen=True)
 class Dataset:
     """Immutable design matrix plus labels.
 
-    `rows` uses 1-based feature indices.  `p`/`seed` are present only for
-    synthetic data; `rejections` counts redraws the generator needed before
-    the positive class outnumbered the negative one.
+    `rows` (1-based feature indices) is the validated input and the file
+    format; `matrix` (CSR) is the one numeric form.  `p`/`seed` are present
+    only for synthetic data; `rejections` counts redraws the generator
+    needed before the positive class outnumbered the negative one.
     """
 
     n: int
@@ -112,67 +114,45 @@ class Dataset:
         )
 
     @cached_property
-    def dense(self) -> np.ndarray:
-        """Dense copy of the design matrix, used for the matvecs ``Xw`` and
-        ``X^T r`` (the run loop computes ``Xw`` once per iterate and its trace
-        reuses it) and the span projector's ``X^T c``; `gram` reads CSR.
+    def matrix_t(self) -> sparse.csr_array:
+        """``X^T`` in CSR form, several times faster than the CSC view ``matrix.T``."""
+        return self.matrix.T.tocsr()
 
-        Desk-scale dimensions make BLAS on the dense array much faster than
-        sparse products; all-zero columns still produce exactly zero
-        gradient coordinates, which the trajectory checks rely on.
+    def gram_solve(self, b: np.ndarray) -> np.ndarray:
+        """Solve ``X X^T c = b`` by conjugate gradients from ``c = 0``.
+
+        Each step takes two CSR products and numpy sums (no BLAS threads).  It
+        stops once the residual is at most `CG_TOL` times ``|b|``, after 2n
+        steps, or on breakdown (no positive curvature).  The iterates stay in
+        the range of ``X X^T``, so dependent rows need no special case.  Callers
+        check the residual.
         """
-        a = self.matrix.toarray()
-        a.setflags(write=False)
-        return a
+        c = np.zeros(self.n)
+        r = np.array(b, dtype=np.float64)
+        p = r.copy()
+        rr = float(np.sum(r * r))
+        stop = CG_TOL * CG_TOL * rr
+        for _ in range(2 * self.n):
+            if not rr > stop:
+                break
+            q = self.matrix @ (self.matrix_t @ p)
+            curvature = float(np.sum(p * q))
+            if not curvature > 0.0:
+                break
+            a = rr / curvature
+            c += a * p
+            r -= a * q
+            rr, rr_old = float(np.sum(r * r)), rr
+            p = r + (rr / rr_old) * p
+        return c
 
-    @cached_property
-    def gram(self) -> np.ndarray:
-        """Row inner-product matrix ``X X^T`` (dense, n-by-n).
-
-        Built from the CSR matrix, `GRAM_BLOCK_ROWS` rows at a time into one
-        preallocated array, so it needs neither the dense copy nor an n-by-n
-        sparse intermediate.  On integer designs (every generated dataset)
-        each entry is an exact sum, so it equals ``dense @ dense.T`` bit for
-        bit; on real-valued designs the two agree to roundoff.
-        """
-        X = self.matrix
-        g = np.empty((self.n, self.n))
-        for start in range(0, self.n, GRAM_BLOCK_ROWS):
-            g[start:start + GRAM_BLOCK_ROWS] = (X[start:start + GRAM_BLOCK_ROWS] @ X.T).toarray()
-        g.setflags(write=False)
-        return g
-
-    @cached_property
-    def _span_projector(self):
-        """Callable ``project(w, xw=None)`` mapping w onto the span of the rows.
-
-        `xw` is the product ``X w`` when the caller already has it (the run
-        loop computes it once per iterate for the loss); without it the
-        projector computes it.
-        """
-        X = self.dense
-        try:
-            factor = cho_factor(self.gram)
-        except np.linalg.LinAlgError:
-            factor = None
-        if factor is not None:
-
-            def project(w: np.ndarray, xw: np.ndarray | None = None) -> np.ndarray:
-                xw = X @ w if xw is None else xw
-                # cho_factor checked the Gram it factored and the factor never
-                # changes, so only the right-hand side needs checking per call.
-                if not np.all(np.isfinite(xw)):
-                    raise ValueError("array must not contain infs or NaNs")
-                return X.T @ cho_solve(factor, xw, check_finite=False)
-
-        else:
-            # Dependent rows: fall back to the pseudo-inverse of the Gram.
-            pinv = np.linalg.pinv(self.gram)
-
-            def project(w: np.ndarray, xw: np.ndarray | None = None) -> np.ndarray:
-                return X.T @ (pinv @ (X @ w if xw is None else xw))
-
-        return project
+    def _span_projector(self, w: np.ndarray, xw: np.ndarray | None = None) -> np.ndarray:
+        """Projection ``X^T (X X^T)^+ X w`` of w onto the span of the rows;
+        `xw` is ``X w`` if the caller already has it."""
+        xw = product(self, w) if xw is None else xw
+        if not np.all(np.isfinite(xw)):
+            raise ValueError("array must not contain infs or NaNs")
+        return self.matrix_t @ self.gram_solve(xw)
 
 
 def _synthetic_row(i: int, label: float) -> Row:
@@ -215,10 +195,10 @@ def _check_dim(ds: Dataset, w: np.ndarray) -> np.ndarray:
 def product(ds: Dataset, w: np.ndarray) -> np.ndarray:
     """``Xw`` for a weight vector, or row by row for an (R, d) stack.
 
-    The stacked matmul runs one matrix-vector product per row, so each row is
-    bit for bit ``ds.dense @ w`` whatever R is (a GEMM would not be).
+    Each row is bit for bit its solo CSR product whatever R is; a stack comes
+    back C-contiguous, so reductions over it take the single-vector path.
     """
-    return np.matmul(ds.dense, w[..., None])[..., 0]
+    return np.ascontiguousarray((ds.matrix @ w.T).T)
 
 
 def residual(ds: Dataset, w: np.ndarray) -> np.ndarray:
@@ -227,13 +207,19 @@ def residual(ds: Dataset, w: np.ndarray) -> np.ndarray:
 
 
 def residual_loss(r: np.ndarray) -> np.ndarray:
-    """``r . r`` for a residual, or per row of a stack of them."""
-    return np.matmul(r[..., None, :], r[..., :, None])[..., 0, 0]
+    """``r . r`` for a residual, or per row of a stack of them, as a numpy sum
+    (not a BLAS dot, whose bits depend on the thread count)."""
+    return np.sum(r * r, axis=-1)
 
 
 def residual_gradient(ds: Dataset, r: np.ndarray) -> np.ndarray:
-    """``2 X^T r`` for a residual, or per row of a stack of them."""
-    return 2.0 * np.matmul(r[..., None, :], ds.dense)[..., 0, :]
+    """``2 X^T r`` for a residual, or per row of a stack of them (C-contiguous)."""
+    return np.ascontiguousarray(2.0 * (ds.matrix_t @ r.T).T)
+
+
+def l2_norm(v: np.ndarray) -> float:
+    """Euclidean norm of a vector, by the reduction of `residual_loss`."""
+    return float(np.sqrt(residual_loss(v)))
 
 
 def loss(ds: Dataset, w: np.ndarray) -> float:
@@ -270,10 +256,10 @@ def margin(ds: Dataset, w: np.ndarray, xw: np.ndarray | None = None) -> float:
     `xw` is the product ``X w`` if the caller already has it.
     """
     w = _check_dim(ds, w)
-    norm = float(np.linalg.norm(w))
+    norm = l2_norm(w)
     if norm == 0.0:
         raise ValueError("margin is undefined for the zero vector")
-    return float(np.min(ds.y * (ds.dense @ w if xw is None else xw)) / norm)
+    return float(np.min(ds.y * (product(ds, w) if xw is None else xw)) / norm)
 
 
 def row_span_residual(ds: Dataset, w: np.ndarray, xw: np.ndarray | None = None) -> float:
@@ -282,7 +268,7 @@ def row_span_residual(ds: Dataset, w: np.ndarray, xw: np.ndarray | None = None) 
     `xw` is the product ``X w`` if the caller already has it.
     """
     w = _check_dim(ds, w)
-    return float(np.linalg.norm(w - ds._span_projector(w, xw)))
+    return l2_norm(w - ds._span_projector(w, xw))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LemmaPreconditionError, SingularKernelError
-from .lsq import Dataset
+from .lsq import Dataset, l2_norm
 
 __all__ = [
     "OracleSolution",
@@ -77,17 +77,7 @@ class LemmaTrace:
 
 def label_correlation(ds: Dataset) -> np.ndarray:
     """The vector ``u = X^T y`` (exact for integer-valued designs)."""
-    return ds.matrix.T @ ds.y
-
-
-def _active_columns(ds: Dataset) -> np.ndarray:
-    """Boolean mask of columns touched by at least one example."""
-    active = np.zeros(ds.d, dtype=bool)
-    for row in ds.rows:
-        for j, v in row:
-            if v != 0.0:
-                active[j - 1] = True
-    return active
+    return ds.matrix_t @ ds.y
 
 
 def lemma_condition_check(ds: Dataset) -> float | None:
@@ -99,7 +89,7 @@ def lemma_condition_check(ds: Dataset) -> float | None:
     gradient and are not part of the test.
     """
     u = label_correlation(ds)
-    if np.any(u[_active_columns(ds)] == 0.0):
+    if np.any(u[ds.matrix.indices[ds.matrix.data != 0.0]] == 0.0):  # active columns
         return None
     v = ds.matrix @ np.sign(u)
     cs = v * ds.y
@@ -122,16 +112,13 @@ def sign_solution(ds: Dataset) -> OracleSolution:
 
 
 def min_norm_solution(ds: Dataset) -> OracleSolution:
-    """The least-L2-norm interpolant ``X^T (XX^T)^{-1} y``."""
-    K = ds.gram
-    try:
-        coef = np.linalg.solve(K, ds.y)
-    except np.linalg.LinAlgError as exc:
-        raise SingularKernelError("rows are linearly dependent") from exc
-    resid = float(np.linalg.norm(K @ coef - ds.y))
+    """The least-L2-norm interpolant ``X^T (XX^T)^{-1} y``; raises
+    `SingularKernelError` when ``Xw = y`` has none (the residual stays large)."""
+    coef = ds.gram_solve(ds.y)
+    w = ds.matrix_t @ coef
+    resid = l2_norm(ds.matrix @ w - ds.y)
     if not np.all(np.isfinite(coef)) or resid > 1e-8 * np.sqrt(ds.n):
         raise SingularKernelError(f"Gram solve residual {resid:.3e} too large")
-    w = ds.matrix.T @ coef
     a_plus = a_minus = None
     if ds.p is not None:
         pos, neg = ds.y > 0, ds.y < 0

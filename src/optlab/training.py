@@ -179,7 +179,7 @@ def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
 
     def record(i: int, k: int) -> None:
         w = state.w[i]
-        norm = float(np.linalg.norm(w))
+        norm = lsq.l2_norm(w)
         results[rows[i]].trace.append(TraceRow(
             iteration=k,
             alpha=float(alpha[i, 0]),

@@ -10,12 +10,16 @@ test_criterion_4_strict for the exact statement.
 
 import csv
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import optlab
 from optlab import lsq, oracle
 from optlab.cli import ExperimentConfig, run_experiment
 from optlab.optim import MethodKind, OptimizerSpec
@@ -143,7 +147,7 @@ def test_criterion_4_closed_form_and_kernel_structure():
         ds = lsq.generate_synthetic(n, 0.75, seed=seed)
         if ds.n_neg == 0:
             continue
-        coef = np.linalg.solve(ds.gram, ds.y)
+        coef = np.linalg.solve((ds.matrix @ ds.matrix.T).toarray(), ds.y)
         pos, neg = coef[ds.y > 0], -coef[ds.y < 0]
         scale = float(np.max(np.abs(coef)))
         worst_structure = max(worst_structure,
@@ -171,7 +175,7 @@ def test_criterion_4_closed_form_and_kernel_structure():
 )
 def test_criterion_4_strict_published_form_matches_kernel_solve():
     ds = lsq.generate_synthetic(25, 0.75, seed=3)
-    coef = np.linalg.solve(ds.gram, ds.y)
+    coef = np.linalg.solve((ds.matrix @ ds.matrix.T).toarray(), ds.y)
     a_plus, a_minus = oracle.synthetic_alphas(ds.n_pos, ds.n_neg)
     pos, neg = coef[ds.y > 0], -coef[ds.y < 0]
     assert abs(pos[0] - a_plus) <= 1e-10 * a_plus
@@ -187,7 +191,7 @@ def test_criterion_5_kernel_entries():
     checked = 0
     for n, p, seed in [(5, 0.75, 0), (20, 0.6, 1), (35, 0.9, 2), (60, 0.75, 3)]:
         ds = lsq.generate_synthetic(n, p, seed=seed)
-        K = ds.gram
+        K = (ds.matrix @ ds.matrix.T).toarray()
         y = ds.y
         diag_expected = np.where(y > 0, 4.0, 8.0)
         off_expected = np.where(np.outer(y, y) > 0, 3.0, 1.0)
@@ -355,3 +359,43 @@ def test_criterion_10_experiment_determinism(tmp_path):
     assert compared >= 10
     report("criterion 10 (experiment determinism)", True,
            f"{compared} files byte-identical across reruns")
+
+
+# The CLI calls whose every output file must not depend on the BLAS thread
+# count.  Paths are relative, because `run.json` records its options.  At
+# n = 12 000 the oracle's n-vectors are long enough for OpenBLAS to split a
+# dot product over threads; at n = 4 000 only the d-vectors are.
+_THREAD_RUNS = """
+from optlab.cli import main
+for argv in (
+    ["generate", "--n", "12000", "--seed", "2", "--out", "dataset.json"],
+    ["oracle", "--dataset", "dataset.json", "--out", "oracle.json"],
+    ["train", "--dataset", "dataset.json", "--method", "sgd", "--alpha", "1e-5",
+     "--iters", "20", "--out", "sgd"],
+    ["train", "--dataset", "dataset.json", "--method", "adagrad", "--alpha", "0.25",
+     "--epsilon", "0", "--iters", "20", "--out", "adagrad"],
+    ["experiment", "--n", "30", "--iters", "2000", "--out", "experiment"],
+):
+    assert main(argv) == 0, argv
+"""
+
+
+def test_criterion_10_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # Two threads, not more: enough to split a BLAS reduction, and a desk
+    # machine may have only two cores.
+    src = str(Path(optlab.__file__).parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    for threads in ("1", "2"):
+        (tmp_path / threads).mkdir()
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+        subprocess.run([sys.executable, "-c", _THREAD_RUNS], cwd=tmp_path / threads,
+                       env=env, check=True, stdout=subprocess.DEVNULL)
+    compared = 0
+    for rel in sorted(p.relative_to(tmp_path / "1")
+                      for p in (tmp_path / "1").rglob("*") if p.is_file()):
+        a = (tmp_path / "1" / rel).read_bytes()
+        assert a == (tmp_path / "2" / rel).read_bytes(), f"output differs: {rel}"
+        compared += 1
+    assert compared >= 20
+    report("criterion 10 (BLAS thread count)", True,
+           f"{compared} files byte-identical at 1 and 2 BLAS threads")

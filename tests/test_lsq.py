@@ -31,8 +31,7 @@ def test_single_positive_example_row():
     assert ds.rejections == 0
     assert ds.d == 8
     assert ds.rows[0] == ((1, 1.0), (2, 1.0), (3, 1.0), (4, 1.0))
-    dense = ds.dense[0]
-    np.testing.assert_array_equal(dense, [1, 1, 1, 1, 0, 0, 0, 0])
+    np.testing.assert_array_equal(ds.matrix.toarray()[0], [1, 1, 1, 1, 0, 0, 0, 0])
 
 
 def test_negative_first_draw_is_rejected_and_redrawn():
@@ -171,7 +170,7 @@ def test_small_gradient_step_decreases_loss(seed):
     g = lsq.gradient(ds, w)
     if np.linalg.norm(g) < 1e-9:
         return
-    lipschitz = 2.0 * np.linalg.norm(ds.dense, 2) ** 2
+    lipschitz = 2.0 * np.linalg.norm(ds.matrix.toarray(), 2) ** 2
     w2 = w - (1.0 / (2.0 * lipschitz)) * g
     assert lsq.loss(ds, w2) < lsq.loss(ds, w)
 
@@ -179,9 +178,12 @@ def test_small_gradient_step_decreases_loss(seed):
 @settings(max_examples=20, deadline=None)
 @given(n=st.integers(1, 60), seed=st.integers(0, 1000))
 def test_stacked_products_do_not_depend_on_stack_size(n, seed):
-    # Each row of a stack must be bit for bit the single-vector product, so a
-    # trajectory does not change with the rows that run beside it.
+    # Each row of a stack must be bit for bit the single-vector CSR product,
+    # so a trajectory does not change with the rows that run beside it; and
+    # that product must agree with a dense reference to 1e-12 relative to the
+    # largest entry.
     ds = lsq.generate_synthetic(n, 0.75, seed)
+    dense = ds.matrix.toarray()
     W = np.random.default_rng(seed).standard_normal((8, ds.d)) * 10.0
     for size in (1, 2, 5, 8):
         resid = lsq.residual(ds, W[:size])
@@ -189,36 +191,53 @@ def test_stacked_products_do_not_depend_on_stack_size(n, seed):
         losses = lsq.residual_loss(resid)
         xw = lsq.product(ds, W[:size])
         for i in range(size):
-            assert xw[i].tobytes() == (ds.dense @ W[i]).tobytes()
-            r = ds.dense @ W[i] - ds.y
+            r = lsq.residual(ds, W[i])
+            assert xw[i].tobytes() == lsq.product(ds, W[i]).tobytes()
             assert resid[i].tobytes() == r.tobytes()
-            assert grads[i].tobytes() == (2.0 * (r @ ds.dense)).tobytes()
-            assert float(losses[i]) == float(r @ r)
+            assert grads[i].tobytes() == lsq.residual_gradient(ds, r).tobytes()
+            assert float(losses[i]) == float(lsq.residual_loss(r))
+            ref = dense @ W[i] - ds.y
+            g_ref = 2.0 * (ref @ dense)
+            assert np.max(np.abs(r - ref)) <= 1e-12 * np.max(np.abs(ref))
+            assert np.max(np.abs(grads[i] - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
+
+
+def _dependent_design(n: int, seed: int) -> lsq.Dataset:
+    """Real-valued n-row design of rank about n/2: each row past the first
+    half is a random combination of the first half's rows."""
+    rng = np.random.default_rng(seed)
+    k = max(1, n // 2)
+    basis = rng.standard_normal((k, 2 * n)) * (rng.random((k, 2 * n)) < 0.5)
+    a = np.vstack([basis, rng.standard_normal((n - k, k)) @ basis])
+    rows = tuple(tuple((j + 1, float(v)) for j, v in enumerate(r) if v != 0.0) for r in a)
+    return lsq.Dataset(n=n, d=2 * n, rows=rows, y=np.ones(n))
 
 
 @settings(max_examples=15, deadline=None)
-@given(n=st.integers(1, 600), seed=st.integers(0, 1000))
-@example(n=1, seed=0)
-@example(n=lsq.GRAM_BLOCK_ROWS, seed=1)
-@example(n=lsq.GRAM_BLOCK_ROWS + 1, seed=2)
-@example(n=2 * lsq.GRAM_BLOCK_ROWS + 1, seed=3)
-def test_gram_equals_dense_product_exactly(n, seed):
-    # Generated designs are integer-valued, so every Gram entry is an exact
-    # sum and the blocked sparse build must match the dense product bit for
-    # bit, below, at and across the row-block size.
-    ds = lsq.generate_synthetic(n, 0.75, seed)
-    assert ds.gram.tobytes() == (ds.dense @ ds.dense.T).tobytes()
-
-
-def test_gram_of_real_valued_design():
-    # Tolerance, stated up front: 1e-12 relative to the largest entry.
-    rng = np.random.default_rng(7)
-    n, d = lsq.GRAM_BLOCK_ROWS + 44, 40
-    a = rng.standard_normal((n, d)) * (rng.random((n, d)) < 0.3)
-    rows = tuple(tuple((j + 1, float(v)) for j, v in enumerate(r) if v != 0.0) for r in a)
-    ds = lsq.Dataset(n=n, d=d, rows=rows, y=np.ones(n))
-    ref = ds.dense @ ds.dense.T
-    assert np.max(np.abs(ds.gram - ref)) <= 1e-12 * np.max(np.abs(ref))
+@given(n=st.integers(1, 300), seed=st.integers(0, 1000), synthetic=st.booleans())
+@example(n=1, seed=0, synthetic=True)
+@example(n=300, seed=1, synthetic=False)
+def test_gram_solve_and_projector_match_dense_solves(n, seed, synthetic):
+    # Tolerance, stated up front: 1e-10 relative, against LAPACK on the dense
+    # Gram.  The synthetic Gram is nonsingular (np.linalg.solve); the
+    # real-valued design has dependent rows, so the reference is lstsq's
+    # least-norm solution of a consistent right-hand side.
+    ds = lsq.generate_synthetic(n, 0.75, seed) if synthetic else _dependent_design(n, seed)
+    X = ds.matrix.toarray()
+    gram = X @ X.T
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal(ds.d)
+    b = ds.y if synthetic else X @ w
+    ref = (np.linalg.solve(gram, b) if synthetic
+           else np.linalg.lstsq(gram, b, rcond=None)[0])
+    c = ds.gram_solve(b)
+    assert np.linalg.norm(X.T @ c - X.T @ ref) <= 1e-10 * np.linalg.norm(X.T @ ref)
+    assert np.linalg.norm(gram @ c - b) <= 1e-10 * np.linalg.norm(b)
+    if synthetic:
+        assert np.linalg.norm(c - ref) <= 1e-10 * np.linalg.norm(ref)
+    # The projector against the dense least-squares projection onto the rows.
+    proj = X.T @ np.linalg.lstsq(X.T, w, rcond=None)[0]
+    assert np.linalg.norm(ds._span_projector(w) - proj) <= 1e-10 * np.linalg.norm(w)
 
 
 def test_dimension_mismatch_raises():
@@ -285,7 +304,7 @@ def test_margin_zero_vector_raises():
 def test_row_span_residual_cases():
     ds = lsq.generate_synthetic(6, 0.75, seed=11)
     rng = np.random.default_rng(3)
-    in_span = ds.dense.T @ rng.standard_normal(ds.n)
+    in_span = ds.matrix.T @ rng.standard_normal(ds.n)
     assert lsq.row_span_residual(ds, in_span) <= 1e-10
     # a coordinate no example touches is orthogonal to the span
     touched = {j for row in ds.rows for j, _ in row}

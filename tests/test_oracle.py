@@ -109,7 +109,7 @@ def test_sign_solution_requires_condition():
 def test_kernel_entries_case_table():
     for seed in (0, 4, 9):
         ds = lsq.generate_synthetic(12, 0.7, seed=seed)
-        K = ds.gram
+        K = (ds.matrix @ ds.matrix.T).toarray()
         y = ds.y
         for i in range(ds.n):
             for j in range(ds.n):
@@ -131,13 +131,26 @@ def test_min_norm_single_row():
 
 
 def test_min_norm_singular_kernel():
-    ds = lsq.Dataset(
-        n=2, d=2,
-        rows=(((1, 1.0),), ((1, 1.0),)),
-        y=np.array([1.0, 1.0]),
-    )
+    # SingularKernelError means that no interpolant exists.  Duplicate rows
+    # with conflicting labels have none; with equal labels the system is
+    # consistent and the least-norm interpolant is returned.
+    rows = (((1, 1.0),), ((1, 1.0),))
+    conflicting = lsq.Dataset(n=2, d=2, rows=rows, y=np.array([1.0, -1.0]))
     with pytest.raises(SingularKernelError):
-        oracle.min_norm_solution(ds)
+        oracle.min_norm_solution(conflicting)
+    consistent = lsq.Dataset(n=2, d=2, rows=rows, y=np.array([1.0, 1.0]))
+    np.testing.assert_allclose(oracle.min_norm_solution(consistent).w, [1.0, 0.0],
+                               rtol=1e-14, atol=1e-15)
+
+
+def test_min_norm_at_a_size_the_dense_gram_cannot_hold():
+    # n = 20 000, where a dense n-by-n Gram would take 3.2 GB.  Tolerance,
+    # stated up front: 1e-10 relative to the closed form.
+    ds = lsq.generate_synthetic(20_000, 0.75, seed=1)
+    sol = oracle.min_norm_solution(ds)
+    a_plus, a_minus = oracle.exact_synthetic_alphas(ds.n_pos, ds.n_neg)
+    assert sol.alpha_plus == pytest.approx(a_plus, rel=1e-10)
+    assert sol.alpha_minus == pytest.approx(a_minus, rel=1e-10)
 
 
 def test_min_norm_alphas_match_exact_closed_form():
@@ -162,7 +175,7 @@ def test_min_norm_alphas_match_published_closed_form():
 def test_kernel_solve_coefficients_share_class_values():
     for seed in (1, 6):
         ds = lsq.generate_synthetic(15, 0.75, seed=seed)
-        coef = np.linalg.solve(ds.gram, ds.y)
+        coef = np.linalg.solve((ds.matrix @ ds.matrix.T).toarray(), ds.y)
         pos, neg = coef[ds.y > 0], coef[ds.y < 0]
         assert np.ptp(pos) <= 1e-12
         if neg.size:
@@ -268,7 +281,6 @@ def test_min_norm_maximizes_margin_over_perturbations():
     w_mn = oracle.min_norm_solution(ds).w
     base = lsq.margin(ds, w_mn)
     rng = np.random.default_rng(0)
-    X = ds.dense
     for _ in range(25):
         v = rng.standard_normal(ds.d)
         v_null = v - ds._span_projector(v)
@@ -290,7 +302,7 @@ def test_solutions_are_distinct():
 def test_oracles_interpolate():
     ds = lsq.generate_synthetic(20, 0.8, seed=12)
     for sol in (oracle.min_norm_solution(ds), oracle.sign_solution(ds)):
-        assert np.linalg.norm(ds.dense @ sol.w - ds.y) <= 1e-8
+        assert np.linalg.norm(ds.matrix @ sol.w - ds.y) <= 1e-8
 
 
 # ---------------------------------------------------------------------------

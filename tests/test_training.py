@@ -198,7 +198,7 @@ def test_dev_errors_equal_per_label_mean(w, size, seed):
     # zero scores (always wrong) included.
     w = np.array(w)
     labels = np.where(np.random.default_rng(seed).random((len(w), size)) < 0.75, 1.0, -1.0)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         per_label = np.mean(lsq.test_scores(w, labels) * labels <= 0.0, axis=-1)
         by_class = _dev_errors(w, _label_counts(labels))
     assert by_class.tobytes() == per_label.tobytes()
