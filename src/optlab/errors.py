@@ -18,7 +18,7 @@ class LemmaPreconditionError(OptlabError):
 
 
 class SingularKernelError(OptlabError):
-    """The row Gram matrix is singular; rows are linearly dependent."""
+    """``X w = y`` has no interpolant: the Gram solve leaves a large residual."""
 
 
 class DataGenerationError(OptlabError):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LemmaPreconditionError, SingularKernelError
-from .lsq import Dataset, l2_norm
+from .lsq import Dataset, l2_norm, residual
 
 __all__ = [
     "OracleSolution",
@@ -77,21 +77,20 @@ class LemmaTrace:
 
 def label_correlation(ds: Dataset) -> np.ndarray:
     """The vector ``u = X^T y`` (exact for integer-valued designs)."""
-    return ds.matrix_t @ ds.y
+    return ds.expand(ds.quotient_t @ ds.y)
 
 
 def lemma_condition_check(ds: Dataset) -> float | None:
     """Scalar c with ``X sign(X^T y) = c y`` exactly, if one exists.
 
-    Returns None when any *active* column of X has a zero label
-    correlation, when the row sums disagree, or when they disagree in sign
-    with y.  Columns no example touches are structurally zero in every
-    gradient and are not part of the test.
+    Returns None when any nonzero column of X has a zero label correlation,
+    when the row sums disagree, or when they disagree in sign with y.
+    All-zero columns are zero in every gradient and are not part of the test.
     """
-    u = label_correlation(ds)
-    if np.any(u[ds.matrix.indices[ds.matrix.data != 0.0]] == 0.0):  # active columns
+    u = ds.quotient_t @ ds.y  # one entry per distinct nonzero column
+    if np.any(u == 0.0):
         return None
-    v = ds.matrix @ np.sign(u)
+    v = ds.quotient @ (ds.multiplicity * np.sign(u))
     cs = v * ds.y
     c = float(cs[0])
     if c <= 0.0 or np.any(cs != c):
@@ -115,8 +114,8 @@ def min_norm_solution(ds: Dataset) -> OracleSolution:
     """The least-L2-norm interpolant ``X^T (XX^T)^{-1} y``; raises
     `SingularKernelError` when ``Xw = y`` has none (the residual stays large)."""
     coef = ds.gram_solve(ds.y)
-    w = ds.matrix_t @ coef
-    resid = l2_norm(ds.matrix @ w - ds.y)
+    w = ds.expand(ds.quotient_t @ coef)
+    resid = l2_norm(residual(ds, w))
     if not np.all(np.isfinite(coef)) or resid > 1e-8 * np.sqrt(ds.n):
         raise SingularKernelError(f"Gram solve residual {resid:.3e} too large")
     a_plus = a_minus = None

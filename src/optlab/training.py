@@ -1,15 +1,23 @@
 """Full-batch training runs with per-iteration traces.
 
-The run loop advances a lockstep stack of R rows (state arrays of shape
-(R, d)): one trajectory each, all with the same spec, policy and start but
-each with its own step size and dev labels.  The engine steps the stack once
-per iteration; a single run is a stack of one row.  A row that converges, or
-fails (non-finite loss or iterate, singular preconditioner), stops with its
-status and drops out while the others go on, so each row is bit for bit the
-run it gives alone.  Each row records loss/norm/margin/span diagnostics
-every iteration up to 1000, then every 10th, plus the final one (default);
-the loss, the next gradient and the margin and span diagnostics all use the
-one product ``Xw`` computed per iterate.
+The run loop advances a lockstep stack of R rows: one trajectory each, all
+with the same spec, policy and start but each with its own step size and dev
+labels.  It runs on the design's column quotient: the state arrays have shape
+(R, q), one entry per distinct nonzero column, which identical columns share
+exactly under every method (their gradients, accumulators and updates are
+equal), while all-zero columns never move.  The product is
+``X_q diag(multiplicity) u`` and the gradient ``2 X_q^T r``; full-length
+vectors appear only at the edges (the start, the results, the trace and the
+dev scores), through `Dataset.expand`.
+
+The engine steps the stack once per iteration; a single run is a stack of one
+row.  A row that converges, or fails (non-finite loss or iterate, singular
+preconditioner), stops with its status and drops out while the others go on,
+so each row is bit for bit the run it gives alone.  Each row records
+loss/norm/margin/span diagnostics every iteration up to 1000, then every
+10th, plus the final one (default); the loss, the next gradient and the
+margin and span diagnostics all use the one product ``Xw`` computed per
+iterate.
 
 One iteration equals one epoch here: all gradients are full-batch.
 """
@@ -57,9 +65,11 @@ class TraceRow:
 
 @dataclass
 class RunResult:
+    """Outcome of one trajectory; `w` and `iterates` are full length (d)."""
+
     status: str  # "ok" | "diverged" | "singular_preconditioner"
     converged: bool
-    state: OptimizerState
+    w: np.ndarray | None
     final_loss: float
     iterations: int
     trace: list[TraceRow]
@@ -67,10 +77,6 @@ class RunResult:
     epoch_of_best: int = 0
     iterates: list[np.ndarray] | None = None
     failure: str | None = None
-
-    @property
-    def w(self) -> np.ndarray:
-        return self.state.w
 
 
 def dev_labels_for(p: float, size: int, seed_sequence) -> np.ndarray:
@@ -143,7 +149,9 @@ def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
     status "ok" with converged=False).  `policy` adjusts each row's step size
     between epochs; dev-driven decay requires `dev_labels`.  `trace_every`,
     if given, records every `trace_every`-th iteration (and the last) instead
-    of the default cadence.
+    of the default cadence.  `w0` (full length, zero by default) must be bit
+    for bit equal on each group of identical columns, or ValueError is
+    raised; all-zero columns keep their `w0` value.
     """
     if iters < 0:
         raise ValueError("iters must be nonnegative")
@@ -155,19 +163,25 @@ def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
     alpha = np.array(alphas, dtype=np.float64).reshape(-1, 1)
     n_rows = len(alpha)
     counts = None if dev_labels is None else _label_counts(dev_labels)
-    state = init_state(spec, np.tile(np.zeros(ds.d) if w0 is None else w0, (n_rows, 1)))
+    m = ds.multiplicity
+    u0 = np.zeros(m.size) if w0 is None else ds.restrict(w0)
+    state = init_state(spec, np.tile(u0, (n_rows, 1)))
     # Row r's result collects its trace as it runs and is completed when r stops.
     results = [RunResult("ok", False, None, math.nan, 0, [],
-                         iterates=[w.copy()] if keep_iterates else None)
-               for w in state.w]
+                         iterates=[ds.expand(u, w0)] if keep_iterates else None)
+               for u in state.w]
     rows = list(range(n_rows))  # stack position -> row
+
+    def dev_errors(u: np.ndarray) -> np.ndarray | None:
+        # test_scores reads features 1-3 only.
+        return None if counts is None else _dev_errors(ds.expand(u, w0, slice(3)), counts)
 
     # One product per iterate: the loss, the next gradient (via the residual)
     # and the trace's margin and span projection all use it.
-    xw = lsq.product(ds, state.w)
+    xw = lsq.quotient_product(ds, m * state.w)
     resid = xw - ds.y
     loss = lsq.residual_loss(resid)
-    dev = best_dev = _dev_errors(state.w, counts)
+    dev = best_dev = dev_errors(state.w)
     improved = None  # whether each row's dev error at iteration k is a new best
     epoch_of_best = np.zeros(n_rows, dtype=np.int64)
     decays = policy is not None and policy.kind != "none"
@@ -175,10 +189,11 @@ def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
     def grad_at(v: np.ndarray) -> np.ndarray:
         # Without extrapolation the engine asks for the gradient at state.w
         # itself, whose residual the loss has already computed.
-        return lsq.residual_gradient(ds, resid if v is state.w else lsq.residual(ds, v))
+        r = resid if v is state.w else lsq.quotient_product(ds, m * v) - ds.y
+        return lsq.residual_gradient(ds, r)
 
     def record(i: int, k: int) -> None:
-        w = state.w[i]
+        w = ds.expand(state.w[i], w0)
         norm = lsq.l2_norm(w)
         results[rows[i]].trace.append(TraceRow(
             iteration=k,
@@ -195,7 +210,7 @@ def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
                converged: bool = False, failure: str | None = None) -> None:
         res = results[rows[i]]
         res.status, res.converged, res.failure = status, converged, failure
-        res.state, res.final_loss, res.iterations = _rows(st, i), float(loss[i]), k
+        res.w, res.final_loss, res.iterations = ds.expand(st.w[i], w0), float(loss[i]), k
         if best_dev is not None:
             res.best_dev, res.epoch_of_best = float(best_dev[i]), int(epoch_of_best[i])
 
@@ -236,16 +251,16 @@ def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
                 done[i] = True
             state = new
             k += 1
-            xw = lsq.product(ds, state.w)
+            xw = lsq.quotient_product(ds, m * state.w)
             resid = xw - ds.y
             loss = lsq.residual_loss(resid)
             for i in _set(~(done | np.isfinite(loss))):
                 finish(i, state, k, "diverged", failure=f"non-finite loss at iteration {k}")
                 done[i] = True
             for i in np.flatnonzero(~done) if keep_iterates else ():
-                results[rows[i]].iterates.append(state.w[i].copy())
+                results[rows[i]].iterates.append(ds.expand(state.w[i], w0))
             if counts is not None:
-                dev = _dev_errors(state.w, counts)
+                dev = dev_errors(state.w)
                 improved = dev < best_dev
                 best_dev = np.where(improved, dev, best_dev)
                 epoch_of_best = np.where(improved, k, epoch_of_best)

@@ -94,7 +94,6 @@ class TrialResult:
     final_train_loss: float
     best_dev_metric: float | None
     epoch_of_best: int
-    trace_ref: str
     status: str
     iterations: int
 
@@ -109,7 +108,6 @@ class WinnerSummary:
     metric_std: float
     final_loss_mean: float
     final_loss_std: float
-    trace_refs: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -196,7 +194,7 @@ def tune(
             for i, _, s in keys]
         runs = iter(run_lockstep(ds, base, [a for _, a, _ in keys], epochs, policy=policy,
                                  dev_labels=labels, stop_loss=stop_loss, record_trace=False))
-        for i, alpha in indexed:
+        for alpha in alphas:
             shared = next(runs) if dev_size is None else None
             by_alpha[alpha] = []
             for seed in seed_values:
@@ -209,7 +207,6 @@ def tune(
                     final_train_loss=result.final_loss,
                     best_dev_metric=result.best_dev,
                     epoch_of_best=result.epoch_of_best,
-                    trace_ref=f"{method.value}/a{i}/s{seed}",
                     status=result.status,
                     iterations=result.iterations,
                 ))
@@ -246,7 +243,6 @@ def tune(
         metric_std=float(metrics.std()),
         final_loss_mean=float(losses.mean()),
         final_loss_std=float(losses.std()),
-        trace_refs=tuple(t.trace_ref for t in winner_trials),
     )
     return TuneReport(
         method=method,
@@ -281,7 +277,6 @@ def tune_report_to_document(report: TuneReport) -> dict:
                 "final_train_loss": t.final_train_loss,
                 "best_dev": t.best_dev_metric,
                 "epoch_of_best": t.epoch_of_best,
-                "trace_ref": t.trace_ref,
                 "status": t.status,
                 "iterations": t.iterations,
             }
@@ -296,6 +291,5 @@ def tune_report_to_document(report: TuneReport) -> dict:
             "metric_std": report.winner.metric_std,
             "final_train_loss_mean": report.winner.final_loss_mean,
             "final_train_loss_std": report.winner.final_loss_std,
-            "trace_refs": list(report.winner.trace_refs),
         },
     }

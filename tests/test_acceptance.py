@@ -36,6 +36,12 @@ def report(criterion: str, ok: bool, detail: str) -> None:
     assert ok, f"{criterion}: {detail}"
 
 
+def dense_gram(ds):
+    """The Gram matrix ``X X^T`` of the design, expanded to dense."""
+    x = ds.expand(ds.quotient.toarray())
+    return x @ x.T
+
+
 @pytest.fixture(scope="module")
 def standard_experiment(tmp_path_factory):
     """The tuned six-method comparison on the standard instance."""
@@ -147,7 +153,7 @@ def test_criterion_4_closed_form_and_kernel_structure():
         ds = lsq.generate_synthetic(n, 0.75, seed=seed)
         if ds.n_neg == 0:
             continue
-        coef = np.linalg.solve((ds.matrix @ ds.matrix.T).toarray(), ds.y)
+        coef = np.linalg.solve(dense_gram(ds), ds.y)
         pos, neg = coef[ds.y > 0], -coef[ds.y < 0]
         scale = float(np.max(np.abs(coef)))
         worst_structure = max(worst_structure,
@@ -175,7 +181,7 @@ def test_criterion_4_closed_form_and_kernel_structure():
 )
 def test_criterion_4_strict_published_form_matches_kernel_solve():
     ds = lsq.generate_synthetic(25, 0.75, seed=3)
-    coef = np.linalg.solve((ds.matrix @ ds.matrix.T).toarray(), ds.y)
+    coef = np.linalg.solve(dense_gram(ds), ds.y)
     a_plus, a_minus = oracle.synthetic_alphas(ds.n_pos, ds.n_neg)
     pos, neg = coef[ds.y > 0], -coef[ds.y < 0]
     assert abs(pos[0] - a_plus) <= 1e-10 * a_plus
@@ -191,7 +197,7 @@ def test_criterion_5_kernel_entries():
     checked = 0
     for n, p, seed in [(5, 0.75, 0), (20, 0.6, 1), (35, 0.9, 2), (60, 0.75, 3)]:
         ds = lsq.generate_synthetic(n, p, seed=seed)
-        K = (ds.matrix @ ds.matrix.T).toarray()
+        K = dense_gram(ds)
         y = ds.y
         diag_expected = np.where(y > 0, 4.0, 8.0)
         off_expected = np.where(np.outer(y, y) > 0, 3.0, 1.0)

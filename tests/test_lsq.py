@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,11 @@ from hypothesis import strategies as st
 
 from optlab import lsq, oracle
 from optlab.errors import DataGenerationError
+
+
+def dense(ds):
+    """The n-by-d design, expanded to dense from its column quotient."""
+    return ds.expand(ds.quotient.toarray())
 
 
 def toy_dataset(rows, y, d):
@@ -31,7 +37,7 @@ def test_single_positive_example_row():
     assert ds.rejections == 0
     assert ds.d == 8
     assert ds.rows[0] == ((1, 1.0), (2, 1.0), (3, 1.0), (4, 1.0))
-    np.testing.assert_array_equal(ds.matrix.toarray()[0], [1, 1, 1, 1, 0, 0, 0, 0])
+    np.testing.assert_array_equal(dense(ds)[0], [1, 1, 1, 1, 0, 0, 0, 0])
 
 
 def test_negative_first_draw_is_rejected_and_redrawn():
@@ -170,7 +176,7 @@ def test_small_gradient_step_decreases_loss(seed):
     g = lsq.gradient(ds, w)
     if np.linalg.norm(g) < 1e-9:
         return
-    lipschitz = 2.0 * np.linalg.norm(ds.matrix.toarray(), 2) ** 2
+    lipschitz = 2.0 * np.linalg.norm(dense(ds), 2) ** 2
     w2 = w - (1.0 / (2.0 * lipschitz)) * g
     assert lsq.loss(ds, w2) < lsq.loss(ds, w)
 
@@ -183,7 +189,7 @@ def test_stacked_products_do_not_depend_on_stack_size(n, seed):
     # that product must agree with a dense reference to 1e-12 relative to the
     # largest entry.
     ds = lsq.generate_synthetic(n, 0.75, seed)
-    dense = ds.matrix.toarray()
+    X = dense(ds)
     W = np.random.default_rng(seed).standard_normal((8, ds.d)) * 10.0
     for size in (1, 2, 5, 8):
         resid = lsq.residual(ds, W[:size])
@@ -196,10 +202,10 @@ def test_stacked_products_do_not_depend_on_stack_size(n, seed):
             assert resid[i].tobytes() == r.tobytes()
             assert grads[i].tobytes() == lsq.residual_gradient(ds, r).tobytes()
             assert float(losses[i]) == float(lsq.residual_loss(r))
-            ref = dense @ W[i] - ds.y
-            g_ref = 2.0 * (ref @ dense)
+            ref = X @ W[i] - ds.y
+            g_ref = 2.0 * (ref @ X)
             assert np.max(np.abs(r - ref)) <= 1e-12 * np.max(np.abs(ref))
-            assert np.max(np.abs(grads[i] - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
+            assert np.max(np.abs(ds.expand(grads[i]) - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
 
 
 def _dependent_design(n: int, seed: int) -> lsq.Dataset:
@@ -223,7 +229,7 @@ def test_gram_solve_and_projector_match_dense_solves(n, seed, synthetic):
     # real-valued design has dependent rows, so the reference is lstsq's
     # least-norm solution of a consistent right-hand side.
     ds = lsq.generate_synthetic(n, 0.75, seed) if synthetic else _dependent_design(n, seed)
-    X = ds.matrix.toarray()
+    X = dense(ds)
     gram = X @ X.T
     rng = np.random.default_rng(seed)
     w = rng.standard_normal(ds.d)
@@ -238,6 +244,71 @@ def test_gram_solve_and_projector_match_dense_solves(n, seed, synthetic):
     # The projector against the dense least-squares projection onto the rows.
     proj = X.T @ np.linalg.lstsq(X.T, w, rcond=None)[0]
     assert np.linalg.norm(ds._span_projector(w) - proj) <= 1e-10 * np.linalg.norm(w)
+
+
+def _grouped_design(n: int, seed: int):
+    """A dense n-row design with duplicate columns, all-zero columns and
+    columns equal to another only up to sign or scale, in shuffled order, plus
+    its rows in shuffled entry order with some explicit zeros (both signs)."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 6))
+    base = rng.choice([-2.0, -1.0, 0.0, 0.0, 0.5, 1.0, 3.0], size=(n, k))
+    x = np.hstack([base, base[:, rng.integers(0, k, 4)], -base[:, :1], 2.0 * base[:, -1:],
+                   np.zeros((n, 2))])
+    x = x[:, rng.permutation(x.shape[1])]
+    rows = []
+    for r in x:
+        row = [(j + 1, float(v)) for j, v in enumerate(r) if v != 0.0]
+        row += [(int(j) + 1, float(rng.choice([0.0, -0.0])))
+                for j in np.flatnonzero((r == 0.0) & (rng.random(r.size) < 0.3))]
+        rng.shuffle(row)
+        rows.append(tuple(row))
+    return x, tuple(rows)
+
+
+def _colliding_keys(xc, bits):
+    return np.zeros(xc.shape[1], dtype=np.uint64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 10_000), collide=st.booleans())
+def test_quotient_merges_exactly_the_identical_columns(n, seed, collide):
+    # Exact, stated up front: expanding X_q through `columns` gives back the
+    # dense design exactly; kept columns are nonzero and pairwise distinct bit
+    # for bit (so columns equal up to sign or scale stay apart).  With every
+    # hash colliding, the entry-by-entry comparison alone must do the grouping.
+    x, rows = _grouped_design(n, seed)
+    keys = _colliding_keys if collide else lsq._column_keys
+    with mock.patch.object(lsq, "_column_keys", keys):
+        ds = lsq.Dataset(n=n, d=x.shape[1], rows=rows, y=np.ones(n))
+    xq = ds.quotient.toarray()
+    q = xq.shape[1]
+    assert np.array_equal(ds.expand(xq), x)
+    assert np.array_equal(ds.quotient_t.toarray(), xq.T)
+    assert np.all(xq.any(axis=0))
+    assert len({c.tobytes() for c in xq.T}) == q
+    np.testing.assert_array_equal(ds.columns < 0, ~x.any(axis=0))
+    np.testing.assert_array_equal(ds.multiplicity,
+                                  np.bincount(ds.columns[ds.columns >= 0], minlength=q))
+    firsts = [int(np.flatnonzero(ds.columns == c)[0]) for c in range(q)]
+    assert firsts == sorted(firsts)
+    rebuilt = lsq.Dataset(n=n, d=x.shape[1], rows=ds.rows, y=np.ones(n))
+    assert np.array_equal(dense(rebuilt), x)
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[[0, 1.0]]], "feature index 0 outside 1..4"),
+    ([[[5, 1.0]]], "feature index 5 outside 1..4"),
+    ([[[1.5, 1.0]]], "feature index 1.5 outside 1..4"),
+    ([[[1, float("nan")]]], "design values must be finite"),
+    ([[[1, 1.0, 2.0]]], "must be .index, value. pairs"),
+    ([[1, 1.0]], "malformed dataset document"),
+    ([[[1, 1.0]], []], "row count does not match n"),
+])
+def test_document_rejects_malformed_rows(rows, message):
+    doc = {"n": 1, "d": 4, "labels": [1], "rows": rows}
+    with pytest.raises(ValueError, match=message):
+        lsq.dataset_from_document(doc)
 
 
 def test_dimension_mismatch_raises():
@@ -304,7 +375,7 @@ def test_margin_zero_vector_raises():
 def test_row_span_residual_cases():
     ds = lsq.generate_synthetic(6, 0.75, seed=11)
     rng = np.random.default_rng(3)
-    in_span = ds.matrix.T @ rng.standard_normal(ds.n)
+    in_span = dense(ds).T @ rng.standard_normal(ds.n)
     assert lsq.row_span_residual(ds, in_span) <= 1e-10
     # a coordinate no example touches is orthogonal to the span
     touched = {j for row in ds.rows for j, _ in row}

@@ -15,6 +15,12 @@ UPSTREAM_ALPHA_NOTE = (
 )
 
 
+def dense_gram(ds):
+    """The Gram matrix ``X X^T`` of the design, expanded to dense."""
+    x = ds.expand(ds.quotient.toarray())
+    return x @ x.T
+
+
 def identity_dataset(y):
     n = len(y)
     rows = tuple(((i + 1, 1.0),) for i in range(n))
@@ -109,7 +115,7 @@ def test_sign_solution_requires_condition():
 def test_kernel_entries_case_table():
     for seed in (0, 4, 9):
         ds = lsq.generate_synthetic(12, 0.7, seed=seed)
-        K = (ds.matrix @ ds.matrix.T).toarray()
+        K = dense_gram(ds)
         y = ds.y
         for i in range(ds.n):
             for j in range(ds.n):
@@ -175,7 +181,7 @@ def test_min_norm_alphas_match_published_closed_form():
 def test_kernel_solve_coefficients_share_class_values():
     for seed in (1, 6):
         ds = lsq.generate_synthetic(15, 0.75, seed=seed)
-        coef = np.linalg.solve((ds.matrix @ ds.matrix.T).toarray(), ds.y)
+        coef = np.linalg.solve(dense_gram(ds), ds.y)
         pos, neg = coef[ds.y > 0], coef[ds.y < 0]
         assert np.ptp(pos) <= 1e-12
         if neg.size:
@@ -302,7 +308,7 @@ def test_solutions_are_distinct():
 def test_oracles_interpolate():
     ds = lsq.generate_synthetic(20, 0.8, seed=12)
     for sol in (oracle.min_norm_solution(ds), oracle.sign_solution(ds)):
-        assert np.linalg.norm(ds.matrix @ sol.w - ds.y) <= 1e-8
+        assert np.linalg.norm(lsq.residual(ds, sol.w)) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
