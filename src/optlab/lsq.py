@@ -440,7 +440,7 @@ def dataset_from_document(doc: dict) -> Dataset:
             seed=None if doc.get("seed") is None else int(doc["seed"]),
             rejections=int(doc.get("rejections", 0)),
         )
-    except TypeError as exc:  # a value of the wrong JSON type
+    except (TypeError, OverflowError) as exc:  # a wrong JSON type, or beyond the float range
         raise ValueError(f"malformed dataset document: {exc}") from None
 
 

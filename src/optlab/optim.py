@@ -234,10 +234,7 @@ def step(
         g_accum = state.g_accum
     else:
         g_accum = c.g_keep * state.g_accum + c.g_new * (g * g)
-        # G >= +0, so skipping a unit scale or a zero epsilon keeps every bit.
-        h_now = np.sqrt(g_accum if c.h_scale == 1.0 else c.h_scale * g_accum)
-        if spec.epsilon != 0.0:
-            h_now += spec.epsilon
+        h_now = np.sqrt(c.h_scale * g_accum) + spec.epsilon
         dw = w - w_prev if c.beta_k != 0.0 else None
         dead = h_now == 0.0
         h_safe = h_now

@@ -296,17 +296,20 @@ def test_quotient_merges_exactly_the_identical_columns(n, seed, collide):
     assert np.array_equal(dense(rebuilt), x)
 
 
-@pytest.mark.parametrize("rows, message", [
-    ([[[0, 1.0]]], "feature index 0 outside 1..4"),
-    ([[[5, 1.0]]], "feature index 5 outside 1..4"),
-    ([[[1.5, 1.0]]], "feature index 1.5 outside 1..4"),
-    ([[[1, float("nan")]]], "design values must be finite"),
-    ([[[1, 1.0, 2.0]]], "must be .index, value. pairs"),
-    ([[1, 1.0]], "malformed dataset document"),
-    ([[[1, 1.0]], []], "row count does not match n"),
+@pytest.mark.parametrize("fields, message", [
+    ({"rows": [[[0, 1.0]]]}, "feature index 0 outside 1..4"),
+    ({"rows": [[[5, 1.0]]]}, "feature index 5 outside 1..4"),
+    ({"rows": [[[1.5, 1.0]]]}, "feature index 1.5 outside 1..4"),
+    ({"rows": [[[1, float("nan")]]]}, "design values must be finite"),
+    ({"rows": [[[10 ** 400, 1.0]]]}, "malformed dataset document"),
+    ({"rows": [[[1, 10 ** 400]]]}, "malformed dataset document"),
+    ({"n": float("inf")}, "malformed dataset document"),
+    ({"rows": [[[1, 1.0, 2.0]]]}, "must be .index, value. pairs"),
+    ({"rows": [[1, 1.0]]}, "malformed dataset document"),
+    ({"rows": [[[1, 1.0]], []]}, "row count does not match n"),
 ])
-def test_document_rejects_malformed_rows(rows, message):
-    doc = {"n": 1, "d": 4, "labels": [1], "rows": rows}
+def test_document_rejects_malformed_rows(fields, message):
+    doc = {"n": 1, "d": 4, "labels": [1], "rows": [[[1, 1.0]]], **fields}
     with pytest.raises(ValueError, match=message):
         lsq.dataset_from_document(doc)
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -228,11 +229,11 @@ def assert_same_run(row, solo):
     assert (row.best_dev, row.epoch_of_best) == (solo.best_dev, solo.epoch_of_best)
 
 
-def reference_run(x, y, spec, iters, policy, labels, stop_loss):
+def reference_run(x, y, spec, iters, policy, labels, stop_loss, w0=None):
     """One trajectory, run plainly with `step` on a single full-length vector
-    over the dense, unreduced design `x`: the outcome each lockstep row must
-    reproduce, up to the order of summation.  Also returns the largest loss
-    the run met."""
+    over the dense, unreduced design `x`, from `w0` (zero by default): the
+    outcome each lockstep row must reproduce, up to the order of summation.
+    Also returns the largest loss the run met."""
     def dev_error(w):
         return float(np.mean(lsq.test_scores(w, labels) * labels <= 0.0))
 
@@ -240,7 +241,7 @@ def reference_run(x, y, spec, iters, policy, labels, stop_loss):
         r = x @ w - y
         return float(np.sum(r * r))
 
-    state = init_state(spec, np.zeros(x.shape[1]))
+    state = init_state(spec, np.zeros(x.shape[1]) if w0 is None else w0)
     alpha, loss, k, status, failure = spec.alpha, loss_at(state.w), 0, "ok", None
     peak = loss
     best, epoch_of_best = (None if labels is None else dev_error(state.w)), 0
@@ -306,10 +307,13 @@ def test_singular_preconditioner_stops_only_its_row():
     rows = run_lockstep(ds, spec, alphas, 50, w0=w0, record_trace=False)
     assert [r.status for r in rows] == ["ok", "singular_preconditioner", "ok"]
     assert [r.iterations for r in rows] == [50, 1, 50]
+    x = np.array([[1.0, 0.0, 0.0], [1e-20, 5e-161, 1.0]])
     for alpha, row in zip(alphas, rows):
-        solo = run_training(ds, OptimizerSpec(method=MethodKind.ADAGRAD, alpha=alpha,
-                                              epsilon=0.0), 50, w0=w0, record_trace=False)
+        row_spec = OptimizerSpec(method=MethodKind.ADAGRAD, alpha=alpha, epsilon=0.0)
+        solo = run_training(ds, row_spec, 50, w0=w0, record_trace=False)
         assert_same_run(row, solo)
+        outcome = reference_run(x, ds.y, row_spec, 50, None, None, None, w0=w0)[2:5]
+        assert outcome == (row.iterations, row.status, row.failure)
 
 
 def synthetic_dense(ds):
@@ -353,21 +357,35 @@ def dataset_from_dense(x, y):
     # 2^4 diverges for the non-adaptive ones and oscillates to the budget for
     # the adaptive ones; 2^1023 overflows the first non-adaptive iterate.
     log2_alphas=st.lists(st.integers(-9, 4) | st.just(1023), min_size=1, max_size=6),
+    # Stable step sizes: scale / L for the non-adaptive methods (L = 2 ||X||_2^2,
+    # inside every method's stability bound at beta = 0.9), scale / 4 for the
+    # adaptive ones.
+    stable_scales=st.lists(st.sampled_from([0.25, 0.5, 1.0]), max_size=2),
     iters=st.integers(0, 150),
     stop_loss=st.sampled_from([None, 1e-3]),
     dev=st.booleans(),
 )
-def test_lockstep_rows_equal_solo_runs(n, seed, synthetic, method, log2_alphas, iters,
-                                       stop_loss, dev):
+def test_lockstep_rows_equal_solo_runs(n, seed, synthetic, method, log2_alphas, stable_scales,
+                                       iters, stop_loss, dev):
     # Each lockstep row must equal its solo run bit for bit.  Against the
-    # unreduced dense reference, with tolerances stated up front, on the rows
-    # that converge (reach stop_loss): equal status and iteration count for
-    # every method; for sgd, hb, nag and adagrad also an equal dev record and,
-    # when the loss never rose above its start n, a final w within 1e-12
-    # relative L2.  Unstable runs (blowing up, transient growth, adagrad
-    # oscillating around the interpolant) amplify the rounding that the
-    # order of summation decides, so they are compared only with their solo
-    # runs.
+    # unreduced dense reference, with tolerances stated up front:
+    # - sgd, hb, nag and adagrad end every row with the same status, at the
+    #   same iteration, with the same failure, convergence and dev record.
+    #   One exception: when the synthetic labels sum to 1, y is an eigenvector
+    #   of X X^T other than the top one, so a run that diverges along the top
+    #   one grows from rounding, whose size the order of summation decides,
+    #   and overflows a few steps earlier or later (up to 7 steps in 23 000
+    #   measured diverged runs).  Such a row must still fail the same way,
+    #   its failure text equal up to the step number.  The final w agrees
+    #   within 1e-12 relative L2 on the stable rows, if the loss never rose
+    #   above its start n: rows that converged, and for sgd, hb and nag rows
+    #   with a stable step size.  Elsewhere unstable runs amplify that
+    #   rounding far beyond it.  So does adagrad once the loss nears its
+    #   floor: it scales each coordinate's step by that coordinate's own
+    #   history, so rounding-sized gradients still move w (at alpha = 1/8,
+    #   n = 17, seed 95 the runs are 2e-12 apart at step 13, 2e-4 at step 30).
+    # - adam and rmsprop end every converging row with the same status at the
+    #   same iteration.
     if synthetic:
         ds = lsq.generate_synthetic(n, 0.75, seed)
         x, y = synthetic_dense(ds), ds.y
@@ -375,7 +393,9 @@ def test_lockstep_rows_equal_solo_runs(n, seed, synthetic, method, log2_alphas, 
         x, y = duplicate_columns_dense(n, seed)
         ds = dataset_from_dense(x, y)
     spec = OptimizerSpec(method=method, alpha=1.0, beta2=0.9, epsilon=0.0)
-    alphas = [2.0 ** e for e in log2_alphas]
+    adaptive = method in (MethodKind.ADAGRAD, MethodKind.ADAM, MethodKind.RMSPROP)
+    bound = 4.0 if adaptive else 2.0 * np.linalg.norm(x, 2) ** 2
+    alphas = [2.0 ** e for e in log2_alphas] + [scale / bound for scale in stable_scales]
     labels = policy = None
     if dev:
         labels = [dev_labels_for(0.75, 50, np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
@@ -390,44 +410,18 @@ def test_lockstep_rows_equal_solo_runs(n, seed, synthetic, method, log2_alphas, 
                             stop_loss=stop_loss, trace_every=7)
         assert_same_run(row, solo)
         assert row.trace == solo.trace
-        if not row.converged:
+        if method in (MethodKind.ADAM, MethodKind.RMSPROP) and not row.converged:
             continue
-        w, peak, *outcome = reference_run(x, y, row_spec, iters, policy, row_labels, stop_loss)
-        assert outcome[:3] == [row.iterations, row.status, row.failure]
+        w, peak, k, status, failure, *record = reference_run(x, y, row_spec, iters, policy,
+                                                             row_labels, stop_loss)
+        assert status == row.status
         if method in (MethodKind.ADAM, MethodKind.RMSPROP):
-            continue
-        assert outcome[3:] == [row.converged, row.best_dev, row.epoch_of_best]
-        if peak <= n:
-            assert np.linalg.norm(row.w - w) <= 1e-12 * np.linalg.norm(w)
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    n=st.integers(1, 30),
-    seed=st.integers(0, 1000),
-    synthetic=st.booleans(),
-    method=st.sampled_from([MethodKind.SGD, MethodKind.HB, MethodKind.NAG, MethodKind.ADAGRAD]),
-    scale=st.sampled_from([0.25, 0.5, 1.0]),
-)
-def test_quotient_runs_match_dense_reference(n, seed, synthetic, method, scale):
-    # The same comparison at step sizes where the runs are stable, so that
-    # every example checks it: alpha = scale / L for the non-adaptive methods
-    # (L = 2 ||X||_2^2, inside every method's stability bound at beta = 0.9)
-    # and scale / 4 for adagrad.  Tolerances, stated up front: both runs end
-    # with the same status at the same iteration (stop_loss 1e-6 or the
-    # budget of 1000), and, when the reference loss never rose above its
-    # start n, the final w agree within 1e-12 relative L2.
-    if synthetic:
-        ds = lsq.generate_synthetic(n, 0.75, seed)
-        x, y = synthetic_dense(ds), ds.y
-    else:
-        x, y = duplicate_columns_dense(n, seed)
-        ds = dataset_from_dense(x, y)
-    lipschitz = 2.0 * np.linalg.norm(x, 2) ** 2
-    alpha = scale / 4.0 if method is MethodKind.ADAGRAD else scale / lipschitz
-    spec = OptimizerSpec(method=method, alpha=alpha, epsilon=0.0)
-    row = run_training(ds, spec, 1000, stop_loss=1e-6, record_trace=False)
-    w, peak, *outcome = reference_run(x, y, spec, 1000, None, None, 1e-6)
-    assert outcome[:4] == [row.iterations, row.status, row.failure, row.converged]
-    if peak <= n:
-        assert np.linalg.norm(row.w - w) <= 1e-12 * np.linalg.norm(w)
+            assert k == row.iterations
+        elif status == "diverged" and synthetic and y.sum() == 1.0:
+            assert re.sub(r"\d+", "#", failure) == re.sub(r"\d+", "#", row.failure)
+        else:
+            assert [k, failure, *record] == [row.iterations, row.failure, row.converged,
+                                             row.best_dev, row.epoch_of_best]
+            stable = row.converged or (i >= len(log2_alphas) and not adaptive)
+            if stable and peak <= n:
+                assert np.linalg.norm(row.w - w) <= 1e-12 * np.linalg.norm(w)
