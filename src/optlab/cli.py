@@ -67,12 +67,7 @@ def _write_json(doc: dict, path: Path) -> None:
 
 
 def _policy_from(options) -> DecayPolicy:
-    kind = options.decay or "none"
-    if kind == "fixed_decay":
-        return DecayPolicy(kind=kind, delta=options.delta, period=options.period or 10)
-    if kind == "dev_decay":
-        return DecayPolicy(kind=kind, delta=options.delta)
-    return DecayPolicy(kind="none")
+    return DecayPolicy(kind=options.decay, delta=options.delta, period=options.period)
 
 
 def _name_list(value) -> tuple[str, ...]:
@@ -199,7 +194,7 @@ def cmd_train(options: TrainOptions) -> int:
     policy = _policy_from(options)
     options = replace(options, dev_size=_dev_size_for(ds, options.dev_size))
     dev_labels = None
-    if options.dev_size:
+    if options.dev_size is not None:
         ss = np.random.SeedSequence(entropy=options.seed, spawn_key=(_DEV_STREAM,))
         dev_labels = dev_labels_for(ds.p, options.dev_size, ss)
     result = run_training(
@@ -241,7 +236,9 @@ class OracleOptions:
     out: str = "oracle.json"
 
 
-def _oracle_report(ds: lsq.Dataset) -> dict:
+def _oracle_report(ds: lsq.Dataset):
+    """The oracle document for `ds`, with the min-norm solution and the sign
+    solution (None when no scalar c exists) it was computed from."""
     mn = oracle.min_norm_solution(ds)
     report: dict = {
         "n": ds.n,
@@ -251,15 +248,13 @@ def _oracle_report(ds: lsq.Dataset) -> dict:
         "min_norm_margin": lsq.margin(ds, mn.w),
         "min_norm_loss": lsq.loss(ds, mn.w),
     }
-    c = oracle.lemma_condition_check(ds)
-    report["sign_available"] = c is not None
-    if c is not None:
-        sg = oracle.sign_solution(ds)
+    sg = None if oracle.lemma_condition_check(ds) is None else oracle.sign_solution(ds)
+    report["sign_available"] = sg is not None
+    report["sign"] = None
+    if sg is not None:
         report["sign"] = oracle.solution_to_document(sg)
         report["sign_margin"] = lsq.margin(ds, sg.w)
         report["sign_loss"] = lsq.loss(ds, sg.w)
-    else:
-        report["sign"] = None
     if ds.p is not None and ds.n_pos >= 1 and ds.n_neg >= 1:
         a_plus, a_minus = oracle.synthetic_alphas(ds.n_pos, ds.n_neg)
         e_plus, e_minus = oracle.exact_synthetic_alphas(ds.n_pos, ds.n_neg)
@@ -269,12 +264,12 @@ def _oracle_report(ds: lsq.Dataset) -> dict:
             "sign": oracle.analytic_test_error("sign", ds.p, ds.n_pos, ds.n_neg),
             "min_norm": oracle.analytic_test_error("min_norm", ds.p, ds.n_pos, ds.n_neg),
         }
-    return report
+    return report, mn, sg
 
 
 def cmd_oracle(options: OracleOptions) -> int:
     ds = lsq.load_dataset(options.dataset)
-    report = _oracle_report(ds)
+    report, _, _ = _oracle_report(ds)
     out = Path(options.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     _write_json(report, out)
@@ -375,6 +370,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     """Tune and train every method, compare against both oracles, and write
     the summary documents to `out_dir` (not `cfg.out`).  Returns the
     summary dictionary."""
+    if cfg.m_test < 1:
+        raise ValueError("m_test must be at least 1")
+    if not cfg.methods:
+        raise ValueError("methods must name at least one method")
     out = Path(out_dir)
     (out / "traces").mkdir(parents=True, exist_ok=True)
     (out / "weights").mkdir(exist_ok=True)
@@ -382,10 +381,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
 
     ds = lsq.generate_synthetic(cfg.n, cfg.p, cfg.seed)
     lsq.save_dataset(ds, out / "dataset.json")
-    _write_json(_oracle_report(ds), out / "oracle.json")
-
-    mn = oracle.min_norm_solution(ds)
-    sg = oracle.sign_solution(ds)
+    # A synthetic design always has the sign solution (c = 4).
+    oracle_doc, mn, sg = _oracle_report(ds)
+    _write_json(oracle_doc, out / "oracle.json")
     test_labels = dev_labels_for(
         cfg.p, cfg.m_test, np.random.SeedSequence(entropy=cfg.seed, spawn_key=(_TEST_STREAM,))
     )
@@ -407,7 +405,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
             cfg.seeds,
             base_spec=base,
             dev_size=None,
-            selection="train_loss",
             extension_cap=cfg.extension_cap,
             stop_loss=cfg.stop_loss,
         )
@@ -485,8 +482,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
         "oracles": {
             "c": sg.c,
             "tau": sg.tau,
-            "min_norm_margin": lsq.margin(ds, mn.w),
-            "sign_margin": lsq.margin(ds, sg.w),
+            "min_norm_margin": oracle_doc["min_norm_margin"],
+            "sign_margin": oracle_doc["sign_margin"],
             "alpha_plus_exact": mn.alpha_plus,
             "alpha_minus_exact": mn.alpha_minus,
         },
@@ -494,20 +491,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     }
     _write_json(summary, out / "summary.json")
 
-    csv_fields = [
-        "method", "family", "alpha", "extensions", "status", "converged", "iterations",
-        "final_train_loss", "dist_to_min_norm_rel", "dist_to_sign_rel",
-        "empirical_test_error", "analytic_test_error", "margin_final",
-        "rowspan_resid_final", "rowspan_ratio_trace_max", "w_l2",
-        "verdict_generalization", "verdict_oracle_agreement",
-    ]
     with open(out / "summary.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(csv_fields)
+        writer.writerow(rows[0])
         for row in rows:
-            writer.writerow(
-                [repr(row[f]) if isinstance(row[f], float) else row[f] for f in csv_fields]
-            )
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in row.values()])
     return summary
 
 

@@ -131,29 +131,15 @@ class Dataset:
         stack: entry c sums w over the features of quotient column c."""
         return np.ascontiguousarray((self._grouping @ w.T).T)
 
-    def expand(self, u: np.ndarray, base: np.ndarray | None = None,
-               features=slice(None)) -> np.ndarray:
+    def expand(self, u: np.ndarray, features=slice(None)) -> np.ndarray:
         """Full-length vector(s) from quotient ones: feature j takes
-        ``u[..., columns[j]]``, and an all-zero column takes ``base[j]`` (0
-        without a base).  `features` selects the features to return."""
+        ``u[..., columns[j]]``, and an all-zero column takes 0.  `features`
+        selects the features to return."""
         cols = self.columns[features]
         kept = cols >= 0
-        shape = np.shape(u)[:-1] + cols.shape
-        out = (np.zeros(shape) if base is None
-               else np.broadcast_to(np.asarray(base, dtype=np.float64)[features], shape).copy())
+        out = np.zeros(np.shape(u)[:-1] + cols.shape)
         out[..., kept] = u[..., cols[kept]]
         return out
-
-    def restrict(self, w: np.ndarray) -> np.ndarray:
-        """The quotient vector of a full-length `w` that is bit for bit equal on
-        every group of identical columns; raises ValueError when it is not."""
-        w = _check_dim(self, w)
-        kept = self.columns >= 0
-        u = np.zeros(self.multiplicity.size)
-        u[self.columns[kept]] = w[kept]
-        if self.expand(u, w).tobytes() != w.tobytes():
-            raise ValueError("w0 must be equal on every group of identical columns")
-        return u
 
     def gram_solve(self, b: np.ndarray) -> np.ndarray:
         """Solve ``X X^T c = b`` by conjugate gradients from ``c = 0``, with

@@ -1,13 +1,13 @@
 """Full-batch training runs with per-iteration traces.
 
 The run loop advances a lockstep stack of R rows: one trajectory each, all
-with the same spec, policy and start but each with its own step size and dev
-labels.  It runs on the design's column quotient: the state arrays have shape
-(R, q), one entry per distinct nonzero column, which identical columns share
-exactly under every method (their gradients, accumulators and updates are
-equal), while all-zero columns never move.  The product is
-``X_q diag(multiplicity) u`` and the gradient ``2 X_q^T r``; full-length
-vectors appear only at the edges (the start, the results, the trace and the
+with the same spec and policy and all starting at zero, but each with its own
+step size and dev labels.  It runs on the design's column quotient: the state
+arrays have shape (R, q), one entry per distinct nonzero column, which
+identical columns share exactly under every method (their gradients,
+accumulators and updates are equal), while all-zero columns stay at zero.
+The product is ``X_q diag(multiplicity) u`` and the gradient ``2 X_q^T r``;
+full-length vectors appear only at the edges (the results, the trace and the
 dev scores), through `Dataset.expand`.
 
 The engine steps the stack once per iteration; a single run is a stack of one
@@ -92,6 +92,8 @@ _SIGNS = np.array([1.0, -1.0])
 def _label_counts(labels) -> np.ndarray:
     """Counts of +1 and -1 labels in each row of a stack of dev label streams."""
     labels = np.asarray(labels, dtype=np.float64)
+    if labels.size == 0:
+        raise ValueError("a dev label stream must not be empty")
     if not np.all(np.abs(labels) == 1.0):
         raise ValueError("dev labels must be +1 or -1")
     return np.stack([np.sum(labels > 0.0, axis=-1), np.sum(labels < 0.0, axis=-1)], axis=-1)
@@ -138,8 +140,7 @@ def run_training(ds: lsq.Dataset, spec: OptimizerSpec, iters: int, *,
 def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
                  policy: DecayPolicy | None = None, dev_labels=None,
                  stop_loss: float | None = None, trace_every: int | None = None,
-                 record_trace: bool = True, keep_iterates: bool = False,
-                 w0: np.ndarray | None = None) -> list[RunResult]:
+                 record_trace: bool = True, keep_iterates: bool = False) -> list[RunResult]:
     """Run `spec` once per base step size in `alphas`, as one lockstep stack.
 
     Row i uses step size ``alphas[i]`` (not ``spec.alpha``) and scores its dev
@@ -149,9 +150,7 @@ def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
     status "ok" with converged=False).  `policy` adjusts each row's step size
     between epochs; dev-driven decay requires `dev_labels`.  `trace_every`,
     if given, records every `trace_every`-th iteration (and the last) instead
-    of the default cadence.  `w0` (full length, zero by default) must be bit
-    for bit equal on each group of identical columns, or ValueError is
-    raised; all-zero columns keep their `w0` value.
+    of the default cadence.
     """
     if iters < 0:
         raise ValueError("iters must be nonnegative")
@@ -164,17 +163,16 @@ def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
     n_rows = len(alpha)
     counts = None if dev_labels is None else _label_counts(dev_labels)
     m = ds.multiplicity
-    u0 = np.zeros(m.size) if w0 is None else ds.restrict(w0)
-    state = init_state(spec, np.tile(u0, (n_rows, 1)))
+    state = init_state(spec, np.zeros((n_rows, m.size)))
     # Row r's result collects its trace as it runs and is completed when r stops.
     results = [RunResult("ok", False, None, math.nan, 0, [],
-                         iterates=[ds.expand(u, w0)] if keep_iterates else None)
+                         iterates=[ds.expand(u)] if keep_iterates else None)
                for u in state.w]
     rows = list(range(n_rows))  # stack position -> row
 
     def dev_errors(u: np.ndarray) -> np.ndarray | None:
         # test_scores reads features 1-3 only.
-        return None if counts is None else _dev_errors(ds.expand(u, w0, slice(3)), counts)
+        return None if counts is None else _dev_errors(ds.expand(u, slice(3)), counts)
 
     # One product per iterate: the loss, the next gradient (via the residual)
     # and the trace's margin and span projection all use it.
@@ -193,7 +191,7 @@ def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
         return lsq.residual_gradient(ds, r)
 
     def record(i: int, k: int) -> None:
-        w = ds.expand(state.w[i], w0)
+        w = ds.expand(state.w[i])
         norm = lsq.l2_norm(w)
         results[rows[i]].trace.append(TraceRow(
             iteration=k,
@@ -210,7 +208,7 @@ def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
                converged: bool = False, failure: str | None = None) -> None:
         res = results[rows[i]]
         res.status, res.converged, res.failure = status, converged, failure
-        res.w, res.final_loss, res.iterations = ds.expand(st.w[i], w0), float(loss[i]), k
+        res.w, res.final_loss, res.iterations = ds.expand(st.w[i]), float(loss[i]), k
         if best_dev is not None:
             res.best_dev, res.epoch_of_best = float(best_dev[i]), int(epoch_of_best[i])
 
@@ -258,7 +256,7 @@ def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
                 finish(i, state, k, "diverged", failure=f"non-finite loss at iteration {k}")
                 done[i] = True
             for i in np.flatnonzero(~done) if keep_iterates else ():
-                results[rows[i]].iterates.append(ds.expand(state.w[i], w0))
+                results[rows[i]].iterates.append(ds.expand(state.w[i]))
             if counts is not None:
                 dev = dev_errors(state.w)
                 improved = dev < best_dev

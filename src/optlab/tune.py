@@ -145,7 +145,6 @@ def tune(
     *,
     base_spec: OptimizerSpec | None = None,
     dev_size: int | None = 2000,
-    selection: str | None = None,
     extension_cap: int = DEFAULT_EXTENSION_CAP,
     stop_loss: float | None = None,
 ) -> TuneReport:
@@ -164,10 +163,7 @@ def tune(
     if seeds < 1:
         raise ValueError("need at least one seed")
     seed_values = tuple(range(seeds))
-    if dev_size is None and selection == "dev":
-        raise ValueError("dev selection needs a dev stream")
-    if selection is None:
-        selection = "dev" if dev_size is not None else "train_loss"
+    selection = "dev" if dev_size is not None else "train_loss"
     if policy.kind == "dev_decay" and dev_size is None:
         raise ValueError("dev_decay policy needs a dev stream")
     if dev_size is not None and ds.p is None:

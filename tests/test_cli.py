@@ -163,8 +163,13 @@ def test_config_rejects_unknown_keys(command, tmp_path, capsys):
     ("[1]", None, []),
     ('{"n": 1, "d": 4, "labels": [1], "rows": 5}', None, []),
     (None, "[]", []),
+    (None, None, ["--decay", "fixed_decay"]),
+    (None, None, ["--period", "5"]),
+    (None, None, ["--decay", "dev_decay", "--period", "5"]),
+    (None, None, ["--dev-size", "0"]),
 ], ids=["trace_every_0", "trace_every_negative", "empty_dataset", "dataset_not_object",
-        "dataset_rows_not_list", "config_not_object"])
+        "dataset_rows_not_list", "config_not_object", "fixed_decay_without_period",
+        "period_without_decay", "period_with_dev_decay", "dev_size_0"])
 def test_malformed_input_is_usage_error(dataset_text, config_text, flags, dataset_file,
                                         tmp_path, capsys):
     dataset = dataset_file
@@ -275,6 +280,20 @@ def test_dev_stream_needs_dataset_p(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
+def test_empty_samples_are_usage_errors(dataset_file, tmp_path, capsys):
+    tune_out = tmp_path / "tune.json"
+    assert run_cli("tune", "--dataset", str(dataset_file), "--count", "3", "--iters", "5",
+                   "--seeds", "2", "--dev-size", "0", "--out", str(tune_out)) == 1
+    assert "must not be empty" in capsys.readouterr().err
+    assert not tune_out.exists()
+    for flags, message in ((["--m-test", "0"], "m_test"), (["--methods", ""], "methods")):
+        exp_out = tmp_path / "exp"
+        assert run_cli("experiment", "--n", "12", "--iters", "5", "--out", str(exp_out),
+                       *flags) == 1
+        assert message in capsys.readouterr().err
+        assert not exp_out.exists()
+
+
 def test_tune_command(dataset_file, tmp_path):
     out = tmp_path / "tune.json"
     code = run_cli(
@@ -310,6 +329,8 @@ def test_experiment_small_run(tmp_path):
                    - rows[name]["analytic_test_error"]) < 0.05
     csv_lines = (out / "summary.csv").read_text().splitlines()
     assert len(csv_lines) == 7
+    # summary.json sorts its keys; the CSV keeps the row's own order
+    assert sorted(csv_lines[0].split(",")) == sorted(summary["methods"][0])
     for name in rows:
         trace = (out / "traces" / f"{name}.csv").read_text().splitlines()
         assert trace[0] == TRACE_HEADER

@@ -207,6 +207,11 @@ def test_dev_errors_equal_per_label_mean(w, size, seed):
 def test_dev_labels_must_be_signs(ds):
     with pytest.raises(ValueError, match="dev labels"):
         run_training(ds, sgd_spec(0.002), 5, dev_labels=np.array([1.0, 0.5]))
+    # An empty stream has no dev error (0/0): reject it rather than rank on NaN.
+    with pytest.raises(ValueError, match="must not be empty"):
+        run_training(ds, sgd_spec(0.002), 5, dev_labels=np.array([]))
+    with pytest.raises(ValueError, match="must not be empty"):
+        run_lockstep(ds, sgd_spec(0.002), [0.002, 0.001], 5, dev_labels=np.ones((2, 0)))
 
 
 def test_dev_labels_stream_deterministic():
@@ -229,10 +234,10 @@ def assert_same_run(row, solo):
     assert (row.best_dev, row.epoch_of_best) == (solo.best_dev, solo.epoch_of_best)
 
 
-def reference_run(x, y, spec, iters, policy, labels, stop_loss, w0=None):
+def reference_run(x, y, spec, iters, policy, labels, stop_loss):
     """One trajectory, run plainly with `step` on a single full-length vector
-    over the dense, unreduced design `x`, from `w0` (zero by default): the
-    outcome each lockstep row must reproduce, up to the order of summation.
+    over the dense, unreduced design `x`, from zero: the outcome each
+    lockstep row must reproduce, up to the order of summation.
     Also returns the largest loss the run met."""
     def dev_error(w):
         return float(np.mean(lsq.test_scores(w, labels) * labels <= 0.0))
@@ -241,7 +246,7 @@ def reference_run(x, y, spec, iters, policy, labels, stop_loss, w0=None):
         r = x @ w - y
         return float(np.sum(r * r))
 
-    state = init_state(spec, np.zeros(x.shape[1]) if w0 is None else w0)
+    state = init_state(spec, np.zeros(x.shape[1]))
     alpha, loss, k, status, failure = spec.alpha, loss_at(state.w), 0, "ok", None
     peak = loss
     best, epoch_of_best = (None if labels is None else dev_error(state.w)), 0
@@ -269,50 +274,35 @@ def reference_run(x, y, spec, iters, policy, labels, stop_loss, w0=None):
 
 
 def singular_dataset():
-    """Adagrad with epsilon 0 from w0 = (0, 0, 1) moves only feature 1 at the
-    first step (to alpha).  Example 2 then has residual 1e-20 * alpha + 1 - 1:
-    zero for moderate alpha, about 1e-10 at alpha = 1e10, where feature 2's
-    gradient 2 * 5e-161 * 1e-10 = 1e-170 squares to 0 and meets H = 0."""
-    rows = (((1, 1.0),), ((1, 1e-20), (2, 5e-161), (3, 1.0)))
-    return lsq.Dataset(n=2, d=3, rows=rows, y=np.array([1.0, 1.0]))
-
-
-def test_w0_must_be_equal_on_each_group_of_identical_columns():
-    # Features 2 and 3 are identical columns; feature 4 is all zero and keeps
-    # its start, whatever it is.
-    ds = lsq.Dataset(n=2, d=4, rows=(((1, 1.0), (2, 1.0), (3, 1.0)), ((2, 1.0), (3, 1.0))),
-                     y=np.array([1.0, -1.0]))
-    np.testing.assert_array_equal(ds.columns, [0, 1, 1, -1])
-    with pytest.raises(ValueError, match="identical columns"):
-        run_training(ds, sgd_spec(0.01), 5, w0=np.array([0.0, 1.0, 2.0, 0.0]))
-    with pytest.raises(ValueError, match="identical columns"):  # the bits differ
-        run_training(ds, sgd_spec(0.01), 5, w0=np.array([0.0, 0.0, -0.0, 0.0]))
-    res = run_training(ds, sgd_spec(0.01), 5, w0=np.array([0.5, 1.0, 1.0, 7.0]),
-                       keep_iterates=True)
-    assert all(w[1] == w[2] and w[3] == 7.0 for w in res.iterates)
-    assert res.w[3] == 7.0
+    """Adagrad with epsilon 0 from zero moves only feature 1 at the first step
+    (to alpha): the two examples cancel feature 2's label correlation.
+    Example 1 then has residual 1e-20 * alpha - 1: exactly -1 for moderate
+    alpha, so feature 2's gradient stays 0, but -1 + 1e-10 at alpha = 1e10,
+    where feature 2's gradient 2 * 5e-161 * 1e-10 = 1e-170 squares to 0 and
+    meets H = 0."""
+    rows = (((1, 1e-20), (2, 5e-161)), ((2, 5e-161),))
+    return lsq.Dataset(n=2, d=2, rows=rows, y=np.array([1.0, -1.0]))
 
 
 def test_singular_preconditioner_stops_only_its_row():
     ds = singular_dataset()
     spec = OptimizerSpec(method=MethodKind.ADAGRAD, alpha=1e10, epsilon=0.0)
-    w0 = np.array([0.0, 0.0, 1.0])
-    solo = run_training(ds, spec, 50, w0=w0, record_trace=False)
+    solo = run_training(ds, spec, 50, record_trace=False)
     assert solo.status == "singular_preconditioner"
     assert solo.iterations == 1
     assert solo.failure == ("zero preconditioner entry with nonzero update at step 2 "
                             "(epsilon=0.0)")
 
     alphas = [0.5, 1e10, 0.25]
-    rows = run_lockstep(ds, spec, alphas, 50, w0=w0, record_trace=False)
+    rows = run_lockstep(ds, spec, alphas, 50, record_trace=False)
     assert [r.status for r in rows] == ["ok", "singular_preconditioner", "ok"]
     assert [r.iterations for r in rows] == [50, 1, 50]
-    x = np.array([[1.0, 0.0, 0.0], [1e-20, 5e-161, 1.0]])
+    x = np.array([[1e-20, 5e-161], [0.0, 5e-161]])
     for alpha, row in zip(alphas, rows):
         row_spec = OptimizerSpec(method=MethodKind.ADAGRAD, alpha=alpha, epsilon=0.0)
-        solo = run_training(ds, row_spec, 50, w0=w0, record_trace=False)
+        solo = run_training(ds, row_spec, 50, record_trace=False)
         assert_same_run(row, solo)
-        outcome = reference_run(x, ds.y, row_spec, 50, None, None, None, w0=w0)[2:5]
+        outcome = reference_run(x, ds.y, row_spec, 50, None, None, None)[2:5]
         assert outcome == (row.iterations, row.status, row.failure)
 
 
