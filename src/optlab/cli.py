@@ -25,7 +25,7 @@ from .errors import LemmaPreconditionError, OptlabError
 from .optim import ADAPTIVE_METHODS, MethodKind, OptimizerSpec, spec_to_document
 from .schedules import DECAY_KINDS, DecayPolicy
 from .training import RunResult, dev_labels_for, run_training, write_trace_csv
-from .tune import make_log_grid, tune, tune_report_to_document
+from .tune import check_tune_budget, make_log_grid, tune, tune_report_to_document
 
 __all__ = ["main", "run_experiment", "ExperimentConfig", "GenerateOptions", "TrainOptions",
            "OracleOptions", "TuneOptions", "EXIT_OK", "EXIT_USAGE", "EXIT_NUMERICAL",
@@ -370,16 +370,21 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     """Tune and train every method, compare against both oracles, and write
     the summary documents to `out_dir` (not `cfg.out`).  Returns the
     summary dictionary."""
+    # The whole config is checked before anything is written.
     if cfg.m_test < 1:
         raise ValueError("m_test must be at least 1")
-    if not cfg.methods:
+    methods = [MethodKind.parse(name) for name in cfg.methods]
+    if not methods:
         raise ValueError("methods must name at least one method")
+    if len(set(methods)) < len(methods):
+        raise ValueError(f"methods must not repeat: {', '.join(cfg.methods)}")
+    check_tune_budget(cfg.iters, cfg.seeds, cfg.extension_cap)
+    grid = make_log_grid(cfg.grid_center, cfg.grid_ratio, cfg.grid_count)
+    ds = lsq.generate_synthetic(cfg.n, cfg.p, cfg.seed)
     out = Path(out_dir)
     (out / "traces").mkdir(parents=True, exist_ok=True)
     (out / "weights").mkdir(exist_ok=True)
     (out / "tune").mkdir(exist_ok=True)
-
-    ds = lsq.generate_synthetic(cfg.n, cfg.p, cfg.seed)
     lsq.save_dataset(ds, out / "dataset.json")
     # A synthetic design always has the sign solution (c = 4).
     oracle_doc, mn, sg = _oracle_report(ds)
@@ -389,11 +394,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     )
     precondition_ok = ds.n_pos > ds.n_neg / 3
 
-    grid = make_log_grid(cfg.grid_center, cfg.grid_ratio, cfg.grid_count)
     policy = DecayPolicy(kind="none")
     rows = []
-    for name in cfg.methods:
-        method = MethodKind.parse(name)
+    for method in methods:
         adaptive = method in ADAPTIVE_METHODS
         base = base_spec_for(method)
         report = tune(

@@ -131,49 +131,60 @@ class Dataset:
         stack: entry c sums w over the features of quotient column c."""
         return np.ascontiguousarray((self._grouping @ w.T).T)
 
+    @cached_property
+    def _gather(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each feature's column (0 for an all-zero one), and whether it has one."""
+        kept = self.columns >= 0
+        return np.where(kept, self.columns, 0), kept
+
     def expand(self, u: np.ndarray, features=slice(None)) -> np.ndarray:
         """Full-length vector(s) from quotient ones: feature j takes
         ``u[..., columns[j]]``, and an all-zero column takes 0.  `features`
         selects the features to return."""
-        cols = self.columns[features]
-        kept = cols >= 0
-        out = np.zeros(np.shape(u)[:-1] + cols.shape)
-        out[..., kept] = u[..., cols[kept]]
-        return out
+        index, kept = self._gather
+        if not self.multiplicity.size:  # no column to take from
+            u = np.zeros(np.shape(u)[:-1] + (1,))
+        return np.where(kept[features], np.take(u, index[features], axis=-1), 0.0)
 
     def gram_solve(self, b: np.ndarray) -> np.ndarray:
         """Solve ``X X^T c = b`` by conjugate gradients from ``c = 0``, with
-        ``X X^T = X_q diag(multiplicity) X_q^T``.
+        ``X X^T = X_q diag(multiplicity) X_q^T``; for a (P, n) stack, one
+        solve per row.
 
-        Each step takes two CSR products and numpy sums (no BLAS threads).  It
-        stops once the residual is at most `CG_TOL` times ``|b|``, after 2n
-        steps, or on breakdown (no positive curvature).  The iterates stay in
-        the range of ``X X^T``, so dependent rows need no special case.  Callers
-        check the residual.
+        Each step takes two CSR products and numpy sums (no BLAS threads).  A
+        row stops once its residual is at most `CG_TOL` times ``|b|``, after
+        2n steps, or on breakdown (no positive curvature), and leaves the
+        stack; every op is per row, so each row is bit for bit its solo
+        solve.  The iterates stay in the range of ``X X^T``, so dependent rows
+        need no special case.  Callers check the residual.
         """
-        c = np.zeros(self.n)
-        r = np.array(b, dtype=np.float64)
-        p = r.copy()
-        rr = float(np.sum(r * r))
+        r = np.array(b, dtype=np.float64).reshape(-1, self.n)
+        c = np.zeros(r.shape)
+        p, live = r.copy(), np.arange(len(r))  # live: the rows still running
+        rr = np.add.reduce(r * r, axis=-1)
         stop = CG_TOL * CG_TOL * rr
         for _ in range(2 * self.n):
-            if not rr > stop:
+            keep = rr > stop
+            if not keep.all():
+                live, r, p, rr, stop = (v[keep] for v in (live, r, p, rr, stop))
+            if not live.size:
                 break
-            q = self.quotient @ (self.multiplicity * (self.quotient_t @ p))
-            curvature = float(np.sum(p * q))
-            if not curvature > 0.0:
-                break
-            a = rr / curvature
-            c += a * p
+            q = quotient_product(self, self.multiplicity * (self.quotient_t @ p.T).T)
+            curvature = np.add.reduce(p * q, axis=-1)
+            keep = curvature > 0.0
+            if not keep.all():
+                live, r, p, q, rr, stop, curvature = (
+                    v[keep] for v in (live, r, p, q, rr, stop, curvature))
+            a = (rr / curvature)[:, None]
+            c[live] += a * p
             r -= a * q
-            rr, rr_old = float(np.sum(r * r)), rr
-            p = r + (rr / rr_old) * p
-        return c
+            rr, rr_old = np.add.reduce(r * r, axis=-1), rr
+            p = r + (rr / rr_old)[:, None] * p
+        return c.reshape(np.shape(b))
 
-    def _span_projector(self, w: np.ndarray, xw: np.ndarray | None = None) -> np.ndarray:
-        """Projection ``X^T (X X^T)^+ X w`` of w onto the span of the rows;
-        `xw` is ``X w`` if the caller already has it."""
-        xw = product(self, w) if xw is None else xw
+    def _span_projector(self, w: np.ndarray) -> np.ndarray:
+        """Projection ``X^T (X X^T)^+ X w`` of w onto the span of the rows."""
+        xw = product(self, w)
         if not np.all(np.isfinite(xw)):
             raise ValueError("array must not contain infs or NaNs")
         return self.expand(self.quotient_t @ self.gram_solve(xw))
@@ -330,13 +341,14 @@ def residual(ds: Dataset, w: np.ndarray) -> np.ndarray:
 def residual_loss(r: np.ndarray) -> np.ndarray:
     """``r . r`` for a residual, or per row of a stack of them, as a numpy sum
     (not a BLAS dot, whose bits depend on the thread count)."""
-    return np.sum(r * r, axis=-1)
+    return np.add.reduce(r * r, axis=-1)
 
 
 def residual_gradient(ds: Dataset, r: np.ndarray) -> np.ndarray:
     """``2 X_q^T r`` for a residual, or per row of a stack of them
     (C-contiguous): entry c is the gradient of every feature of column c."""
-    return np.ascontiguousarray(2.0 * (ds.quotient_t @ r.T).T)
+    g = np.ascontiguousarray((ds.quotient_t @ r.T).T)
+    return np.multiply(2.0, g, out=g)
 
 
 def l2_norm(v: np.ndarray) -> float:
@@ -372,25 +384,19 @@ def test_scores(w: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return w[..., 0, None] * labels + w[..., 1, None] + w[..., 2, None]
 
 
-def margin(ds: Dataset, w: np.ndarray, xw: np.ndarray | None = None) -> float:
-    """Normalized worst-case score ``min_i y_i <w, x_i> / ||w||``.
-
-    `xw` is the product ``X w`` if the caller already has it.
-    """
+def margin(ds: Dataset, w: np.ndarray) -> float:
+    """Normalized worst-case score ``min_i y_i <w, x_i> / ||w||``."""
     w = _check_dim(ds, w)
     norm = l2_norm(w)
     if norm == 0.0:
         raise ValueError("margin is undefined for the zero vector")
-    return float(np.min(ds.y * (product(ds, w) if xw is None else xw)) / norm)
+    return float(np.min(ds.y * product(ds, w)) / norm)
 
 
-def row_span_residual(ds: Dataset, w: np.ndarray, xw: np.ndarray | None = None) -> float:
-    """Distance from `w` to the span of the data rows.
-
-    `xw` is the product ``X w`` if the caller already has it.
-    """
+def row_span_residual(ds: Dataset, w: np.ndarray) -> float:
+    """Distance from `w` to the span of the data rows."""
     w = _check_dim(ds, w)
-    return l2_norm(w - ds._span_projector(w, xw))
+    return l2_norm(w - ds._span_projector(w))
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -111,7 +111,7 @@ class OptimizerSpec:
                 raise ValueError(f"{name} must lie in [0, 1), got {v}")
 
 
-@dataclass(frozen=True)
+@dataclass
 class OptimizerState:
     """Iterate pair and squared-gradient accumulator after `k` steps.
 
@@ -130,7 +130,8 @@ class OptimizerState:
     message)`` with status ``diverged`` or ``singular_preconditioner``.
 
     Arrays are treated as read-only by the engine; `step` returns a fresh
-    state and never mutates its input.
+    state and never mutates its input.  Treat instances as immutable too
+    (a frozen class would make every step pay for the guard).
     """
 
     k: int
@@ -141,8 +142,7 @@ class OptimizerState:
     failures: tuple[tuple[int, str, str], ...] = ()
 
 
-@dataclass(frozen=True)
-class StepCoefficients:
+class StepCoefficients(NamedTuple):
     alpha_k: float  # or per-row step sizes, shape (R, 1), for a stack
     beta_k: float
     gamma_k: float
@@ -216,46 +216,51 @@ def step(
     quantity, is listed in the new state's `failures`.
     """
     k = state.k + 1
-    c = table1_coefficients(spec, k, alpha_override)
+    a, b, gamma, keep, new, scale = table1_coefficients(spec, k, alpha_override)
     w, w_prev = state.w, state.w_prev
+    g = np.asarray(grad_at(w + gamma * (w - w_prev) if gamma != 0.0 else w), dtype=np.float64)
 
-    if c.gamma_k != 0.0:
-        eval_point = w + c.gamma_k * (w - w_prev)
-    else:
-        eval_point = w
-    g = np.asarray(grad_at(eval_point), dtype=np.float64)
-
-    singular = False
-    h_now = None
+    # The bits are those of the plain formula: an op whose result is bit for
+    # bit its input (a factor 1, a term 0) is skipped, and arrays made here
+    # are updated in place with the operands in the formula's order.
+    singular, h = False, None
+    dw = np.subtract(w, w_prev) if b != 0.0 else None
     if not spec.method.adaptive:
-        w_next = w - c.alpha_k * g
-        if c.beta_k != 0.0:
-            w_next = w_next + c.beta_k * (w - w_prev)
+        w_next = np.multiply(a, g)
+        np.subtract(w, w_next, out=w_next)
         g_accum = state.g_accum
     else:
-        g_accum = c.g_keep * state.g_accum + c.g_new * (g * g)
-        h_now = np.sqrt(c.h_scale * g_accum) + spec.epsilon
-        dw = w - w_prev if c.beta_k != 0.0 else None
-        dead = h_now == 0.0
-        h_safe = h_now
-        if dead.any():
+        g_accum = np.multiply(g, g)
+        if new != 1.0:
+            np.multiply(new, g_accum, out=g_accum)
+        np.add(state.g_accum if keep == 1.0 else keep * state.g_accum, g_accum, out=g_accum)
+        # g_accum is a sum with g*g, never -0.0, so `+ 0.0` changes no sqrt.
+        h = np.sqrt(g_accum if scale == 1.0 else scale * g_accum)
+        if spec.epsilon != 0.0:
+            np.add(h, spec.epsilon, out=h)
+        h_safe = h
+        if spec.epsilon == 0.0 and not h.all():  # with epsilon > 0 no entry is 0
+            dead = h == 0.0
             needs_div = g != 0.0
             if dw is not None:
                 needs_div |= dw != 0.0
             singular = (dead & needs_div).any(axis=-1)
-            h_safe = np.where(dead, 1.0, h_now)
-        w_next = w - c.alpha_k * (g / h_safe)
-        if dw is not None:
-            h_prev = state.h if state.h is not None else np.ones_like(w)
-            w_next = w_next + c.beta_k * ((h_prev / h_safe) * dw)
+            h_safe = np.where(dead, 1.0, h)
+        w_next = np.divide(g, h_safe)
+        np.multiply(a, w_next, out=w_next)
+        np.subtract(w, w_next, out=w_next)
+        if dw is not None:  # the momentum term's H_{k-1} H_k^{-1}, with H_0 = 1
+            np.multiply(np.divide(1.0 if state.h is None else state.h, h_safe), dw, out=dw)
+    if dw is not None:
+        np.add(w_next, np.multiply(b, dw, out=dw), out=w_next)
 
     # A non-finite gradient always makes its row's new iterate non-finite, so
     # checking the iterates finds every failing row; their sum is finite
     # only if every entry is.
     failures = ()
-    if np.any(singular) or not math.isfinite(w_next.sum()):
+    if (singular is not False and singular.any()) or not math.isfinite(w_next.sum()):
         failures = _row_failures(k, g, w_next, singular, spec.epsilon)
-    return OptimizerState(k=k, w=w_next, w_prev=w, g_accum=g_accum, h=h_now, failures=failures)
+    return OptimizerState(k, w_next, w, g_accum, h, failures)
 
 
 def _row_failures(k, g, w_next, singular, epsilon) -> tuple[tuple[int, str, str], ...]:

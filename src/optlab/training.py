@@ -17,7 +17,7 @@ so each row is bit for bit the run it gives alone.  Each row records
 loss/norm/margin/span diagnostics every iteration up to 1000, then every
 10th, plus the final one (default); the loss, the next gradient and the
 margin and span diagnostics all use the one product ``Xw`` computed per
-iterate.
+iterate, and the diagnostics of recorded rows are computed in blocks.
 
 One iteration equals one epoch here: all gradients are full-batch.
 """
@@ -49,6 +49,9 @@ TRACE_HEADER = "iter,alpha,train_loss,dev_error,w_l2,w_linf,margin,rowspan_resid
 #: Dense-recording horizon of the default trace cadence.
 DENSE_TRACE_LIMIT = 1000
 SPARSE_TRACE_EVERY = 10
+
+#: Floats (quotient iterate plus ``X w``) of the trace rows solved as one block.
+TRACE_BLOCK_FLOATS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -118,15 +121,22 @@ def _should_record(k: int, trace_every: int | None) -> bool:
     return k <= DENSE_TRACE_LIMIT or k % SPARSE_TRACE_EVERY == 0
 
 
-def _set(mask: np.ndarray | None):
-    """Positions set in `mask`, without a scan when none is (the usual case)."""
-    return np.flatnonzero(mask) if mask is not None and np.count_nonzero(mask) else ()
-
-
-def _rows(state: OptimizerState, index) -> OptimizerState:
-    """Rows `index` of a stacked state (a single row for an integer)."""
-    h = None if state.h is None else state.h[index]
-    return OptimizerState(state.k, state.w[index], state.w_prev[index], state.g_accum[index], h)
+def _append_trace_rows(ds: lsq.Dataset, pending: list) -> None:
+    """Append each of the (nonempty) `pending` ``(trace, (iteration, alpha,
+    train_loss, dev_error), u, xw)`` to its trace and empty `pending`: one
+    stacked `gram_solve` for the span residuals, full-length (d) work a row at
+    a time, each value bit for bit its standalone `lsq` call."""
+    traces, heads, u, xw = zip(*pending)
+    u, xw = np.array(u), np.array(xw)
+    off_span = u - (ds.quotient_t @ ds.gram_solve(xw).T).T  # w minus its projection
+    lowest = np.min(ds.y * xw, axis=-1)
+    for trace, head, u_i, off, low in zip(traces, heads, u, off_span, lowest):
+        w = ds.expand(u_i)
+        norm = lsq.l2_norm(w)
+        trace.append(TraceRow(*head, norm, float(np.max(np.abs(w))) if w.size else 0.0,
+                              float(low / norm) if norm > 0.0 else math.nan,
+                              lsq.l2_norm(ds.expand(off))))
+    pending.clear()
 
 
 def run_training(ds: lsq.Dataset, spec: OptimizerSpec, iters: int, *,
@@ -164,11 +174,14 @@ def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
     counts = None if dev_labels is None else _label_counts(dev_labels)
     m = ds.multiplicity
     state = init_state(spec, np.zeros((n_rows, m.size)))
-    # Row r's result collects its trace as it runs and is completed when r stops.
+    # Row r's result is completed when r stops; its trace rows arrive by block.
     results = [RunResult("ok", False, None, math.nan, 0, [],
                          iterates=[ds.expand(u)] if keep_iterates else None)
                for u in state.w]
     rows = list(range(n_rows))  # stack position -> row
+    # Trace rows wait, as views of the arrays the loop makes (and never
+    # writes into), until a block of TRACE_BLOCK_FLOATS floats is full.
+    pending, block = [], max(1, TRACE_BLOCK_FLOATS // (m.size + ds.n))
 
     def dev_errors(u: np.ndarray) -> np.ndarray | None:
         # test_scores reads features 1-3 only.
@@ -191,77 +204,82 @@ def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
         return lsq.residual_gradient(ds, r)
 
     def record(i: int, k: int) -> None:
-        w = ds.expand(state.w[i])
-        norm = lsq.l2_norm(w)
-        results[rows[i]].trace.append(TraceRow(
-            iteration=k,
-            alpha=float(alpha[i, 0]),
-            train_loss=float(loss[i]),
-            dev_error=math.nan if dev is None else float(dev[i]),
-            w_l2=norm,
-            w_linf=float(np.max(np.abs(w))) if w.size else 0.0,
-            margin=lsq.margin(ds, w, xw[i]) if norm > 0.0 else math.nan,
-            rowspan_resid=lsq.row_span_residual(ds, w, xw[i]),
-        ))
+        head = (k, float(alpha[i, 0]), float(loss[i]), math.nan if dev is None else float(dev[i]))
+        pending.append((results[rows[i]].trace, head, state.w[i], xw[i]))
+        if len(pending) == block:
+            _append_trace_rows(ds, pending)
 
-    def finish(i: int, st: OptimizerState, k: int, status: str = "ok",
-               converged: bool = False, failure: str | None = None) -> None:
+    def finish(i: int, k: int, status: str = "ok", converged: bool = False,
+               failure: str | None = None) -> None:
         res = results[rows[i]]
         res.status, res.converged, res.failure = status, converged, failure
-        res.w, res.final_loss, res.iterations = ds.expand(st.w[i]), float(loss[i]), k
+        res.w, res.final_loss, res.iterations = ds.expand(state.w[i]), float(loss[i]), k
         if best_dev is not None:
             res.best_dev, res.epoch_of_best = float(best_dev[i]), int(epoch_of_best[i])
 
+    def keep_rows(keep: np.ndarray) -> None:
+        nonlocal rows, state, xw, resid, loss, alpha, epoch_of_best, counts, best_dev
+        rows = [r for r, kept in zip(rows, keep) if kept]
+        state = OptimizerState(state.k, state.w[keep], state.w_prev[keep], state.g_accum[keep],
+                               None if state.h is None else state.h[keep])
+        xw, resid, loss = xw[keep], resid[keep], loss[keep]
+        alpha, epoch_of_best = alpha[keep], epoch_of_best[keep]
+        if counts is not None:
+            counts, best_dev = counts[keep], best_dev[keep]
+
+    # The stack holds the rows still running, each with a finite loss.
     k = 0
-    done = np.zeros(n_rows, dtype=bool)  # rows finished since the stack last shrank
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while True:
+        while rows:
             last = k == iters
-            converged = None if stop_loss is None else ~done & (loss <= stop_loss)
-            if record_trace:
-                cadence = last or _should_record(k, trace_every)
-                for i in np.flatnonzero(~done) if cadence else _set(converged):
+            converged = None
+            if stop_loss is not None and loss.min() <= stop_loss:
+                converged = loss <= stop_loss
+            if record_trace and (last or _should_record(k, trace_every)):
+                for i in range(len(rows)):
                     record(i, k)
-            for i in _set(~done if last else converged):
-                finish(i, state, k, converged=converged is not None and bool(converged[i]))
+            elif record_trace and converged is not None:
+                for i in np.flatnonzero(converged):
+                    record(i, k)
             if last:
+                for i in range(len(rows)):
+                    finish(i, k, converged=converged is not None and bool(converged[i]))
                 break
-            if converged is not None:
-                done |= converged
-            if decays and k > 0:
-                # Before the stack shrinks, so `improved` still lines up with it.
-                for i in np.flatnonzero(~done):
+            if decays and k > 0:  # a converged row's new rate goes with it
+                for i in range(len(rows)):
                     alpha[i, 0] = next_alpha(policy, float(alpha[i, 0]), k,
                                              improved=improved is not None and bool(improved[i]))
-            if np.count_nonzero(done):
-                keep = ~done
-                rows = [r for r, kept in zip(rows, keep) if kept]
-                state, resid = _rows(state, keep), resid[keep]
-                loss, alpha, epoch_of_best = loss[keep], alpha[keep], epoch_of_best[keep]
-                if counts is not None:
-                    counts, best_dev = counts[keep], best_dev[keep]
+            if converged is not None:
+                for i in np.flatnonzero(converged):
+                    finish(i, k, converged=True)
+                keep_rows(~converged)
                 if not rows:
                     break
             new = step(state, spec, grad_at, alpha)
-            done = np.zeros(len(rows), dtype=bool)
+            failed = [i for i, _, _ in new.failures]
             for i, status, failure in new.failures:
-                finish(i, state, k, status, failure=failure)
-                done[i] = True
+                finish(i, k, status, failure=failure)
             state = new
             k += 1
             xw = lsq.quotient_product(ds, m * state.w)
             resid = xw - ds.y
             loss = lsq.residual_loss(resid)
-            for i in _set(~(done | np.isfinite(loss))):
-                finish(i, state, k, "diverged", failure=f"non-finite loss at iteration {k}")
-                done[i] = True
-            for i in np.flatnonzero(~done) if keep_iterates else ():
+            if not math.isfinite(loss.sum()):
+                for i in np.flatnonzero(~np.isfinite(loss)):
+                    if i not in failed:
+                        finish(i, k, "diverged", failure=f"non-finite loss at iteration {k}")
+                        failed.append(i)
+            if failed:
+                keep_rows(np.isin(np.arange(len(rows)), failed, invert=True))
+            for i in range(len(rows)) if keep_iterates else ():
                 results[rows[i]].iterates.append(ds.expand(state.w[i]))
             if counts is not None:
                 dev = dev_errors(state.w)
                 improved = dev < best_dev
                 best_dev = np.where(improved, dev, best_dev)
                 epoch_of_best = np.where(improved, k, epoch_of_best)
+        if pending:
+            _append_trace_rows(ds, pending)
     return results
 
 

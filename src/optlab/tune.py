@@ -28,6 +28,7 @@ __all__ = [
     "TuneReport",
     "make_log_grid",
     "extend_if_edge",
+    "check_tune_budget",
     "tune",
     "tune_report_to_document",
 ]
@@ -135,6 +136,16 @@ def _rank_key(alpha: float, trials: list[TrialResult], selection: str):
     return (1, -survived, -alpha)
 
 
+def check_tune_budget(epochs: int, seeds: int, extension_cap: int) -> None:
+    """Reject a negative epoch count or extension cap, or fewer than one seed."""
+    if epochs < 0:
+        raise ValueError("iters must be nonnegative")
+    if seeds < 1:
+        raise ValueError("need at least one seed")
+    if extension_cap < 0:
+        raise ValueError(f"extension_cap must be nonnegative, got {extension_cap}")
+
+
 def tune(
     ds: Dataset,
     method: MethodKind,
@@ -160,8 +171,7 @@ def tune(
     Raises `AllTrialsDivergedError` when every step size, extensions
     included, diverged.
     """
-    if seeds < 1:
-        raise ValueError("need at least one seed")
+    check_tune_budget(epochs, seeds, extension_cap)
     seed_values = tuple(range(seeds))
     selection = "dev" if dev_size is not None else "train_loss"
     if policy.kind == "dev_decay" and dev_size is None:

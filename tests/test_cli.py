@@ -294,6 +294,14 @@ def test_empty_samples_are_usage_errors(dataset_file, tmp_path, capsys):
         assert not exp_out.exists()
 
 
+def test_tune_rejects_negative_extension_cap(dataset_file, tmp_path, capsys):
+    out = tmp_path / "tune.json"
+    assert run_cli("tune", "--dataset", str(dataset_file), "--count", "3", "--iters", "5",
+                   "--extension-cap", "-1", "--out", str(out)) == 1
+    assert "extension_cap must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_tune_command(dataset_file, tmp_path):
     out = tmp_path / "tune.json"
     code = run_cli(
@@ -310,6 +318,25 @@ def test_tune_command(dataset_file, tmp_path):
 # ---------------------------------------------------------------------------
 # experiment
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--methods", "sgd,foo"], "unknown method 'foo'"),
+    (["--methods", "sgd,adam,sgd"], "methods must not repeat"),
+    (["--seeds", "0"], "at least one seed"),
+    (["--grid-count", "0"], "count must be at least 1"),
+    (["--grid-ratio", "1"], "ratio must exceed 1"),
+    (["--extension-cap", "-1"], "extension_cap must be nonnegative"),
+    (["--iters", "-1"], "iters must be nonnegative"),
+    (["--p", "0.4"], "p must lie in"),
+])
+def test_experiment_checks_its_config_before_writing(flags, message, tmp_path, capsys):
+    # Each of these used to fail only after dataset.json, oracle.json and the
+    # output folders were written (a repeated method did not fail at all).
+    out = tmp_path / "exp"
+    assert run_cli("experiment", "--n", "12", "--iters", "5", "--out", str(out), *flags) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_experiment_small_run(tmp_path):

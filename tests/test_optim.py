@@ -297,3 +297,120 @@ def test_method_parse():
     assert MethodKind.parse(" Adam ") is MethodKind.ADAM
     with pytest.raises(ValueError):
         MethodKind.parse("adamw")
+
+
+# ---------------------------------------------------------------------------
+# bit-exactness of `step` against the plain formula
+# ---------------------------------------------------------------------------
+
+
+def plain_step(state, spec, grad_at, alpha_override=None):
+    """`step` as the formula reads, one whole-array expression per term, with
+    every coefficient applied (factors 1, terms 0 included): the bits `step`
+    must reproduce."""
+    k = state.k + 1
+    c = table1_coefficients(spec, k, alpha_override)
+    w, w_prev = state.w, state.w_prev
+
+    if c.gamma_k != 0.0:
+        eval_point = w + c.gamma_k * (w - w_prev)
+    else:
+        eval_point = w
+    g = np.asarray(grad_at(eval_point), dtype=np.float64)
+
+    singular = False
+    h_now = None
+    if not spec.method.adaptive:
+        w_next = w - c.alpha_k * g
+        if c.beta_k != 0.0:
+            w_next = w_next + c.beta_k * (w - w_prev)
+        g_accum = state.g_accum
+    else:
+        g_accum = c.g_keep * state.g_accum + c.g_new * (g * g)
+        h_now = np.sqrt(c.h_scale * g_accum) + spec.epsilon
+        dw = w - w_prev if c.beta_k != 0.0 else None
+        dead = h_now == 0.0
+        h_safe = h_now
+        if dead.any():
+            needs_div = g != 0.0
+            if dw is not None:
+                needs_div |= dw != 0.0
+            singular = (dead & needs_div).any(axis=-1)
+            h_safe = np.where(dead, 1.0, h_now)
+        w_next = w - c.alpha_k * (g / h_safe)
+        if dw is not None:
+            h_prev = state.h if state.h is not None else np.ones_like(w)
+            w_next = w_next + c.beta_k * ((h_prev / h_safe) * dw)
+
+    failures = []
+    failed = np.atleast_1d(~np.isfinite(w_next).all(axis=-1) | singular)
+    g_rows = g.reshape(-1, g.shape[-1])
+    for i in np.flatnonzero(failed):
+        if not np.isfinite(g_rows[i]).all():
+            failures.append((int(i), "diverged", f"non-finite gradient at step {k}"))
+        elif np.broadcast_to(singular, failed.shape)[i]:
+            failures.append((int(i), "singular_preconditioner",
+                             f"zero preconditioner entry with nonzero update at step {k} "
+                             f"(epsilon={spec.epsilon})"))
+        else:
+            failures.append((int(i), "diverged", f"non-finite iterate at step {k}"))
+    return type(state)(k, w_next, w, g_accum, h_now, tuple(failures))
+
+
+_GRAD_ENTRIES = (st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300,
+                                  math.inf, -math.inf, math.nan])
+                 | st.floats(-4.0, 4.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    method=st.sampled_from(list(MethodKind)),
+    epsilon=st.sampled_from([0.0, 1e-8]),
+    g_init=st.sampled_from([0.0, -0.0, 0.25]),
+    beta2=st.sampled_from([0.9, 0.999]),
+    alphas=st.lists(st.sampled_from([1e-3, 0.1, 1.0, 7.0]), min_size=1, max_size=4),
+    d=st.integers(1, 5),
+    steps=st.integers(1, 4),
+    data=st.data(),
+)
+def test_step_equals_plain_formula_bitwise(method, epsilon, g_init, beta2, alphas, d, steps,
+                                           data):
+    # Each step from the same state, with the same gradients, must give the
+    # same w, w_prev, g_accum, h and failures byte for byte, signed zeros
+    # included, and ask for the gradient at the same point; steps continue
+    # past failures, so non-finite states are stepped too.  A NaN must meet a
+    # NaN, of any sign and payload: when both operands are NaN, numpy's loops
+    # pick the result's by array length and aliasing (``y + w`` with
+    # y = +NaN, w = -NaN gives +NaN at length 1 but -NaN at length 17), so it
+    # is not a property of the formula.  No artifact records a NaN iterate:
+    # a failed step's state is dropped.
+    spec = OptimizerSpec(method=method, alpha=1.0, epsilon=epsilon, g_init=g_init, beta2=beta2)
+    rows = len(alphas)
+    alpha = np.array(alphas).reshape(-1, 1)
+    w0 = np.array(data.draw(st.lists(st.sampled_from([0.0, -0.0, 0.5, -3.0]) | st.floats(-2, 2),
+                                     min_size=rows * d, max_size=rows * d))).reshape(rows, d)
+    mine = theirs = init_state(spec, w0)
+    for _ in range(steps):
+        g = np.array(data.draw(st.lists(_GRAD_ENTRIES, min_size=rows * d,
+                                        max_size=rows * d))).reshape(rows, d)
+        points = []
+
+        def grad_at(v):
+            points.append(v.copy())
+            return g
+
+        with np.errstate(all="ignore"):
+            mine = step(mine, spec, grad_at, alpha)
+            theirs = plain_step(theirs, spec, grad_at, alpha)
+        assert bits(points[0]) == bits(points[1])
+        for field in ("w", "w_prev", "g_accum"):
+            assert bits(getattr(mine, field)) == bits(getattr(theirs, field)), field
+        assert (mine.h is None) == (theirs.h is None)
+        if mine.h is not None:
+            assert bits(mine.h) == bits(theirs.h)
+        assert (mine.k, mine.failures) == (theirs.k, theirs.failures)
+
+
+def bits(x):
+    """The bytes of `x` with every NaN made the one canonical NaN."""
+    return np.where(np.isnan(x), math.nan, x).tobytes()

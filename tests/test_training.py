@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optlab import lsq, oracle
+from optlab import lsq, oracle, training
 from optlab.optim import MethodKind, OptimizerSpec, init_state, step
 from optlab.schedules import DecayPolicy, next_alpha
 from optlab.training import (
@@ -167,19 +167,56 @@ def dependent_rows_dataset():
     return lsq.Dataset(n=3, d=4, rows=rows, y=np.array([1.0, 1.0, -1.0]))
 
 
+def test_stacked_gram_solve_stops_each_row_on_its_own_test(monkeypatch):
+    # On the dependent design, a zero row stops before any step, (1, -1, 0)
+    # (orthogonal to the range) breaks down at the first, (1, 0, 0) at the
+    # second, and (0, 0, 1) (an eigenvector) converges after one; stacked,
+    # each row must still be bit for bit its solo solve.
+    data = dependent_rows_dataset()
+    b = np.array([[0.0, 0.0, 0.0], [1.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    steps = []
+    product = lsq.quotient_product
+
+    def counted(*args):
+        steps[-1] += 1
+        return product(*args)
+
+    monkeypatch.setattr(lsq, "quotient_product", counted)
+    solo = []
+    for row in b:
+        steps.append(0)
+        solo.append(data.gram_solve(row))
+    assert steps == [0, 1, 2, 1]
+    steps.append(0)
+    stacked = data.gram_solve(b)
+    assert steps[-1] == 2
+    for c_row, c_solo in zip(stacked, solo):
+        assert c_row.tobytes() == c_solo.tobytes()
+
+
 @pytest.mark.parametrize("method", list(MethodKind))
 @pytest.mark.parametrize("dependent", [False, True])
-def test_trace_diagnostics_equal_standalone_calls(ds, method, dependent):
-    # The loop hands each row's product X w_k to the margin and the span
-    # projector; both must equal the calls that compute it themselves, exactly.
+def test_trace_diagnostics_equal_standalone_calls(ds, method, dependent, monkeypatch):
+    # The loop solves its trace rows' span projections in blocks, from the
+    # product X w_k it already has; each norm, margin and span residual must
+    # equal the standalone call on the full-length iterate, exactly.  Run in
+    # one block and in blocks of 5 rows, which split the 93 rows (3 per
+    # iteration) into 19 blocks, most across an iteration.
     data = dependent_rows_dataset() if dependent else ds
     spec = OptimizerSpec(method=method, alpha=1.0)
-    for row in run_lockstep(data, spec, [0.002, 0.01, 0.05], 30, keep_iterates=True):
-        assert [t.iteration for t in row.trace] == list(range(len(row.iterates)))
-        for t, w in zip(row.trace, row.iterates):
-            margin = lsq.margin(data, w) if np.linalg.norm(w) > 0.0 else math.nan
-            assert np.float64(t.margin).tobytes() == np.float64(margin).tobytes()
-            assert t.rowspan_resid == lsq.row_span_residual(data, w)
+    for block_rows in (None, 5):
+        with monkeypatch.context() as patch:
+            if block_rows is not None:
+                patch.setattr(training, "TRACE_BLOCK_FLOATS",
+                              block_rows * (data.multiplicity.size + data.n))
+            rows = run_lockstep(data, spec, [0.002, 0.01, 0.05], 30, keep_iterates=True)
+        for row in rows:
+            assert [t.iteration for t in row.trace] == list(range(len(row.iterates)))
+            for t, w in zip(row.trace, row.iterates):
+                margin = lsq.margin(data, w) if np.linalg.norm(w) > 0.0 else math.nan
+                assert np.float64(t.margin).tobytes() == np.float64(margin).tobytes()
+                assert t.rowspan_resid == lsq.row_span_residual(data, w)
+                assert (t.w_l2, t.w_linf) == (lsq.l2_norm(w), float(np.max(np.abs(w))))
 
 
 _SCORE_PARTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, math.nan, math.inf, -math.inf])

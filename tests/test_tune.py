@@ -212,6 +212,19 @@ def test_tune_all_diverged(small_ds):
         )
 
 
+@pytest.mark.parametrize("budget, message", [
+    ({"extension_cap": -1}, "extension_cap must be nonnegative"),
+    ({"seeds": 0}, "at least one seed"),
+    ({"epochs": -1}, "iters must be nonnegative"),
+])
+def test_tune_rejects_a_bad_budget(small_ds, budget, message):
+    # A negative cap used to act as 0: the walk stopped at the first check.
+    args = {"epochs": 10, "seeds": 1, "extension_cap": 0, **budget}
+    with pytest.raises(ValueError, match=message):
+        tune(small_ds, MethodKind.SGD, make_log_grid(0.01, 2, 3), DecayPolicy(kind="none"),
+             dev_size=None, **args)
+
+
 def test_tune_tie_breaks_toward_larger_alpha(small_ds):
     # Zero epochs: every trial reports the identical initial loss, so the
     # documented tie-break picks the largest step size.
