@@ -85,6 +85,31 @@ def _parse_fn(hint):
     return kinds[0] if kinds else hint
 
 
+# The JSON types a config value may have, by field type (a bool is not a number).
+_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+               str: ((str,), "a string")}
+
+
+def _config_value(hint, value):
+    """A config file's value for an options field of type `hint`, which must
+    have the field's JSON type; `null` only for a `T | None` field."""
+    if value is None:
+        if type(None) in typing.get_args(hint):
+            return None
+        raise ValueError("must not be null")
+    if typing.get_origin(hint) is tuple:
+        if isinstance(value, str) or (isinstance(value, list)
+                                      and all(isinstance(v, str) for v in value)):
+            return _name_list(value)
+        raise ValueError("must be a list of strings or a comma-separated string, "
+                         f"got {json.dumps(value)}")
+    kind = _parse_fn(hint)
+    kinds, name = _JSON_TYPES[kind]
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ValueError(f"must be {name}, got {json.dumps(value)}")
+    return kind(value)
+
+
 def _merge_options(cls, args: argparse.Namespace):
     """Field defaults <- config file <- explicit flags, as one `cls`."""
     hints = typing.get_type_hints(cls)
@@ -98,10 +123,9 @@ def _merge_options(cls, args: argparse.Namespace):
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         for key, value in file_values.items():
-            optional = type(None) in typing.get_args(hints[key])
             try:
-                values[key] = None if value is None and optional else _parse_fn(hints[key])(value)
-            except (TypeError, ValueError) as exc:
+                values[key] = _config_value(hints[key], value)
+            except (ValueError, OverflowError) as exc:  # OverflowError: an int beyond float
                 raise ValueError(f"config key {key!r}: {exc}") from None
     for f in fields(cls):
         value = getattr(args, f.name)
@@ -530,12 +554,15 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> _Parser:
-    """One subcommand per `_COMMANDS` entry, one `--flag` per options field."""
+def build_parser(command: str | None = None) -> _Parser:
+    """One subcommand per `_COMMANDS` entry, with one `--flag` per options
+    field for `command` only, or for every command when it is None."""
     parser = _Parser(prog="optlab", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (cls, _, help_text) in _COMMANDS.items():
         sub = subs.add_parser(name, help=help_text)
+        if command not in (None, name):
+            continue
         hints = typing.get_type_hints(cls)
         for f in fields(cls):
             sub.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
@@ -545,7 +572,10 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Only the command being run needs its flags; the first command name in
+    # argv is that command, since the top level takes no option with a value.
+    parser = build_parser(next((arg for arg in argv if arg in _COMMANDS), ""))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits on usage errors and --help

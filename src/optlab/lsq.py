@@ -4,11 +4,15 @@ The training objective is the squared interpolation error ``||Xw - y||^2``
 over labels in {-1, +1}.  Rows arrive as sparse ``(index, value)`` pairs
 with 1-based feature indices (the generator emits values in {-1, +1}; hand-
 built designs may use any finite reals).  The design's one numeric form is
-its column quotient: CSR over the q distinct nonzero columns, with a
-multiplicity per column and a map from every feature to its column, so that
-``X w = X_q S w`` where ``S w`` sums w over each group of identical columns.
-Every product, loss, gradient and diagnostic reads it, and the Gram system
-``X X^T c = b`` is solved by conjugate gradients on it, never formed.
+its column quotient ``X_q``: the q distinct nonzero columns as one row-major
+entry list, with a multiplicity per column and a map from every feature to
+its column, so that ``X w = X_q S w`` where ``S w`` sums w over each group of
+identical columns.  Both products with ``X_q`` (and ``S w``) are `np.bincount`
+folds over the entries: each output starts at 0.0 and adds its terms one by
+one in entry order, so its bits depend on the design alone, never on BLAS or
+threads.  Every product, loss, gradient and diagnostic reads it, and the
+Gram system ``X X^T c = b`` is solved by conjugate gradients on it, never
+formed.
 
 The synthetic family is deliberately overparameterized (``d = 3 + 5n``):
 feature 1 equals the label, features 2 and 3 are constant one, and every
@@ -25,11 +29,9 @@ dimensions, so a test inner product reduces to the first three coordinates
 from __future__ import annotations
 
 import json
-from functools import cached_property
 from itertools import chain
 
 import numpy as np
-from scipy import sparse
 
 from .errors import DataGenerationError
 
@@ -40,6 +42,7 @@ __all__ = [
     "gradient",
     "product",
     "quotient_product",
+    "quotient_t_product",
     "residual",
     "residual_loss",
     "residual_gradient",
@@ -62,17 +65,50 @@ MAX_REDRAWS = 1000
 CG_TOL = 1e-14
 
 
+class _Fold:
+    """``out[b] = sum of weight[k] * x[take[k]]`` over the entries k with
+    ``bins[k] == b``, for a vector x, or row by row for an (R, m) stack.
+
+    Each sum starts at 0.0 and adds its terms in entry order (`np.bincount`),
+    as a C loop over a CSR matrix does, so a row's bits do not depend on the
+    rows beside it.  No weight (None) means weight 1.
+    """
+
+    def __init__(self, bins: np.ndarray, take: np.ndarray, weight: np.ndarray | None,
+                 size: int) -> None:
+        self.bins, self.take, self.weight, self.size = bins, take, weight, size
+        self.stacked = bins  # the bins of the tallest stack so far; row i's add size * i
+        # With no |weight| above 1, no term can overflow (bincount's sums never warn).
+        self.may_overflow = weight is not None and bool(np.any(np.abs(weight) > 1.0))
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        terms = x.take(self.take, axis=-1)
+        if self.may_overflow:
+            with np.errstate(over="ignore"):  # an overflowing term is inf, silently, as in C
+                terms *= self.weight
+        elif self.weight is not None:
+            terms *= self.weight
+        if not terms.size:  # bincount of nothing is an int array
+            return np.zeros(x.shape[:-1] + (self.size,))
+        height = len(x) if x.ndim == 2 else 1
+        if self.stacked.size < terms.size:
+            self.stacked = (self.bins + self.size * np.arange(height)[:, None]).ravel()
+        out = np.bincount(self.stacked[:terms.size], terms.ravel(), minlength=height * self.size)
+        return out.reshape(x.shape[:-1] + (self.size,))
+
+
 class Dataset:
     """Design matrix plus labels, held as the design's column quotient.
 
-    `rows` is the n-by-d design: n rows of 1-based ``(index, value)`` pairs,
-    or a scipy sparse n-by-d matrix.  Bit-identical columns are merged
-    (columns equal only up to sign or scale stay apart) and all-zero columns
-    are dropped.  What is kept:
+    `rows` is the n-by-d design: n rows of 1-based ``(index, value)`` pairs.
+    Duplicate pairs of one feature in a row are summed in the order given,
+    and zeros are dropped.  Bit-identical columns are merged (columns equal
+    only up to sign or scale stay apart) and all-zero columns are dropped.
+    What is kept:
 
-    * `quotient`, the n-by-q CSR matrix ``X_q`` of the distinct nonzero
-      columns, in the order of their first feature, and `quotient_t`, its
-      transpose as CSR;
+    * `row`, `col` and `val`, the entries of the n-by-q matrix ``X_q`` of the
+      distinct nonzero columns (numbered in the order of their first
+      feature), sorted by (row, col);
     * `columns`, for each (0-based) feature, the index of its quotient
       column, or -1 for an all-zero column;
     * `multiplicity`, the number of features in each quotient column.
@@ -84,19 +120,29 @@ class Dataset:
 
     def __init__(self, n: int, d: int, rows, y, p: float | None = None,
                  seed: int | None = None, rejections: int = 0) -> None:
-        y = np.asarray(y, dtype=np.float64)
-        if y.shape != (n,):
-            raise ValueError(f"labels must have shape ({n},), got {y.shape}")
-        if not np.all(np.abs(y) == 1.0):
-            raise ValueError("labels must be +1 or -1")
-        design = _design_csr(n, d, rows)
+        y = _labels(n, y)
+        self._build(n, d, _design_entries(n, d, rows), y, p, seed, rejections)
+
+    @classmethod
+    def _from_entries(cls, n: int, d: int, entries, y, p: float | None = None,
+                      seed: int | None = None, rejections: int = 0) -> Dataset:
+        """A dataset from canonical 0-based ``(row, feature, value)`` entries
+        (sorted by row and feature, no duplicates, nonzero and finite)."""
+        ds = cls.__new__(cls)
+        ds._build(n, d, entries, _labels(n, y), p, seed, rejections)
+        return ds
+
+    def _build(self, n, d, entries, y, p, seed, rejections) -> None:
         self.n, self.d, self.y = n, d, y
         self.p, self.seed, self.rejections = p, seed, rejections
-        self.columns, quotient = _column_quotient(design)
-        self.multiplicity = np.bincount(self.columns[self.columns >= 0],
-                                        minlength=quotient.shape[1]).astype(np.float64)
-        self.quotient = quotient.tocsr()
-        self.quotient_t = quotient.T  # CSR: the transpose of CSC
+        self.columns, (self.row, self.col, self.val) = _column_quotient(d, *entries)
+        kept = self.columns >= 0
+        q = int(self.columns.max(initial=-1)) + 1
+        self.multiplicity = np.bincount(self.columns[kept], minlength=q).astype(np.float64)
+        self._times = _Fold(self.row, self.col, self.val, n)
+        self._times_t = _Fold(self.col, self.row, self.val, q)
+        self._group_sums = _Fold(self.columns[kept], np.flatnonzero(kept), None, q)
+        self._gather = np.where(kept, self.columns, 0), kept
 
     @property
     def n_pos(self) -> int:
@@ -110,32 +156,27 @@ class Dataset:
     def label_sum(self) -> int:
         return self.n_pos - self.n_neg
 
-    @cached_property
-    def _grouping(self) -> sparse.csr_array:
-        """The q-by-d 0/1 matrix S with ``X = X_q S``: row c marks the features of column c."""
-        kept = np.flatnonzero(self.columns >= 0)
-        return sparse.csr_array((np.ones(kept.size), (self.columns[kept], kept)),
-                                shape=(self.multiplicity.size, self.d))
-
     @property
     def rows(self) -> tuple[Row, ...]:
         """The design as n rows of 1-based ``(index, value)`` pairs in index
-        order (the file format), rebuilt from the quotient."""
-        x = self.quotient @ self._grouping  # one product per entry: exact
-        x.sort_indices()
-        index, values, ptr = (x.indices + 1).tolist(), x.data.tolist(), x.indptr.tolist()
+        order (the file format), rebuilt from the quotient entries."""
+        kept = np.flatnonzero(self.columns >= 0)
+        by_column = kept[np.argsort(self.columns[kept], kind="stable")]
+        count = self.multiplicity.astype(np.intp)
+        first = np.cumsum(count) - count  # column c's features: by_column[first[c]:][:count[c]]
+        each = count[self.col]  # features per quotient entry
+        start = np.cumsum(each) - each
+        slot = np.repeat(first[self.col] - start, each) + np.arange(each.sum())
+        row, feature = np.repeat(self.row, each), by_column[slot]
+        order = np.lexsort((feature, row))
+        index, values = (feature[order] + 1).tolist(), np.repeat(self.val, each)[order].tolist()
+        ptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=self.n))]).tolist()
         return tuple(tuple(zip(index[a:b], values[a:b])) for a, b in zip(ptr[:-1], ptr[1:]))
 
     def reduce(self, w: np.ndarray) -> np.ndarray:
         """Group sums ``S w`` of a full-length vector, or per row of an (R, d)
         stack: entry c sums w over the features of quotient column c."""
-        return np.ascontiguousarray((self._grouping @ w.T).T)
-
-    @cached_property
-    def _gather(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each feature's column (0 for an all-zero one), and whether it has one."""
-        kept = self.columns >= 0
-        return np.where(kept, self.columns, 0), kept
+        return self._group_sums(w)
 
     def expand(self, u: np.ndarray, features=slice(None)) -> np.ndarray:
         """Full-length vector(s) from quotient ones: feature j takes
@@ -151,7 +192,7 @@ class Dataset:
         ``X X^T = X_q diag(multiplicity) X_q^T``; for a (P, n) stack, one
         solve per row.
 
-        Each step takes two CSR products and numpy sums (no BLAS threads).  A
+        Each step takes two quotient products and numpy sums (no BLAS).  A
         row stops once its residual is at most `CG_TOL` times ``|b|``, after
         2n steps, or on breakdown (no positive curvature), and leaves the
         stack; every op is per row, so each row is bit for bit its solo
@@ -169,7 +210,7 @@ class Dataset:
                 live, r, p, rr, stop = (v[keep] for v in (live, r, p, rr, stop))
             if not live.size:
                 break
-            q = quotient_product(self, self.multiplicity * (self.quotient_t @ p.T).T)
+            q = quotient_product(self, self.multiplicity * quotient_t_product(self, p))
             curvature = np.add.reduce(p * q, axis=-1)
             keep = curvature > 0.0
             if not keep.all():
@@ -187,36 +228,43 @@ class Dataset:
         xw = product(self, w)
         if not np.all(np.isfinite(xw)):
             raise ValueError("array must not contain infs or NaNs")
-        return self.expand(self.quotient_t @ self.gram_solve(xw))
+        return self.expand(quotient_t_product(self, self.gram_solve(xw)))
 
 
-def _design_csr(n: int, d: int, rows) -> sparse.csr_array:
-    """Validated canonical CSR (sorted, summed duplicates, no stored zeros) of
-    the n-by-d design given as rows of 1-based pairs or as a sparse matrix."""
-    if sparse.issparse(rows):
-        if rows.shape != (n, d):
-            raise ValueError(f"design must have shape ({n}, {d}), got {rows.shape}")
-        design = sparse.csr_array(rows, dtype=np.float64, copy=True)
-    else:
-        lengths = np.fromiter(map(len, rows), dtype=np.int64)
-        if lengths.size != n:
-            raise ValueError("row count does not match n")
-        entries = list(chain.from_iterable(rows))
-        if np.any(np.fromiter(map(len, entries), dtype=np.int64, count=len(entries)) != 2):
-            raise ValueError("row entries must be (index, value) pairs")
-        index, values = np.fromiter(chain.from_iterable(entries), dtype=np.float64,
-                                    count=2 * len(entries)).reshape(-1, 2).T
-        valid = (index >= 1) & (index <= d) & (index == np.floor(index))
-        if not valid.all():
-            raise ValueError(f"feature index {index[~valid][0]:.17g} outside 1..{d}")
-        design = sparse.csr_array(
-            (values, (np.repeat(np.arange(n), lengths), index.astype(np.int64) - 1)),
-            shape=(n, d))
-    if not np.all(np.isfinite(design.data)):
+def _labels(n: int, y) -> np.ndarray:
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != (n,):
+        raise ValueError(f"labels must have shape ({n},), got {y.shape}")
+    if not np.all(np.abs(y) == 1.0):
+        raise ValueError("labels must be +1 or -1")
+    return y
+
+
+def _design_entries(n: int, d: int, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validated canonical ``(row, feature, value)`` entries (0-based, sorted
+    by row and feature, duplicates summed in input order, no zeros) of the
+    n-by-d design given as rows of 1-based pairs."""
+    lengths = np.fromiter(map(len, rows), dtype=np.int64)
+    if lengths.size != n:
+        raise ValueError("row count does not match n")
+    entries = list(chain.from_iterable(rows))
+    if np.any(np.fromiter(map(len, entries), dtype=np.int64, count=len(entries)) != 2):
+        raise ValueError("row entries must be (index, value) pairs")
+    index, values = np.fromiter(chain.from_iterable(entries), dtype=np.float64,
+                                count=2 * len(entries)).reshape(-1, 2).T
+    valid = (index >= 1) & (index <= d) & (index == np.floor(index))
+    if not valid.all():
+        raise ValueError(f"feature index {index[~valid][0]:.17g} outside 1..{d}")
+    row, feature = np.repeat(np.arange(n), lengths), index.astype(np.intp) - 1
+    order = np.lexsort((feature, row))  # stable: duplicates keep their input order
+    row, feature = row[order], feature[order]
+    first = np.ones(row.size, dtype=bool)
+    first[1:] = (row[1:] != row[:-1]) | (feature[1:] != feature[:-1])
+    total = np.bincount(np.cumsum(first) - 1, values[order]) if row.size else values
+    if not np.all(np.isfinite(total)):  # a non-finite value, or duplicates that overflow
         raise ValueError("design values must be finite")
-    design.sum_duplicates()
-    design.eliminate_zeros()
-    return design
+    nonzero = total != 0.0
+    return row[first][nonzero], feature[first][nonzero], total[nonzero]
 
 
 _MIX1, _MIX2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
@@ -229,30 +277,31 @@ def _mix(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> 31)
 
 
-def _column_keys(xc: sparse.csc_array, bits: np.ndarray) -> np.ndarray:
-    """A 64-bit hash of each column's (row, value bits) entries; 0 if empty."""
-    nonempty = np.flatnonzero(np.diff(xc.indptr))
-    keys = np.zeros(xc.shape[1], dtype=np.uint64)
+def _column_keys(ptr: np.ndarray, rows: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """A 64-bit hash of each column's (row, value bits) entries; 0 if empty.
+    Column j's entries are ``rows[ptr[j]:ptr[j + 1]]`` and the same `bits`."""
+    nonempty = np.flatnonzero(np.diff(ptr))
+    keys = np.zeros(ptr.size - 1, dtype=np.uint64)
     if nonempty.size:
-        entry = _mix(_mix(xc.indices.astype(np.uint64)) ^ bits)
-        keys[nonempty] = np.add.reduceat(entry, xc.indptr[nonempty])
+        entry = _mix(_mix(rows.astype(np.uint64)) ^ bits)
+        keys[nonempty] = np.add.reduceat(entry, ptr[nonempty])
     return keys
 
 
-def _column_quotient(design: sparse.csr_array) -> tuple[np.ndarray, sparse.csc_array]:
-    """The feature-to-column map and the CSC matrix of distinct nonzero columns.
+def _column_quotient(d: int, row: np.ndarray, feature: np.ndarray, value: np.ndarray):
+    """The feature-to-column map and the ``(row, col, value)`` entries of the
+    distinct nonzero columns, from canonical entries of the design.
 
     Columns are bucketed by (entry count, hash), and each column is then
     compared entry for entry, value bits included, with the first column of
     its bucket.  Columns that differ from it (a hash collision) go round
     again among themselves, so a merge never rests on the hash alone.
     """
-    xc = design.tocsc()
-    xc.sort_indices()
-    d = xc.shape[1]
-    nnz = np.diff(xc.indptr)
-    bits = xc.data.view(np.uint64)
-    keys = _column_keys(xc, bits)
+    order = np.argsort(feature, kind="stable")  # column-major, rows ascending in each
+    rows, bits = row[order], value[order].view(np.uint64)
+    nnz = np.bincount(feature, minlength=d)
+    ptr = np.concatenate([[0], np.cumsum(nnz)])
+    keys = _column_keys(ptr, rows, bits)
     rep_of = np.full(d, -1)  # feature -> first feature of its group
     pending = np.flatnonzero(nnz)
     while pending.size:
@@ -263,9 +312,9 @@ def _column_quotient(design: sparse.csr_array) -> tuple[np.ndarray, sparse.csc_a
         count = nnz[cols]
         start = np.cumsum(count) - count
         offset = np.arange(count.sum()) - np.repeat(start, count)
-        a = np.repeat(xc.indptr[cols], count) + offset
-        b = np.repeat(xc.indptr[rep], count) + offset
-        differs = (xc.indices[a] != xc.indices[b]) | (bits[a] != bits[b])
+        a = np.repeat(ptr[cols], count) + offset
+        b = np.repeat(ptr[rep], count) + offset
+        differs = (rows[a] != rows[b]) | (bits[a] != bits[b])
         same = ~np.logical_or.reduceat(differs, start)
         rep_of[cols[same]] = rep[same]
         pending = cols[~same]
@@ -273,20 +322,18 @@ def _column_quotient(design: sparse.csr_array) -> tuple[np.ndarray, sparse.csc_a
     rank = np.full(d, -1)
     rank[reps] = np.arange(reps.size)
     columns = np.where(rep_of >= 0, rank[rep_of], -1)
-    return columns, xc[:, reps]
+    kept = rank[feature] >= 0  # the entries of each group's first feature, still row-major
+    return columns, (row[kept], rank[feature[kept]], value[kept])
 
 
-def _synthetic_design(y: np.ndarray) -> sparse.csr_array:
-    """The synthetic CSR design for labels `y`: row i holds (label, 1, 1) on
-    features 1-3 and ones on its private block, starting at feature 4 + 5i."""
-    n = y.size
+def _synthetic_entries(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The synthetic design's canonical entries for labels `y`: row i holds
+    (label, 1, 1) on features 1-3 and ones on its private block, starting at
+    feature 4 + 5i."""
     length = np.where(y > 0, 4, 8)
-    indptr = np.concatenate([[0], np.cumsum(length)])
-    row = np.repeat(np.arange(n), length)
-    slot = np.arange(indptr[-1]) - indptr[row]
-    indices = np.where(slot < 3, slot, 5 * row + slot)
-    data = np.where(slot == 0, y[row], 1.0)
-    return sparse.csr_array((data, indices, indptr), shape=(n, 3 + 5 * n))
+    row = np.repeat(np.arange(y.size), length)
+    slot = np.arange(row.size) - np.repeat(np.cumsum(length) - length, length)
+    return row, np.where(slot < 3, slot, 5 * row + slot), np.where(slot == 0, y[row], 1.0)
 
 
 def generate_synthetic(n: int, p: float, seed: int, max_redraws: int = MAX_REDRAWS) -> Dataset:
@@ -304,8 +351,8 @@ def generate_synthetic(n: int, p: float, seed: int, max_redraws: int = MAX_REDRA
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(attempt,)))
         y = np.where(rng.random(n) < p, 1.0, -1.0)
         if y.sum() > 0:
-            return Dataset(n=n, d=3 + 5 * n, rows=_synthetic_design(y), y=y, p=p, seed=seed,
-                           rejections=attempt)
+            return Dataset._from_entries(n, 3 + 5 * n, _synthetic_entries(y), y, p=p,
+                                         seed=seed, rejections=attempt)
     raise DataGenerationError(
         f"no draw with positive label sum in {max_redraws + 1} attempts (n={n}, p={p})"
     )
@@ -321,10 +368,17 @@ def _check_dim(ds: Dataset, w: np.ndarray) -> np.ndarray:
 def quotient_product(ds: Dataset, s: np.ndarray) -> np.ndarray:
     """``X_q s`` for group sums s, shape (q,), or row by row for an (R, q) stack.
 
-    Each row is bit for bit its solo CSR product whatever R is; a stack comes
+    Each row is bit for bit its solo product whatever R is; a stack comes
     back C-contiguous, so reductions over it take the single-vector path.
     """
-    return np.ascontiguousarray((ds.quotient @ s.T).T)
+    return ds._times(s)
+
+
+def quotient_t_product(ds: Dataset, r: np.ndarray) -> np.ndarray:
+    """``X_q^T r`` for a vector r of shape (n,), or row by row for an (R, n)
+    stack (C-contiguous): entry c is ``(X^T r)_j`` for every feature j of
+    column c."""
+    return ds._times_t(r)
 
 
 def product(ds: Dataset, w: np.ndarray) -> np.ndarray:
@@ -347,7 +401,7 @@ def residual_loss(r: np.ndarray) -> np.ndarray:
 def residual_gradient(ds: Dataset, r: np.ndarray) -> np.ndarray:
     """``2 X_q^T r`` for a residual, or per row of a stack of them
     (C-contiguous): entry c is the gradient of every feature of column c."""
-    g = np.ascontiguousarray((ds.quotient_t @ r.T).T)
+    g = quotient_t_product(ds, r)
     return np.multiply(2.0, g, out=g)
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LemmaPreconditionError, SingularKernelError
-from .lsq import Dataset, l2_norm, residual
+from .lsq import Dataset, l2_norm, quotient_product, quotient_t_product, residual
 
 __all__ = [
     "OracleSolution",
@@ -77,7 +77,7 @@ class LemmaTrace:
 
 def label_correlation(ds: Dataset) -> np.ndarray:
     """The vector ``u = X^T y`` (exact for integer-valued designs)."""
-    return ds.expand(ds.quotient_t @ ds.y)
+    return ds.expand(quotient_t_product(ds, ds.y))
 
 
 def lemma_condition_check(ds: Dataset) -> float | None:
@@ -87,10 +87,10 @@ def lemma_condition_check(ds: Dataset) -> float | None:
     when the row sums disagree, or when they disagree in sign with y.
     All-zero columns are zero in every gradient and are not part of the test.
     """
-    u = ds.quotient_t @ ds.y  # one entry per distinct nonzero column
+    u = quotient_t_product(ds, ds.y)  # one entry per distinct nonzero column
     if np.any(u == 0.0):
         return None
-    v = ds.quotient @ (ds.multiplicity * np.sign(u))
+    v = quotient_product(ds, ds.multiplicity * np.sign(u))
     cs = v * ds.y
     c = float(cs[0])
     if c <= 0.0 or np.any(cs != c):
@@ -114,7 +114,7 @@ def min_norm_solution(ds: Dataset) -> OracleSolution:
     """The least-L2-norm interpolant ``X^T (XX^T)^{-1} y``; raises
     `SingularKernelError` when ``Xw = y`` has none (the residual stays large)."""
     coef = ds.gram_solve(ds.y)
-    w = ds.expand(ds.quotient_t @ coef)
+    w = ds.expand(quotient_t_product(ds, coef))
     resid = l2_norm(residual(ds, w))
     if not np.all(np.isfinite(coef)) or resid > 1e-8 * np.sqrt(ds.n):
         raise SingularKernelError(f"Gram solve residual {resid:.3e} too large")

@@ -128,7 +128,7 @@ def _append_trace_rows(ds: lsq.Dataset, pending: list) -> None:
     a time, each value bit for bit its standalone `lsq` call."""
     traces, heads, u, xw = zip(*pending)
     u, xw = np.array(u), np.array(xw)
-    off_span = u - (ds.quotient_t @ ds.gram_solve(xw).T).T  # w minus its projection
+    off_span = u - lsq.quotient_t_product(ds, ds.gram_solve(xw))  # w minus its projection
     lowest = np.min(ds.y * xw, axis=-1)
     for trace, head, u_i, off, low in zip(traces, heads, u, off_span, lowest):
         w = ds.expand(u_i)

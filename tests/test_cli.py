@@ -207,6 +207,70 @@ def test_config_values_take_the_field_types(dataset_file, tmp_path):
     assert "out" not in summary["config"]
 
 
+@pytest.mark.parametrize("command, key, value, message", [
+    ("experiment", "iters", True, "must be an integer, got true"),
+    ("experiment", "seeds", 2.9, "must be an integer, got 2.9"),
+    ("experiment", "n", "12", 'must be an integer, got "12"'),
+    ("experiment", "grid_center", True, "must be a number, got true"),
+    ("experiment", "stop_loss", "1e-3", 'must be a number, got "1e-3"'),
+    ("experiment", "grid_ratio", 10 ** 400, "int too large to convert to float"),
+    ("experiment", "methods", [1], "must be a list of strings or a comma-separated string"),
+    ("experiment", "methods", {"sgd": 1}, "must be a list of strings or a comma-separated"),
+    ("experiment", "n", None, "must not be null"),
+    ("experiment", "out", 5, "must be a string, got 5"),
+    ("train", "period", 2.0, "must be an integer, got 2.0"),
+    ("train", "alpha", None, "must not be null"),
+    ("generate", "p", False, "must be a number, got false"),
+])
+def test_config_values_must_have_their_json_type(command, key, value, message, tmp_path,
+                                                 capsys):
+    # A bool, a float or a string where an integer belongs used to run
+    # (iters=true ran one iteration, seeds=2.9 ran two), and methods=[1]
+    # ended in a traceback.
+    out = tmp_path / "out"
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"out": str(out), key: value}))
+    assert run_cli(command, "--config", str(config)) == 1
+    err = capsys.readouterr().err
+    assert f"config key {key!r}: {message}" in err
+    assert not out.exists() and set(tmp_path.iterdir()) == {config}
+
+
+def test_config_accepts_each_json_type_its_field_takes(tmp_path):
+    # An integer for a float field, null for an optional field and a
+    # comma-separated string for the method list.
+    out = tmp_path / "exp"
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"n": 12, "seeds": 1, "iters": 50, "m_test": 100,
+                                  "grid_center": 1, "methods": "sgd, adam",
+                                  "out": str(out)}))
+    assert run_cli("experiment", "--config", str(config)) == 0
+    saved = json.loads((out / "summary.json").read_text())["config"]
+    assert saved["methods"] == ["sgd", "adam"] and saved["grid_center"] == 1.0
+    config.write_text(json.dumps({"dataset": str(tmp_path / "missing.json"),
+                                  "stop_loss": None, "period": None}))
+    assert run_cli("train", "--config", str(config)) == 3  # types pass; the file is missing
+
+
+@pytest.mark.parametrize("command", list(OPTIONS))
+def test_parser_builds_only_the_invoked_commands_flags(command):
+    # The help texts and the subcommand names are those of the full parser;
+    # only the invoked command has flags.
+    full, lean = build_parser(), build_parser(command)
+    assert lean.format_help() == full.format_help()
+
+    def subparsers(parser):
+        return next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+
+    for name, sub in subparsers(lean).items():
+        if name == command:
+            assert sub.format_help() == subparsers(full)[name].format_help()
+        else:
+            assert {s for a in sub._actions for s in a.option_strings} == {"-h", "--help"}
+    assert build_parser("").format_help() == full.format_help()
+
+
 # ---------------------------------------------------------------------------
 # oracle
 # ---------------------------------------------------------------------------

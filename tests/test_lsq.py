@@ -10,9 +10,16 @@ from optlab import lsq, oracle
 from optlab.errors import DataGenerationError
 
 
+def dense_quotient(ds):
+    """The n-by-q quotient ``X_q``, dense, from its entry arrays."""
+    xq = np.zeros((ds.n, ds.multiplicity.size))
+    xq[ds.row, ds.col] = ds.val
+    return xq
+
+
 def dense(ds):
     """The n-by-d design, expanded to dense from its column quotient."""
-    return ds.expand(ds.quotient.toarray())
+    return ds.expand(dense_quotient(ds))
 
 
 def toy_dataset(rows, y, d):
@@ -289,8 +296,8 @@ def _grouped_design(n: int, seed: int):
     return x, tuple(rows)
 
 
-def _colliding_keys(xc, bits):
-    return np.zeros(xc.shape[1], dtype=np.uint64)
+def _colliding_keys(ptr, rows, bits):
+    return np.zeros(ptr.size - 1, dtype=np.uint64)
 
 
 @settings(max_examples=60, deadline=None)
@@ -304,10 +311,10 @@ def test_quotient_merges_exactly_the_identical_columns(n, seed, collide):
     keys = _colliding_keys if collide else lsq._column_keys
     with mock.patch.object(lsq, "_column_keys", keys):
         ds = lsq.Dataset(n=n, d=x.shape[1], rows=rows, y=np.ones(n))
-    xq = ds.quotient.toarray()
+    xq = dense_quotient(ds)
     q = xq.shape[1]
     assert np.array_equal(ds.expand(xq), x)
-    assert np.array_equal(ds.quotient_t.toarray(), xq.T)
+    assert np.all(np.diff(ds.row * q + ds.col) > 0)  # sorted by (row, col), no duplicates
     assert np.all(xq.any(axis=0))
     assert len({c.tobytes() for c in xq.T}) == q
     np.testing.assert_array_equal(ds.columns < 0, ~x.any(axis=0))
@@ -317,6 +324,65 @@ def test_quotient_merges_exactly_the_identical_columns(n, seed, collide):
     assert firsts == sorted(firsts)
     rebuilt = lsq.Dataset(n=n, d=x.shape[1], rows=ds.rows, y=np.ones(n))
     assert np.array_equal(dense(rebuilt), x)
+
+
+def _real_design(n: int, seed: int):
+    """A real-valued n-row design with duplicate and all-zero columns, its
+    values spread over three decades (so that a term can overflow)."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 9))
+    base = (rng.standard_normal((n, k)) * 10.0 ** rng.integers(-1, 2, size=(n, k))
+            * (rng.random((n, k)) < 0.7))
+    x = np.hstack([base, base[:, rng.integers(0, k, 3)], np.zeros((n, 2))])
+    x = x[:, rng.permutation(x.shape[1])]
+    return x, tuple(tuple((j + 1, float(v)) for j, v in enumerate(r) if v != 0.0) for r in x)
+
+
+_WILD = np.array([np.inf, -np.inf, np.nan, 1e308, -1e308, 0.0, -0.0, 5e-324])
+
+
+def _python_fold(bins, take, weight, x, size):
+    """``acc = 0.0; acc += v * x[j]`` per bin, over the entries in order, in Python floats."""
+    out, x = [0.0] * size, x.tolist()
+    for b, j, v in zip(bins.tolist(), take.tolist(), weight.tolist()):
+        out[b] += v * x[j]
+    return np.array(out)
+
+
+def _same_bits(a, b):
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 10_000), height=st.integers(1, 4))
+def test_products_are_sequential_folds_bit_for_bit(n, seed, height):
+    # Exact, stated up front: every entry of X_q s, X_q^T r and S w, for a
+    # vector and for each row of an (R, .) stack, has the bits of the plain
+    # fold ``acc = 0.0; acc += v * x[j]`` over the quotient entries in (row,
+    # col) order (S w: over the features in order, v = 1), whatever the input
+    # holds: +-inf, NaN, overflowing terms, signed zeros.  A NaN only has to
+    # be a NaN.  No RuntimeWarning may escape, as none escaped scipy's C loop.
+    x, rows = _real_design(n, seed)
+    ds = lsq.Dataset(n=n, d=x.shape[1], rows=rows, y=np.ones(n))
+    q = ds.multiplicity.size
+    kept = np.flatnonzero(ds.columns >= 0)
+    rng = np.random.default_rng(seed)
+    cases = [
+        (lambda v: lsq.quotient_product(ds, v), ds.row, ds.col, ds.val, q, n),
+        (lambda v: lsq.quotient_t_product(ds, v), ds.col, ds.row, ds.val, n, q),
+        (ds.reduce, ds.columns[kept], kept, np.ones(kept.size), ds.d, q),
+    ]
+    for fold, bins, take, weight, width, size in cases:
+        stack = rng.standard_normal((height, width))
+        wild = rng.random(stack.shape) < 0.2
+        stack[wild] = rng.choice(_WILD, size=int(wild.sum()))
+        out = fold(stack)
+        assert out.shape == (height, size) and out.flags.c_contiguous
+        for v, out_row in zip(stack, out):
+            ref = _python_fold(bins, take, weight, v, size)
+            assert _same_bits(out_row, ref)
+            assert _same_bits(fold(v), ref)
 
 
 @pytest.mark.parametrize("fields, message", [
@@ -330,11 +396,20 @@ def test_quotient_merges_exactly_the_identical_columns(n, seed, collide):
     ({"rows": [[[1, 1.0, 2.0]]]}, "must be .index, value. pairs"),
     ({"rows": [[1, 1.0]]}, "malformed dataset document"),
     ({"rows": [[[1, 1.0]], []]}, "row count does not match n"),
+    ({"rows": [[[1, 1e308], [1, 1e308]]]}, "design values must be finite"),
 ])
 def test_document_rejects_malformed_rows(fields, message):
     doc = {"n": 1, "d": 4, "labels": [1], "rows": [[[1, 1.0]]], **fields}
     with pytest.raises(ValueError, match=message):
         lsq.dataset_from_document(doc)
+
+
+def test_duplicate_entries_are_summed_in_the_order_given():
+    # (0 + 1) + 1e16 rounds back to 1e16, so the first order cancels to a
+    # zero, which is dropped; the second keeps the 1.
+    for row, expected in ((((1, 1.0), (1, 1e16), (1, -1e16), (2, 1.0)), ((2, 1.0),)),
+                          (((1, 1e16), (1, -1e16), (2, 1.0), (1, 1.0)), ((1, 1.0), (2, 1.0)))):
+        assert lsq.Dataset(n=1, d=2, rows=(row,), y=[1.0]).rows == (expected,)
 
 
 def test_dimension_mismatch_raises():

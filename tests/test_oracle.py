@@ -15,9 +15,16 @@ UPSTREAM_ALPHA_NOTE = (
 )
 
 
+def dense_quotient(ds):
+    """The n-by-q quotient ``X_q``, dense, from its entry arrays."""
+    xq = np.zeros((ds.n, ds.multiplicity.size))
+    xq[ds.row, ds.col] = ds.val
+    return xq
+
+
 def dense_gram(ds):
     """The Gram matrix ``X X^T`` of the design, expanded to dense."""
-    x = ds.expand(ds.quotient.toarray())
+    x = ds.expand(dense_quotient(ds))
     return x @ x.T
 
 
