@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 import typing
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -28,8 +27,7 @@ from .training import RunResult, dev_labels_for, run_training, write_trace_csv
 from .tune import check_tune_budget, make_log_grid, tune, tune_report_to_document
 
 __all__ = ["main", "run_experiment", "ExperimentConfig", "GenerateOptions", "TrainOptions",
-           "OracleOptions", "TuneOptions", "EXIT_OK", "EXIT_USAGE", "EXIT_NUMERICAL",
-           "EXIT_IO"]
+           "OracleOptions", "TuneOptions"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -54,15 +52,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _json_default(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    raise TypeError(f"not JSON serializable: {type(value)!r}")
-
-
 def _write_json(doc: dict, path: Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -205,16 +197,8 @@ class TrainOptions:
 
 def cmd_train(options: TrainOptions) -> int:
     ds = lsq.load_dataset(options.dataset)
-    method = MethodKind.parse(options.method)
-    spec = OptimizerSpec(
-        method=method,
-        alpha=options.alpha,
-        beta=options.beta,
-        beta1=options.beta1,
-        beta2=options.beta2,
-        epsilon=options.epsilon,
-        g_init=options.g_init,
-    )
+    spec = OptimizerSpec(MethodKind.parse(options.method), **{
+        f.name: getattr(options, f.name) for f in fields(OptimizerSpec) if f.name != "method"})
     policy = _policy_from(options)
     options = replace(options, dev_size=_dev_size_for(ds, options.dev_size))
     dev_labels = None
@@ -297,8 +281,7 @@ def cmd_oracle(options: OracleOptions) -> int:
     out = Path(options.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     _write_json(report, out)
-    c = report.get("sign", None)
-    c_text = report["sign"]["c"] if c else "unavailable"
+    c_text = report["sign"]["c"] if report["sign"] else "unavailable"
     print(f"wrote {out}: sign oracle c={c_text}")
     return EXIT_OK
 
@@ -378,7 +361,7 @@ class ExperimentConfig:
 def base_spec_for(method: MethodKind) -> OptimizerSpec:
     """Experiment defaults: momentum 0.9; adaptive methods run exact
     (epsilon 0, zero accumulator) so their fixed point is the sign solution."""
-    if method in (MethodKind.SGD, MethodKind.HB, MethodKind.NAG):
+    if method not in ADAPTIVE_METHODS:
         return OptimizerSpec(method=method, alpha=1.0, beta=0.9)
     if method is MethodKind.RMSPROP:
         return OptimizerSpec(method=method, alpha=1.0, beta2=0.9, epsilon=0.0, g_init=0.0)
@@ -405,18 +388,22 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     check_tune_budget(cfg.iters, cfg.seeds, cfg.extension_cap)
     grid = make_log_grid(cfg.grid_center, cfg.grid_ratio, cfg.grid_count)
     ds = lsq.generate_synthetic(cfg.n, cfg.p, cfg.seed)
+    # A synthetic design always has the sign solution (c = 4).
+    oracle_doc, mn, sg = _oracle_report(ds)
+    if "analytic_test_error" not in oracle_doc:  # its closed forms need both classes
+        raise ValueError(f"the drawn dataset has no negative example (n={cfg.n}, seed={cfg.seed})")
     out = Path(out_dir)
     (out / "traces").mkdir(parents=True, exist_ok=True)
     (out / "weights").mkdir(exist_ok=True)
     (out / "tune").mkdir(exist_ok=True)
     lsq.save_dataset(ds, out / "dataset.json")
-    # A synthetic design always has the sign solution (c = 4).
-    oracle_doc, mn, sg = _oracle_report(ds)
     _write_json(oracle_doc, out / "oracle.json")
     test_labels = dev_labels_for(
         cfg.p, cfg.m_test, np.random.SeedSequence(entropy=cfg.seed, spawn_key=(_TEST_STREAM,))
     )
-    precondition_ok = ds.n_pos > ds.n_neg / 3
+    dev_labels = dev_labels_for(
+        cfg.p, 2000, np.random.SeedSequence(entropy=cfg.seed, spawn_key=(_DEV_STREAM,))
+    )
 
     policy = DecayPolicy(kind="none")
     rows = []
@@ -430,18 +417,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
             policy,
             cfg.iters,
             cfg.seeds,
-            base_spec=base,
             dev_size=None,
             extension_cap=cfg.extension_cap,
             stop_loss=cfg.stop_loss,
+            base_spec=base,
         )
         _write_json(tune_report_to_document(report), out / "tune" / f"{method.value}.json")
 
-        oracle_kind = "sign" if adaptive else "min_norm"
-        analytic = oracle.analytic_test_error(oracle_kind, cfg.p, ds.n_pos, ds.n_neg)
-        dev_labels = dev_labels_for(
-            cfg.p, 2000, np.random.SeedSequence(entropy=cfg.seed, spawn_key=(_DEV_STREAM,))
-        )
         final = run_training(
             ds,
             report.winner.spec,
@@ -456,11 +438,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
         empirical = float(np.mean(scores * test_labels <= 0.0))
         dist_mn = _relative_distance(w, mn.w)
         dist_sg = _relative_distance(w, sg.w)
-        w_l2 = lsq.l2_norm(w)
-        resid = lsq.row_span_residual(ds, w)
-        trace_ratio = max(
-            (r.rowspan_resid / (1.0 + r.w_l2) for r in final.trace), default=math.nan
-        )
+        # A tuned winner ends "ok", so the last trace row is the final iterate's.
+        last = final.trace[-1]
+        trace_ratio = max(r.rowspan_resid / (1.0 + r.w_l2) for r in final.trace)
         if adaptive:
             verdict_gen = abs(empirical - (1.0 - cfg.p)) <= 0.02
             verdict_oracle = dist_sg <= 1e-4
@@ -483,11 +463,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
                 "dist_to_min_norm_rel": dist_mn,
                 "dist_to_sign_rel": dist_sg,
                 "empirical_test_error": empirical,
-                "analytic_test_error": analytic,
-                "margin_final": lsq.margin(ds, w) if w_l2 > 0 else math.nan,
-                "rowspan_resid_final": resid,
+                "analytic_test_error": oracle_doc["analytic_test_error"][
+                    "sign" if adaptive else "min_norm"],
+                "margin_final": last.margin,
+                "rowspan_resid_final": last.rowspan_resid,
                 "rowspan_ratio_trace_max": trace_ratio,
-                "w_l2": w_l2,
+                "w_l2": last.w_l2,
                 "verdict_generalization": verdict_gen,
                 "verdict_oracle_agreement": verdict_oracle,
             }
@@ -504,7 +485,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
             "n_neg": ds.n_neg,
             "label_sum": ds.label_sum,
             "rejections": ds.rejections,
-            "precondition_npos_gt_nneg_third": precondition_ok,
+            "precondition_npos_gt_nneg_third": ds.n_pos > ds.n_neg / 3,
         },
         "oracles": {
             "c": sg.c,

@@ -50,7 +50,6 @@ __all__ = [
     "test_scores",
     "margin",
     "row_span_residual",
-    "dataset_to_document",
     "dataset_from_document",
     "save_dataset",
     "load_dataset",
@@ -465,7 +464,7 @@ def dataset_to_document(ds: Dataset) -> dict:
         "p": ds.p,
         "seed": ds.seed,
         "labels": [int(v) for v in ds.y],
-        "rows": [[[j, v] for j, v in row] for row in ds.rows],
+        "rows": ds.rows,  # JSON writes the tuples as arrays
         "rejections": ds.rejections,
     }
 

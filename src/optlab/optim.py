@@ -44,7 +44,6 @@ __all__ = [
     "ADAPTIVE_METHODS",
     "OptimizerSpec",
     "OptimizerState",
-    "StepCoefficients",
     "init_state",
     "table1_coefficients",
     "step",
@@ -61,10 +60,6 @@ class MethodKind(enum.Enum):
     ADAGRAD = "adagrad"
     RMSPROP = "rmsprop"
     ADAM = "adam"
-
-    @property
-    def adaptive(self) -> bool:
-        return self in ADAPTIVE_METHODS
 
     @classmethod
     def parse(cls, name: str) -> "MethodKind":
@@ -225,7 +220,7 @@ def step(
     # are updated in place with the operands in the formula's order.
     singular, h = False, None
     dw = np.subtract(w, w_prev) if b != 0.0 else None
-    if not spec.method.adaptive:
+    if new == 0.0:  # H = I: no squared gradient enters the preconditioner
         w_next = np.multiply(a, g)
         np.subtract(w, w_next, out=w_next)
         g_accum = state.g_accum

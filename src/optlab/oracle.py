@@ -32,8 +32,6 @@ from .errors import LemmaPreconditionError, SingularKernelError
 from .lsq import Dataset, l2_norm, quotient_product, quotient_t_product, residual
 
 __all__ = [
-    "OracleSolution",
-    "LemmaTrace",
     "label_correlation",
     "lemma_condition_check",
     "sign_solution",

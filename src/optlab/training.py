@@ -36,7 +36,6 @@ from .schedules import DecayPolicy, next_alpha
 
 __all__ = [
     "TRACE_HEADER",
-    "TraceRow",
     "RunResult",
     "dev_labels_for",
     "run_training",
@@ -102,15 +101,13 @@ def _label_counts(labels) -> np.ndarray:
     return np.stack([np.sum(labels > 0.0, axis=-1), np.sum(labels < 0.0, axis=-1)], axis=-1)
 
 
-def _dev_errors(w: np.ndarray, counts: np.ndarray | None) -> np.ndarray | None:
+def _dev_errors(w: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Dev error of each row of a stack, on the labels counted in row i of `counts`.
 
     A fresh point's score depends only on its label, so each row scores the
     two labels once and weights its misses by their counts: the same exact
     count as scoring every label, hence the same bits.
     """
-    if counts is None:
-        return None
     wrong = lsq.test_scores(w, _SIGNS) * _SIGNS <= 0.0
     return np.sum(wrong * counts, axis=-1) / np.sum(counts, axis=-1)
 

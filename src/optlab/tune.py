@@ -13,7 +13,7 @@ Exact ties break toward the larger step size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -24,16 +24,12 @@ from .schedules import DecayPolicy
 
 __all__ = [
     "Grid",
-    "TrialResult",
-    "TuneReport",
     "make_log_grid",
     "extend_if_edge",
     "check_tune_budget",
     "tune",
     "tune_report_to_document",
 ]
-
-DEFAULT_EXTENSION_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -88,8 +84,6 @@ def extend_if_edge(grid: Grid, best: float) -> float | None:
 
 @dataclass(frozen=True)
 class TrialResult:
-    spec: OptimizerSpec
-    policy: DecayPolicy
     seed: int
     alpha0: float
     final_train_loss: float
@@ -154,10 +148,10 @@ def tune(
     epochs: int,
     seeds: int,
     *,
+    dev_size: int | None,
+    extension_cap: int,
+    stop_loss: float | None,
     base_spec: OptimizerSpec | None = None,
-    dev_size: int | None = 2000,
-    extension_cap: int = DEFAULT_EXTENSION_CAP,
-    stop_loss: float | None = None,
 ) -> TuneReport:
     """Grid-search the step size for `method` on `ds`.
 
@@ -167,6 +161,8 @@ def tune(
     independent).  Selection uses the best dev metric when a dev stream
     exists, otherwise the final training loss.  Dev labels are drawn with
     the dataset's `p`, so a dataset without one needs ``dev_size=None``.
+    The budget (`epochs`, `seeds`, `dev_size`, `extension_cap`, `stop_loss`)
+    has no defaults here: the caller's options hold them.
 
     Raises `AllTrialsDivergedError` when every step size, extensions
     included, diverged.
@@ -174,8 +170,6 @@ def tune(
     check_tune_budget(epochs, seeds, extension_cap)
     seed_values = tuple(range(seeds))
     selection = "dev" if dev_size is not None else "train_loss"
-    if policy.kind == "dev_decay" and dev_size is None:
-        raise ValueError("dev_decay policy needs a dev stream")
     if dev_size is not None and ds.p is None:
         raise ValueError("dataset has no label probability p to draw dev labels from; "
                          "pass dev_size=None")
@@ -206,8 +200,6 @@ def tune(
             for seed in seed_values:
                 result = shared if shared is not None else next(runs)
                 by_alpha[alpha].append(TrialResult(
-                    spec=replace(base, alpha=alpha),
-                    policy=policy,
                     seed=seed,
                     alpha0=alpha,
                     final_train_loss=result.final_loss,
@@ -225,7 +217,7 @@ def tune(
         if current.extensions >= extension_cap:
             break
         candidate = extend_if_edge(current, best_alpha)
-        if candidate is None or candidate in current.values:
+        if candidate is None:
             break
         current = current.with_value(candidate)
         evaluate([candidate])
@@ -234,7 +226,9 @@ def tune(
     if not completed:
         raise AllTrialsDivergedError(
             f"every step size diverged for {method.value}: "
-            f"{sorted(by_alpha, reverse=True)}"
+            f"{sorted(by_alpha, reverse=True)}, after {current.extensions} of "
+            f"{extension_cap} extensions, the smallest step {min(by_alpha)!r}; "
+            "raise --extension-cap or start the grid lower"
         )
     best_alpha = min(completed, key=lambda a: _rank_key(a, completed[a], selection))
     winner_trials = completed[best_alpha]
@@ -242,7 +236,7 @@ def tune(
     losses = np.array([t.final_train_loss for t in winner_trials])
     winner = WinnerSummary(
         alpha=best_alpha,
-        spec=winner_trials[0].spec,
+        spec=replace(base, alpha=best_alpha),
         policy=policy,
         selection=selection,
         metric_mean=float(metrics.mean()),
@@ -262,10 +256,7 @@ def tune(
 
 def tune_report_to_document(report: TuneReport) -> dict:
     """JSON-compatible view of a tuning report."""
-
-    def policy_doc(policy: DecayPolicy) -> dict:
-        return {"kind": policy.kind, "delta": policy.delta, "period": policy.period}
-
+    policy = asdict(report.winner.policy)  # every trial's, too
     return {
         "method": report.method.value,
         "grid": {
@@ -276,9 +267,9 @@ def tune_report_to_document(report: TuneReport) -> dict:
         "seeds": list(report.seeds),
         "trials": [
             {
-                "method": t.spec.method.value,
+                "method": report.method.value,
                 "alpha0": t.alpha0,
-                "policy": policy_doc(t.policy),
+                "policy": policy,
                 "seed": t.seed,
                 "final_train_loss": t.final_train_loss,
                 "best_dev": t.best_dev_metric,
@@ -291,7 +282,7 @@ def tune_report_to_document(report: TuneReport) -> dict:
         "winner": {
             "alpha": report.winner.alpha,
             "spec": spec_to_document(report.winner.spec),
-            "policy": policy_doc(report.winner.policy),
+            "policy": policy,
             "selection": report.winner.selection,
             "metric_mean": report.winner.metric_mean,
             "metric_std": report.winner.metric_std,

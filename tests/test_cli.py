@@ -15,7 +15,8 @@ from optlab.cli import (
     build_parser,
     main,
 )
-from optlab.training import TRACE_HEADER
+from optlab.optim import MethodKind, OptimizerSpec
+from optlab.training import TRACE_HEADER, run_training
 
 
 def run_cli(*argv):
@@ -318,6 +319,22 @@ def test_oracle_flags_unavailable_sign(tmp_path):
     assert "min_norm" in doc
 
 
+def test_all_zero_design(tmp_path, capsys):
+    ds = lsq.Dataset(n=2, d=3, rows=((), ()), y=np.array([1.0, -1.0]))
+    w = np.array([1.0, -2.0, 3.0])
+    assert ds.multiplicity.size == 0  # no column survives the quotient
+    assert np.array_equal(lsq.product(ds, w), [0.0, 0.0])
+    assert np.array_equal(lsq.gradient(ds, w), np.zeros(3))
+    for method in MethodKind:
+        res = run_training(ds, OptimizerSpec(method=method, alpha=0.1, epsilon=0.0), 5)
+        assert (res.status, res.iterations, res.final_loss) == ("ok", 5, 2.0)
+        assert np.array_equal(res.w, np.zeros(3))
+    path = tmp_path / "zero.json"
+    lsq.save_dataset(ds, path)
+    assert run_cli("oracle", "--dataset", str(path), "--out", str(tmp_path / "o.json")) == 2
+    assert "Gram solve residual" in capsys.readouterr().err
+
+
 def test_dev_stream_needs_dataset_p(tmp_path, capsys):
     # a hand-built design has no p, so no dev labels can be drawn
     ds = lsq.Dataset(
@@ -366,6 +383,18 @@ def test_tune_rejects_negative_extension_cap(dataset_file, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_tune_all_diverged_says_how_to_recover(tmp_path, capsys):
+    path, out = tmp_path / "ds.json", tmp_path / "tune.json"
+    assert run_cli("generate", "--n", "100", "--seed", "1", "--out", str(path)) == 0
+    assert run_cli("tune", "--dataset", str(path), "--alpha", "100", "--extension-cap", "0",
+                   "--iters", "50", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("optlab: every step size diverged for sgd")
+    assert "after 0 of 0 extensions, the smallest step 25.0;" in err
+    assert "raise --extension-cap or start the grid lower" in err
+    assert not out.exists()
+
+
 def test_tune_command(dataset_file, tmp_path):
     out = tmp_path / "tune.json"
     code = run_cli(
@@ -393,6 +422,7 @@ def test_tune_command(dataset_file, tmp_path):
     (["--extension-cap", "-1"], "extension_cap must be nonnegative"),
     (["--iters", "-1"], "iters must be nonnegative"),
     (["--p", "0.4"], "p must lie in"),
+    (["--n", "2", "--methods", "adam"], "no negative example"),
 ])
 def test_experiment_checks_its_config_before_writing(flags, message, tmp_path, capsys):
     # Each of these used to fail only after dataset.json, oracle.json and the

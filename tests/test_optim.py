@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optlab.optim import (
+    ADAPTIVE_METHODS,
     MethodKind,
     OptimizerSpec,
     init_state,
@@ -320,7 +321,7 @@ def plain_step(state, spec, grad_at, alpha_override=None):
 
     singular = False
     h_now = None
-    if not spec.method.adaptive:
+    if spec.method not in ADAPTIVE_METHODS:
         w_next = w - c.alpha_k * g
         if c.beta_k != 0.0:
             w_next = w_next + c.beta_k * (w - w_prev)

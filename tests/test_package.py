@@ -1,17 +1,24 @@
-"""The package's export lists and what importing it loads."""
+"""The package's export lists, what importing it loads, and the input
+checks of its entry points."""
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import optlab
+from optlab import lsq, oracle, training, tune
+from optlab.optim import MethodKind, OptimizerSpec
+from optlab.schedules import DecayPolicy
 
 PACKAGE_DIR = Path(optlab.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE_DIR.glob("*.py") if p.stem != "__init__")
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -29,3 +36,39 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_export_has_a_user_elsewhere(module):
+    # An exported name that no other file names is API without a caller.
+    own = (PACKAGE_DIR / f"{module}.py").resolve()
+    texts = [p.read_text(encoding="utf-8") for d in (PACKAGE_DIR, ROOT / "tests", ROOT / "bench")
+             for p in sorted(d.rglob("*.py")) if p.resolve() != own]
+    unused = [name for name in importlib.import_module(f"optlab.{module}").__all__
+              if not any(re.search(rf"\b{name}\b", text) for text in texts)]
+    assert unused == []
+
+
+_DS = lsq.generate_synthetic(4, 0.75, seed=1)
+_SGD = OptimizerSpec(method=MethodKind.SGD, alpha=0.1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: lsq.generate_synthetic(0, 0.75, 1), "n must be at least 1"),
+    (lambda: OptimizerSpec(method=MethodKind.SGD, alpha=0.1, g_init=-1.0),
+     "g_init must be nonnegative"),
+    (lambda: tune.make_log_grid(0, 2), "center must be positive"),
+    (lambda: tune.Grid(values=(), ratio=2.0), "grid must not be empty"),
+    (lambda: tune.tune(_DS, MethodKind.ADAM, tune.make_log_grid(0.1, 2, 3), DecayPolicy(), 1, 1,
+                       dev_size=None, extension_cap=0, stop_loss=None, base_spec=_SGD),
+     "base_spec method does not match"),
+    (lambda: training.run_lockstep(_DS, _SGD, [0.1], -1), "iters must be nonnegative"),
+    (lambda: lsq.Dataset(n=2, d=3, rows=((), ()), y=np.ones(3)),
+     r"labels must have shape \(2,\)"),
+    (lambda: lsq.test_scores(np.zeros(2), np.ones(5)), "at least 3 coordinates"),
+    (lambda: oracle.verify_lemma_trajectory([], _DS), "empty trajectory"),
+], ids=["generate_n0", "spec_g_init", "grid_center", "grid_empty", "tune_base_spec",
+        "lockstep_iters", "label_shape", "test_scores_dim", "lemma_empty"])
+def test_input_checks_raise_their_stated_errors(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

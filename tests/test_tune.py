@@ -158,6 +158,7 @@ def test_tune_sgd_default_grid_converges(small_ds):
         seeds=2,
         dev_size=None,
         stop_loss=1e-12,
+        extension_cap=8,
     )
     assert report.winner.final_loss_mean <= 1e-8
     assert report.extensions > 0  # the default grid alone diverges here
@@ -174,6 +175,7 @@ def test_tune_winner_has_seed_stats(small_ds):
         base_spec=OptimizerSpec(method=MethodKind.ADAGRAD, alpha=1.0, epsilon=0.0),
         dev_size=500,
         stop_loss=1e-12,
+        extension_cap=8,
     )
     assert sum(t.alpha0 == report.winner.alpha for t in report.trials) == 5
     assert report.winner.metric_std >= 0.0
@@ -209,6 +211,7 @@ def test_tune_all_diverged(small_ds):
             seeds=1,
             dev_size=None,
             extension_cap=0,
+            stop_loss=None,
         )
 
 
@@ -222,7 +225,7 @@ def test_tune_rejects_a_bad_budget(small_ds, budget, message):
     args = {"epochs": 10, "seeds": 1, "extension_cap": 0, **budget}
     with pytest.raises(ValueError, match=message):
         tune(small_ds, MethodKind.SGD, make_log_grid(0.01, 2, 3), DecayPolicy(kind="none"),
-             dev_size=None, **args)
+             dev_size=None, stop_loss=None, **args)
 
 
 def test_tune_tie_breaks_toward_larger_alpha(small_ds):
@@ -237,6 +240,7 @@ def test_tune_tie_breaks_toward_larger_alpha(small_ds):
         seeds=1,
         dev_size=None,
         extension_cap=0,
+        stop_loss=None,
     )
     assert report.winner.alpha == 0.02
 
@@ -268,6 +272,7 @@ def test_tune_grid_never_duplicates(small_ds):
         seeds=1,
         dev_size=None,
         stop_loss=1e-12,
+        extension_cap=8,
     )
     assert len(set(report.grid.values)) == len(report.grid.values)
 
@@ -293,6 +298,7 @@ def test_tune_without_dev_stream_runs_once_per_step_size(small_ds, monkeypatch):
             seeds=seeds,
             dev_size=None,
             extension_cap=0,
+            stop_loss=None,
         )
         assert len(report.trials) == 3 * seeds
         # one lockstep round, one trajectory row per step size, whatever the seed count
@@ -308,7 +314,7 @@ def test_tune_dev_stream_needs_dataset_p():
     assert ds.p is None
     with pytest.raises(ValueError, match="dev_size=None"):
         tune(ds, MethodKind.SGD, make_log_grid(0.1, 2, 3), DecayPolicy(kind="none"),
-             epochs=10, seeds=1, dev_size=200)
+             epochs=10, seeds=1, dev_size=200, extension_cap=8, stop_loss=None)
 
 
 def test_tune_report_document(small_ds):
@@ -321,6 +327,7 @@ def test_tune_report_document(small_ds):
         seeds=2,
         dev_size=None,
         extension_cap=0,
+        stop_loss=None,
     )
     doc = tune_report_to_document(report)
     assert doc["method"] == "sgd"
