@@ -52,12 +52,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _write_json(doc: dict, path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _policy_from(options) -> DecayPolicy:
     return DecayPolicy(kind=options.decay, delta=options.delta, period=options.period)
 
@@ -133,7 +127,7 @@ def _weights_document(spec: OptimizerSpec, result: RunResult) -> dict:
         "converged": result.converged,
         "iterations": result.iterations,
         "final_train_loss": result.final_loss,
-        "w": [float(v) for v in result.w],
+        "w": result.w,
     }
 
 
@@ -217,8 +211,8 @@ def cmd_train(options: TrainOptions) -> int:
     out = Path(options.out)
     out.mkdir(parents=True, exist_ok=True)
     write_trace_csv(result.trace, out / "trace.csv")
-    _write_json(_weights_document(spec, result), out / "weights.json")
-    _write_json(
+    lsq.write_json(_weights_document(spec, result), out / "weights.json")
+    lsq.write_json(
         {
             "options": asdict(options),
             "status": result.status,
@@ -280,7 +274,7 @@ def cmd_oracle(options: OracleOptions) -> int:
     report, _, _ = _oracle_report(ds)
     out = Path(options.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    _write_json(report, out)
+    lsq.write_json(report, out)
     c_text = report["sign"]["c"] if report["sign"] else "unavailable"
     print(f"wrote {out}: sign oracle c={c_text}")
     return EXIT_OK
@@ -327,7 +321,7 @@ def cmd_tune(options: TuneOptions) -> int:
     )
     out = Path(options.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    _write_json(tune_report_to_document(report), out)
+    lsq.write_json(tune_report_to_document(report), out)
     print(
         f"winner alpha={report.winner.alpha!r} metric={report.winner.metric_mean!r} "
         f"extensions={report.extensions}"
@@ -374,10 +368,10 @@ def _relative_distance(w: np.ndarray, target: np.ndarray) -> float:
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
-    """Tune and train every method, compare against both oracles, and write
-    the summary documents to `out_dir` (not `cfg.out`).  Returns the
-    summary dictionary."""
-    # The whole config is checked before anything is written.
+    """Tune and train every method, compare against both oracles, and then
+    write every document to `out_dir` (not `cfg.out`): a run that fails
+    writes nothing.  Returns the summary dictionary."""
+    # The whole config is checked before anything is computed.
     if cfg.m_test < 1:
         raise ValueError("m_test must be at least 1")
     methods = [MethodKind.parse(name) for name in cfg.methods]
@@ -392,12 +386,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     oracle_doc, mn, sg = _oracle_report(ds)
     if "analytic_test_error" not in oracle_doc:  # its closed forms need both classes
         raise ValueError(f"the drawn dataset has no negative example (n={cfg.n}, seed={cfg.seed})")
-    out = Path(out_dir)
-    (out / "traces").mkdir(parents=True, exist_ok=True)
-    (out / "weights").mkdir(exist_ok=True)
-    (out / "tune").mkdir(exist_ok=True)
-    lsq.save_dataset(ds, out / "dataset.json")
-    _write_json(oracle_doc, out / "oracle.json")
     test_labels = dev_labels_for(
         cfg.p, cfg.m_test, np.random.SeedSequence(entropy=cfg.seed, spawn_key=(_TEST_STREAM,))
     )
@@ -406,7 +394,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     )
 
     policy = DecayPolicy(kind="none")
-    rows = []
+    rows, runs = [], []  # runs: (method, tune report, final run), written after the loop
     for method in methods:
         adaptive = method in ADAPTIVE_METHODS
         base = base_spec_for(method)
@@ -422,8 +410,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
             stop_loss=cfg.stop_loss,
             base_spec=base,
         )
-        _write_json(tune_report_to_document(report), out / "tune" / f"{method.value}.json")
-
         final = run_training(
             ds,
             report.winner.spec,
@@ -431,7 +417,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
             dev_labels=dev_labels,
             stop_loss=cfg.stop_loss,
         )
-        write_trace_csv(final.trace, out / "traces" / f"{method.value}.csv")
+        runs.append((method, report, final))
 
         w = final.w
         scores = lsq.test_scores(w, test_labels)
@@ -447,9 +433,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
         else:
             verdict_gen = empirical == 0.0
             verdict_oracle = dist_mn <= 1e-4
-
-        _write_json(_weights_document(report.winner.spec, final),
-                    out / "weights" / f"{method.value}.json")
         rows.append(
             {
                 "method": method.value,
@@ -497,7 +480,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
         },
         "methods": rows,
     }
-    _write_json(summary, out / "summary.json")
+    out = Path(out_dir)
+    for folder in ("traces", "weights", "tune"):
+        (out / folder).mkdir(parents=True, exist_ok=True)
+    lsq.save_dataset(ds, out / "dataset.json")
+    lsq.write_json(oracle_doc, out / "oracle.json")
+    for method, report, final in runs:
+        lsq.write_json(tune_report_to_document(report), out / "tune" / f"{method.value}.json")
+        write_trace_csv(final.trace, out / "traces" / f"{method.value}.csv")
+        lsq.write_json(_weights_document(report.winner.spec, final),
+                       out / "weights" / f"{method.value}.json")
+    lsq.write_json(summary, out / "summary.json")
 
     with open(out / "summary.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

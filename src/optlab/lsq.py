@@ -24,12 +24,18 @@ positive example's block are dropped.  Fresh test points are never
 materialized as rows: their private block would land outside the training
 dimensions, so a test inner product reduces to the first three coordinates
 (see `test_scores`).
+
+Every JSON file is written by `write_json` (a dataset by `save_dataset`):
+byte for byte the text of ``json.dump(doc, fh, indent=2, sort_keys=True)``
+plus a newline, without json's pure-Python encoder, and with each distinct
+float bit pattern of a float list formatted once.
 """
 
 from __future__ import annotations
 
 import json
 from itertools import chain
+from json.encoder import encode_basestring_ascii as _json_string  # json.dump's escaper
 
 import numpy as np
 
@@ -51,6 +57,7 @@ __all__ = [
     "margin",
     "row_span_residual",
     "dataset_from_document",
+    "write_json",
     "save_dataset",
     "load_dataset",
 ]
@@ -159,6 +166,13 @@ class Dataset:
     def rows(self) -> tuple[Row, ...]:
         """The design as n rows of 1-based ``(index, value)`` pairs in index
         order (the file format), rebuilt from the quotient entries."""
+        ptr, index, source = self._file_entries()
+        index, values, ptr = index.tolist(), self.val[source].tolist(), ptr.tolist()
+        return tuple(tuple(zip(index[a:b], values[a:b])) for a, b in zip(ptr[:-1], ptr[1:]))
+
+    def _file_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The design's entries in file order: each row's offset (and the end),
+        each entry's 1-based feature index, and the quotient entry it copies."""
         kept = np.flatnonzero(self.columns >= 0)
         by_column = kept[np.argsort(self.columns[kept], kind="stable")]
         count = self.multiplicity.astype(np.intp)
@@ -168,9 +182,8 @@ class Dataset:
         slot = np.repeat(first[self.col] - start, each) + np.arange(each.sum())
         row, feature = np.repeat(self.row, each), by_column[slot]
         order = np.lexsort((feature, row))
-        index, values = (feature[order] + 1).tolist(), np.repeat(self.val, each)[order].tolist()
-        ptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=self.n))]).tolist()
-        return tuple(tuple(zip(index[a:b], values[a:b])) for a, b in zip(ptr[:-1], ptr[1:]))
+        ptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=self.n))])
+        return ptr, feature[order] + 1, np.repeat(np.arange(self.val.size), each)[order]
 
     def reduce(self, w: np.ndarray) -> np.ndarray:
         """Group sums ``S w`` of a full-length vector, or per row of an (R, d)
@@ -457,18 +470,6 @@ def row_span_residual(ds: Dataset, w: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def dataset_to_document(ds: Dataset) -> dict:
-    return {
-        "n": ds.n,
-        "d": ds.d,
-        "p": ds.p,
-        "seed": ds.seed,
-        "labels": [int(v) for v in ds.y],
-        "rows": ds.rows,  # JSON writes the tuples as arrays
-        "rejections": ds.rejections,
-    }
-
-
 def dataset_from_document(doc: dict) -> Dataset:
     if not isinstance(doc, dict):
         raise ValueError("dataset document must be a JSON object")
@@ -489,10 +490,86 @@ def dataset_from_document(doc: dict) -> Dataset:
         raise ValueError(f"malformed dataset document: {exc}") from None
 
 
-def save_dataset(ds: Dataset, path) -> None:
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _float_text(x: float) -> str:
+    """`x` as json writes a float: `float.__repr__`, or NaN / Infinity / -Infinity."""
+    text = float.__repr__(x)
+    return _NON_FINITE.get(text, text)
+
+
+def _float_texts(values) -> np.ndarray:
+    """`_float_text` of each entry of a float vector, as an object array;
+    each distinct bit pattern is formatted once."""
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    texts = [_float_text(x) for x in distinct.view(np.float64).tolist()]
+    return np.array(texts, dtype=object)[inverse]
+
+
+def _json_text(o, indent: str) -> str:
+    """`o` in the text of ``json.dumps(o, indent=2, sort_keys=True)``, its
+    nested lines indented past `indent`.  A 1-D float64 array is written as
+    a list; dictionary keys must be strings."""
+    if isinstance(o, str):
+        return _json_string(o)
+    if o is None or o is True or o is False:
+        return _CONSTANTS[o]
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float_text(o)
+    inner, brackets = indent + "  ", "[]"
+    if isinstance(o, dict):
+        items = [f"{_json_string(k)}: {_json_text(v, inner)}" for k, v in sorted(o.items())]
+        brackets = "{}"
+    elif (isinstance(o, np.ndarray) and o.dtype == np.float64 and o.ndim == 1) or (
+            isinstance(o, (list, tuple)) and o and all(isinstance(v, float) for v in o)):
+        items = _float_texts(o).tolist()
+    elif isinstance(o, (list, tuple)) and all(type(v) is int for v in o):
+        items = list(map(int.__repr__, o))
+    elif isinstance(o, (list, tuple)):
+        items = [_json_text(v, inner) for v in o]
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+
+
+def write_json(doc, path) -> None:
+    """Write `doc` as ``json.dump(doc, fh, indent=2, sort_keys=True)`` does,
+    plus a newline, byte for byte (see `_json_text`)."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(dataset_to_document(ds), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_json_text(doc, "") + "\n")
+
+
+#: Rows of the design that `save_dataset` formats per write.
+_ROWS_PER_WRITE = 256
+
+
+def save_dataset(ds: Dataset, path) -> None:
+    """Write `ds` as its JSON document, in `write_json`'s layout.  The rows'
+    ``[index, value]`` pairs are formatted straight from the quotient
+    entries, `_ROWS_PER_WRITE` rows at a time."""
+    doc = {"n": ds.n, "d": ds.d, "p": ds.p, "seed": ds.seed, "labels": [int(v) for v in ds.y],
+           "rows": [], "rejections": ds.rejections}
+    head, tail = _json_text(doc, "").split('"rows": []')  # the rows go in between
+    ptr, index, source = ds._file_entries()
+    texts = _float_texts(ds.val)[source]
+    pair = "      [\n        %d,\n        %s\n      ]".__mod__  # one [index, value] pair
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(head + '"rows": ' + ("[\n" if ds.n else "[]"))
+        for lo in range(0, ds.n, _ROWS_PER_WRITE):
+            bounds = ptr[lo:lo + _ROWS_PER_WRITE + 1] - ptr[lo]
+            entries = slice(ptr[lo], ptr[lo] + bounds[-1])
+            pairs = list(map(pair, zip(index[entries].tolist(), texts[entries].tolist())))
+            rows = ["    [\n" + ",\n".join(pairs[a:b]) + "\n    ]" if b > a else "    []"
+                    for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+            fh.write((",\n" if lo else "") + ",\n".join(rows))
+        fh.write(("\n  ]" if ds.n else "") + tail + "\n")
 
 
 def load_dataset(path) -> Dataset:

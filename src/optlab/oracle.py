@@ -244,5 +244,5 @@ def solution_to_document(sol: OracleSolution) -> dict:
         "tau": sol.tau,
         "alpha_plus": sol.alpha_plus,
         "alpha_minus": sol.alpha_minus,
-        "w": [float(v) for v in sol.w],
+        "w": sol.w,
     }

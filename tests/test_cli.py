@@ -433,6 +433,17 @@ def test_experiment_checks_its_config_before_writing(flags, message, tmp_path, c
     assert not out.exists()
 
 
+def test_failed_experiment_writes_nothing(tmp_path, capsys):
+    # Every step of the grid around 1000 diverges for sgd, and the cap allows
+    # no extension: the run fails after the dataset and oracles are computed.
+    out = tmp_path / "exp"
+    code = run_cli("experiment", "--n", "20", "--grid-center", "1000", "--extension-cap", "0",
+                   "--iters", "200", "--out", str(out))
+    assert code == 2
+    assert "diverged" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_experiment_small_run(tmp_path):
     out = tmp_path / "exp"
     code = run_cli(

@@ -1,9 +1,10 @@
+import io
 import json
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from optlab import lsq, oracle
@@ -520,3 +521,85 @@ def test_document_rejects_bad_labels():
            "labels": [2], "rows": [[[1, 1.0]]], "rejections": 0}
     with pytest.raises(ValueError):
         lsq.dataset_from_document(doc)
+
+
+# The JSON writer must give json.dump's text, byte for byte.
+
+_NEG_NAN = float(np.copysign(np.nan, -1.0))
+_FLOATS = st.one_of(st.floats(), st.sampled_from([
+    0.0, -0.0, float("nan"), _NEG_NAN, float("inf"), float("-inf"), 5e-324, 2.5e-310,
+    0.1 + 0.2, 1 / 3, -1.7976931348623157e308]))
+# Float vectors that repeat a few bit patterns, often 0.0 and -0.0 together.
+_FLOAT_VECTORS = st.tuples(st.lists(_FLOATS, min_size=1, max_size=4), st.booleans()).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool[0] + [0.0, -0.0] * pool[1]), max_size=12)
+).map(np.array)
+_TEXT = st.text(st.one_of(st.characters(), st.sampled_from('"\\\n\t\x00\x1f\x7f\u2028é€😀')))
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2 ** 70, 2 ** 70), _TEXT, _FLOATS,
+    _FLOATS.map(np.float64),  # a float subclass: json formats it with float.__repr__
+    _FLOAT_VECTORS, _FLOAT_VECTORS.map(np.ndarray.tolist), _FLOAT_VECTORS.map(list))
+_DOCUMENTS = st.recursive(_LEAVES, lambda children: st.one_of(
+    st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
+    st.dictionaries(_TEXT, children, max_size=4)), max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_DOCUMENTS)
+@example(doc={"zeros": [0.0, -0.0], "vector": np.array([-0.0, 0.0, -0.0, _NEG_NAN, 0.1]),
+              "scalar": np.float64(0.1), "flags": [True, False, 1, 0], "empty": [{}, [], ()]})
+def test_write_json_is_json_dump_text(doc, tmp_path):
+    # Exact, stated up front: json.dump's text plus a newline, with a 1-D
+    # float64 array written as its list.
+    path = tmp_path / "doc.json"
+    lsq.write_json(doc, path)
+    expected = json.dumps(doc, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n"
+    assert path.read_text(encoding="utf-8") == expected
+
+
+def reference_dataset_text(ds) -> str:
+    """The dataset file as `save_dataset` wrote it through `json.dump` of the
+    document of `Dataset.rows`."""
+    doc = {
+        "n": ds.n,
+        "d": ds.d,
+        "p": ds.p,
+        "seed": ds.seed,
+        "labels": [int(v) for v in ds.y],
+        "rows": ds.rows,
+        "rejections": ds.rejections,
+    }
+    fh = io.StringIO()
+    json.dump(doc, fh, indent=2, sort_keys=True)
+    fh.write("\n")
+    return fh.getvalue()
+
+
+_VALUES = st.one_of(st.floats(-1e300, 1e300), st.sampled_from([1.0, -1.0, 0.1 + 0.2, 1 / 3, 5e-324]))
+
+
+@st.composite
+def hand_built_datasets(draw):
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    pairs = st.tuples(st.integers(1, d), _VALUES)
+    rows = tuple(tuple(draw(st.lists(pairs, max_size=5))) for _ in range(n))  # duplicates too
+    y = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=n, max_size=n))
+    return lsq.Dataset(n=n, d=d, rows=rows, y=y, p=draw(st.none() | st.floats(0.5, 1.0)),
+                       seed=draw(st.none() | st.integers(0, 2 ** 40)),
+                       rejections=draw(st.integers(0, 3)))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ds=hand_built_datasets(), block=st.integers(1, 3))
+def test_saved_hand_built_dataset_is_json_dump_text(ds, block, tmp_path):
+    path = tmp_path / "ds.json"
+    with mock.patch.object(lsq, "_ROWS_PER_WRITE", block):  # rows across several writes
+        lsq.save_dataset(ds, path)
+    assert path.read_text(encoding="utf-8") == reference_dataset_text(ds)
+
+
+@pytest.mark.parametrize("n", [1, 100, 1000])
+def test_saved_generated_dataset_is_json_dump_text(n, tmp_path):
+    ds = lsq.generate_synthetic(n, 0.75, seed=n)
+    path = tmp_path / "ds.json"
+    lsq.save_dataset(ds, path)  # at n = 1000, in four writes
+    assert path.read_text(encoding="utf-8") == reference_dataset_text(ds)

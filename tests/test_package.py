@@ -1,6 +1,7 @@
 """The package's export lists, what importing it loads, and the input
 checks of its entry points."""
 
+import ast
 import importlib
 import os
 import re
@@ -47,6 +48,16 @@ def test_every_export_has_a_user_elsewhere(module):
     unused = [name for name in importlib.import_module(f"optlab.{module}").__all__
               if not any(re.search(rf"\b{name}\b", text) for text in texts)]
     assert unused == []
+
+
+def test_json_files_have_one_writer():
+    # Every JSON file goes through `lsq.write_json` (or `lsq.save_dataset`);
+    # `json.dumps` in an error message is fine.
+    calls = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE_DIR.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "dump"]
+    assert calls == []
 
 
 _DS = lsq.generate_synthetic(4, 0.75, seed=1)
