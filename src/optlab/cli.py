@@ -23,7 +23,8 @@ from . import lsq, oracle
 from .errors import LemmaPreconditionError, OptlabError
 from .optim import ADAPTIVE_METHODS, MethodKind, OptimizerSpec, spec_to_document
 from .schedules import DECAY_KINDS, DecayPolicy
-from .training import RunResult, dev_labels_for, run_training, write_trace_csv
+from .training import (RunResult, check_label_stream, dev_labels_for, run_training,
+                       write_trace_csv)
 from .tune import check_tune_budget, make_log_grid, tune, tune_report_to_document
 
 __all__ = ["main", "run_experiment", "ExperimentConfig", "GenerateOptions", "TrainOptions",
@@ -190,6 +191,8 @@ class TrainOptions:
 
 
 def cmd_train(options: TrainOptions) -> int:
+    if options.dev_size is not None:
+        check_label_stream("dev_size", options.dev_size)
     ds = lsq.load_dataset(options.dataset)
     spec = OptimizerSpec(MethodKind.parse(options.method), **{
         f.name: getattr(options, f.name) for f in fields(OptimizerSpec) if f.name != "method"})
@@ -303,6 +306,8 @@ class TuneOptions:
 
 
 def cmd_tune(options: TuneOptions) -> int:
+    if options.dev_size is not None:
+        check_label_stream("dev_size", options.dev_size)
     ds = lsq.load_dataset(options.dataset)
     method = MethodKind.parse(options.method)
     grid = make_log_grid(options.alpha, options.ratio, options.count)
@@ -374,6 +379,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     # The whole config is checked before anything is computed.
     if cfg.m_test < 1:
         raise ValueError("m_test must be at least 1")
+    check_label_stream("m_test", cfg.m_test)
     methods = [MethodKind.parse(name) for name in cfg.methods]
     if not methods:
         raise ValueError("methods must name at least one method")

@@ -34,6 +34,7 @@ float bit pattern of a float list formatted once.
 from __future__ import annotations
 
 import json
+import os
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_string  # json.dump's escaper
 
@@ -67,6 +68,20 @@ Row = tuple[tuple[int, float], ...]
 #: Redraws allowed before the generator gives up on a label imbalance.
 MAX_REDRAWS = 1000
 
+# Ceilings that keep a command's peak RSS under 2 GiB, at the peak per unit
+# measured at n = 10^5 and 2 * 10^5 (numpy 2.4, one BLAS thread): `experiment`
+# 216 MiB at 10^5 and 1.9 KB per further example (`generate` alone 0.84 KB
+# per example), and `load_dataset` about 6.8 bytes per file byte.  Beyond
+# them a command is a usage error, raised before anything is allocated.
+
+#: The most examples `generate_synthetic` draws: `experiment` extrapolates to
+#: about 1.9 GB at 10^6 (a power of ten; 2 * 10^6 would need 3.7 GB).
+MAX_EXAMPLES = 10**6
+
+#: The largest dataset file `load_dataset` reads: 2 GiB / 6.8 B, rounded down.
+#: (The file of n = 10^6 synthetic examples has about 2.3e8 bytes.)
+MAX_DATASET_BYTES = 3 * 10**8
+
 #: Relative residual at which `Dataset.gram_solve` stops.
 CG_TOL = 1e-14
 
@@ -77,30 +92,44 @@ class _Fold:
 
     Each sum starts at 0.0 and adds its terms in entry order (`np.bincount`),
     as a C loop over a CSR matrix does, so a row's bits do not depend on the
-    rows beside it.  No weight (None) means weight 1.
+    rows beside it.  No weight (None) means weight 1.  A stack is one take,
+    one multiply and one `bincount` over R copies of the entries' bins and
+    weights (so the multiply does not broadcast), made once for the tallest
+    stack so far, with views of them per input shape.
     """
 
     def __init__(self, bins: np.ndarray, take: np.ndarray, weight: np.ndarray | None,
                  size: int) -> None:
         self.bins, self.take, self.weight, self.size = bins, take, weight, size
-        self.stacked = bins  # the bins of the tallest stack so far; row i's add size * i
         # With no |weight| above 1, no term can overflow (bincount's sums never warn).
         self.may_overflow = weight is not None and bool(np.any(np.abs(weight) > 1.0))
+        # Row i's copy of the bins adds size * i.
+        self._height, self._bins, self._weights = 1, bins, weight
+        self._plans = {}  # input shape -> (bins, weights, bincount's minlength, output shape)
+
+    def _plan(self, shape: tuple) -> tuple:
+        height = shape[0] if len(shape) == 2 else 1
+        if height > self._height:
+            self._height, self._plans = height, {}
+            self._bins = (self.bins + self.size * np.arange(height)[:, None]).ravel()
+            self._weights = None if self.weight is None else np.tile(self.weight, height)
+        terms = height * self.bins.size
+        plan = self._plans[shape] = (self._bins[:terms],
+                                     None if self.weight is None else self._weights[:terms],
+                                     height * self.size, shape[:-1] + (self.size,))
+        return plan
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        terms = x.take(self.take, axis=-1)
+        bins, weights, length, shape = self._plans.get(x.shape) or self._plan(x.shape)
+        terms = x.take(self.take, axis=-1).ravel()
         if self.may_overflow:
             with np.errstate(over="ignore"):  # an overflowing term is inf, silently, as in C
-                terms *= self.weight
-        elif self.weight is not None:
-            terms *= self.weight
+                terms *= weights
+        elif weights is not None:
+            terms *= weights
         if not terms.size:  # bincount of nothing is an int array
-            return np.zeros(x.shape[:-1] + (self.size,))
-        height = len(x) if x.ndim == 2 else 1
-        if self.stacked.size < terms.size:
-            self.stacked = (self.bins + self.size * np.arange(height)[:, None]).ravel()
-        out = np.bincount(self.stacked[:terms.size], terms.ravel(), minlength=height * self.size)
-        return out.reshape(x.shape[:-1] + (self.size,))
+            return np.zeros(shape)
+        return np.bincount(bins, terms, minlength=length).reshape(shape)
 
 
 class Dataset:
@@ -357,6 +386,9 @@ def generate_synthetic(n: int, p: float, seed: int, max_redraws: int = MAX_REDRA
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    if n > MAX_EXAMPLES:
+        raise ValueError(f"n = {n} exceeds the ceiling of {MAX_EXAMPLES} examples "
+                         "(lsq.MAX_EXAMPLES, sized for a 2 GiB peak)")
     if not 0.5 < p < 1.0:
         raise ValueError(f"p must lie in (1/2, 1), got {p}")
     for attempt in range(max_redraws + 1):
@@ -573,5 +605,12 @@ def save_dataset(ds: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
+    """The dataset in the JSON file at `path`, which must not be larger than
+    `MAX_DATASET_BYTES` (checked before it is read)."""
+    size = os.stat(path).st_size
+    if size > MAX_DATASET_BYTES:
+        raise ValueError(f"{path}: {size} bytes exceeds the ceiling of {MAX_DATASET_BYTES} "
+                         "bytes for a dataset file (lsq.MAX_DATASET_BYTES, sized for a 2 GiB "
+                         "peak)")
     with open(path, "r", encoding="utf-8") as fh:
         return dataset_from_document(json.load(fh))

@@ -8,10 +8,11 @@ where ``g_k`` is the gradient at the extrapolated point
 ``w_k + c_k (w_k - w_{k-1})`` and ``H_k`` is a diagonal preconditioner built
 from a running combination ``G_k`` of squared gradients,
 ``H_k = sqrt(G_k) + epsilon`` elementwise.  Non-adaptive methods use the
-identity preconditioner.  `table1_coefficients` supplies the per-method,
+identity preconditioner.  `table1_coefficients` gives the per-method,
 per-step scalars (a_k, b_k, c_k), the G-recurrence weights, and the scale
 under the square root (``H_k = sqrt(h_scale_k G_k) + epsilon``); the engine
-reads nothing else.
+reads the same row: all of it but the step size is evaluated once per spec
+(`OptimizerSpec.table1_constants`), except for Adam, whose row depends on k.
 
 Conventions that the rest of the lab relies on:
 
@@ -35,6 +36,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -105,6 +107,24 @@ class OptimizerSpec:
             if not 0.0 <= v < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1), got {v}")
 
+    @cached_property
+    def table1_constants(self) -> tuple[float, ...] | None:
+        """Table 1's (beta_k, gamma_k, g_keep, g_new, h_scale), evaluated once
+        per spec, for a method whose row does not depend on k (its alpha_k is
+        the step size); None for Adam, whose row does (`_adam_row`)."""
+        m = self.method
+        if m is MethodKind.SGD:
+            return 0.0, 0.0, 1.0, 0.0, 1.0
+        if m is MethodKind.HB:
+            return self.beta, 0.0, 1.0, 0.0, 1.0
+        if m is MethodKind.NAG:
+            return self.beta, self.beta, 1.0, 0.0, 1.0
+        if m is MethodKind.ADAGRAD:
+            return 0.0, 0.0, 1.0, 1.0, 1.0
+        if m is MethodKind.RMSPROP:
+            return 0.0, 0.0, self.beta2, 1.0 - self.beta2, 1.0
+        return None
+
 
 @dataclass
 class OptimizerState:
@@ -157,6 +177,14 @@ def init_state(spec: OptimizerSpec, w0: np.ndarray) -> OptimizerState:
     )
 
 
+def _adam_row(spec: OptimizerSpec, k: int, a) -> tuple:
+    """Adam's Table 1 row at step k for base step size(s) `a`."""
+    b1, b2 = spec.beta1, spec.beta2
+    corr1 = 1.0 - b1**k
+    return (a * (1.0 - b1) / corr1, b1 * (1.0 - b1 ** (k - 1)) / corr1, 0.0,
+            b2, 1.0 - b2, 1.0 / (1.0 - b2**k))
+
+
 def table1_coefficients(spec: OptimizerSpec, k: int,
                         alpha: float | None = None) -> StepCoefficients:
     """Per-step scalars of the unified update for step index ``k >= 1``.
@@ -171,29 +199,8 @@ def table1_coefficients(spec: OptimizerSpec, k: int,
     if k < 1:
         raise ValueError("step index k starts at 1")
     a = spec.alpha if alpha is None else alpha
-    m = spec.method
-    if m is MethodKind.SGD:
-        return StepCoefficients(a, 0.0, 0.0, 1.0, 0.0, 1.0)
-    if m is MethodKind.HB:
-        return StepCoefficients(a, spec.beta, 0.0, 1.0, 0.0, 1.0)
-    if m is MethodKind.NAG:
-        return StepCoefficients(a, spec.beta, spec.beta, 1.0, 0.0, 1.0)
-    if m is MethodKind.ADAGRAD:
-        return StepCoefficients(a, 0.0, 0.0, 1.0, 1.0, 1.0)
-    if m is MethodKind.RMSPROP:
-        return StepCoefficients(a, 0.0, 0.0, spec.beta2, 1.0 - spec.beta2, 1.0)
-    if m is MethodKind.ADAM:
-        b1, b2 = spec.beta1, spec.beta2
-        corr1 = 1.0 - b1**k
-        return StepCoefficients(
-            alpha_k=a * (1.0 - b1) / corr1,
-            beta_k=b1 * (1.0 - b1 ** (k - 1)) / corr1,
-            gamma_k=0.0,
-            g_keep=b2,
-            g_new=1.0 - b2,
-            h_scale=1.0 / (1.0 - b2**k),
-        )
-    raise AssertionError(f"unhandled method {m}")
+    row = spec.table1_constants
+    return StepCoefficients(*(_adam_row(spec, k, a) if row is None else (a, *row)))
 
 
 def step(
@@ -204,16 +211,23 @@ def step(
 ) -> OptimizerState:
     """Advance every row one iteration; returns the new state.
 
-    `alpha_override`, when given, replaces the base step size for this step
-    only (decay schedules feed the current rates through here): a scalar, or
-    one step size per row, shape (R, 1).  A row whose gradient or new iterate
-    is not finite, or whose zero preconditioner entry would divide a nonzero
+    `grad_at` returns the float64 gradient at the point it is given, in that
+    point's shape.  `alpha_override`, when given, replaces the base step size
+    for this step only (decay schedules feed the current rates through here):
+    a scalar, or one step size per row, shape (R, 1), or repeated along each
+    row, the state's shape.  A row whose gradient or new iterate is not
+    finite, or whose zero preconditioner entry would divide a nonzero
     quantity, is listed in the new state's `failures`.
     """
     k = state.k + 1
-    a, b, gamma, keep, new, scale = table1_coefficients(spec, k, alpha_override)
+    a = spec.alpha if alpha_override is None else alpha_override
+    row = spec.table1_constants  # computed once per spec
+    if row is None:
+        a, b, gamma, keep, new, scale = _adam_row(spec, k, a)
+    else:
+        b, gamma, keep, new, scale = row
     w, w_prev = state.w, state.w_prev
-    g = np.asarray(grad_at(w + gamma * (w - w_prev) if gamma != 0.0 else w), dtype=np.float64)
+    g = grad_at(w + gamma * (w - w_prev) if gamma != 0.0 else w)
 
     # The bits are those of the plain formula: an op whose result is bit for
     # bit its input (a factor 1, a term 0) is skipped, and arrays made here
@@ -234,7 +248,8 @@ def step(
         if spec.epsilon != 0.0:
             np.add(h, spec.epsilon, out=h)
         h_safe = h
-        if spec.epsilon == 0.0 and not h.all():  # with epsilon > 0 no entry is 0
+        # With epsilon > 0 no entry is 0; a NaN counts as nonzero, as in h.all().
+        if spec.epsilon == 0.0 and np.count_nonzero(h) < h.size:
             dead = h == 0.0
             needs_div = g != 0.0
             if dw is not None:
@@ -253,7 +268,8 @@ def step(
     # checking the iterates finds every failing row; their sum is finite
     # only if every entry is.
     failures = ()
-    if (singular is not False and singular.any()) or not math.isfinite(w_next.sum()):
+    if (singular is not False and singular.any()) or not math.isfinite(
+            np.add.reduce(w_next, axis=None)):
         failures = _row_failures(k, g, w_next, singular, spec.epsilon)
     return OptimizerState(k, w_next, w, g_accum, h, failures)
 

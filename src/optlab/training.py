@@ -10,14 +10,21 @@ The product is ``X_q diag(multiplicity) u`` and the gradient ``2 X_q^T r``;
 full-length vectors appear only at the edges (the results, the trace and the
 dev scores), through `Dataset.expand`.
 
-The engine steps the stack once per iteration; a single run is a stack of one
-row.  A row that converges, or fails (non-finite loss or iterate, singular
-preconditioner), stops with its status and drops out while the others go on,
-so each row is bit for bit the run it gives alone.  Each row records
-loss/norm/margin/span diagnostics every iteration up to 1000, then every
-10th, plus the final one (default); the loss, the next gradient and the
-margin and span diagnostics all use the one product ``Xw`` computed per
-iterate, and the diagnostics of recorded rows are computed in blocks.
+The engine, `step`, steps the stack once per iteration; a single run is a
+stack of one row.  A row that converges, or fails (non-finite loss or
+iterate, singular preconditioner), stops with its status and drops out while
+the others go on, so each row is bit for bit the run it gives alone.  What a
+run's constants fix is computed once: the spec's Table 1 row (not Adam's,
+which depends on k), the multiplicities, labels and step sizes repeated to
+the stack's shape (so no op broadcasts), and each fold's stacked bins and
+weights per stack height.  The loop calls the folds directly and reduces its
+few per-row numbers as Python floats.  Each row records loss/norm/margin/span
+diagnostics every iteration up to 1000, then every 10th, plus the final one
+(default); the loss, the next gradient and the trace's margin and span
+diagnostics all use the one product ``Xw`` computed per iterate, and the
+diagnostics are computed per block of recorded rows (at most
+`TRACE_BLOCK_FLOATS` floats), as stacked arrays.  The dev error of an
+iterate comes from its first three coordinates.
 
 One iteration equals one epoch here: all gradients are full-batch.
 """
@@ -27,6 +34,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -37,6 +45,8 @@ from .schedules import DecayPolicy, next_alpha
 __all__ = [
     "TRACE_HEADER",
     "RunResult",
+    "MAX_LABELS",
+    "check_label_stream",
     "dev_labels_for",
     "run_training",
     "run_lockstep",
@@ -49,8 +59,10 @@ TRACE_HEADER = "iter,alpha,train_loss,dev_error,w_l2,w_linf,margin,rowspan_resid
 DENSE_TRACE_LIMIT = 1000
 SPARSE_TRACE_EVERY = 10
 
-#: Floats (quotient iterate plus ``X w``) of the trace rows solved as one block.
-TRACE_BLOCK_FLOATS = 1 << 13
+#: Floats per block of trace rows, whose diagnostics are computed together:
+#: each row counts its quotient iterate, its ``X w`` and its full-length
+#: iterate (q + n + d floats).
+TRACE_BLOCK_FLOATS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -81,14 +93,25 @@ class RunResult:
     failure: str | None = None
 
 
+#: The longest dev or test label stream (`dev_size`, `m_test`).  Drawing and
+#: scoring take about 24 bytes of peak RSS per label and stream (measured on
+#: 25 streams of 10^6, a default tune round with a dev stream), so such a
+#: round at the ceiling peaks near 0.6 GB, inside the 2 GiB of `lsq`'s
+#: ceilings, with room for 3 times as many streams.
+MAX_LABELS = 10**6
+
+
+def check_label_stream(name: str, size: int) -> None:
+    """Reject a label stream longer than `MAX_LABELS`, before it is drawn."""
+    if size > MAX_LABELS:
+        raise ValueError(f"{name} = {size} exceeds the ceiling of {MAX_LABELS} labels "
+                         "per stream (training.MAX_LABELS, sized for a 2 GiB peak)")
+
+
 def dev_labels_for(p: float, size: int, seed_sequence) -> np.ndarray:
     """Fresh +-1 labels for a development stream."""
     rng = np.random.default_rng(seed_sequence)
     return np.where(rng.random(size) < p, 1.0, -1.0)
-
-
-#: The two dev label values, in the column order of `_label_counts`.
-_SIGNS = np.array([1.0, -1.0])
 
 
 def _label_counts(labels) -> np.ndarray:
@@ -101,15 +124,19 @@ def _label_counts(labels) -> np.ndarray:
     return np.stack([np.sum(labels > 0.0, axis=-1), np.sum(labels < 0.0, axis=-1)], axis=-1)
 
 
-def _dev_errors(w: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Dev error of each row of a stack, on the labels counted in row i of `counts`.
+def _dev_errors(w: np.ndarray, counts) -> list[float]:
+    """Dev error of each row of an (R, 3) stack of first three coordinates, on
+    the labels counted in row i of `counts` (+1 labels, then -1 labels).
 
-    A fresh point's score depends only on its label, so each row scores the
-    two labels once and weights its misses by their counts: the same exact
-    count as scoring every label, hence the same bits.
+    A fresh point's score is ``label * w1 + w2 + w3`` (`lsq.test_scores`), a
+    miss when ``score * label <= 0``: ``(w1 + w2) + w3 <= 0`` for label +1 and
+    ``(w2 - w1) + w3 >= 0`` for -1 (the same roundings, negated).  So each row
+    scores the two labels once and weights its misses by their counts: the
+    same exact count as scoring every label, hence the same bits.  A stack
+    has few rows, so this runs on Python floats (the same IEEE operations).
     """
-    wrong = lsq.test_scores(w, _SIGNS) * _SIGNS <= 0.0
-    return np.sum(wrong * counts, axis=-1) / np.sum(counts, axis=-1)
+    return [((pos if (w1 + w2) + w3 <= 0.0 else 0) + (neg if (w2 - w1) + w3 >= 0.0 else 0))
+            / (pos + neg) for (w1, w2, w3), (pos, neg) in zip(w.tolist(), counts)]
 
 
 def _should_record(k: int, trace_every: int | None) -> bool:
@@ -119,20 +146,26 @@ def _should_record(k: int, trace_every: int | None) -> bool:
 
 
 def _append_trace_rows(ds: lsq.Dataset, pending: list) -> None:
-    """Append each of the (nonempty) `pending` ``(trace, (iteration, alpha,
-    train_loss, dev_error), u, xw)`` to its trace and empty `pending`: one
-    stacked `gram_solve` for the span residuals, full-length (d) work a row at
-    a time, each value bit for bit its standalone `lsq` call."""
-    traces, heads, u, xw = zip(*pending)
+    """Append each of the (nonempty) `pending` ``(trace, iteration, alpha,
+    train_loss, dev_error, u, xw)`` to its trace and empty `pending`.
+
+    The block's diagnostics are computed stacked: one `gram_solve` for the
+    span residuals, and norms, maxima and margins over the (rows, d) block of
+    full-length iterates, each value bit for bit its standalone `lsq` call.
+    """
+    traces, iterations, alphas, losses, devs, u, xw = zip(*pending)
     u, xw = np.array(u), np.array(xw)
-    off_span = u - lsq.quotient_t_product(ds, ds.gram_solve(xw))  # w minus its projection
-    lowest = np.min(ds.y * xw, axis=-1)
-    for trace, head, u_i, off, low in zip(traces, heads, u, off_span, lowest):
-        w = ds.expand(u_i)
-        norm = lsq.l2_norm(w)
-        trace.append(TraceRow(*head, norm, float(np.max(np.abs(w))) if w.size else 0.0,
-                              float(low / norm) if norm > 0.0 else math.nan,
-                              lsq.l2_norm(ds.expand(off))))
+    w = ds.expand(u)
+    norms = np.sqrt(np.add.reduce(w * w, axis=-1))
+    largest = np.maximum.reduce(np.abs(w), axis=-1) if ds.d else np.zeros(len(u))
+    margins = np.minimum.reduce(ds.y * xw, axis=-1) / norms
+    w = ds.expand(u - lsq.quotient_t_product(ds, ds.gram_solve(xw)))  # off the row span
+    resids = np.sqrt(np.add.reduce(w * w, axis=-1))
+    for trace, k, alpha, loss, dev, norm, linf, margin, resid in zip(
+            traces, iterations, alphas, losses, devs, norms.tolist(), largest.tolist(),
+            margins.tolist(), resids.tolist()):
+        trace.append(TraceRow(k, float(alpha), float(loss), dev, norm, linf,
+                              margin if norm > 0.0 else math.nan, resid))
     pending.clear()
 
 
@@ -168,9 +201,15 @@ def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
 
     alpha = np.array(alphas, dtype=np.float64).reshape(-1, 1)
     n_rows = len(alpha)
-    counts = None if dev_labels is None else _label_counts(dev_labels)
-    m = ds.multiplicity
-    state = init_state(spec, np.zeros((n_rows, m.size)))
+    # The folds of `lsq.quotient_product` and `lsq.quotient_t_product`.
+    times, times_t = ds._times, ds._times_t
+    # The multiplicities, labels and step sizes repeated to the stack's shape,
+    # so that no op of an iteration broadcasts.  Every row of `m` and `y` is
+    # the same, so a shorter stack uses their first rows.
+    m_rows, y_rows = np.tile(ds.multiplicity, (n_rows, 1)), np.tile(ds.y, (n_rows, 1))
+    m, y = m_rows, y_rows
+    rates = np.repeat(alpha, ds.multiplicity.size, axis=1)
+    state = init_state(spec, np.zeros(m.shape))
     # Row r's result is completed when r stops; its trace rows arrive by block.
     results = [RunResult("ok", False, None, math.nan, 0, [],
                          iterates=[ds.expand(u)] if keep_iterates else None)
@@ -178,31 +217,40 @@ def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
     rows = list(range(n_rows))  # stack position -> row
     # Trace rows wait, as views of the arrays the loop makes (and never
     # writes into), until a block of TRACE_BLOCK_FLOATS floats is full.
-    pending, block = [], max(1, TRACE_BLOCK_FLOATS // (m.size + ds.n))
+    pending, block = [], max(1, TRACE_BLOCK_FLOATS // (m.shape[1] + ds.n + ds.d))
 
-    def dev_errors(u: np.ndarray) -> np.ndarray | None:
-        # test_scores reads features 1-3 only.
-        return None if counts is None else _dev_errors(ds.expand(u, slice(3)), counts)
+    # The dev record, one list entry per row in the stack (Python numbers).
+    counts = dev = best_dev = epoch_of_best = None
+    if dev_labels is not None:
+        counts = _label_counts(dev_labels).tolist()
+        if ds.d < 3:
+            raise ValueError("weight vector must have at least 3 coordinates")
+
+    def dev_errors(u: np.ndarray) -> list[float]:
+        # A dev score reads features 1-3 only (`lsq.test_scores`).
+        return _dev_errors(ds.expand(u, slice(3)), counts)
 
     # One product per iterate: the loss, the next gradient (via the residual)
     # and the trace's margin and span projection all use it.
-    xw = lsq.quotient_product(ds, m * state.w)
-    resid = xw - ds.y
-    loss = lsq.residual_loss(resid)
-    dev = best_dev = dev_errors(state.w)
+    xw = times(m * state.w)
+    resid = xw - y
+    loss = np.add.reduce(resid * resid, axis=-1)  # `lsq.residual_loss`
+    if counts is not None:
+        dev = dev_errors(state.w)
+        best_dev, epoch_of_best = list(dev), [0] * n_rows
     improved = None  # whether each row's dev error at iteration k is a new best
-    epoch_of_best = np.zeros(n_rows, dtype=np.int64)
     decays = policy is not None and policy.kind != "none"
 
     def grad_at(v: np.ndarray) -> np.ndarray:
-        # Without extrapolation the engine asks for the gradient at state.w
-        # itself, whose residual the loss has already computed.
-        r = resid if v is state.w else lsq.quotient_product(ds, m * v) - ds.y
-        return lsq.residual_gradient(ds, r)
+        # `lsq.residual_gradient`.  Without extrapolation the engine asks for
+        # the gradient at state.w itself, whose residual the loss has already
+        # computed.
+        g = times_t(resid if v is state.w else times(m * v) - y)
+        return np.multiply(2.0, g, out=g)
 
     def record(i: int, k: int) -> None:
-        head = (k, float(alpha[i, 0]), float(loss[i]), math.nan if dev is None else float(dev[i]))
-        pending.append((results[rows[i]].trace, head, state.w[i], xw[i]))
+        pending.append((results[rows[i]].trace, k, alpha[i, 0], loss[i],
+                        math.nan if dev is None else dev[i], state.w[i], xw[i]))
         if len(pending) == block:
             _append_trace_rows(ds, pending)
 
@@ -212,17 +260,20 @@ def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
         res.status, res.converged, res.failure = status, converged, failure
         res.w, res.final_loss, res.iterations = ds.expand(state.w[i]), float(loss[i]), k
         if best_dev is not None:
-            res.best_dev, res.epoch_of_best = float(best_dev[i]), int(epoch_of_best[i])
+            res.best_dev, res.epoch_of_best = best_dev[i], epoch_of_best[i]
 
     def keep_rows(keep: np.ndarray) -> None:
-        nonlocal rows, state, xw, resid, loss, alpha, epoch_of_best, counts, best_dev
+        nonlocal rows, state, xw, resid, loss, alpha, rates, m, y, counts, best_dev, epoch_of_best
         rows = [r for r, kept in zip(rows, keep) if kept]
         state = OptimizerState(state.k, state.w[keep], state.w_prev[keep], state.g_accum[keep],
                                None if state.h is None else state.h[keep])
         xw, resid, loss = xw[keep], resid[keep], loss[keep]
-        alpha, epoch_of_best = alpha[keep], epoch_of_best[keep]
+        alpha, rates = alpha[keep], rates[keep]
+        m, y = m_rows[:len(rows)], y_rows[:len(rows)]
         if counts is not None:
-            counts, best_dev = counts[keep], best_dev[keep]
+            counts, best_dev, epoch_of_best = (
+                [v for v, kept in zip(values, keep) if kept]
+                for values in (counts, best_dev, epoch_of_best))
 
     # The stack holds the rows still running, each with a finite loss.
     k = 0
@@ -230,7 +281,9 @@ def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
         while rows:
             last = k == iters
             converged = None
-            if stop_loss is not None and loss.min() <= stop_loss:
+            # Every loss here is finite, and a stack is short: Python's min and
+            # sum of its list cost less than a ufunc reduction.
+            if stop_loss is not None and min(loss.tolist()) <= stop_loss:
                 converged = loss <= stop_loss
             if record_trace and (last or _should_record(k, trace_every)):
                 for i in range(len(rows)):
@@ -244,24 +297,26 @@ def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
                 break
             if decays and k > 0:  # a converged row's new rate goes with it
                 for i in range(len(rows)):
-                    alpha[i, 0] = next_alpha(policy, float(alpha[i, 0]), k,
-                                             improved=improved is not None and bool(improved[i]))
+                    a = next_alpha(policy, float(alpha[i, 0]), k,
+                                   improved=improved is not None and improved[i])
+                    if a != alpha[i, 0]:
+                        alpha[i, 0] = rates[i] = a
             if converged is not None:
                 for i in np.flatnonzero(converged):
                     finish(i, k, converged=True)
                 keep_rows(~converged)
                 if not rows:
                     break
-            new = step(state, spec, grad_at, alpha)
+            new = step(state, spec, grad_at, rates)
             failed = [i for i, _, _ in new.failures]
             for i, status, failure in new.failures:
                 finish(i, k, status, failure=failure)
             state = new
             k += 1
-            xw = lsq.quotient_product(ds, m * state.w)
-            resid = xw - ds.y
-            loss = lsq.residual_loss(resid)
-            if not math.isfinite(loss.sum()):
+            xw = times(m * state.w)
+            resid = xw - y
+            loss = np.add.reduce(resid * resid, axis=-1)
+            if not math.isfinite(sum(loss.tolist())):
                 for i in np.flatnonzero(~np.isfinite(loss)):
                     if i not in failed:
                         finish(i, k, "diverged", failure=f"non-finite loss at iteration {k}")
@@ -272,9 +327,9 @@ def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
                 results[rows[i]].iterates.append(ds.expand(state.w[i]))
             if counts is not None:
                 dev = dev_errors(state.w)
-                improved = dev < best_dev
-                best_dev = np.where(improved, dev, best_dev)
-                epoch_of_best = np.where(improved, k, epoch_of_best)
+                improved = [d < best for d, best in zip(dev, best_dev)]
+                for i in compress(range(len(dev)), improved):
+                    best_dev[i], epoch_of_best[i] = dev[i], k
         if pending:
             _append_trace_rows(ds, pending)
     return results

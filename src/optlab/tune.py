@@ -179,7 +179,10 @@ def tune(
         raise ValueError("base_spec method does not match")
 
     # Looked up at call time, so the run loop can be substituted.
-    from .training import dev_labels_for, run_lockstep
+    from .training import check_label_stream, dev_labels_for, run_lockstep
+
+    if dev_size is not None:
+        check_label_stream("dev_size", dev_size)
 
     by_alpha: dict[float, list[TrialResult]] = {}  # in the order of evaluation
 

@@ -16,7 +16,7 @@ from optlab.cli import (
     main,
 )
 from optlab.optim import MethodKind, OptimizerSpec
-from optlab.training import TRACE_HEADER, run_training
+from optlab.training import MAX_LABELS, TRACE_HEADER, run_training
 
 
 def run_cli(*argv):
@@ -431,6 +431,53 @@ def test_experiment_checks_its_config_before_writing(flags, message, tmp_path, c
     assert run_cli("experiment", "--n", "12", "--iters", "5", "--out", str(out), *flags) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["generate", "--n", str(lsq.MAX_EXAMPLES + 1)],
+     f"n = {lsq.MAX_EXAMPLES + 1} exceeds the ceiling of {lsq.MAX_EXAMPLES} examples"),
+    (["experiment", "--n", str(lsq.MAX_EXAMPLES + 1)],
+     f"n = {lsq.MAX_EXAMPLES + 1} exceeds the ceiling of {lsq.MAX_EXAMPLES} examples"),
+    (["experiment", "--m-test", str(MAX_LABELS + 1)],
+     f"m_test = {MAX_LABELS + 1} exceeds the ceiling of {MAX_LABELS} labels per stream"),
+    (["train", "--dev-size", str(MAX_LABELS + 1)],
+     f"dev_size = {MAX_LABELS + 1} exceeds the ceiling of {MAX_LABELS} labels per stream"),
+    (["tune", "--dev-size", str(MAX_LABELS + 1)],
+     f"dev_size = {MAX_LABELS + 1} exceeds the ceiling of {MAX_LABELS} labels per stream"),
+], ids=["generate_n", "experiment_n", "experiment_m_test", "train_dev_size", "tune_dev_size"])
+def test_ceilings_are_usage_errors_before_anything_is_allocated(argv, message, tmp_path,
+                                                                capsys, monkeypatch):
+    # One past each ceiling: exit 1 with a message naming the limit, before
+    # any random draw or dataset read (train and tune name a dataset that
+    # does not exist: reading it would exit 3) and before any output.
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a random stream was made")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    out = tmp_path / "out"
+    if argv[0] in ("train", "tune"):
+        argv = [*argv, "--dataset", str(tmp_path / "missing.json")]
+    assert run_cli(*argv, "--out", str(out)) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_dataset_file_above_the_ceiling_is_a_usage_error(dataset_file, tmp_path, capsys,
+                                                        monkeypatch):
+    # The file is measured before it is read: with the ceiling one byte below
+    # its size, neither `train` nor `oracle` parses it.
+    size = dataset_file.stat().st_size
+    with monkeypatch.context() as patch:
+        patch.setattr(lsq, "MAX_DATASET_BYTES", size - 1)
+        patch.setattr(json, "load", lambda *args, **kwargs: pytest.fail("the file was read"))
+        for command in ("train", "oracle"):
+            out = tmp_path / command
+            assert run_cli(command, "--dataset", str(dataset_file), "--out", str(out)) == 1
+            assert (f"{dataset_file}: {size} bytes exceeds the ceiling of {size - 1} bytes "
+                    "for a dataset file") in capsys.readouterr().err
+            assert not out.exists()
+    monkeypatch.setattr(lsq, "MAX_DATASET_BYTES", size)  # a file at the ceiling loads
+    assert lsq.load_dataset(dataset_file).n == 12
 
 
 def test_failed_experiment_writes_nothing(tmp_path, capsys):

@@ -190,15 +190,31 @@ def test_small_gradient_step_decreases_loss(seed):
 
 
 @settings(max_examples=20, deadline=None)
-@given(n=st.integers(1, 60), seed=st.integers(0, 1000))
-def test_stacked_products_do_not_depend_on_stack_size(n, seed):
+@given(n=st.integers(1, 60), seed=st.integers(0, 1000),
+       heights=st.lists(st.integers(0, 12), min_size=1, max_size=10))
+@example(n=7, seed=3, heights=[3, 1, 6, 2, 6, 12, 0, 4, 12, 1])
+def test_stacked_products_do_not_depend_on_stack_size(n, seed, heights):
     # Each row of a stack must be bit for bit the single-vector CSR product,
     # so a trajectory does not change with the rows that run beside it; and
     # that product must agree with a dense reference to 1e-12 relative to the
-    # largest entry.
+    # largest entry.  The folds keep their stacked bins per stack height, so
+    # the forward and transposed products first run on fresh stacks at a
+    # drawn sequence of heights, shrinking and growing, on one dataset, and
+    # each row must equal the product of a second copy of the dataset that
+    # only ever sees single vectors.
     ds = lsq.generate_synthetic(n, 0.75, seed)
+    solo = lsq.generate_synthetic(n, 0.75, seed)
+    q = ds.multiplicity.size
+    rng = np.random.default_rng(seed)
+    for height in heights:
+        s, r = rng.standard_normal((height, q)), rng.standard_normal((height, n))
+        forward, transposed = lsq.quotient_product(ds, s), lsq.quotient_t_product(ds, r)
+        assert forward.shape == (height, n) and transposed.shape == (height, q)
+        for i in range(height):
+            assert forward[i].tobytes() == lsq.quotient_product(solo, s[i]).tobytes()
+            assert transposed[i].tobytes() == lsq.quotient_t_product(solo, r[i]).tobytes()
     X = dense(ds)
-    W = np.random.default_rng(seed).standard_normal((8, ds.d)) * 10.0
+    W = rng.standard_normal((8, ds.d)) * 10.0
     for size in (1, 2, 5, 8):
         resid = lsq.residual(ds, W[:size])
         grads = lsq.residual_gradient(ds, resid)

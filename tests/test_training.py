@@ -208,7 +208,7 @@ def test_trace_diagnostics_equal_standalone_calls(ds, method, dependent, monkeyp
         with monkeypatch.context() as patch:
             if block_rows is not None:
                 patch.setattr(training, "TRACE_BLOCK_FLOATS",
-                              block_rows * (data.multiplicity.size + data.n))
+                              block_rows * (data.multiplicity.size + data.n + data.d))
             rows = run_lockstep(data, spec, [0.002, 0.01, 0.05], 30, keep_iterates=True)
         for row in rows:
             assert [t.iteration for t in row.trace] == list(range(len(row.iterates)))
@@ -217,6 +217,58 @@ def test_trace_diagnostics_equal_standalone_calls(ds, method, dependent, monkeyp
                 assert np.float64(t.margin).tobytes() == np.float64(margin).tobytes()
                 assert t.rowspan_resid == lsq.row_span_residual(data, w)
                 assert (t.w_l2, t.w_linf) == (lsq.l2_norm(w), float(np.max(np.abs(w))))
+
+
+def test_run_loop_steps_through_the_engine_once_per_iteration(ds, monkeypatch):
+    # The run loop has one update path: `training.step`, called once per
+    # lockstep iteration with the rows still running (the bench traces it
+    # there).  A mixed stack: a row that converges at 64, one whose loss
+    # overflows at iteration 95, one that runs out the budget of 150, and one
+    # whose first step overflows; with the trace on and a dev stream.
+    heights = []
+
+    def counted(state, spec, grad_at, alpha):
+        heights.append(len(state.w))
+        return step(state, spec, grad_at, alpha)
+
+    monkeypatch.setattr(training, "step", counted)
+    labels = [dev_labels_for(0.75, 100, np.random.SeedSequence(entropy=1, spawn_key=(i,)))
+              for i in range(4)]
+    rows = run_lockstep(ds, OptimizerSpec(method=MethodKind.HB, alpha=1.0),
+                        [0.02, 1.0, 1e-7, 1e308], 150, dev_labels=labels, stop_loss=1e-3)
+    outcomes = [(r.status, r.converged, r.iterations, r.failure) for r in rows]
+    assert outcomes == [("ok", True, 64, None),
+                        ("diverged", False, 95, "non-finite loss at iteration 95"),
+                        ("ok", False, 150, None),
+                        ("diverged", False, 0, "non-finite iterate at step 1")]
+    # Steps each row took part in: up to its last iteration, or the failing one.
+    steps = [64, 95, 150, 1]
+    assert heights == [sum(j <= last for last in steps) for j in range(1, 151)]
+
+
+def test_trace_blocks_count_the_full_length_iterates(monkeypatch):
+    # A block's diagnostics work on its (rows, d) full-length iterates, so its
+    # height must count d, not only q + n: here a hand-built design whose
+    # 40 000 features collapse to 4 quotient columns.  Every full-length
+    # array the trace makes stays within TRACE_BLOCK_FLOATS, or is one row.
+    d = 40_000
+    rows = (((1, 1.0), (d, 2.0)), ((2, 1.0),), ((1, 1.0), (3, -1.0)), ((2, 3.0), (3, 1.0)))
+    data = lsq.Dataset(n=4, d=d, rows=rows, y=np.array([1.0, -1.0, 1.0, 1.0]))
+    assert data.multiplicity.size == 4
+    shapes = []
+    expand = lsq.Dataset.expand
+
+    def recorded(self, u, *args):
+        w = expand(self, u, *args)
+        shapes.append(w.shape)
+        return w
+
+    monkeypatch.setattr(lsq.Dataset, "expand", recorded)
+    (row,) = run_lockstep(data, sgd_spec(0.01), [0.01], 40)
+    assert [t.iteration for t in row.trace] == list(range(41))
+    assert all(len(shape) == 1 or shape[0] == 1
+               or shape[0] * (4 + data.n + d) <= training.TRACE_BLOCK_FLOATS
+               for shape in shapes)
 
 
 _SCORE_PARTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, math.nan, math.inf, -math.inf])
@@ -237,7 +289,7 @@ def test_dev_errors_equal_per_label_mean(w, size, seed):
     labels = np.where(np.random.default_rng(seed).random((len(w), size)) < 0.75, 1.0, -1.0)
     with np.errstate(over="ignore", invalid="ignore"):
         per_label = np.mean(lsq.test_scores(w, labels) * labels <= 0.0, axis=-1)
-        by_class = _dev_errors(w, _label_counts(labels))
+        by_class = np.array(_dev_errors(w, _label_counts(labels)))
     assert by_class.tobytes() == per_label.tobytes()
 
 
