@@ -23,8 +23,7 @@ from . import lsq, oracle
 from .errors import LemmaPreconditionError, OptlabError
 from .optim import ADAPTIVE_METHODS, MethodKind, OptimizerSpec, spec_to_document
 from .schedules import DECAY_KINDS, DecayPolicy
-from .training import (RunResult, check_label_stream, dev_labels_for, run_training,
-                       write_trace_csv)
+from .training import RunResult, check_label_stream, run_training, write_trace_csv
 from .tune import check_tune_budget, make_log_grid, tune, tune_report_to_document
 
 __all__ = ["main", "run_experiment", "ExperimentConfig", "GenerateOptions", "TrainOptions",
@@ -201,16 +200,9 @@ def cmd_train(options: TrainOptions) -> int:
     dev_labels = None
     if options.dev_size is not None:
         ss = np.random.SeedSequence(entropy=options.seed, spawn_key=(_DEV_STREAM,))
-        dev_labels = dev_labels_for(ds.p, options.dev_size, ss)
-    result = run_training(
-        ds,
-        spec,
-        options.iters,
-        policy=policy,
-        dev_labels=dev_labels,
-        stop_loss=options.stop_loss,
-        trace_every=options.trace_every,
-    )
+        dev_labels = lsq.dev_labels_for(ds.p, options.dev_size, ss)
+    result = run_training(ds, spec, options.iters, policy=policy, dev_labels=dev_labels,
+                          stop_loss=options.stop_loss, trace_every=options.trace_every)
     out = Path(options.out)
     out.mkdir(parents=True, exist_ok=True)
     write_trace_csv(result.trace, out / "trace.csv")
@@ -253,7 +245,10 @@ def _oracle_report(ds: lsq.Dataset):
         "min_norm_margin": lsq.margin(ds, mn.w),
         "min_norm_loss": lsq.loss(ds, mn.w),
     }
-    sg = None if oracle.lemma_condition_check(ds) is None else oracle.sign_solution(ds)
+    try:
+        sg = oracle.sign_solution(ds)
+    except LemmaPreconditionError:
+        sg = None
     report["sign_available"] = sg is not None
     report["sign"] = None
     if sg is not None:
@@ -313,17 +308,8 @@ def cmd_tune(options: TuneOptions) -> int:
     grid = make_log_grid(options.alpha, options.ratio, options.count)
     policy = _policy_from(options)
     dev_size = _dev_size_for(ds, options.dev_size)
-    report = tune(
-        ds,
-        method,
-        grid,
-        policy,
-        options.iters,
-        options.seeds,
-        dev_size=dev_size,
-        extension_cap=options.extension_cap,
-        stop_loss=options.stop_loss,
-    )
+    report = tune(ds, method, grid, policy, options.iters, options.seeds, dev_size=dev_size,
+                  extension_cap=options.extension_cap, stop_loss=options.stop_loss)
     out = Path(options.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     lsq.write_json(tune_report_to_document(report), out)
@@ -392,10 +378,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     oracle_doc, mn, sg = _oracle_report(ds)
     if "analytic_test_error" not in oracle_doc:  # its closed forms need both classes
         raise ValueError(f"the drawn dataset has no negative example (n={cfg.n}, seed={cfg.seed})")
-    test_labels = dev_labels_for(
+    test_labels = lsq.dev_labels_for(
         cfg.p, cfg.m_test, np.random.SeedSequence(entropy=cfg.seed, spawn_key=(_TEST_STREAM,))
     )
-    dev_labels = dev_labels_for(
+    test_counts = lsq.label_counts(test_labels)
+    dev_labels = lsq.dev_labels_for(
         cfg.p, 2000, np.random.SeedSequence(entropy=cfg.seed, spawn_key=(_DEV_STREAM,))
     )
 
@@ -404,30 +391,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     for method in methods:
         adaptive = method in ADAPTIVE_METHODS
         base = base_spec_for(method)
-        report = tune(
-            ds,
-            method,
-            grid,
-            policy,
-            cfg.iters,
-            cfg.seeds,
-            dev_size=None,
-            extension_cap=cfg.extension_cap,
-            stop_loss=cfg.stop_loss,
-            base_spec=base,
-        )
-        final = run_training(
-            ds,
-            report.winner.spec,
-            cfg.iters,
-            dev_labels=dev_labels,
-            stop_loss=cfg.stop_loss,
-        )
+        report = tune(ds, method, grid, policy, cfg.iters, cfg.seeds, dev_size=None,
+                      extension_cap=cfg.extension_cap, stop_loss=cfg.stop_loss, base_spec=base)
+        final = run_training(ds, report.winner.spec, cfg.iters, dev_labels=dev_labels,
+                             stop_loss=cfg.stop_loss)
         runs.append((method, report, final))
 
         w = final.w
-        scores = lsq.test_scores(w, test_labels)
-        empirical = float(np.mean(scores * test_labels <= 0.0))
+        (empirical,) = lsq.error_rates(w[None], [test_counts])
         dist_mn = _relative_distance(w, mn.w)
         dist_sg = _relative_distance(w, sg.w)
         # A tuned winner ends "ok", so the last trace row is the final iterate's.

@@ -14,6 +14,11 @@ threads.  Every product, loss, gradient and diagnostic reads it, and the
 Gram system ``X X^T c = b`` is solved by conjugate gradients on it, never
 formed.
 
+Each reported quantity is computed here alone, for one weight vector or row
+by row for an (R, d) stack: `residual_loss`, `residual_gradient`, `l2_norm`,
+`linf_norm`, `margin`, `row_span_residual` (given ``X w`` if the caller has
+it) and the error on fresh labels, `error_rates` (`test_scores` per label).
+
 The synthetic family is deliberately overparameterized (``d = 3 + 5n``):
 feature 1 equals the label, features 2 and 3 are constant one, and every
 example owns a private block of indicator features -- width 1 for positive
@@ -54,9 +59,13 @@ __all__ = [
     "residual_loss",
     "residual_gradient",
     "l2_norm",
-    "test_scores",
+    "linf_norm",
     "margin",
     "row_span_residual",
+    "dev_labels_for",
+    "test_scores",
+    "label_counts",
+    "error_rates",
     "dataset_from_document",
     "write_json",
     "save_dataset",
@@ -264,9 +273,10 @@ class Dataset:
             p = r + (rr / rr_old)[:, None] * p
         return c.reshape(np.shape(b))
 
-    def _span_projector(self, w: np.ndarray) -> np.ndarray:
-        """Projection ``X^T (X X^T)^+ X w`` of w onto the span of the rows."""
-        xw = product(self, w)
+    def _span_projector(self, w: np.ndarray, xw: np.ndarray | None = None) -> np.ndarray:
+        """Projection ``X^T (X X^T)^+ X w`` of w, or of each row of an (R, d)
+        stack, onto the span of the rows; `xw`, if given, is ``X w``."""
+        xw = product(self, w) if xw is None else xw
         if not np.all(np.isfinite(xw)):
             raise ValueError("array must not contain infs or NaNs")
         return self.expand(quotient_t_product(self, self.gram_solve(xw)))
@@ -392,8 +402,7 @@ def generate_synthetic(n: int, p: float, seed: int, max_redraws: int = MAX_REDRA
     if not 0.5 < p < 1.0:
         raise ValueError(f"p must lie in (1/2, 1), got {p}")
     for attempt in range(max_redraws + 1):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(attempt,)))
-        y = np.where(rng.random(n) < p, 1.0, -1.0)
+        y = dev_labels_for(p, n, np.random.SeedSequence(entropy=seed, spawn_key=(attempt,)))
         if y.sum() > 0:
             return Dataset._from_entries(n, 3 + 5 * n, _synthetic_entries(y), y, p=p,
                                          seed=seed, rejections=attempt)
@@ -402,10 +411,11 @@ def generate_synthetic(n: int, p: float, seed: int, max_redraws: int = MAX_REDRA
     )
 
 
-def _check_dim(ds: Dataset, w: np.ndarray) -> np.ndarray:
+def _check_dim(ds: Dataset, w: np.ndarray, stack: bool = False) -> np.ndarray:
     w = np.asarray(w, dtype=np.float64)
-    if w.shape != (ds.d,):
-        raise ValueError(f"weight vector must have shape ({ds.d},), got {w.shape}")
+    if w.shape[-1:] != (ds.d,) or w.ndim > (2 if stack else 1):
+        shapes = f"({ds.d},) or (R, {ds.d})" if stack else f"({ds.d},)"
+        raise ValueError(f"weight vector must have shape {shapes}, got {w.shape}")
     return w
 
 
@@ -449,9 +459,18 @@ def residual_gradient(ds: Dataset, r: np.ndarray) -> np.ndarray:
     return np.multiply(2.0, g, out=g)
 
 
-def l2_norm(v: np.ndarray) -> float:
-    """Euclidean norm of a vector, by the reduction of `residual_loss`."""
-    return float(np.sqrt(residual_loss(v)))
+def l2_norm(v: np.ndarray):
+    """Euclidean norm of a vector (a float), or of each row of an (R, m)
+    stack (an array), by the reduction of `residual_loss`."""
+    norm = np.sqrt(residual_loss(v))
+    return float(norm) if np.ndim(v) == 1 else norm
+
+
+def linf_norm(v: np.ndarray):
+    """Largest magnitude of a vector's entries (a float), or of each row of an
+    (R, m) stack (an array); 0.0 where there are no entries."""
+    largest = np.maximum.reduce(np.abs(v), axis=-1, initial=0.0)
+    return float(largest) if np.ndim(v) == 1 else largest
 
 
 def loss(ds: Dataset, w: np.ndarray) -> float:
@@ -468,33 +487,82 @@ def gradient(ds: Dataset, w: np.ndarray) -> np.ndarray:
     return ds.expand(residual_gradient(ds, residual(ds, _check_dim(ds, w))))
 
 
+def margin(ds: Dataset, w: np.ndarray, xw: np.ndarray | None = None, norm=None):
+    """Normalized worst-case score ``min_i y_i <w, x_i> / ||w||`` of a weight
+    vector (a float; the zero vector raises), or of each row of an (R, d)
+    stack (an array; NaN for a zero row).  `xw` and `norm`, if given, are
+    ``X w`` and the `l2_norm` of `w`, not computed again."""
+    w = _check_dim(ds, w, stack=True)
+    norm = l2_norm(w) if norm is None else norm
+    if w.ndim == 1 and norm == 0.0:
+        raise ValueError("margin is undefined for the zero vector")
+    worst = np.minimum.reduce(ds.y * (product(ds, w) if xw is None else xw), axis=-1)
+    with np.errstate(invalid="ignore"):  # a zero row: 0/0
+        return float(worst / norm) if w.ndim == 1 else worst / norm
+
+
+def row_span_residual(ds: Dataset, w: np.ndarray, xw: np.ndarray | None = None):
+    """Distance from `w` to the span of the data rows (a float), or from each
+    row of an (R, d) stack (an array); `xw`, if given, is ``X w``."""
+    w = _check_dim(ds, w, stack=True)
+    return l2_norm(w - ds._span_projector(w, xw))
+
+
+def dev_labels_for(p: float, size: int, seed_sequence) -> np.ndarray:
+    """`size` i.i.d. labels from `seed_sequence`'s stream: +1 with probability
+    `p`, else -1.  Synthetic training labels, dev streams and test streams
+    are all drawn here."""
+    rng = np.random.default_rng(seed_sequence)
+    return np.where(rng.random(size) < p, 1.0, -1.0)
+
+
+def _scored(w: np.ndarray) -> np.ndarray:
+    """`w` as float64; a fresh point's score reads its first 3 coordinates."""
+    w = np.asarray(w, dtype=np.float64)
+    if w.shape[-1] < 3:
+        raise ValueError("weight vector must have at least 3 coordinates")
+    return w
+
+
 def test_scores(w: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Inner products of `w` with fresh draws of the given labels.
 
     A fresh point's private block lies outside the training dimensions, so
     only the first three coordinates of `w` contribute.  For an (R, d) stack
-    of weight vectors, row i of `labels` goes with row i of `w`.
+    of weight vectors, row i of `labels` goes with row i of `w`.  This is the
+    per-label reference for `error_rates`.
     """
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape[-1] < 3:
-        raise ValueError("weight vector must have at least 3 coordinates")
+    w = _scored(w)
     labels = np.asarray(labels, dtype=np.float64)
     return w[..., 0, None] * labels + w[..., 1, None] + w[..., 2, None]
 
 
-def margin(ds: Dataset, w: np.ndarray) -> float:
-    """Normalized worst-case score ``min_i y_i <w, x_i> / ||w||``."""
-    w = _check_dim(ds, w)
-    norm = l2_norm(w)
-    if norm == 0.0:
-        raise ValueError("margin is undefined for the zero vector")
-    return float(np.min(ds.y * product(ds, w)) / norm)
+def label_counts(labels) -> list:
+    """``[count of +1, count of -1]`` of a label stream, or of each row of a
+    stack of them, as Python ints."""
+    labels = np.asarray(labels, dtype=np.float64)
+    if labels.size == 0:
+        raise ValueError("a dev label stream must not be empty")
+    if not np.all(np.abs(labels) == 1.0):
+        raise ValueError("dev labels must be +1 or -1")
+    return np.stack([np.sum(labels > 0.0, axis=-1), np.sum(labels < 0.0, axis=-1)],
+                    axis=-1).tolist()
 
 
-def row_span_residual(ds: Dataset, w: np.ndarray) -> float:
-    """Distance from `w` to the span of the data rows."""
-    w = _check_dim(ds, w)
-    return l2_norm(w - ds._span_projector(w))
+def error_rates(w: np.ndarray, counts) -> list[float]:
+    """Error on fresh labels of each row of an (R, d) stack of weight vectors,
+    on the labels counted in row i of `counts` (`label_counts`).
+
+    A fresh point's score is ``label * w1 + w2 + w3`` (`test_scores`), a
+    miss when ``score * label <= 0``: ``(w1 + w2) + w3 <= 0`` for label +1 and
+    ``(w2 - w1) + w3 >= 0`` for -1 (the same roundings, negated).  So each row
+    scores the two labels once and weights its misses by their counts: the
+    same exact count as scoring every label, hence the same bits as the mean
+    over `test_scores`.  A stack has few rows, so this runs on Python floats
+    (the same IEEE operations).
+    """
+    return [((pos if (w1 + w2) + w3 <= 0.0 else 0) + (neg if (w2 - w1) + w3 >= 0.0 else 0))
+            / (pos + neg) for (w1, w2, w3), (pos, neg) in zip(_scored(w)[:, :3].tolist(), counts)]
 
 
 # ---------------------------------------------------------------------------
@@ -502,22 +570,38 @@ def row_span_residual(ds: Dataset, w: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _document_integer(key: str, value, least: int | None = None) -> int:
+    """A dataset document's field `key`, which must be a JSON integer of at
+    least `least`."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"malformed dataset document: field {key!r} must be an integer, "
+                         f"got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"malformed dataset document: field {key!r} must be at least "
+                         f"{least}, got {value}")
+    return value
+
+
 def dataset_from_document(doc: dict) -> Dataset:
+    """The dataset of a JSON document: integer `n` >= 1, `d` >= 0 and
+    `rejections` >= 0 (default 0), an integer or null `seed`, and `p`, if
+    not null, a number in (1/2, 1) as `generate_synthetic` takes."""
     if not isinstance(doc, dict):
         raise ValueError("dataset document must be a JSON object")
     missing = [key for key in ("n", "d", "labels", "rows") if key not in doc]
     if missing:
         raise ValueError(f"dataset document lacks {', '.join(map(repr, missing))}")
+    p = doc.get("p")
+    if p is not None and (isinstance(p, bool) or not isinstance(p, (int, float))
+                          or not 0.5 < p < 1.0):
+        raise ValueError("malformed dataset document: field 'p' must be null or lie in "
+                         f"(1/2, 1), got {p!r}")
+    n, d = _document_integer("n", doc["n"], 1), _document_integer("d", doc["d"], 0)
+    rejections = _document_integer("rejections", doc.get("rejections", 0), 0)
+    seed = None if doc.get("seed") is None else _document_integer("seed", doc["seed"])
     try:
-        return Dataset(
-            n=int(doc["n"]),
-            d=int(doc["d"]),
-            rows=doc["rows"],
-            y=np.asarray(doc["labels"], dtype=np.float64),
-            p=None if doc.get("p") is None else float(doc["p"]),
-            seed=None if doc.get("seed") is None else int(doc["seed"]),
-            rejections=int(doc.get("rejections", 0)),
-        )
+        return Dataset(n=n, d=d, rows=doc["rows"], y=np.asarray(doc["labels"], dtype=np.float64),
+                       p=None if p is None else float(p), seed=seed, rejections=rejections)
     except (TypeError, OverflowError) as exc:  # a wrong JSON type, or beyond the float range
         raise ValueError(f"malformed dataset document: {exc}") from None
 

@@ -98,10 +98,10 @@ class OptimizerSpec:
     def __post_init__(self) -> None:
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
-        if self.g_init < 0:
-            raise ValueError("g_init must be nonnegative")
+        if not self.epsilon >= 0:
+            raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
+        if not self.g_init >= 0:
+            raise ValueError(f"g_init must be nonnegative, got {self.g_init}")
         for name in ("beta", "beta1", "beta2"):
             v = getattr(self, name)
             if not 0.0 <= v < 1.0:

@@ -15,16 +15,17 @@ stack of one row.  A row that converges, or fails (non-finite loss or
 iterate, singular preconditioner), stops with its status and drops out while
 the others go on, so each row is bit for bit the run it gives alone.  What a
 run's constants fix is computed once: the spec's Table 1 row (not Adam's,
-which depends on k), the multiplicities, labels and step sizes repeated to
-the stack's shape (so no op broadcasts), and each fold's stacked bins and
-weights per stack height.  The loop calls the folds directly and reduces its
-few per-row numbers as Python floats.  Each row records loss/norm/margin/span
-diagnostics every iteration up to 1000, then every 10th, plus the final one
-(default); the loss, the next gradient and the trace's margin and span
-diagnostics all use the one product ``Xw`` computed per iterate, and the
-diagnostics are computed per block of recorded rows (at most
-`TRACE_BLOCK_FLOATS` floats), as stacked arrays.  The dev error of an
-iterate comes from its first three coordinates.
+which depends on k) and the multiplicities, labels and step sizes repeated to
+the stack's shape (so no op broadcasts).  Each iterate's product ``Xw``,
+residual and loss are computed in one place (`lsq.residual_loss`); the
+next gradient (`lsq.residual_gradient`) and the trace reuse them, and the
+loop reduces its few per-row numbers as Python floats.  Each row records
+loss/norm/margin/span diagnostics every iteration up to 1000, then every
+10th, plus the final one (default); they are the stacked `lsq.l2_norm`,
+`lsq.linf_norm`, `lsq.margin` and `lsq.row_span_residual` calls, given the
+products ``Xw``, once per block of recorded rows (at most
+`TRACE_BLOCK_FLOATS` floats).  The dev error of an iterate is
+`lsq.error_rates` of its first three coordinates.
 
 One iteration equals one epoch here: all gradients are full-batch.
 """
@@ -47,7 +48,6 @@ __all__ = [
     "RunResult",
     "MAX_LABELS",
     "check_label_stream",
-    "dev_labels_for",
     "run_training",
     "run_lockstep",
     "write_trace_csv",
@@ -108,37 +108,6 @@ def check_label_stream(name: str, size: int) -> None:
                          "per stream (training.MAX_LABELS, sized for a 2 GiB peak)")
 
 
-def dev_labels_for(p: float, size: int, seed_sequence) -> np.ndarray:
-    """Fresh +-1 labels for a development stream."""
-    rng = np.random.default_rng(seed_sequence)
-    return np.where(rng.random(size) < p, 1.0, -1.0)
-
-
-def _label_counts(labels) -> np.ndarray:
-    """Counts of +1 and -1 labels in each row of a stack of dev label streams."""
-    labels = np.asarray(labels, dtype=np.float64)
-    if labels.size == 0:
-        raise ValueError("a dev label stream must not be empty")
-    if not np.all(np.abs(labels) == 1.0):
-        raise ValueError("dev labels must be +1 or -1")
-    return np.stack([np.sum(labels > 0.0, axis=-1), np.sum(labels < 0.0, axis=-1)], axis=-1)
-
-
-def _dev_errors(w: np.ndarray, counts) -> list[float]:
-    """Dev error of each row of an (R, 3) stack of first three coordinates, on
-    the labels counted in row i of `counts` (+1 labels, then -1 labels).
-
-    A fresh point's score is ``label * w1 + w2 + w3`` (`lsq.test_scores`), a
-    miss when ``score * label <= 0``: ``(w1 + w2) + w3 <= 0`` for label +1 and
-    ``(w2 - w1) + w3 >= 0`` for -1 (the same roundings, negated).  So each row
-    scores the two labels once and weights its misses by their counts: the
-    same exact count as scoring every label, hence the same bits.  A stack
-    has few rows, so this runs on Python floats (the same IEEE operations).
-    """
-    return [((pos if (w1 + w2) + w3 <= 0.0 else 0) + (neg if (w2 - w1) + w3 >= 0.0 else 0))
-            / (pos + neg) for (w1, w2, w3), (pos, neg) in zip(w.tolist(), counts)]
-
-
 def _should_record(k: int, trace_every: int | None) -> bool:
     if trace_every is not None:
         return k % trace_every == 0
@@ -149,21 +118,17 @@ def _append_trace_rows(ds: lsq.Dataset, pending: list) -> None:
     """Append each of the (nonempty) `pending` ``(trace, iteration, alpha,
     train_loss, dev_error, u, xw)`` to its trace and empty `pending`.
 
-    The block's diagnostics are computed stacked: one `gram_solve` for the
-    span residuals, and norms, maxima and margins over the (rows, d) block of
-    full-length iterates, each value bit for bit its standalone `lsq` call.
+    The block's diagnostics are one stacked call each of `lsq.l2_norm`,
+    `lsq.linf_norm`, `lsq.margin` and `lsq.row_span_residual` on its (rows,
+    d) full-length iterates, given the products ``X w`` the loop made.
     """
     traces, iterations, alphas, losses, devs, u, xw = zip(*pending)
-    u, xw = np.array(u), np.array(xw)
-    w = ds.expand(u)
-    norms = np.sqrt(np.add.reduce(w * w, axis=-1))
-    largest = np.maximum.reduce(np.abs(w), axis=-1) if ds.d else np.zeros(len(u))
-    margins = np.minimum.reduce(ds.y * xw, axis=-1) / norms
-    w = ds.expand(u - lsq.quotient_t_product(ds, ds.gram_solve(xw)))  # off the row span
-    resids = np.sqrt(np.add.reduce(w * w, axis=-1))
+    w, xw = ds.expand(np.array(u)), np.array(xw)
+    norms = lsq.l2_norm(w)
+    diagnostics = (norms, lsq.linf_norm(w), lsq.margin(ds, w, xw, norms),
+                   lsq.row_span_residual(ds, w, xw))
     for trace, k, alpha, loss, dev, norm, linf, margin, resid in zip(
-            traces, iterations, alphas, losses, devs, norms.tolist(), largest.tolist(),
-            margins.tolist(), resids.tolist()):
+            traces, iterations, alphas, losses, devs, *(v.tolist() for v in diagnostics)):
         trace.append(TraceRow(k, float(alpha), float(loss), dev, norm, linf,
                               margin if norm > 0.0 else math.nan, resid))
     pending.clear()
@@ -196,13 +161,13 @@ def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
         raise ValueError("iters must be nonnegative")
     if trace_every is not None and trace_every < 1:
         raise ValueError(f"trace_every must be at least 1, got {trace_every}")
+    if stop_loss is not None and math.isnan(stop_loss):
+        raise ValueError(f"stop_loss must be a number, got {stop_loss}")
     if policy is not None and policy.kind == "dev_decay" and dev_labels is None:
         raise ValueError("dev_decay policy needs a dev label stream")
 
     alpha = np.array(alphas, dtype=np.float64).reshape(-1, 1)
     n_rows = len(alpha)
-    # The folds of `lsq.quotient_product` and `lsq.quotient_t_product`.
-    times, times_t = ds._times, ds._times_t
     # The multiplicities, labels and step sizes repeated to the stack's shape,
     # so that no op of an iteration broadcasts.  Every row of `m` and `y` is
     # the same, so a shorter stack uses their first rows.
@@ -212,41 +177,28 @@ def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
     state = init_state(spec, np.zeros(m.shape))
     # Row r's result is completed when r stops; its trace rows arrive by block.
     results = [RunResult("ok", False, None, math.nan, 0, [],
-                         iterates=[ds.expand(u)] if keep_iterates else None)
-               for u in state.w]
+                         iterates=[] if keep_iterates else None) for _ in range(n_rows)]
     rows = list(range(n_rows))  # stack position -> row
     # Trace rows wait, as views of the arrays the loop makes (and never
     # writes into), until a block of TRACE_BLOCK_FLOATS floats is full.
     pending, block = [], max(1, TRACE_BLOCK_FLOATS // (m.shape[1] + ds.n + ds.d))
 
     # The dev record, one list entry per row in the stack (Python numbers).
-    counts = dev = best_dev = epoch_of_best = None
+    counts = dev = best_dev = epoch_of_best = improved = None
     if dev_labels is not None:
-        counts = _label_counts(dev_labels).tolist()
-        if ds.d < 3:
-            raise ValueError("weight vector must have at least 3 coordinates")
-
-    def dev_errors(u: np.ndarray) -> list[float]:
-        # A dev score reads features 1-3 only (`lsq.test_scores`).
-        return _dev_errors(ds.expand(u, slice(3)), counts)
-
-    # One product per iterate: the loss, the next gradient (via the residual)
-    # and the trace's margin and span projection all use it.
-    xw = times(m * state.w)
-    resid = xw - y
-    loss = np.add.reduce(resid * resid, axis=-1)  # `lsq.residual_loss`
-    if counts is not None:
-        dev = dev_errors(state.w)
-        best_dev, epoch_of_best = list(dev), [0] * n_rows
-    improved = None  # whether each row's dev error at iteration k is a new best
+        counts = lsq.label_counts(dev_labels)
+        best_dev, epoch_of_best = [math.inf] * n_rows, [0] * n_rows
     decays = policy is not None and policy.kind != "none"
 
+    def residual_at(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # `lsq.residual` of a quotient stack, with the product it subtracts y from.
+        xw = lsq.quotient_product(ds, m * v)
+        return xw, xw - y
+
     def grad_at(v: np.ndarray) -> np.ndarray:
-        # `lsq.residual_gradient`.  Without extrapolation the engine asks for
-        # the gradient at state.w itself, whose residual the loss has already
-        # computed.
-        g = times_t(resid if v is state.w else times(m * v) - y)
-        return np.multiply(2.0, g, out=g)
+        # Without extrapolation the engine asks for the gradient at state.w
+        # itself, whose residual the loss has already computed.
+        return lsq.residual_gradient(ds, resid if v is state.w else residual_at(v)[1])
 
     def record(i: int, k: int) -> None:
         pending.append((results[rows[i]].trace, k, alpha[i, 0], loss[i],
@@ -275,14 +227,35 @@ def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
                 [v for v, kept in zip(values, keep) if kept]
                 for values in (counts, best_dev, epoch_of_best))
 
-    # The stack holds the rows still running, each with a finite loss.
-    k = 0
+    # After its checks, the stack holds the rows still running, each with a
+    # finite loss.  A stack is short: Python's min and sum of its loss list
+    # cost less than a ufunc reduction.
+    k, failed = 0, []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while rows:
+        while True:
+            # One product per iterate: the loss, the next gradient (via the
+            # residual) and the trace's margin and span projection all use it.
+            xw, resid = residual_at(state.w)
+            loss = lsq.residual_loss(resid)
+            if not math.isfinite(sum(loss.tolist())):
+                for i in np.flatnonzero(~np.isfinite(loss)):
+                    if i not in failed:
+                        finish(i, k, "diverged", failure=f"non-finite loss at iteration {k}")
+                        failed.append(i)
+            if failed:
+                keep_rows(np.isin(np.arange(len(rows)), failed, invert=True))
+            if not rows:
+                break
+            for i in range(len(rows)) if keep_iterates else ():
+                results[rows[i]].iterates.append(ds.expand(state.w[i]))
+            if counts is not None:
+                # A dev score reads features 1-3 only (`lsq.test_scores`).
+                dev = lsq.error_rates(ds.expand(state.w, slice(3)), counts)
+                improved = [d < best for d, best in zip(dev, best_dev)]
+                for i in compress(range(len(dev)), improved):
+                    best_dev[i], epoch_of_best[i] = dev[i], k
             last = k == iters
             converged = None
-            # Every loss here is finite, and a stack is short: Python's min and
-            # sum of its list cost less than a ufunc reduction.
             if stop_loss is not None and min(loss.tolist()) <= stop_loss:
                 converged = loss <= stop_loss
             if record_trace and (last or _should_record(k, trace_every)):
@@ -313,23 +286,6 @@ def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
                 finish(i, k, status, failure=failure)
             state = new
             k += 1
-            xw = times(m * state.w)
-            resid = xw - y
-            loss = np.add.reduce(resid * resid, axis=-1)
-            if not math.isfinite(sum(loss.tolist())):
-                for i in np.flatnonzero(~np.isfinite(loss)):
-                    if i not in failed:
-                        finish(i, k, "diverged", failure=f"non-finite loss at iteration {k}")
-                        failed.append(i)
-            if failed:
-                keep_rows(np.isin(np.arange(len(rows)), failed, invert=True))
-            for i in range(len(rows)) if keep_iterates else ():
-                results[rows[i]].iterates.append(ds.expand(state.w[i]))
-            if counts is not None:
-                dev = dev_errors(state.w)
-                improved = [d < best for d, best in zip(dev, best_dev)]
-                for i in compress(range(len(dev)), improved):
-                    best_dev[i], epoch_of_best[i] = dev[i], k
         if pending:
             _append_trace_rows(ds, pending)
     return results
@@ -341,15 +297,6 @@ def write_trace_csv(trace: list[TraceRow], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(TRACE_HEADER.split(","))
         for row in trace:
-            writer.writerow(
-                [
-                    row.iteration,
-                    repr(row.alpha),
-                    repr(row.train_loss),
-                    repr(row.dev_error),
-                    repr(row.w_l2),
-                    repr(row.w_linf),
-                    repr(row.margin),
-                    repr(row.rowspan_resid),
-                ]
-            )
+            writer.writerow([row.iteration, *map(repr, (
+                row.alpha, row.train_loss, row.dev_error, row.w_l2, row.w_linf, row.margin,
+                row.rowspan_resid))])

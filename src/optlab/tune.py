@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .errors import AllTrialsDivergedError
-from .lsq import Dataset
+from .lsq import Dataset, dev_labels_for
 from .optim import MethodKind, OptimizerSpec, spec_to_document
 from .schedules import DecayPolicy
 
@@ -43,10 +43,10 @@ class Grid:
     def __post_init__(self) -> None:
         if not self.values:
             raise ValueError("grid must not be empty")
-        if self.ratio <= 1.0:
-            raise ValueError("ratio must exceed 1")
-        if any(v <= 0 for v in self.values):
-            raise ValueError("step sizes must be positive")
+        if not self.ratio > 1.0:
+            raise ValueError(f"ratio must exceed 1, got {self.ratio}")
+        if not all(v > 0 for v in self.values):
+            raise ValueError(f"step sizes must be positive, got {self.values}")
         ordered = tuple(sorted(self.values, reverse=True))
         if len(set(ordered)) != len(ordered):
             raise ValueError("grid contains duplicate step sizes")
@@ -58,8 +58,8 @@ class Grid:
 
 def make_log_grid(center: float, ratio: float, count: int = 5) -> Grid:
     """Geometric grid of `count` step sizes around `center`."""
-    if center <= 0:
-        raise ValueError("center must be positive")
+    if not center > 0:
+        raise ValueError(f"center must be positive, got {center}")
     if count < 1:
         raise ValueError("count must be at least 1")
     half = (count - 1) // 2
@@ -179,7 +179,7 @@ def tune(
         raise ValueError("base_spec method does not match")
 
     # Looked up at call time, so the run loop can be substituted.
-    from .training import check_label_stream, dev_labels_for, run_lockstep
+    from .training import check_label_stream, run_lockstep
 
     if dev_size is not None:
         check_label_stream("dev_size", dev_size)
@@ -203,14 +203,8 @@ def tune(
             for seed in seed_values:
                 result = shared if shared is not None else next(runs)
                 by_alpha[alpha].append(TrialResult(
-                    seed=seed,
-                    alpha0=alpha,
-                    final_train_loss=result.final_loss,
-                    best_dev_metric=result.best_dev,
-                    epoch_of_best=result.epoch_of_best,
-                    status=result.status,
-                    iterations=result.iterations,
-                ))
+                    seed, alpha, result.final_loss, result.best_dev, result.epoch_of_best,
+                    result.status, result.iterations))
 
     current = grid
     evaluate(current.values)

@@ -9,6 +9,7 @@ test_criterion_4_strict for the exact statement.
 """
 
 import csv
+import json
 import math
 import os
 import subprocess
@@ -21,10 +22,10 @@ import pytest
 
 import optlab
 from optlab import lsq, oracle
-from optlab.cli import ExperimentConfig, run_experiment
+from optlab.cli import _TEST_STREAM, ExperimentConfig, run_experiment
 from optlab.optim import MethodKind, OptimizerSpec
 from optlab.schedules import DecayPolicy
-from optlab.training import dev_labels_for, run_training
+from optlab.training import run_training
 from optlab.tune import extend_if_edge, make_log_grid
 
 NONADAPTIVE = ("sgd", "hb", "nag")
@@ -114,6 +115,24 @@ def test_criterion_2_generalization_gap(standard_experiment):
         details.append(f"{name}=0")
     report("criterion 2 (generalization gap)", True,
            f"m=20000 test errors: {', '.join(details)}")
+
+
+def test_criterion_2_empirical_error_is_the_per_label_mean(standard_experiment):
+    # The experiment scores each label class once and weights its misses by
+    # the class counts (`lsq.error_rates`); the result must be the mean over
+    # the m_test scores (`lsq.test_scores`), bit for bit.
+    summary, rows, out = standard_experiment
+    cfg = summary["config"]
+    labels = lsq.dev_labels_for(cfg["p"], cfg["m_test"], np.random.SeedSequence(
+        entropy=cfg["seed"], spawn_key=(_TEST_STREAM,)))
+    details = []
+    for name, row in rows.items():
+        weights = json.loads((out / "weights" / f"{name}.json").read_text(encoding="utf-8"))
+        w = np.array(weights["w"])
+        per_label = float(np.mean(lsq.test_scores(w, labels) * labels <= 0.0))
+        assert row["empirical_test_error"].hex() == per_label.hex(), name
+        details.append(f"{name}={per_label!r}")
+    report("criterion 2 (empirical error per label)", True, ", ".join(details))
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +331,7 @@ def test_criterion_9_tuning_protocol():
     # (strictly below every earlier one) and multiplies it by exactly 0.9
     # after any other epoch, a tie included.
     ds = lsq.generate_synthetic(30, 0.75, seed=2)
-    labels = dev_labels_for(0.75, 200, np.random.SeedSequence(9))
+    labels = lsq.dev_labels_for(0.75, 200, np.random.SeedSequence(9))
     policy = DecayPolicy(kind="dev_decay", delta=0.9)
     epochs = {"new best": 0, "tie": 0, "worse": 0}
     for alpha in (1.0, 0.3, 0.001953125):

@@ -480,6 +480,60 @@ def test_dataset_file_above_the_ceiling_is_a_usage_error(dataset_file, tmp_path,
     assert lsq.load_dataset(dataset_file).n == 12
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["tune", "--ratio", "nan"], "ratio must exceed 1, got nan"),
+    (["tune", "--alpha", "nan"], "center must be positive, got nan"),
+    (["tune", "--stop-loss", "nan"], "stop_loss must be a number, got nan"),
+    (["experiment", "--grid-center", "nan"], "center must be positive, got nan"),
+    (["experiment", "--grid-ratio", "nan"], "ratio must exceed 1, got nan"),
+    (["experiment", "--stop-loss", "nan"], "stop_loss must be a number, got nan"),
+    (["train", "--epsilon", "nan"], "epsilon must be nonnegative, got nan"),
+    (["train", "--g-init", "nan"], "g_init must be nonnegative, got nan"),
+    (["train", "--stop-loss", "nan"], "stop_loss must be a number, got nan"),
+], ids=["tune_ratio", "tune_alpha", "tune_stop_loss", "experiment_grid_center",
+        "experiment_grid_ratio", "experiment_stop_loss", "train_epsilon", "train_g_init",
+        "train_stop_loss"])
+def test_nan_fails_each_range_check(argv, message, dataset_file, tmp_path, capsys):
+    # A NaN compares false with every bound, so a check written as
+    # `x <= bound` lets it through: these ran on (a grid of NaNs, "every step
+    # size diverged", "diverged", a stop loss never met) instead of failing.
+    out = tmp_path / "out"
+    if argv[0] == "experiment":
+        argv = [*argv, "--n", "12", "--iters", "5"]
+    else:
+        argv = [*argv, "--dataset", str(dataset_file)]
+    assert run_cli(*argv, "--out", str(out)) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"n": 1.7}, "field 'n' must be an integer, got 1.7"),
+    ({"n": True}, "field 'n' must be an integer, got True"),
+    ({"n": 0}, "field 'n' must be at least 1, got 0"),
+    ({"d": -1}, "field 'd' must be at least 0, got -1"),
+    ({"d": 63.0}, "field 'd' must be an integer, got 63.0"),
+    ({"seed": 2.5}, "field 'seed' must be an integer, got 2.5"),
+    ({"rejections": -4}, "field 'rejections' must be at least 0, got -4"),
+    ({"rejections": "0"}, "field 'rejections' must be an integer, got '0'"),
+    ({"p": 5.0}, "field 'p' must be null or lie in (1/2, 1), got 5.0"),
+    ({"p": 0.5}, "field 'p' must be null or lie in (1/2, 1), got 0.5"),
+    ({"p": float("nan")}, "field 'p' must be null or lie in (1/2, 1), got nan"),
+    ({"p": "0.75"}, "field 'p' must be null or lie in (1/2, 1), got '0.75'"),
+])
+def test_dataset_document_fields_are_checked(fields, message, dataset_file, tmp_path, capsys):
+    # `int()` used to truncate 1.7 and take true; p = 5 ran an all-positive
+    # dev stream; n = 0 and d = -1 failed inside numpy.
+    doc = {**json.loads(dataset_file.read_text(encoding="utf-8")), **fields}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for command in ("train", "oracle"):
+        out = tmp_path / command
+        assert run_cli(command, "--dataset", str(path), "--out", str(out)) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_failed_experiment_writes_nothing(tmp_path, capsys):
     # Every step of the grid around 1000 diverges for sgd, and the cap allows
     # no extension: the run fails after the dataset and oracles are computed.

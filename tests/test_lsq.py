@@ -201,7 +201,8 @@ def test_stacked_products_do_not_depend_on_stack_size(n, seed, heights):
     # the forward and transposed products first run on fresh stacks at a
     # drawn sequence of heights, shrinking and growing, on one dataset, and
     # each row must equal the product of a second copy of the dataset that
-    # only ever sees single vectors.
+    # only ever sees single vectors.  The stacked diagnostics (norms, margins
+    # from the stack's products, span residuals) must equal their solo calls.
     ds = lsq.generate_synthetic(n, 0.75, seed)
     solo = lsq.generate_synthetic(n, 0.75, seed)
     q = ds.multiplicity.size
@@ -220,9 +221,15 @@ def test_stacked_products_do_not_depend_on_stack_size(n, seed, heights):
         grads = lsq.residual_gradient(ds, resid)
         losses = lsq.residual_loss(resid)
         xw = lsq.product(ds, W[:size])
+        norms, largest = lsq.l2_norm(W[:size]), lsq.linf_norm(W[:size])
+        margins = lsq.margin(ds, W[:size], xw, norms)
+        spans = lsq.row_span_residual(ds, W[:size], xw)
         for i in range(size):
             r = lsq.residual(ds, W[i])
             assert xw[i].tobytes() == lsq.product(ds, W[i]).tobytes()
+            assert (norms[i], largest[i]) == (lsq.l2_norm(W[i]), lsq.linf_norm(W[i]))
+            assert (margins[i], spans[i]) == (lsq.margin(ds, W[i]),
+                                              lsq.row_span_residual(ds, W[i]))
             assert resid[i].tobytes() == r.tobytes()
             assert grads[i].tobytes() == lsq.residual_gradient(ds, r).tobytes()
             assert float(losses[i]) == float(lsq.residual_loss(r))
@@ -230,6 +237,9 @@ def test_stacked_products_do_not_depend_on_stack_size(n, seed, heights):
             g_ref = 2.0 * (ref @ X)
             assert np.max(np.abs(r - ref)) <= 1e-12 * np.max(np.abs(ref))
             assert np.max(np.abs(ds.expand(grads[i]) - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
+    # A zero row of a stack has no margin (NaN); alone, it raises.
+    margins = lsq.margin(ds, np.vstack([W[0], np.zeros(ds.d)]))
+    assert margins[0] == lsq.margin(ds, W[0]) and np.isnan(margins[1])
 
 
 def _dependent_design(n: int, seed: int) -> lsq.Dataset:

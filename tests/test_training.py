@@ -11,9 +11,6 @@ from optlab.optim import MethodKind, OptimizerSpec, init_state, step
 from optlab.schedules import DecayPolicy, next_alpha
 from optlab.training import (
     TRACE_HEADER,
-    _dev_errors,
-    _label_counts,
-    dev_labels_for,
     run_lockstep,
     run_training,
     write_trace_csv,
@@ -73,7 +70,7 @@ def test_trace_every_override(ds):
 
 
 def test_dev_decay_shrinks_alpha_only_without_new_best(ds):
-    labels = dev_labels_for(ds.p, 400, np.random.SeedSequence(0))
+    labels = lsq.dev_labels_for(ds.p, 400, np.random.SeedSequence(0))
     policy = DecayPolicy(kind="dev_decay", delta=0.9)
     res = run_training(ds, sgd_spec(0.002), 60, policy=policy, dev_labels=labels,
                        trace_every=1)
@@ -232,7 +229,7 @@ def test_run_loop_steps_through_the_engine_once_per_iteration(ds, monkeypatch):
         return step(state, spec, grad_at, alpha)
 
     monkeypatch.setattr(training, "step", counted)
-    labels = [dev_labels_for(0.75, 100, np.random.SeedSequence(entropy=1, spawn_key=(i,)))
+    labels = [lsq.dev_labels_for(0.75, 100, np.random.SeedSequence(entropy=1, spawn_key=(i,)))
               for i in range(4)]
     rows = run_lockstep(ds, OptimizerSpec(method=MethodKind.HB, alpha=1.0),
                         [0.02, 1.0, 1e-7, 1e308], 150, dev_labels=labels, stop_loss=1e-3)
@@ -289,7 +286,7 @@ def test_dev_errors_equal_per_label_mean(w, size, seed):
     labels = np.where(np.random.default_rng(seed).random((len(w), size)) < 0.75, 1.0, -1.0)
     with np.errstate(over="ignore", invalid="ignore"):
         per_label = np.mean(lsq.test_scores(w, labels) * labels <= 0.0, axis=-1)
-        by_class = np.array(_dev_errors(w, _label_counts(labels)))
+        by_class = np.array(lsq.error_rates(w, lsq.label_counts(labels)))
     assert by_class.tobytes() == per_label.tobytes()
 
 
@@ -304,8 +301,8 @@ def test_dev_labels_must_be_signs(ds):
 
 
 def test_dev_labels_stream_deterministic():
-    a = dev_labels_for(0.75, 100, np.random.SeedSequence(entropy=1, spawn_key=(2,)))
-    b = dev_labels_for(0.75, 100, np.random.SeedSequence(entropy=1, spawn_key=(2,)))
+    a = lsq.dev_labels_for(0.75, 100, np.random.SeedSequence(entropy=1, spawn_key=(2,)))
+    b = lsq.dev_labels_for(0.75, 100, np.random.SeedSequence(entropy=1, spawn_key=(2,)))
     np.testing.assert_array_equal(a, b)
     assert set(np.unique(a)) <= {-1.0, 1.0}
 
@@ -477,7 +474,8 @@ def test_lockstep_rows_equal_solo_runs(n, seed, synthetic, method, log2_alphas, 
     alphas = [2.0 ** e for e in log2_alphas] + [scale / bound for scale in stable_scales]
     labels = policy = None
     if dev:
-        labels = [dev_labels_for(0.75, 50, np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+        labels = [lsq.dev_labels_for(0.75, 50,
+                                     np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
                   for i in range(len(alphas))]
         policy = DecayPolicy(kind="dev_decay", delta=0.5)
     rows = run_lockstep(ds, spec, alphas, iters, policy=policy, dev_labels=labels,
