@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import typing
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -120,15 +121,14 @@ def _merge_options(cls, args: argparse.Namespace):
     return cls(**values)
 
 
+def _outcome(result: RunResult) -> dict:
+    """How a run ended, as `weights.json`, `run.json` and a summary row record it."""
+    return {"status": result.status, "converged": result.converged,
+            "iterations": result.iterations, "final_train_loss": result.final_loss}
+
+
 def _weights_document(spec: OptimizerSpec, result: RunResult) -> dict:
-    return {
-        "spec": spec_to_document(spec),
-        "status": result.status,
-        "converged": result.converged,
-        "iterations": result.iterations,
-        "final_train_loss": result.final_loss,
-        "w": result.w,
-    }
+    return {"spec": spec_to_document(spec), **_outcome(result), "w": result.w}
 
 
 # ---------------------------------------------------------------------------
@@ -207,17 +207,8 @@ def cmd_train(options: TrainOptions) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_trace_csv(result.trace, out / "trace.csv")
     lsq.write_json(_weights_document(spec, result), out / "weights.json")
-    lsq.write_json(
-        {
-            "options": asdict(options),
-            "status": result.status,
-            "converged": result.converged,
-            "iterations": result.iterations,
-            "final_train_loss": result.final_loss,
-            "failure": result.failure,
-        },
-        out / "run.json",
-    )
+    lsq.write_json({"options": asdict(options), **_outcome(result), "failure": result.failure},
+                   out / "run.json")
     print(f"status={result.status} iterations={result.iterations} "
           f"final_train_loss={result.final_loss!r}")
     return EXIT_OK if result.status == "ok" else EXIT_NUMERICAL
@@ -304,17 +295,17 @@ def cmd_tune(options: TuneOptions) -> int:
     if options.dev_size is not None:
         check_label_stream("dev_size", options.dev_size)
     ds = lsq.load_dataset(options.dataset)
-    method = MethodKind.parse(options.method)
+    spec = OptimizerSpec(MethodKind.parse(options.method), alpha=1.0)
     grid = make_log_grid(options.alpha, options.ratio, options.count)
     policy = _policy_from(options)
     dev_size = _dev_size_for(ds, options.dev_size)
-    report = tune(ds, method, grid, policy, options.iters, options.seeds, dev_size=dev_size,
+    report = tune(ds, spec, grid, policy, options.iters, options.seeds, dev_size=dev_size,
                   extension_cap=options.extension_cap, stop_loss=options.stop_loss)
     out = Path(options.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     lsq.write_json(tune_report_to_document(report), out)
     print(
-        f"winner alpha={report.winner.alpha!r} metric={report.winner.metric_mean!r} "
+        f"winner alpha={report.winner.spec.alpha!r} metric={report.winner.metric_mean!r} "
         f"extensions={report.extensions}"
     )
     return EXIT_OK
@@ -372,6 +363,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     if len(set(methods)) < len(methods):
         raise ValueError(f"methods must not repeat: {', '.join(cfg.methods)}")
     check_tune_budget(cfg.iters, cfg.seeds, cfg.extension_cap)
+    if math.isnan(cfg.stop_loss):
+        raise ValueError(f"stop_loss must be a number, got {cfg.stop_loss}")
     grid = make_log_grid(cfg.grid_center, cfg.grid_ratio, cfg.grid_count)
     ds = lsq.generate_synthetic(cfg.n, cfg.p, cfg.seed)
     # A synthetic design always has the sign solution (c = 4).
@@ -386,13 +379,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
         cfg.p, 2000, np.random.SeedSequence(entropy=cfg.seed, spawn_key=(_DEV_STREAM,))
     )
 
-    policy = DecayPolicy(kind="none")
     rows, runs = [], []  # runs: (method, tune report, final run), written after the loop
     for method in methods:
         adaptive = method in ADAPTIVE_METHODS
-        base = base_spec_for(method)
-        report = tune(ds, method, grid, policy, cfg.iters, cfg.seeds, dev_size=None,
-                      extension_cap=cfg.extension_cap, stop_loss=cfg.stop_loss, base_spec=base)
+        report = tune(ds, base_spec_for(method), grid, DecayPolicy(), cfg.iters, cfg.seeds,
+                      dev_size=None, extension_cap=cfg.extension_cap, stop_loss=cfg.stop_loss)
         final = run_training(ds, report.winner.spec, cfg.iters, dev_labels=dev_labels,
                              stop_loss=cfg.stop_loss)
         runs.append((method, report, final))
@@ -414,12 +405,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
             {
                 "method": method.value,
                 "family": "adaptive" if adaptive else "non_adaptive",
-                "alpha": report.winner.alpha,
+                "alpha": report.winner.spec.alpha,
                 "extensions": report.extensions,
-                "status": final.status,
-                "converged": final.converged,
-                "iterations": final.iterations,
-                "final_train_loss": final.final_loss,
+                **_outcome(final),
                 "dist_to_min_norm_rel": dist_mn,
                 "dist_to_sign_rel": dist_sg,
                 "empirical_test_error": empirical,
@@ -535,7 +523,7 @@ def main(argv=None) -> int:
     try:
         options = _merge_options(cls, args)
         return handler(options)
-    except (ValueError, LemmaPreconditionError) as exc:
+    except ValueError as exc:
         print(f"optlab: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OptlabError as exc:  # divergence, singular systems, generator exhaustion

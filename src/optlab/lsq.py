@@ -387,12 +387,12 @@ def _synthetic_entries(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return row, np.where(slot < 3, slot, 5 * row + slot), np.where(slot == 0, y[row], 1.0)
 
 
-def generate_synthetic(n: int, p: float, seed: int, max_redraws: int = MAX_REDRAWS) -> Dataset:
+def generate_synthetic(n: int, p: float, seed: int) -> Dataset:
     """Draw a synthetic dataset of `n` examples with positive-class rate `p`.
 
     Labels are i.i.d. +1 with probability `p`.  Draws whose label sum is not
-    strictly positive are rejected and redrawn from a seed derived from
-    ``(seed, attempt)``; the number of rejections is recorded on the result.
+    strictly positive are redrawn, at most `MAX_REDRAWS` times, from a seed
+    derived from ``(seed, attempt)``; the result records the rejections.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -401,13 +401,13 @@ def generate_synthetic(n: int, p: float, seed: int, max_redraws: int = MAX_REDRA
                          "(lsq.MAX_EXAMPLES, sized for a 2 GiB peak)")
     if not 0.5 < p < 1.0:
         raise ValueError(f"p must lie in (1/2, 1), got {p}")
-    for attempt in range(max_redraws + 1):
+    for attempt in range(MAX_REDRAWS + 1):
         y = dev_labels_for(p, n, np.random.SeedSequence(entropy=seed, spawn_key=(attempt,)))
         if y.sum() > 0:
             return Dataset._from_entries(n, 3 + 5 * n, _synthetic_entries(y), y, p=p,
                                          seed=seed, rejections=attempt)
     raise DataGenerationError(
-        f"no draw with positive label sum in {max_redraws + 1} attempts (n={n}, p={p})"
+        f"no draw with positive label sum in {MAX_REDRAWS + 1} attempts (n={n}, p={p})"
     )
 
 

@@ -8,11 +8,11 @@ where ``g_k`` is the gradient at the extrapolated point
 ``w_k + c_k (w_k - w_{k-1})`` and ``H_k`` is a diagonal preconditioner built
 from a running combination ``G_k`` of squared gradients,
 ``H_k = sqrt(G_k) + epsilon`` elementwise.  Non-adaptive methods use the
-identity preconditioner.  `table1_coefficients` gives the per-method,
-per-step scalars (a_k, b_k, c_k), the G-recurrence weights, and the scale
-under the square root (``H_k = sqrt(h_scale_k G_k) + epsilon``); the engine
-reads the same row: all of it but the step size is evaluated once per spec
-(`OptimizerSpec.table1_constants`), except for Adam, whose row depends on k.
+identity preconditioner.  Table 1 gives the per-method, per-step scalars
+(a_k, b_k, c_k), the G-recurrence weights, and the scale under the square
+root (``H_k = sqrt(h_scale_k G_k) + epsilon``).  The engine reads its one
+encoding: `OptimizerSpec.table1_constants`, the row past the step size, once
+per spec, and for Adam, whose row depends on k, `adam_row`.
 
 Conventions that the rest of the lab relies on:
 
@@ -37,7 +37,7 @@ import enum
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -47,7 +47,7 @@ __all__ = [
     "OptimizerSpec",
     "OptimizerState",
     "init_state",
-    "table1_coefficients",
+    "adam_row",
     "step",
     "spec_to_document",
 ]
@@ -111,7 +111,9 @@ class OptimizerSpec:
     def table1_constants(self) -> tuple[float, ...] | None:
         """Table 1's (beta_k, gamma_k, g_keep, g_new, h_scale), evaluated once
         per spec, for a method whose row does not depend on k (its alpha_k is
-        the step size); None for Adam, whose row does (`_adam_row`)."""
+        the step size); None for Adam, whose row does (`adam_row`).  `g_keep`
+        and `g_new` weigh the raw accumulator and the new squared gradient
+        (``g_new == 0``: H = I); `h_scale` turns that sum into H's square."""
         m = self.method
         if m is MethodKind.SGD:
             return 0.0, 0.0, 1.0, 0.0, 1.0
@@ -157,15 +159,6 @@ class OptimizerState:
     failures: tuple[tuple[int, str, str], ...] = ()
 
 
-class StepCoefficients(NamedTuple):
-    alpha_k: float  # or per-row step sizes, shape (R, 1), for a stack
-    beta_k: float
-    gamma_k: float
-    g_keep: float   # raw-sum weight on the previous accumulator
-    g_new: float    # raw-sum weight on the current squared gradient
-    h_scale: float  # turns the raw sum into the preconditioner square
-
-
 def init_state(spec: OptimizerSpec, w0: np.ndarray) -> OptimizerState:
     """Fresh state at iteration 0 with no momentum history."""
     w0 = np.asarray(w0, dtype=np.float64).copy()
@@ -177,53 +170,34 @@ def init_state(spec: OptimizerSpec, w0: np.ndarray) -> OptimizerState:
     )
 
 
-def _adam_row(spec: OptimizerSpec, k: int, a) -> tuple:
-    """Adam's Table 1 row at step k for base step size(s) `a`."""
+def adam_row(spec: OptimizerSpec, k: int, a) -> tuple:
+    """Adam's Table 1 row at step ``k >= 1`` for base step size(s) `a`:
+    (alpha_k, beta_k, gamma_k, g_keep, g_new, h_scale).  alpha_k and beta_k
+    carry the zero-initialization corrections; the published accumulator
+    weights are ``h_scale * g_keep`` and ``h_scale * g_new``."""
     b1, b2 = spec.beta1, spec.beta2
     corr1 = 1.0 - b1**k
     return (a * (1.0 - b1) / corr1, b1 * (1.0 - b1 ** (k - 1)) / corr1, 0.0,
             b2, 1.0 - b2, 1.0 / (1.0 - b2**k))
 
 
-def table1_coefficients(spec: OptimizerSpec, k: int,
-                        alpha: float | None = None) -> StepCoefficients:
-    """Per-step scalars of the unified update for step index ``k >= 1``.
-
-    `alpha`, when given, replaces ``spec.alpha`` as the base step size; an
-    array of per-row step sizes gives an array `alpha_k`.
-    Only Adam has k-dependent coefficients: its step size and momentum carry
-    the usual zero-initialization corrections, and its preconditioner square
-    is the raw sum scaled by ``h_scale = 1/(1 - beta2^k)``.  The published
-    Adam accumulator weights are ``h_scale * g_keep`` and ``h_scale * g_new``.
-    """
-    if k < 1:
-        raise ValueError("step index k starts at 1")
-    a = spec.alpha if alpha is None else alpha
-    row = spec.table1_constants
-    return StepCoefficients(*(_adam_row(spec, k, a) if row is None else (a, *row)))
-
-
-def step(
-    state: OptimizerState,
-    spec: OptimizerSpec,
-    grad_at: GradientFn,
-    alpha_override: float | np.ndarray | None = None,
-) -> OptimizerState:
-    """Advance every row one iteration; returns the new state.
+def step(state: OptimizerState, spec: OptimizerSpec, grad_at: GradientFn,
+         alpha: float | np.ndarray) -> OptimizerState:
+    """Advance every row one iteration with base step size `alpha`; returns
+    the new state.
 
     `grad_at` returns the float64 gradient at the point it is given, in that
-    point's shape.  `alpha_override`, when given, replaces the base step size
-    for this step only (decay schedules feed the current rates through here):
-    a scalar, or one step size per row, shape (R, 1), or repeated along each
-    row, the state's shape.  A row whose gradient or new iterate is not
-    finite, or whose zero preconditioner entry would divide a nonzero
-    quantity, is listed in the new state's `failures`.
+    point's shape.  `alpha` is a scalar, or one step size per row, shape
+    (R, 1), or repeated along each row, the state's shape; ``spec.alpha`` is
+    not read (decay schedules feed the current rates through here).  A row
+    whose gradient or new iterate is not finite, or whose zero
+    preconditioner entry would divide a nonzero quantity, is listed in the
+    new state's `failures`.
     """
-    k = state.k + 1
-    a = spec.alpha if alpha_override is None else alpha_override
+    k, a = state.k + 1, alpha
     row = spec.table1_constants  # computed once per spec
     if row is None:
-        a, b, gamma, keep, new, scale = _adam_row(spec, k, a)
+        a, b, gamma, keep, new, scale = adam_row(spec, k, a)
     else:
         b, gamma, keep, new, scale = row
     w, w_prev = state.w, state.w_prev

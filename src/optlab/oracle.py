@@ -85,7 +85,11 @@ def lemma_condition_check(ds: Dataset) -> float | None:
     when the row sums disagree, or when they disagree in sign with y.
     All-zero columns are zero in every gradient and are not part of the test.
     """
-    u = quotient_t_product(ds, ds.y)  # one entry per distinct nonzero column
+    return _sign_scale(ds, quotient_t_product(ds, ds.y))
+
+
+def _sign_scale(ds: Dataset, u: np.ndarray) -> float | None:
+    """`lemma_condition_check` given ``u = X_q^T y``, one entry per quotient column."""
     if np.any(u == 0.0):
         return None
     v = quotient_product(ds, ds.multiplicity * np.sign(u))
@@ -98,13 +102,14 @@ def lemma_condition_check(ds: Dataset) -> float | None:
 
 def sign_solution(ds: Dataset) -> OracleSolution:
     """The interpolating constant-magnitude solution ``(1/c) sign(X^T y)``."""
-    c = lemma_condition_check(ds)
+    u = quotient_t_product(ds, ds.y)  # X^T y, computed once for the check and w
+    c = _sign_scale(ds, u)
     if c is None:
         raise LemmaPreconditionError(
             "no scalar c with X sign(X^T y) = c y; sign solution undefined"
         )
     tau = 1.0 / c
-    w = tau * np.sign(label_correlation(ds))
+    w = tau * np.sign(ds.expand(u))
     return OracleSolution(kind="sign", w=w, c=c, tau=tau)
 
 

@@ -47,7 +47,9 @@ __all__ = [
     "TRACE_HEADER",
     "RunResult",
     "MAX_LABELS",
+    "MAX_STACK_SIZE",
     "check_label_stream",
+    "check_stack",
     "run_training",
     "run_lockstep",
     "write_trace_csv",
@@ -79,7 +81,7 @@ class TraceRow:
 
 @dataclass
 class RunResult:
-    """Outcome of one trajectory; `w` and `iterates` are full length (d)."""
+    """Outcome of one trajectory; `w` is full length (d)."""
 
     status: str  # "ok" | "diverged" | "singular_preconditioner"
     converged: bool
@@ -89,7 +91,6 @@ class RunResult:
     trace: list[TraceRow]
     best_dev: float | None = None
     epoch_of_best: int = 0
-    iterates: list[np.ndarray] | None = None
     failure: str | None = None
 
 
@@ -97,8 +98,15 @@ class RunResult:
 #: scoring take about 24 bytes of peak RSS per label and stream (measured on
 #: 25 streams of 10^6, a default tune round with a dev stream), so such a
 #: round at the ceiling peaks near 0.6 GB, inside the 2 GiB of `lsq`'s
-#: ceilings, with room for 3 times as many streams.
+#: ceilings; `MAX_STACK_SIZE` bounds the number of streams.
 MAX_LABELS = 10**6
+
+#: The largest lockstep stack: rows times each row's quotient entries,
+#: features and dev labels.  Adam tune rounds of 4.8 * 10^7 units peaked at
+#: 1353 MiB (60 rows, n = 10^5) and 1384 MiB (30 rows, 2 * 10^5), about 27
+#: bytes per unit past the first rows; this bound admits the default
+#: `experiment` at n = 10^6 (5 rows, about 1.9 GB in all), not a sixth row.
+MAX_STACK_SIZE = 45 * 10**6
 
 
 def check_label_stream(name: str, size: int) -> None:
@@ -106,6 +114,14 @@ def check_label_stream(name: str, size: int) -> None:
     if size > MAX_LABELS:
         raise ValueError(f"{name} = {size} exceeds the ceiling of {MAX_LABELS} labels "
                          "per stream (training.MAX_LABELS, sized for a 2 GiB peak)")
+
+
+def check_stack(ds: lsq.Dataset, rows: int, labels: int) -> None:
+    """Reject a stack of `rows` rows, `labels` dev labels each, above `MAX_STACK_SIZE`."""
+    size = rows * (ds.val.size + ds.d + labels)
+    if size > MAX_STACK_SIZE:
+        raise ValueError(f"a lockstep stack of {rows} rows has size {size}, above the ceiling "
+                         f"of {MAX_STACK_SIZE} (training.MAX_STACK_SIZE, sized for a 2 GiB peak)")
 
 
 def _should_record(k: int, trace_every: int | None) -> bool:
@@ -143,9 +159,9 @@ def run_training(ds: lsq.Dataset, spec: OptimizerSpec, iters: int, *,
 
 
 def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
-                 policy: DecayPolicy | None = None, dev_labels=None,
+                 policy: DecayPolicy = DecayPolicy(), dev_labels=None,
                  stop_loss: float | None = None, trace_every: int | None = None,
-                 record_trace: bool = True, keep_iterates: bool = False) -> list[RunResult]:
+                 record_trace: bool = True) -> list[RunResult]:
     """Run `spec` once per base step size in `alphas`, as one lockstep stack.
 
     Row i uses step size ``alphas[i]`` (not ``spec.alpha``) and scores its dev
@@ -163,11 +179,12 @@ def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
         raise ValueError(f"trace_every must be at least 1, got {trace_every}")
     if stop_loss is not None and math.isnan(stop_loss):
         raise ValueError(f"stop_loss must be a number, got {stop_loss}")
-    if policy is not None and policy.kind == "dev_decay" and dev_labels is None:
+    if policy.kind == "dev_decay" and dev_labels is None:
         raise ValueError("dev_decay policy needs a dev label stream")
-
     alpha = np.array(alphas, dtype=np.float64).reshape(-1, 1)
     n_rows = len(alpha)
+    check_stack(ds, n_rows, 0 if dev_labels is None else max(map(len, dev_labels), default=0))
+
     # The multiplicities, labels and step sizes repeated to the stack's shape,
     # so that no op of an iteration broadcasts.  Every row of `m` and `y` is
     # the same, so a shorter stack uses their first rows.
@@ -176,8 +193,7 @@ def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
     rates = np.repeat(alpha, ds.multiplicity.size, axis=1)
     state = init_state(spec, np.zeros(m.shape))
     # Row r's result is completed when r stops; its trace rows arrive by block.
-    results = [RunResult("ok", False, None, math.nan, 0, [],
-                         iterates=[] if keep_iterates else None) for _ in range(n_rows)]
+    results = [RunResult("ok", False, None, math.nan, 0, []) for _ in range(n_rows)]
     rows = list(range(n_rows))  # stack position -> row
     # Trace rows wait, as views of the arrays the loop makes (and never
     # writes into), until a block of TRACE_BLOCK_FLOATS floats is full.
@@ -188,7 +204,7 @@ def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
     if dev_labels is not None:
         counts = lsq.label_counts(dev_labels)
         best_dev, epoch_of_best = [math.inf] * n_rows, [0] * n_rows
-    decays = policy is not None and policy.kind != "none"
+    decays = policy.kind != "none"
 
     def residual_at(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # `lsq.residual` of a quotient stack, with the product it subtracts y from.
@@ -246,8 +262,6 @@ def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
                 keep_rows(np.isin(np.arange(len(rows)), failed, invert=True))
             if not rows:
                 break
-            for i in range(len(rows)) if keep_iterates else ():
-                results[rows[i]].iterates.append(ds.expand(state.w[i]))
             if counts is not None:
                 # A dev score reads features 1-3 only (`lsq.test_scores`).
                 dev = lsq.error_rates(ds.expand(state.w, slice(3)), counts)

@@ -17,9 +17,10 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from . import training
 from .errors import AllTrialsDivergedError
 from .lsq import Dataset, dev_labels_for
-from .optim import MethodKind, OptimizerSpec, spec_to_document
+from .optim import OptimizerSpec, spec_to_document
 from .schedules import DecayPolicy
 
 __all__ = [
@@ -95,8 +96,7 @@ class TrialResult:
 
 @dataclass(frozen=True)
 class WinnerSummary:
-    alpha: float
-    spec: OptimizerSpec
+    spec: OptimizerSpec  # the tuned spec, with the winning step size
     policy: DecayPolicy
     selection: str
     metric_mean: float
@@ -107,7 +107,6 @@ class WinnerSummary:
 
 @dataclass(frozen=True)
 class TuneReport:
-    method: MethodKind
     trials: tuple[TrialResult, ...]
     winner: WinnerSummary
     grid: Grid
@@ -142,7 +141,7 @@ def check_tune_budget(epochs: int, seeds: int, extension_cap: int) -> None:
 
 def tune(
     ds: Dataset,
-    method: MethodKind,
+    spec: OptimizerSpec,
     grid: Grid,
     policy: DecayPolicy,
     epochs: int,
@@ -151,9 +150,9 @@ def tune(
     dev_size: int | None,
     extension_cap: int,
     stop_loss: float | None,
-    base_spec: OptimizerSpec | None = None,
 ) -> TuneReport:
-    """Grid-search the step size for `method` on `ds`.
+    """Grid-search the step size of `spec` on `ds`: a trial runs `spec` with a
+    grid value for ``spec.alpha``, and the winner is `spec` with its value.
 
     `seeds` counts the seeds ``0 .. seeds-1``; each (step size, seed) pair is
     one trial and seeds only drive the per-trial development stream (runs
@@ -162,7 +161,8 @@ def tune(
     exists, otherwise the final training loss.  Dev labels are drawn with
     the dataset's `p`, so a dataset without one needs ``dev_size=None``.
     The budget (`epochs`, `seeds`, `dev_size`, `extension_cap`, `stop_loss`)
-    has no defaults here: the caller's options hold them.
+    has no defaults here: the caller's options hold them.  A round's stack
+    is checked (`training.check_stack`) before its dev labels are drawn.
 
     Raises `AllTrialsDivergedError` when every step size, extensions
     included, diverged.
@@ -173,16 +173,8 @@ def tune(
     if dev_size is not None and ds.p is None:
         raise ValueError("dataset has no label probability p to draw dev labels from; "
                          "pass dev_size=None")
-
-    base = base_spec if base_spec is not None else OptimizerSpec(method=method, alpha=1.0)
-    if base.method is not method:
-        raise ValueError("base_spec method does not match")
-
-    # Looked up at call time, so the run loop can be substituted.
-    from .training import check_label_stream, run_lockstep
-
     if dev_size is not None:
-        check_label_stream("dev_size", dev_size)
+        training.check_label_stream("dev_size", dev_size)
 
     by_alpha: dict[float, list[TrialResult]] = {}  # in the order of evaluation
 
@@ -192,11 +184,13 @@ def tune(
         indexed = list(enumerate(alphas, start=len(by_alpha)))
         streams = seed_values if dev_size is not None else (None,)
         keys = [(i, a, s) for i, a in indexed for s in streams]
+        training.check_stack(ds, len(keys), dev_size or 0)
         labels = None if dev_size is None else [
             dev_labels_for(ds.p, dev_size, np.random.SeedSequence(entropy=s, spawn_key=(i,)))
             for i, _, s in keys]
-        runs = iter(run_lockstep(ds, base, [a for _, a, _ in keys], epochs, policy=policy,
-                                 dev_labels=labels, stop_loss=stop_loss, record_trace=False))
+        runs = iter(training.run_lockstep(
+            ds, spec, [a for _, a, _ in keys], epochs, policy=policy, dev_labels=labels,
+            stop_loss=stop_loss, record_trace=False))
         for alpha in alphas:
             shared = next(runs) if dev_size is None else None
             by_alpha[alpha] = []
@@ -222,7 +216,7 @@ def tune(
     completed = {a: t for a, t in by_alpha.items() if all(r.status == "ok" for r in t)}
     if not completed:
         raise AllTrialsDivergedError(
-            f"every step size diverged for {method.value}: "
+            f"every step size diverged for {spec.method.value}: "
             f"{sorted(by_alpha, reverse=True)}, after {current.extensions} of "
             f"{extension_cap} extensions, the smallest step {min(by_alpha)!r}; "
             "raise --extension-cap or start the grid lower"
@@ -232,8 +226,7 @@ def tune(
     metrics = np.array([_trial_metric(t, selection) for t in winner_trials])
     losses = np.array([t.final_train_loss for t in winner_trials])
     winner = WinnerSummary(
-        alpha=best_alpha,
-        spec=replace(base, alpha=best_alpha),
+        spec=replace(spec, alpha=best_alpha),
         policy=policy,
         selection=selection,
         metric_mean=float(metrics.mean()),
@@ -242,7 +235,6 @@ def tune(
         final_loss_std=float(losses.std()),
     )
     return TuneReport(
-        method=method,
         trials=tuple(t for trials in by_alpha.values() for t in trials),
         winner=winner,
         grid=current,
@@ -253,9 +245,9 @@ def tune(
 
 def tune_report_to_document(report: TuneReport) -> dict:
     """JSON-compatible view of a tuning report."""
-    policy = asdict(report.winner.policy)  # every trial's, too
+    spec, policy = report.winner.spec, asdict(report.winner.policy)  # every trial's policy
     return {
-        "method": report.method.value,
+        "method": spec.method.value,
         "grid": {
             "values": list(report.grid.values),
             "ratio": report.grid.ratio,
@@ -264,7 +256,7 @@ def tune_report_to_document(report: TuneReport) -> dict:
         "seeds": list(report.seeds),
         "trials": [
             {
-                "method": report.method.value,
+                "method": spec.method.value,
                 "alpha0": t.alpha0,
                 "policy": policy,
                 "seed": t.seed,
@@ -277,8 +269,8 @@ def tune_report_to_document(report: TuneReport) -> dict:
             for t in report.trials
         ],
         "winner": {
-            "alpha": report.winner.alpha,
-            "spec": spec_to_document(report.winner.spec),
+            "alpha": spec.alpha,
+            "spec": spec_to_document(spec),
             "policy": policy,
             "selection": report.winner.selection,
             "metric_mean": report.winner.metric_mean,

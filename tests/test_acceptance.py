@@ -64,7 +64,7 @@ def standard_experiment(tmp_path_factory):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_1_lemma_trajectory():
+def test_criterion_1_lemma_trajectory(run_with_iterates):
     ds = lsq.generate_synthetic(50, 0.8, seed=7)
     specs = {
         "adagrad": OptimizerSpec(method=MethodKind.ADAGRAD, alpha=0.1,
@@ -77,9 +77,9 @@ def test_criterion_1_lemma_trajectory():
     details = []
     start = time.perf_counter()
     for name, spec in specs.items():
-        res = run_training(ds, spec, 500, keep_iterates=True, record_trace=False)
+        res, iterates = run_with_iterates(ds, spec, 500, record_trace=False)
         assert res.status == "ok", name
-        trace = oracle.verify_lemma_trajectory(res.iterates, ds)
+        trace = oracle.verify_lemma_trajectory(iterates, ds)
         lam_max = float(np.max(np.abs(trace.lambdas)))
         assert trace.max_deviation <= 1e-8 * lam_max, (name, trace.max_deviation)
         assert trace.off_support_max == 0.0, name

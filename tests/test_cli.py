@@ -5,7 +5,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from optlab import lsq
+from optlab import lsq, training
+from optlab import tune as tune_module
 from optlab.cli import (
     ExperimentConfig,
     GenerateOptions,
@@ -480,6 +481,27 @@ def test_dataset_file_above_the_ceiling_is_a_usage_error(dataset_file, tmp_path,
     assert lsq.load_dataset(dataset_file).n == 12
 
 
+def test_tune_stack_above_the_ceiling_is_a_usage_error(dataset_file, tmp_path, capsys,
+                                                      monkeypatch):
+    # The default tune round is 5 step sizes times 5 seeds, 25 rows of the
+    # design's quotient entries and features and 2000 dev labels each.  With
+    # the ceiling one below that, the round fails before its labels are drawn.
+    ds = lsq.load_dataset(dataset_file)
+    size = 25 * (ds.val.size + ds.d + 2000)
+    out = tmp_path / "tune.json"
+    argv = ["tune", "--dataset", str(dataset_file), "--iters", "20", "--out", str(out)]
+    with monkeypatch.context() as patch:
+        patch.setattr(training, "MAX_STACK_SIZE", size - 1)
+        patch.setattr(tune_module, "dev_labels_for",
+                      lambda *args: pytest.fail("dev labels were drawn"))
+        assert run_cli(*argv) == 1
+        assert (f"a lockstep stack of 25 rows has size {size}, above the ceiling of {size - 1} "
+                "(training.MAX_STACK_SIZE") in capsys.readouterr().err
+        assert not out.exists()
+    monkeypatch.setattr(training, "MAX_STACK_SIZE", size)  # a stack at the ceiling runs
+    assert run_cli(*argv) == 0
+
+
 @pytest.mark.parametrize("argv, message", [
     (["tune", "--ratio", "nan"], "ratio must exceed 1, got nan"),
     (["tune", "--alpha", "nan"], "center must be positive, got nan"),
@@ -493,12 +515,16 @@ def test_dataset_file_above_the_ceiling_is_a_usage_error(dataset_file, tmp_path,
 ], ids=["tune_ratio", "tune_alpha", "tune_stop_loss", "experiment_grid_center",
         "experiment_grid_ratio", "experiment_stop_loss", "train_epsilon", "train_g_init",
         "train_stop_loss"])
-def test_nan_fails_each_range_check(argv, message, dataset_file, tmp_path, capsys):
+def test_nan_fails_each_range_check(argv, message, dataset_file, tmp_path, capsys,
+                                   monkeypatch):
     # A NaN compares false with every bound, so a check written as
     # `x <= bound` lets it through: these ran on (a grid of NaNs, "every step
     # size diverged", "diverged", a stop loss never met) instead of failing.
+    # `experiment` checks its whole config before it draws the dataset.
     out = tmp_path / "out"
     if argv[0] == "experiment":
+        monkeypatch.setattr(lsq, "generate_synthetic",
+                            lambda *args: pytest.fail("the dataset was drawn"))
         argv = [*argv, "--n", "12", "--iters", "5"]
     else:
         argv = [*argv, "--dataset", str(dataset_file)]

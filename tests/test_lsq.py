@@ -71,9 +71,10 @@ def test_generator_rejects_bad_p():
         lsq.generate_synthetic(10, 1.0, seed=0)
 
 
-def test_generator_redraw_cap():
+def test_generator_redraw_cap(monkeypatch):
+    monkeypatch.setattr(lsq, "MAX_REDRAWS", 0)
     with pytest.raises(DataGenerationError):
-        lsq.generate_synthetic(1, 0.501, seed=0, max_redraws=0)
+        lsq.generate_synthetic(1, 0.501, seed=0)
 
 
 @settings(max_examples=40, deadline=None)

@@ -9,9 +9,9 @@ from optlab.optim import (
     ADAPTIVE_METHODS,
     MethodKind,
     OptimizerSpec,
+    adam_row,
     init_state,
     step,
-    table1_coefficients,
 )
 
 
@@ -23,7 +23,7 @@ def run_steps(spec, w0, grad, iters):
     state = init_state(spec, np.asarray(w0, dtype=float))
     out = [state.w.copy()]
     for _ in range(iters):
-        state = step(state, spec, grad)
+        state = step(state, spec, grad, spec.alpha)
         out.append(state.w.copy())
     return out, state
 
@@ -56,40 +56,43 @@ def test_init_state_copies_w0():
     assert state.w[0] == 1.0
 
 
-def test_coefficients_reject_k0():
-    with pytest.raises(ValueError):
-        table1_coefficients(make_spec("sgd"), 0)
+def table1_row(spec, k, alpha):
+    """Table 1's row at step k, (alpha_k, beta_k, gamma_k, g_keep, g_new,
+    h_scale), read as the engine reads it."""
+    row = spec.table1_constants
+    return adam_row(spec, k, alpha) if row is None else (alpha, *row)
 
 
 def test_adam_coefficients_at_k1():
-    c = table1_coefficients(make_spec("adam", alpha=0.3, beta1=0.9), 1)
-    assert c.alpha_k == pytest.approx(0.3)
-    assert c.beta_k == 0.0
+    alpha_k, beta_k, *_ = table1_row(make_spec("adam", alpha=0.3, beta1=0.9), 1, 0.3)
+    assert alpha_k == pytest.approx(0.3)
+    assert beta_k == 0.0
 
 
 def test_adam_coefficients_general_k():
     a, b1, b2 = 0.25, 0.9, 0.999
-    c = table1_coefficients(make_spec("adam", alpha=a, beta1=b1, beta2=b2), 7)
-    assert c.alpha_k == pytest.approx(a * (1 - b1) / (1 - b1**7), rel=1e-15)
-    assert c.beta_k == pytest.approx(b1 * (1 - b1**6) / (1 - b1**7), rel=1e-15)
+    alpha_k, beta_k, _, g_keep, g_new, h_scale = table1_row(
+        make_spec("adam", alpha=a, beta1=b1, beta2=b2), 7, a)
+    assert alpha_k == pytest.approx(a * (1 - b1) / (1 - b1**7), rel=1e-15)
+    assert beta_k == pytest.approx(b1 * (1 - b1**6) / (1 - b1**7), rel=1e-15)
     # the published weights are the raw-sum weights times the table's scale
-    assert c.h_scale * c.g_keep == pytest.approx(b2 / (1 - b2**7), rel=1e-15)
-    assert c.h_scale * c.g_new == pytest.approx((1 - b2) / (1 - b2**7), rel=1e-15)
+    assert h_scale * g_keep == pytest.approx(b2 / (1 - b2**7), rel=1e-15)
+    assert h_scale * g_new == pytest.approx((1 - b2) / (1 - b2**7), rel=1e-15)
 
 
 def test_nag_gamma_equals_beta():
-    c = table1_coefficients(make_spec("nag", beta=0.7), 5)
-    assert c.gamma_k == c.beta_k == 0.7
+    _, beta_k, gamma_k, *_ = table1_row(make_spec("nag", beta=0.7), 5, 0.1)
+    assert gamma_k == beta_k == 0.7
 
 
 def test_adagrad_accumulates_everything():
-    c = table1_coefficients(make_spec("adagrad"), 3)
-    assert (c.g_keep, c.g_new) == (1.0, 1.0)
+    _, _, _, g_keep, g_new, _ = table1_row(make_spec("adagrad"), 3, 0.1)
+    assert (g_keep, g_new) == (1.0, 1.0)
 
 
 def test_sgd_has_no_momentum_terms():
-    c = table1_coefficients(make_spec("sgd"), 2)
-    assert c.beta_k == 0.0 and c.gamma_k == 0.0
+    _, beta_k, gamma_k, *_ = table1_row(make_spec("sgd"), 2, 0.1)
+    assert beta_k == 0.0 and gamma_k == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -225,13 +228,14 @@ def test_self_corrected_recurrence_overflows_float64():
     assert log10_growth > 308.0
 
 
-def test_alpha_override_changes_only_this_step():
+def test_step_size_applies_to_its_step_only():
+    # `step` reads the step size it is given, never spec.alpha.
     grad = lambda w: np.ones_like(w)
     spec = make_spec("sgd", alpha=0.1)
     state = init_state(spec, np.zeros(2))
-    state = step(state, spec, grad, alpha_override=0.5)
+    state = step(state, spec, grad, 0.5)
     np.testing.assert_allclose(state.w, [-0.5, -0.5])
-    state = step(state, spec, grad)
+    state = step(state, spec, grad, spec.alpha)
     np.testing.assert_allclose(state.w, [-0.6, -0.6])
 
 
@@ -264,7 +268,7 @@ def test_adagrad_accumulator_monotone(seed, iters):
     state = init_state(spec, np.zeros(5))
     prev = state.g_accum.copy()
     for k in range(iters):
-        state = step(state, spec, lambda w, k=k: grads[k])
+        state = step(state, spec, lambda w, k=k: grads[k], spec.alpha)
         assert np.all(state.g_accum >= prev)
         prev = state.g_accum.copy()
 
@@ -305,16 +309,16 @@ def test_method_parse():
 # ---------------------------------------------------------------------------
 
 
-def plain_step(state, spec, grad_at, alpha_override=None):
+def plain_step(state, spec, grad_at, alpha):
     """`step` as the formula reads, one whole-array expression per term, with
     every coefficient applied (factors 1, terms 0 included): the bits `step`
     must reproduce."""
     k = state.k + 1
-    c = table1_coefficients(spec, k, alpha_override)
+    alpha_k, beta_k, gamma_k, g_keep, g_new, h_scale = table1_row(spec, k, alpha)
     w, w_prev = state.w, state.w_prev
 
-    if c.gamma_k != 0.0:
-        eval_point = w + c.gamma_k * (w - w_prev)
+    if gamma_k != 0.0:
+        eval_point = w + gamma_k * (w - w_prev)
     else:
         eval_point = w
     g = np.asarray(grad_at(eval_point), dtype=np.float64)
@@ -322,14 +326,14 @@ def plain_step(state, spec, grad_at, alpha_override=None):
     singular = False
     h_now = None
     if spec.method not in ADAPTIVE_METHODS:
-        w_next = w - c.alpha_k * g
-        if c.beta_k != 0.0:
-            w_next = w_next + c.beta_k * (w - w_prev)
+        w_next = w - alpha_k * g
+        if beta_k != 0.0:
+            w_next = w_next + beta_k * (w - w_prev)
         g_accum = state.g_accum
     else:
-        g_accum = c.g_keep * state.g_accum + c.g_new * (g * g)
-        h_now = np.sqrt(c.h_scale * g_accum) + spec.epsilon
-        dw = w - w_prev if c.beta_k != 0.0 else None
+        g_accum = g_keep * state.g_accum + g_new * (g * g)
+        h_now = np.sqrt(h_scale * g_accum) + spec.epsilon
+        dw = w - w_prev if beta_k != 0.0 else None
         dead = h_now == 0.0
         h_safe = h_now
         if dead.any():
@@ -338,10 +342,10 @@ def plain_step(state, spec, grad_at, alpha_override=None):
                 needs_div |= dw != 0.0
             singular = (dead & needs_div).any(axis=-1)
             h_safe = np.where(dead, 1.0, h_now)
-        w_next = w - c.alpha_k * (g / h_safe)
+        w_next = w - alpha_k * (g / h_safe)
         if dw is not None:
             h_prev = state.h if state.h is not None else np.ones_like(w)
-            w_next = w_next + c.beta_k * ((h_prev / h_safe) * dw)
+            w_next = w_next + beta_k * ((h_prev / h_safe) * dw)
 
     failures = []
     failed = np.atleast_1d(~np.isfinite(w_next).all(axis=-1) | singular)

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from optlab import lsq, oracle
 from optlab.errors import LemmaPreconditionError, SingularKernelError
 from optlab.optim import MethodKind, OptimizerSpec
-from optlab.training import run_training
 
 UPSTREAM_ALPHA_NOTE = (
     "published closed form solves a reduced system whose negative-class "
@@ -90,6 +89,21 @@ def test_sign_solution_on_synthetic_data():
     u = oracle.label_correlation(ds)
     nz = sol.w != 0
     np.testing.assert_array_equal(np.sign(sol.w[nz]), np.sign(u[nz]))
+
+
+def test_sign_solution_makes_one_transposed_product(monkeypatch):
+    # The lemma check and the sign pattern both read X^T y: one product.
+    ds = lsq.generate_synthetic(8, 0.75, seed=3)
+    calls = []
+    product = oracle.quotient_t_product
+
+    def counted(*args):
+        calls.append(args)
+        return product(*args)
+
+    monkeypatch.setattr(oracle, "quotient_t_product", counted)
+    assert oracle.sign_solution(ds).c == 4.0
+    assert len(calls) == 1
 
 
 def test_sign_solution_identity_design():
@@ -337,21 +351,21 @@ def test_lemma_trace_requires_zero_start():
         oracle.verify_lemma_trajectory([np.ones(ds.d)], ds)
 
 
-def test_adaptive_trajectory_stays_on_sign_line():
+def test_adaptive_trajectory_stays_on_sign_line(run_with_iterates):
     ds = lsq.generate_synthetic(20, 0.8, seed=5)
     spec = OptimizerSpec(method=MethodKind.ADAGRAD, alpha=0.1, epsilon=0.0, g_init=0.0)
-    res = run_training(ds, spec, 200, keep_iterates=True, record_trace=False)
-    tr = oracle.verify_lemma_trajectory(res.iterates, ds)
+    _, iterates = run_with_iterates(ds, spec, 200, record_trace=False)
+    tr = oracle.verify_lemma_trajectory(iterates, ds)
     lam_max = np.max(np.abs(tr.lambdas))
     assert tr.max_deviation <= 1e-8 * lam_max
     assert tr.off_support_max == 0.0
 
 
-def test_sgd_trajectory_leaves_sign_line():
+def test_sgd_trajectory_leaves_sign_line(run_with_iterates):
     ds = lsq.generate_synthetic(20, 0.8, seed=5)
     spec = OptimizerSpec(method=MethodKind.SGD, alpha=0.002)
-    res = run_training(ds, spec, 300, keep_iterates=True, record_trace=False)
-    tr = oracle.verify_lemma_trajectory(res.iterates, ds)
+    _, iterates = run_with_iterates(ds, spec, 300, record_trace=False)
+    tr = oracle.verify_lemma_trajectory(iterates, ds)
     lam_max = np.max(np.abs(tr.lambdas))
     assert tr.max_deviation > 1e-2 * lam_max
 

@@ -15,7 +15,6 @@ import pytest
 import optlab
 from optlab import lsq, oracle, training, tune
 from optlab.optim import MethodKind, OptimizerSpec
-from optlab.schedules import DecayPolicy
 
 PACKAGE_DIR = Path(optlab.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE_DIR.glob("*.py") if p.stem != "__init__")
@@ -70,16 +69,13 @@ _SGD = OptimizerSpec(method=MethodKind.SGD, alpha=0.1)
      "g_init must be nonnegative"),
     (lambda: tune.make_log_grid(0, 2), "center must be positive"),
     (lambda: tune.Grid(values=(), ratio=2.0), "grid must not be empty"),
-    (lambda: tune.tune(_DS, MethodKind.ADAM, tune.make_log_grid(0.1, 2, 3), DecayPolicy(), 1, 1,
-                       dev_size=None, extension_cap=0, stop_loss=None, base_spec=_SGD),
-     "base_spec method does not match"),
     (lambda: training.run_lockstep(_DS, _SGD, [0.1], -1), "iters must be nonnegative"),
     (lambda: lsq.Dataset(n=2, d=3, rows=((), ()), y=np.ones(3)),
      r"labels must have shape \(2,\)"),
     (lambda: lsq.test_scores(np.zeros(2), np.ones(5)), "at least 3 coordinates"),
     (lambda: oracle.verify_lemma_trajectory([], _DS), "empty trajectory"),
-], ids=["generate_n0", "spec_g_init", "grid_center", "grid_empty", "tune_base_spec",
-        "lockstep_iters", "label_shape", "test_scores_dim", "lemma_empty"])
+], ids=["generate_n0", "spec_g_init", "grid_center", "grid_empty", "lockstep_iters",
+        "label_shape", "test_scores_dim", "lemma_empty"])
 def test_input_checks_raise_their_stated_errors(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -139,11 +140,11 @@ def test_adaptive_vs_nonadaptive_fixed_points(ds):
         assert rel <= 1e-4, (method, rel)
 
 
-def test_runs_are_bitwise_reproducible(ds):
+def test_runs_are_bitwise_reproducible(ds, run_with_iterates):
     spec = OptimizerSpec(method=MethodKind.ADAM, alpha=0.05, epsilon=0.0)
-    a = run_training(ds, spec, 300, keep_iterates=True, record_trace=False)
-    b = run_training(ds, spec, 300, keep_iterates=True, record_trace=False)
-    for x, y in zip(a.iterates, b.iterates):
+    a, a_iterates = run_with_iterates(ds, spec, 300, record_trace=False)
+    b, b_iterates = run_with_iterates(ds, spec, 300, record_trace=False)
+    for x, y in zip(a_iterates, b_iterates):
         assert np.array_equal(x, y)
     assert a.final_loss == b.final_loss
 
@@ -193,23 +194,28 @@ def test_stacked_gram_solve_stops_each_row_on_its_own_test(monkeypatch):
 
 @pytest.mark.parametrize("method", list(MethodKind))
 @pytest.mark.parametrize("dependent", [False, True])
-def test_trace_diagnostics_equal_standalone_calls(ds, method, dependent, monkeypatch):
+def test_trace_diagnostics_equal_standalone_calls(ds, method, dependent, monkeypatch,
+                                                  run_with_iterates):
     # The loop solves its trace rows' span projections in blocks, from the
     # product X w_k it already has; each norm, margin and span residual must
     # equal the standalone call on the full-length iterate, exactly.  Run in
     # one block and in blocks of 5 rows, which split the 93 rows (3 per
-    # iteration) into 19 blocks, most across an iteration.
+    # iteration) into 19 blocks, most across an iteration.  A row's iterates
+    # are its solo run's (`test_lockstep_rows_equal_solo_runs`).
     data = dependent_rows_dataset() if dependent else ds
     spec = OptimizerSpec(method=method, alpha=1.0)
+    alphas = [0.002, 0.01, 0.05]
+    solo = [run_with_iterates(data, replace(spec, alpha=a), 30, record_trace=False)[1]
+            for a in alphas]
     for block_rows in (None, 5):
         with monkeypatch.context() as patch:
             if block_rows is not None:
                 patch.setattr(training, "TRACE_BLOCK_FLOATS",
                               block_rows * (data.multiplicity.size + data.n + data.d))
-            rows = run_lockstep(data, spec, [0.002, 0.01, 0.05], 30, keep_iterates=True)
-        for row in rows:
-            assert [t.iteration for t in row.trace] == list(range(len(row.iterates)))
-            for t, w in zip(row.trace, row.iterates):
+            rows = run_lockstep(data, spec, alphas, 30)
+        for row, iterates in zip(rows, solo):
+            assert [t.iteration for t in row.trace] == list(range(len(iterates)))
+            for t, w in zip(row.trace, iterates):
                 margin = lsq.margin(data, w) if np.linalg.norm(w) > 0.0 else math.nan
                 assert np.float64(t.margin).tobytes() == np.float64(margin).tobytes()
                 assert t.rowspan_resid == lsq.row_span_residual(data, w)
@@ -354,7 +360,7 @@ def reference_run(x, y, spec, iters, policy, labels, stop_loss):
             if improved:
                 best, epoch_of_best = dev, k
             converged = stop_loss is not None and loss <= stop_loss
-            if policy is not None and not converged and k < iters:
+            if not converged and k < iters:
                 alpha = next_alpha(policy, alpha, k, improved=improved)
     return state.w, peak, k, status, failure, converged, best, epoch_of_best
 
@@ -388,7 +394,7 @@ def test_singular_preconditioner_stops_only_its_row():
         row_spec = OptimizerSpec(method=MethodKind.ADAGRAD, alpha=alpha, epsilon=0.0)
         solo = run_training(ds, row_spec, 50, record_trace=False)
         assert_same_run(row, solo)
-        outcome = reference_run(x, ds.y, row_spec, 50, None, None, None)[2:5]
+        outcome = reference_run(x, ds.y, row_spec, 50, DecayPolicy(), None, None)[2:5]
         assert outcome == (row.iterations, row.status, row.failure)
 
 
@@ -472,7 +478,7 @@ def test_lockstep_rows_equal_solo_runs(n, seed, synthetic, method, log2_alphas, 
     adaptive = method in (MethodKind.ADAGRAD, MethodKind.ADAM, MethodKind.RMSPROP)
     bound = 4.0 if adaptive else 2.0 * np.linalg.norm(x, 2) ** 2
     alphas = [2.0 ** e for e in log2_alphas] + [scale / bound for scale in stable_scales]
-    labels = policy = None
+    labels, policy = None, DecayPolicy()
     if dev:
         labels = [lsq.dev_labels_for(0.75, 50,
                                      np.random.SeedSequence(entropy=seed, spawn_key=(i,)))

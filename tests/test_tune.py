@@ -15,6 +15,8 @@ from optlab.tune import (
     tune_report_to_document,
 )
 
+SGD = OptimizerSpec(method=MethodKind.SGD, alpha=1.0)  # the spec `optlab tune` tunes
+
 
 # ---------------------------------------------------------------------------
 # grids
@@ -151,7 +153,7 @@ def small_ds():
 def test_tune_sgd_default_grid_converges(small_ds):
     report = tune(
         small_ds,
-        MethodKind.SGD,
+        SGD,
         make_log_grid(0.5, 2, 5),
         DecayPolicy(kind="none"),
         epochs=6000,
@@ -167,17 +169,16 @@ def test_tune_sgd_default_grid_converges(small_ds):
 def test_tune_winner_has_seed_stats(small_ds):
     report = tune(
         small_ds,
-        MethodKind.ADAGRAD,
+        OptimizerSpec(method=MethodKind.ADAGRAD, alpha=1.0, epsilon=0.0),
         make_log_grid(0.25, 2, 3),
         DecayPolicy(kind="none"),
         epochs=800,
         seeds=5,
-        base_spec=OptimizerSpec(method=MethodKind.ADAGRAD, alpha=1.0, epsilon=0.0),
         dev_size=500,
         stop_loss=1e-12,
         extension_cap=8,
     )
-    assert sum(t.alpha0 == report.winner.alpha for t in report.trials) == 5
+    assert sum(t.alpha0 == report.winner.spec.alpha for t in report.trials) == 5
     assert report.winner.metric_std >= 0.0
     assert len({t.seed for t in report.trials}) == 5
 
@@ -187,7 +188,7 @@ def test_tune_extends_while_best_at_top_edge(small_ds):
     # walk extends upward until capped.
     report = tune(
         small_ds,
-        MethodKind.SGD,
+        SGD,
         make_log_grid(1e-5, 2, 3),
         DecayPolicy(kind="none"),
         epochs=500,
@@ -197,14 +198,14 @@ def test_tune_extends_while_best_at_top_edge(small_ds):
         stop_loss=1e-12,
     )
     assert report.extensions == 2
-    assert report.winner.alpha == max(report.grid.values)
+    assert report.winner.spec.alpha == max(report.grid.values)
 
 
 def test_tune_all_diverged(small_ds):
     with pytest.raises(AllTrialsDivergedError):
         tune(
             small_ds,
-            MethodKind.SGD,
+            SGD,
             Grid(values=(4096.0, 2048.0), ratio=2.0),
             DecayPolicy(kind="none"),
             epochs=400,
@@ -224,7 +225,7 @@ def test_tune_rejects_a_bad_budget(small_ds, budget, message):
     # A negative cap used to act as 0: the walk stopped at the first check.
     args = {"epochs": 10, "seeds": 1, "extension_cap": 0, **budget}
     with pytest.raises(ValueError, match=message):
-        tune(small_ds, MethodKind.SGD, make_log_grid(0.01, 2, 3), DecayPolicy(kind="none"),
+        tune(small_ds, SGD, make_log_grid(0.01, 2, 3), DecayPolicy(kind="none"),
              dev_size=None, stop_loss=None, **args)
 
 
@@ -233,7 +234,7 @@ def test_tune_tie_breaks_toward_larger_alpha(small_ds):
     # documented tie-break picks the largest step size.
     report = tune(
         small_ds,
-        MethodKind.SGD,
+        SGD,
         make_log_grid(0.01, 2, 3),
         DecayPolicy(kind="none"),
         epochs=0,
@@ -242,13 +243,13 @@ def test_tune_tie_breaks_toward_larger_alpha(small_ds):
         extension_cap=0,
         stop_loss=None,
     )
-    assert report.winner.alpha == 0.02
+    assert report.winner.spec.alpha == 0.02
 
 
 def test_tune_winner_attains_extremal_metric(small_ds):
     report = tune(
         small_ds,
-        MethodKind.SGD,
+        SGD,
         make_log_grid(0.002, 2, 4),
         DecayPolicy(kind="none"),
         epochs=2000,
@@ -265,7 +266,7 @@ def test_tune_winner_attains_extremal_metric(small_ds):
 def test_tune_grid_never_duplicates(small_ds):
     report = tune(
         small_ds,
-        MethodKind.SGD,
+        SGD,
         make_log_grid(0.5, 2, 5),
         DecayPolicy(kind="none"),
         epochs=1500,
@@ -291,7 +292,7 @@ def test_tune_without_dev_stream_runs_once_per_step_size(small_ds, monkeypatch):
         monkeypatch.setattr(training, "run_lockstep", recording_run_lockstep)
         report = tune(
             small_ds,
-            MethodKind.SGD,
+            SGD,
             make_log_grid(0.002, 2, 3),
             DecayPolicy(kind="none"),
             epochs=300,
@@ -313,14 +314,14 @@ def test_tune_dev_stream_needs_dataset_p():
     )
     assert ds.p is None
     with pytest.raises(ValueError, match="dev_size=None"):
-        tune(ds, MethodKind.SGD, make_log_grid(0.1, 2, 3), DecayPolicy(kind="none"),
+        tune(ds, SGD, make_log_grid(0.1, 2, 3), DecayPolicy(kind="none"),
              epochs=10, seeds=1, dev_size=200, extension_cap=8, stop_loss=None)
 
 
 def test_tune_report_document(small_ds):
     report = tune(
         small_ds,
-        MethodKind.SGD,
+        SGD,
         make_log_grid(0.002, 2, 3),
         DecayPolicy(kind="none"),
         epochs=300,
@@ -333,5 +334,5 @@ def test_tune_report_document(small_ds):
     assert doc["method"] == "sgd"
     assert {"method", "alpha0", "policy", "seed", "final_train_loss", "best_dev",
             "epoch_of_best", "status", "iterations"} == set(doc["trials"][0])
-    assert doc["winner"]["alpha"] == report.winner.alpha
+    assert doc["winner"]["alpha"] == report.winner.spec.alpha
 
