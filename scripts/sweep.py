@@ -14,8 +14,10 @@ message must match.
 The sweep covers the 20 `experiment --iters 5000` runs at seeds 1-20 and the
 default seed-1 `experiment`; the oracle and six 20-step `train` runs of an
 n = 1000 dataset; two tunes (dev decay and fixed decay) and two trains
-(traced with a stop loss, and dev decay) per method on an n = 100 dataset;
-and, on a hand-built real-valued 6 x 9 design with a duplicate and an
+(traced with a stop loss, and dev decay) per method on an n = 100 dataset,
+and four extension walks there (a one-point grid's walk that goes up once and
+turns down, two dev-stream walks that extend, and a walk that stops at its
+cap); and, on a hand-built real-valued 6 x 9 design with a duplicate and an
 all-zero column, a traced, a diverging and a tuned run per method, plus its
 oracle.
 """
@@ -85,6 +87,14 @@ def commands() -> list[list[str]]:
                      "--out", f"n100/train-traced/{method}"])
         cmds.append(["train", *data, "--decay", "dev_decay",
                      "--out", f"n100/train-dev-decay/{method}"])
+    walk = ["--dataset", "n100/dataset.json", "--iters", "300", "--dev-size", "200"]
+    cmds.append(["tune", *walk, "--alpha", "0.0078125", "--count", "1", "--seeds", "2",
+                 "--out", "n100/tune-walk/turn.json"])
+    for method in ("sgd", "rmsprop"):
+        cmds.append(["tune", *walk, "--method", method, "--alpha", "1", "--count", "3",
+                     "--seeds", "3", "--out", f"n100/tune-walk/dev-{method}.json"])
+    cmds.append(["tune", *walk, "--alpha", "1e-5", "--count", "3", "--extension-cap", "3",
+                 "--seeds", "2", "--out", "n100/tune-walk/cap.json"])
 
     cmds.append(["oracle", "--dataset", "hand/dataset.json", "--out", "hand/oracle.json"])
     for method in METHODS:

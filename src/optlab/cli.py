@@ -7,12 +7,9 @@ configuration produces byte-identical output files.  Exit codes: 0 ok,
 1 usage error, 2 numerical failure (divergence, singular systems), 3 I/O.
 """
 
-from __future__ import annotations
-
 import argparse
 import csv
 import json
-import math
 import sys
 import typing
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -24,7 +21,7 @@ from . import lsq, oracle
 from .errors import LemmaPreconditionError, OptlabError
 from .optim import ADAPTIVE_METHODS, MethodKind, OptimizerSpec, spec_to_document
 from .schedules import DECAY_KINDS, DecayPolicy
-from .training import RunResult, check_label_stream, run_training, write_trace_csv
+from .training import RunResult, check_label_stream, check_stack, run_training, write_trace_csv
 from .tune import check_tune_budget, make_log_grid, tune, tune_report_to_document
 
 __all__ = ["main", "run_experiment", "ExperimentConfig", "GenerateOptions", "TrainOptions",
@@ -99,7 +96,7 @@ def _config_value(hint, value):
 
 def _merge_options(cls, args: argparse.Namespace):
     """Field defaults <- config file <- explicit flags, as one `cls`."""
-    hints = typing.get_type_hints(cls)
+    hints = {f.name: f.type for f in fields(cls)}
     values = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -362,10 +359,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
         raise ValueError("methods must name at least one method")
     if len(set(methods)) < len(methods):
         raise ValueError(f"methods must not repeat: {', '.join(cfg.methods)}")
-    check_tune_budget(cfg.iters, cfg.seeds, cfg.extension_cap)
-    if math.isnan(cfg.stop_loss):
-        raise ValueError(f"stop_loss must be a number, got {cfg.stop_loss}")
+    check_tune_budget(cfg.iters, cfg.seeds, cfg.extension_cap, cfg.stop_loss)
     grid = make_log_grid(cfg.grid_center, cfg.grid_ratio, cfg.grid_count)
+    # The tallest stack is a tune's round 0: a row per grid value, no dev labels.
+    check_stack(len(grid.values), sum(lsq.synthetic_shape(cfg.n)))
     ds = lsq.generate_synthetic(cfg.n, cfg.p, cfg.seed)
     # A synthetic design always has the sign solution (c = 4).
     oracle_doc, mn, sg = _oracle_report(ds)
@@ -502,10 +499,9 @@ def build_parser(command: str | None = None) -> _Parser:
         sub = subs.add_parser(name, help=help_text)
         if command not in (None, name):
             continue
-        hints = typing.get_type_hints(cls)
         for f in fields(cls):
             sub.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
-                             type=_parse_fn(hints[f.name]), **f.metadata)
+                             type=_parse_fn(f.type), **f.metadata)
         sub.add_argument("--config", help="JSON file with option values; flags override")
     return parser
 

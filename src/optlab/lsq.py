@@ -50,6 +50,7 @@ from .errors import DataGenerationError
 __all__ = [
     "Dataset",
     "generate_synthetic",
+    "synthetic_shape",
     "loss",
     "gradient",
     "product",
@@ -387,6 +388,18 @@ def _synthetic_entries(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return row, np.where(slot < 3, slot, 5 * row + slot), np.where(slot == 0, y[row], 1.0)
 
 
+def synthetic_shape(n: int) -> tuple[int, int]:
+    """The synthetic design's size for `n` examples, whatever its labels: its
+    quotient entries (3n: features 1, 2 = 3 and each private block) and its
+    features (5n + 3).  `n` must lie in 1..`MAX_EXAMPLES`."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if n > MAX_EXAMPLES:
+        raise ValueError(f"n = {n} exceeds the ceiling of {MAX_EXAMPLES} examples "
+                         "(lsq.MAX_EXAMPLES, sized for a 2 GiB peak)")
+    return 3 * n, 5 * n + 3
+
+
 def generate_synthetic(n: int, p: float, seed: int) -> Dataset:
     """Draw a synthetic dataset of `n` examples with positive-class rate `p`.
 
@@ -394,17 +407,13 @@ def generate_synthetic(n: int, p: float, seed: int) -> Dataset:
     strictly positive are redrawn, at most `MAX_REDRAWS` times, from a seed
     derived from ``(seed, attempt)``; the result records the rejections.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n > MAX_EXAMPLES:
-        raise ValueError(f"n = {n} exceeds the ceiling of {MAX_EXAMPLES} examples "
-                         "(lsq.MAX_EXAMPLES, sized for a 2 GiB peak)")
+    _, d = synthetic_shape(n)
     if not 0.5 < p < 1.0:
         raise ValueError(f"p must lie in (1/2, 1), got {p}")
     for attempt in range(MAX_REDRAWS + 1):
         y = dev_labels_for(p, n, np.random.SeedSequence(entropy=seed, spawn_key=(attempt,)))
         if y.sum() > 0:
-            return Dataset._from_entries(n, 3 + 5 * n, _synthetic_entries(y), y, p=p,
+            return Dataset._from_entries(n, d, _synthetic_entries(y), y, p=p,
                                          seed=seed, rejections=attempt)
     raise DataGenerationError(
         f"no draw with positive label sum in {MAX_REDRAWS + 1} attempts (n={n}, p={p})"

@@ -13,10 +13,11 @@ dev scores), through `Dataset.expand`.
 The engine, `step`, steps the stack once per iteration; a single run is a
 stack of one row.  A row that converges, or fails (non-finite loss or
 iterate, singular preconditioner), stops with its status and drops out while
-the others go on, so each row is bit for bit the run it gives alone.  What a
-run's constants fix is computed once: the spec's Table 1 row (not Adam's,
-which depends on k) and the multiplicities, labels and step sizes repeated to
-the stack's shape (so no op broadcasts).  Each iterate's product ``Xw``,
+the others go on, so each row is bit for bit the run it gives alone; a caller
+can also drop running rows as others stop (`cancel`).  What a run's constants
+fix is computed once: the spec's Table 1 row (not Adam's, which depends on k)
+and the multiplicities, labels and step sizes repeated to the stack's shape
+(so no op broadcasts).  Each iterate's product ``Xw``,
 residual and loss are computed in one place (`lsq.residual_loss`); the
 next gradient (`lsq.residual_gradient`) and the trace reuse them, and the
 loop reduces its few per-row numbers as Python floats.  Each row records
@@ -116,9 +117,10 @@ def check_label_stream(name: str, size: int) -> None:
                          "per stream (training.MAX_LABELS, sized for a 2 GiB peak)")
 
 
-def check_stack(ds: lsq.Dataset, rows: int, labels: int) -> None:
-    """Reject a stack of `rows` rows, `labels` dev labels each, above `MAX_STACK_SIZE`."""
-    size = rows * (ds.val.size + ds.d + labels)
+def check_stack(rows: int, row_size: int) -> None:
+    """Reject a stack of `rows` rows above `MAX_STACK_SIZE`; `row_size` is a
+    row's quotient entries, features and dev labels."""
+    size = rows * row_size
     if size > MAX_STACK_SIZE:
         raise ValueError(f"a lockstep stack of {rows} rows has size {size}, above the ceiling "
                          f"of {MAX_STACK_SIZE} (training.MAX_STACK_SIZE, sized for a 2 GiB peak)")
@@ -161,7 +163,7 @@ def run_training(ds: lsq.Dataset, spec: OptimizerSpec, iters: int, *,
 def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
                  policy: DecayPolicy = DecayPolicy(), dev_labels=None,
                  stop_loss: float | None = None, trace_every: int | None = None,
-                 record_trace: bool = True) -> list[RunResult]:
+                 record_trace: bool = True, cancel=None) -> list[RunResult | None]:
     """Run `spec` once per base step size in `alphas`, as one lockstep stack.
 
     Row i uses step size ``alphas[i]`` (not ``spec.alpha``) and scores its dev
@@ -171,7 +173,10 @@ def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
     status "ok" with converged=False).  `policy` adjusts each row's step size
     between epochs; dev-driven decay requires `dev_labels`.  `trace_every`,
     if given, records every `trace_every`-th iteration (and the last) instead
-    of the default cadence.
+    of the default cadence.  `cancel`, if given, is called after each
+    iteration in which rows stopped, with a dict of those rows' results by
+    row; it returns the rows to drop from the stack (rows no longer running
+    are ignored).  A dropped row takes no further step and its result is None.
     """
     if iters < 0:
         raise ValueError("iters must be nonnegative")
@@ -183,7 +188,8 @@ def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
         raise ValueError("dev_decay policy needs a dev label stream")
     alpha = np.array(alphas, dtype=np.float64).reshape(-1, 1)
     n_rows = len(alpha)
-    check_stack(ds, n_rows, 0 if dev_labels is None else max(map(len, dev_labels), default=0))
+    check_stack(n_rows, ds.val.size + ds.d
+                + (0 if dev_labels is None else max(map(len, dev_labels), default=0)))
 
     # The multiplicities, labels and step sizes repeated to the stack's shape,
     # so that no op of an iteration broadcasts.  Every row of `m` and `y` is
@@ -231,7 +237,13 @@ def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
             res.best_dev, res.epoch_of_best = best_dev[i], epoch_of_best[i]
 
     def keep_rows(keep: np.ndarray) -> None:
+        # Every row leaves the stack here, once it has its result.
         nonlocal rows, state, xw, resid, loss, alpha, rates, m, y, counts, best_dev, epoch_of_best
+        if cancel is not None:
+            dropped = set(cancel({rows[i]: results[rows[i]] for i in np.flatnonzero(~keep)}))
+            for i in np.flatnonzero(keep):
+                if rows[i] in dropped:
+                    keep[i], results[rows[i]] = False, None
         rows = [r for r, kept in zip(rows, keep) if kept]
         state = OptimizerState(state.k, state.w[keep], state.w_prev[keep], state.g_accum[keep],
                                None if state.h is None else state.h[keep])
@@ -281,6 +293,7 @@ def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
             if last:
                 for i in range(len(rows)):
                     finish(i, k, converged=converged is not None and bool(converged[i]))
+                keep_rows(np.zeros(len(rows), dtype=bool))
                 break
             if decays and k > 0:  # a converged row's new rate goes with it
                 for i in range(len(rows)):

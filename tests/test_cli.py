@@ -502,6 +502,32 @@ def test_tune_stack_above_the_ceiling_is_a_usage_error(dataset_file, tmp_path, c
     assert run_cli(*argv) == 0
 
 
+def test_experiment_stack_above_the_ceiling_fails_before_the_dataset_is_drawn(
+        tmp_path, capsys, monkeypatch):
+    # An experiment's tallest stack is a tune's round 0: 5 rows of the n = 12
+    # synthetic design's 36 quotient entries and 63 features.  With the
+    # ceiling one below that, it fails before anything is drawn or written.
+    size = 5 * (3 * 12 + 5 * 12 + 3)
+    out = tmp_path / "exp"
+    argv = ["experiment", "--n", "12", "--iters", "5", "--out", str(out)]
+    drawn = []
+
+    def generate(*args):
+        drawn.append(args)
+        raise ValueError("the dataset was drawn")
+
+    monkeypatch.setattr(lsq, "generate_synthetic", generate)
+    monkeypatch.setattr(training, "MAX_STACK_SIZE", size - 1)
+    assert run_cli(*argv) == 1
+    assert (f"a lockstep stack of 5 rows has size {size}, above the ceiling of {size - 1} "
+            "(training.MAX_STACK_SIZE") in capsys.readouterr().err
+    assert not drawn and not out.exists()
+    monkeypatch.setattr(training, "MAX_STACK_SIZE", size)  # a stack at the ceiling passes
+    assert run_cli(*argv) == 1
+    assert "the dataset was drawn" in capsys.readouterr().err
+    assert drawn == [(12, 0.75, 1)]
+
+
 @pytest.mark.parametrize("argv, message", [
     (["tune", "--ratio", "nan"], "ratio must exceed 1, got nan"),
     (["tune", "--alpha", "nan"], "center must be positive, got nan"),
@@ -521,12 +547,15 @@ def test_nan_fails_each_range_check(argv, message, dataset_file, tmp_path, capsy
     # `x <= bound` lets it through: these ran on (a grid of NaNs, "every step
     # size diverged", "diverged", a stop loss never met) instead of failing.
     # `experiment` checks its whole config before it draws the dataset.
+    # `tune` checks its budget before its first round draws dev labels.
     out = tmp_path / "out"
     if argv[0] == "experiment":
         monkeypatch.setattr(lsq, "generate_synthetic",
                             lambda *args: pytest.fail("the dataset was drawn"))
         argv = [*argv, "--n", "12", "--iters", "5"]
     else:
+        monkeypatch.setattr(tune_module, "dev_labels_for",
+                            lambda *args: pytest.fail("dev labels were drawn"))
         argv = [*argv, "--dataset", str(dataset_file)]
     assert run_cli(*argv, "--out", str(out)) == 1
     assert message in capsys.readouterr().err

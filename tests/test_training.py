@@ -249,6 +249,42 @@ def test_run_loop_steps_through_the_engine_once_per_iteration(ds, monkeypatch):
     assert heights == [sum(j <= last for last in steps) for j in range(1, 151)]
 
 
+def test_dropped_rows_step_no_further_and_the_others_run_as_alone(ds, monkeypatch):
+    # The mixed stack above plus a fifth row that runs out the budget.  Once
+    # row 0 converges at 64, the callback drops rows 2 and 4 (and names row 0,
+    # which has already stopped).  The callback sees each other row as it
+    # stops, with its result; the survivors equal their solo runs bit for
+    # bit, trace included, and the dropped rows take no step after 64.
+    heights, seen = [], []
+
+    def counted(state, spec, grad_at, alpha):
+        heights.append(len(state.w))
+        return step(state, spec, grad_at, alpha)
+
+    def cancel(stopped):
+        seen.append(stopped)
+        return [0, 2, 4] if 0 in stopped else []
+
+    monkeypatch.setattr(training, "step", counted)
+    spec = OptimizerSpec(method=MethodKind.HB, alpha=1.0)
+    alphas = [0.02, 1.0, 1e-7, 1e308, 1e-6]
+    labels = [lsq.dev_labels_for(0.75, 100, np.random.SeedSequence(entropy=1, spawn_key=(i,)))
+              for i in range(5)]
+    rows = run_lockstep(ds, spec, alphas, 150, dev_labels=labels, stop_loss=1e-3,
+                        cancel=cancel)
+    assert (rows[2], rows[4]) == (None, None)
+    assert [list(stopped) for stopped in seen] == [[3], [0], [1]]
+    assert [stopped[r] for stopped, r in zip(seen, (3, 0, 1))] == [rows[3], rows[0], rows[1]]
+    monkeypatch.setattr(training, "step", step)
+    for i in (0, 1, 3):
+        solo = run_training(ds, replace(spec, alpha=alphas[i]), 150, dev_labels=labels[i],
+                            stop_loss=1e-3)
+        assert_same_run(rows[i], solo)
+        assert rows[i].trace == solo.trace
+    steps = [64, 95, 64, 1, 64]
+    assert heights == [sum(j <= last for last in steps) for j in range(1, 96)]
+
+
 def test_trace_blocks_count_the_full_length_iterates(monkeypatch):
     # A block's diagnostics work on its (rows, d) full-length iterates, so its
     # height must count d, not only q + n: here a hand-built design whose

@@ -1,14 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optlab import lsq
+from optlab import lsq, training
+from optlab import tune as tune_module
 from optlab.errors import AllTrialsDivergedError
 from optlab.optim import MethodKind, OptimizerSpec
 from optlab.schedules import DecayPolicy, next_alpha
 from optlab.tune import (
     Grid,
+    TrialResult,
+    TuneReport,
+    WinnerSummary,
     extend_if_edge,
     make_log_grid,
     tune,
@@ -336,3 +342,155 @@ def test_tune_report_document(small_ds):
             "epoch_of_best", "status", "iterations"} == set(doc["trials"][0])
     assert doc["winner"]["alpha"] == report.winner.spec.alpha
 
+
+
+# ---------------------------------------------------------------------------
+# the extension walk, batched against one step size per stack
+# ---------------------------------------------------------------------------
+
+
+def sequential_tune(ds, spec, grid, policy, epochs, seeds, *, dev_size, extension_cap,
+                    stop_loss):
+    """`tune` with its walk run one step size per lockstep stack: round 0,
+    then each extension alone, as the walk asks for it.  The reference a
+    batched walk must match byte for byte."""
+    selection = "dev" if dev_size is not None else "train_loss"
+    streams = range(seeds) if dev_size is not None else (None,)
+    by_alpha = {}
+
+    def evaluate(alphas):
+        keys = [(i, a, s) for i, a in enumerate(alphas, start=len(by_alpha)) for s in streams]
+        labels = None if dev_size is None else [
+            lsq.dev_labels_for(ds.p, dev_size, np.random.SeedSequence(entropy=s, spawn_key=(i,)))
+            for i, _, s in keys]
+        runs = iter(training.run_lockstep(
+            ds, spec, [a for _, a, _ in keys], epochs, policy=policy, dev_labels=labels,
+            stop_loss=stop_loss, record_trace=False))
+        for alpha in alphas:
+            shared = next(runs) if dev_size is None else None
+            by_alpha[alpha] = []
+            for seed in range(seeds):
+                r = shared if shared is not None else next(runs)
+                by_alpha[alpha].append(TrialResult(seed, alpha, r.final_loss, r.best_dev,
+                                                   r.epoch_of_best, r.status, r.iterations))
+
+    def best(trials):
+        return min(trials, key=lambda a: tune_module._rank_key(a, trials[a], selection))
+
+    current = grid
+    evaluate(current.values)
+    while current.extensions < extension_cap:
+        candidate = extend_if_edge(current, best(by_alpha))
+        if candidate is None:
+            break
+        current = current.with_value(candidate)
+        evaluate([candidate])
+    completed = {a: t for a, t in by_alpha.items() if all(r.status == "ok" for r in t)}
+    if not completed:
+        raise AllTrialsDivergedError(
+            f"every step size diverged for {spec.method.value}: "
+            f"{sorted(by_alpha, reverse=True)}, after {current.extensions} of "
+            f"{extension_cap} extensions, the smallest step {min(by_alpha)!r}; "
+            "raise --extension-cap or start the grid lower")
+    alpha = best(completed)
+    metrics = np.array([tune_module._trial_metric(t, selection) for t in completed[alpha]])
+    losses = np.array([t.final_train_loss for t in completed[alpha]])
+    winner = WinnerSummary(replace(spec, alpha=alpha), policy, selection, float(metrics.mean()),
+                           float(metrics.std()), float(losses.mean()), float(losses.std()))
+    return TuneReport(tuple(t for trials in by_alpha.values() for t in trials), winner, current,
+                      current.extensions, tuple(range(seeds)))
+
+
+def tune_outcome(tuner, path, *args, **kwargs):
+    """The tune document's bytes as `lsq.write_json` writes them, or the
+    type and message of the error raised instead."""
+    try:
+        report = tuner(*args, **kwargs)
+    except (AllTrialsDivergedError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    lsq.write_json(tune_report_to_document(report), path)
+    return path.read_bytes()
+
+
+# The center of a one-point grid whose walk goes up once, then turns down
+# and ends: (2c) ranks below (c), and so does (c / 2).
+TURNING_CENTER = {MethodKind.SGD: 2.0 ** -5, MethodKind.HB: 2.0 ** -5, MethodKind.NAG: 2.0 ** -7,
+                  MethodKind.ADAGRAD: 2.0 ** -2, MethodKind.RMSPROP: 2.0 ** -4,
+                  MethodKind.ADAM: 2.0 ** -2}
+
+WALKS = {
+    # grid, policy, seeds, dev_size, extension_cap, stop_loss
+    "up": (make_log_grid(1e-5, 2, 3), DecayPolicy(), 1, None, 7, 1e-12),
+    "up_to_the_cap": (make_log_grid(1e-5, 2, 3), DecayPolicy(), 2, None, 3, 1e-12),
+    "down": (make_log_grid(64.0, 2, 5), DecayPolicy(), 1, None, 12, 1e-12),
+    "ends_inside_a_batch": (make_log_grid(4.0, 2, 5), DecayPolicy(), 1, None, 12, 1e-12),
+    "turn": (None, DecayPolicy(), 1, None, 8, 1e-12),
+    "all_diverged": (Grid((4096.0, 2048.0), 2.0), DecayPolicy(), 1, None, 2, None),
+    # Up from 1e308 the walk tries inf, and the value after it (inf again)
+    # is no grid value: adagrad's and adam's walks end before it.
+    "past_the_float_range": (Grid((1e308, 5e307), 2.0), DecayPolicy(), 1, None, 8, 1e-12),
+    "dev_stream": (make_log_grid(1.0, 2, 3), DecayPolicy(), 3, 40, 5, 1e-12),
+    "dev_decay": (make_log_grid(8.0, 2, 3), DecayPolicy(kind="dev_decay", delta=0.9), 2, 40,
+                  6, None),
+}
+
+
+@pytest.mark.parametrize("walk", list(WALKS))
+@pytest.mark.parametrize("method", list(MethodKind))
+def test_batched_walk_writes_the_sequential_walks_document(small_ds, method, walk, tmp_path):
+    grid, policy, seeds, dev_size, cap, stop_loss = WALKS[walk]
+    grid = grid or make_log_grid(TURNING_CENTER[method], 2, 1)
+    spec = OptimizerSpec(method=method, alpha=1.0, beta2=0.9, epsilon=0.0)
+    args = (small_ds, spec, grid, policy, 300, seeds)
+    options = {"dev_size": dev_size, "extension_cap": cap, "stop_loss": stop_loss}
+    batched = tune_outcome(tune, tmp_path / "batched.json", *args, **options)
+    assert batched == tune_outcome(sequential_tune, tmp_path / "sequential.json", *args,
+                                   **options)
+    if method is not MethodKind.SGD:
+        return
+    # sgd's walks are the ones named: `extensions` and the grid's new ends.
+    if walk == "all_diverged":
+        assert batched.startswith("AllTrialsDivergedError: every step size diverged for sgd")
+        return
+    if walk == "past_the_float_range":
+        assert batched == "ValueError: grid contains duplicate step sizes"
+        return
+    report = tune(*args, **options)
+    expected = {"up": (7, 2.56e-3, 5e-6), "up_to_the_cap": (3, 1.6e-4, 5e-6),
+                "down": (10, 256.0, 2.0 ** -6), "ends_inside_a_batch": (6, 16.0, 2.0 ** -6),
+                "turn": (2, 2.0 ** -4, 2.0 ** -6),
+                "dev_stream": (4, 2.0, 2.0 ** -5), "dev_decay": (3, 128.0, 4.0)}[walk]
+    assert (report.extensions, report.grid.values[0], report.grid.values[-1]) == expected
+
+
+def test_walk_runs_its_candidates_as_stacks_no_taller_than_round_0(small_ds, monkeypatch):
+    stacks = []
+    original = training.run_lockstep
+
+    def recorded(ds, spec, alphas, *args, **kwargs):
+        results = original(ds, spec, alphas, *args, **kwargs)
+        stacks.append([result is not None for result in results])
+        return results
+
+    monkeypatch.setattr(training, "run_lockstep", recorded)
+    # sgd walks up from far below its stable steps until the cap of 7: round
+    # 0 and then the 7 extensions in stacks of at most 3 step sizes.
+    report = tune(small_ds, SGD, make_log_grid(1e-5, 2, 3), DecayPolicy(), 300, 2,
+                  dev_size=None, extension_cap=7, stop_loss=1e-12)
+    assert report.extensions == 7
+    assert stacks == [[True] * 3, [True] * 3, [True] * 3, [True]]
+    # The bound on quotient entries leaves one step size per stack.
+    stacks.clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(tune_module, "MAX_BATCH_ENTRIES", small_ds.val.size * 2 - 1)
+        assert tune(small_ds, SGD, make_log_grid(1e-5, 2, 3), DecayPolicy(), 300, 2,
+                    dev_size=None, extension_cap=7, stop_loss=1e-12) == report
+    assert stacks == [[True] * 3] + [[True]] * 7
+    # Walking down from 16, the third stack's first step size, 2^-6, converges
+    # at iteration 24 and ranks below 2^-5: the walk ends there, and the rows
+    # of the four step sizes after it are dropped unfinished.
+    stacks.clear()
+    report = tune(small_ds, SGD, make_log_grid(4.0, 2, 5), DecayPolicy(), 300, 1,
+                  dev_size=None, extension_cap=12, stop_loss=1e-12)
+    assert (report.extensions, report.winner.spec.alpha) == (6, 2.0 ** -5)
+    assert stacks == [[True] * 5, [True] * 5, [True] + [False] * 4]
