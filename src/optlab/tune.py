@@ -17,10 +17,11 @@ replays over the batch's finished step sizes in order, and once it asks for
 a value other than the batch's next, the rest of the batch is dropped.  Each
 row is bit for bit its solo run, so the trials, their order and their dev
 streams are those of a walk that runs one step size at a time.  A batch holds
-at most as many step sizes as the initial grid and at most
-`MAX_BATCH_ENTRIES` quotient entries, and always one: a row stacked on others
-saves time only at small n, and no batch is taller than the initial grid's
-stack.
+at most as many rows as the initial grid's stack, `MAX_BATCH_ROWS` rows and
+`MAX_BATCH_ENTRIES` quotient entries, and always one step size's rows: a row
+stacked on others saves time only in a short stack at small n.  So a walk
+with a dev stream of five seeds or more, as `tune` runs by default, runs one
+step size a stack.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .optim import OptimizerSpec, spec_to_document
 from .schedules import DecayPolicy
 
 __all__ = [
+    "MAX_BATCH_ROWS",
     "MAX_BATCH_ENTRIES",
     "Grid",
     "make_log_grid",
@@ -47,13 +49,17 @@ __all__ = [
 ]
 
 
-#: The most quotient entries (rows times ``Dataset.val.size``) in a stack of
-#: the extension walk.  An extra row costs a stack less than a run of its own
-#: only while the stack is small: five rows cost 1.6-1.8 times one row's
-#: iteration at n = 100 (300 entries a row), 3.4 times at n = 1 000, 4.3 at
-#: 2 000 and 5.3-5.5 at 10^4 (sgd, nag, rmsprop; one BLAS thread).  So on the
-#: synthetic design (3n entries a row) a walk without a dev stream stacks 5
-#: step sizes up to n = 1 000, fewer up to 2 500 and 1 above.
+#: The most rows, and the most quotient entries (rows times
+#: ``Dataset.val.size``), in a stack of the extension walk.  An extra row
+#: costs a stack less than a run of its own only while the stack is small:
+#: five rows cost 1.6-1.8 times one row's iteration at n = 100 (300 entries a
+#: row), 3.4 times at n = 1 000, 4.3 at 2 000 and 5.3-5.5 at 10^4 (sgd, nag,
+#: rmsprop; one BLAS thread).  Taller stacks were slower: at n = 100 a walk
+#: that ended after one step size, in 25-row stacks of five dev streams,
+#: made adam's default `tune` 29 % slower.  So on the synthetic design (3n
+#: entries a row) a batch holds 5 rows up to n = 1 000, fewer up to 2 500
+#: and one step size's rows above.
+MAX_BATCH_ROWS = 5
 MAX_BATCH_ENTRIES = 15_000
 
 
@@ -241,7 +247,8 @@ def tune(
     for j, alpha in enumerate(grid.values):
         accept(alpha, results[j * width:(j + 1) * width])
     current, candidate = grid, walk(grid)
-    height = max(1, min(len(grid.values), MAX_BATCH_ENTRIES // max(1, width * ds.val.size)))
+    rows = min(len(grid.values) * width, MAX_BATCH_ROWS, MAX_BATCH_ENTRIES // max(1, ds.val.size))
+    height = max(1, rows // width)  # step sizes a batch
     while candidate is not None:
         # The batch: the candidate, then the values the walk tries after it
         # while each in turn stays best, up to the cap.  A value the grid

@@ -486,6 +486,16 @@ def test_walk_runs_its_candidates_as_stacks_no_taller_than_round_0(small_ds, mon
         assert tune(small_ds, SGD, make_log_grid(1e-5, 2, 3), DecayPolicy(), 300, 2,
                     dev_size=None, extension_cap=7, stop_loss=1e-12) == report
     assert stacks == [[True] * 3] + [[True]] * 7
+    # With a dev stream a batch counts rows, a step size's rows per seed: at
+    # most `MAX_BATCH_ROWS` (5), so 2 step sizes a stack with 2 seeds and 1
+    # with 5.
+    for seeds, walk in ((2, [[True] * 4] * 3 + [[True] * 2]), (5, [[True] * 5] * 7)):
+        stacks.clear()
+        report = tune(small_ds, SGD, make_log_grid(1e-5, 2, 3), DecayPolicy(), 300, seeds,
+                      dev_size=40, extension_cap=7, stop_loss=1e-12)
+        assert report.extensions == 7
+        assert stacks == [[True] * 3 * seeds] + walk
+        assert max(len(rows) for rows in stacks[1:]) <= tune_module.MAX_BATCH_ROWS
     # Walking down from 16, the third stack's first step size, 2^-6, converges
     # at iteration 24 and ranks below 2^-5: the walk ends there, and the rows
     # of the four step sizes after it are dropped unfinished.
