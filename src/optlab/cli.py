@@ -351,8 +351,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     write every document to `out_dir` (not `cfg.out`): a run that fails
     writes nothing.  Returns the summary dictionary."""
     # The whole config is checked before anything is computed.
-    if cfg.m_test < 1:
-        raise ValueError("m_test must be at least 1")
     check_label_stream("m_test", cfg.m_test)
     methods = [MethodKind.parse(name) for name in cfg.methods]
     if not methods:

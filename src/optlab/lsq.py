@@ -17,7 +17,7 @@ formed.
 Each reported quantity is computed here alone, for one weight vector or row
 by row for an (R, d) stack: `residual_loss`, `residual_gradient`, `l2_norm`,
 `linf_norm`, `margin`, `row_span_residual` (given ``X w`` if the caller has
-it) and the error on fresh labels, `error_rates` (`test_scores` per label).
+it) and the error on fresh labels, `error_rates`.
 
 The synthetic family is deliberately overparameterized (``d = 3 + 5n``):
 feature 1 equals the label, features 2 and 3 are constant one, and every
@@ -28,7 +28,7 @@ merge, so does each negative example's block, and the 4 unused slots of each
 positive example's block are dropped.  Fresh test points are never
 materialized as rows: their private block would land outside the training
 dimensions, so a test inner product reduces to the first three coordinates
-(see `test_scores`).
+(see `error_rates`).
 
 Every JSON file is written by `write_json` (a dataset by `save_dataset`):
 byte for byte the text of ``json.dump(doc, fh, indent=2, sort_keys=True)``
@@ -52,7 +52,6 @@ __all__ = [
     "generate_synthetic",
     "synthetic_shape",
     "loss",
-    "gradient",
     "product",
     "quotient_product",
     "quotient_t_product",
@@ -64,7 +63,6 @@ __all__ = [
     "margin",
     "row_span_residual",
     "dev_labels_for",
-    "test_scores",
     "label_counts",
     "error_rates",
     "dataset_from_document",
@@ -72,8 +70,6 @@ __all__ = [
     "save_dataset",
     "load_dataset",
 ]
-
-Row = tuple[tuple[int, float], ...]
 
 #: Redraws allowed before the generator gives up on a label imbalance.
 MAX_REDRAWS = 1000
@@ -200,14 +196,6 @@ class Dataset:
     @property
     def label_sum(self) -> int:
         return self.n_pos - self.n_neg
-
-    @property
-    def rows(self) -> tuple[Row, ...]:
-        """The design as n rows of 1-based ``(index, value)`` pairs in index
-        order (the file format), rebuilt from the quotient entries."""
-        ptr, index, source = self._file_entries()
-        index, values, ptr = index.tolist(), self.val[source].tolist(), ptr.tolist()
-        return tuple(tuple(zip(index[a:b], values[a:b])) for a, b in zip(ptr[:-1], ptr[1:]))
 
     def _file_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The design's entries in file order: each row's offset (and the end),
@@ -487,15 +475,6 @@ def loss(ds: Dataset, w: np.ndarray) -> float:
     return float(residual_loss(residual(ds, _check_dim(ds, w))))
 
 
-def gradient(ds: Dataset, w: np.ndarray) -> np.ndarray:
-    """Gradient ``2 X^T (Xw - y)`` of `loss` (the factor 2 is kept).
-
-    Sparse columns never touched by any example receive an exact 0.0, which
-    the trajectory checks in the oracle module rely on.
-    """
-    return ds.expand(residual_gradient(ds, residual(ds, _check_dim(ds, w))))
-
-
 def margin(ds: Dataset, w: np.ndarray, xw: np.ndarray | None = None, norm=None):
     """Normalized worst-case score ``min_i y_i <w, x_i> / ||w||`` of a weight
     vector (a float; the zero vector raises), or of each row of an (R, d)
@@ -533,19 +512,6 @@ def _scored(w: np.ndarray) -> np.ndarray:
     return w
 
 
-def test_scores(w: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Inner products of `w` with fresh draws of the given labels.
-
-    A fresh point's private block lies outside the training dimensions, so
-    only the first three coordinates of `w` contribute.  For an (R, d) stack
-    of weight vectors, row i of `labels` goes with row i of `w`.  This is the
-    per-label reference for `error_rates`.
-    """
-    w = _scored(w)
-    labels = np.asarray(labels, dtype=np.float64)
-    return w[..., 0, None] * labels + w[..., 1, None] + w[..., 2, None]
-
-
 def label_counts(labels) -> list:
     """``[count of +1, count of -1]`` of a label stream, or of each row of a
     stack of them, as Python ints."""
@@ -562,13 +528,14 @@ def error_rates(w: np.ndarray, counts) -> list[float]:
     """Error on fresh labels of each row of an (R, d) stack of weight vectors,
     on the labels counted in row i of `counts` (`label_counts`).
 
-    A fresh point's score is ``label * w1 + w2 + w3`` (`test_scores`), a
-    miss when ``score * label <= 0``: ``(w1 + w2) + w3 <= 0`` for label +1 and
-    ``(w2 - w1) + w3 >= 0`` for -1 (the same roundings, negated).  So each row
-    scores the two labels once and weights its misses by their counts: the
-    same exact count as scoring every label, hence the same bits as the mean
-    over `test_scores`.  A stack has few rows, so this runs on Python floats
-    (the same IEEE operations).
+    A fresh point's private block lies outside the training dimensions, so
+    its score is ``label * w1 + w2 + w3``, a miss when ``score * label <= 0``:
+    ``(w1 + w2) + w3 <= 0`` for label +1 and ``(w2 - w1) + w3 >= 0`` for -1
+    (the same roundings, negated).  So each row scores the two labels once
+    and weights its misses by their counts: the same exact count as scoring
+    every label, hence the same bits as the mean of the per-label misses.  A
+    stack has few rows, so this runs on Python floats (the same IEEE
+    operations).
     """
     return [((pos if (w1 + w2) + w3 <= 0.0 else 0) + (neg if (w2 - w1) + w3 >= 0.0 else 0))
             / (pos + neg) for (w1, w2, w3), (pos, neg) in zip(_scored(w)[:, :3].tolist(), counts)]

@@ -32,15 +32,12 @@ from .errors import LemmaPreconditionError, SingularKernelError
 from .lsq import Dataset, l2_norm, quotient_product, quotient_t_product, residual
 
 __all__ = [
-    "label_correlation",
-    "lemma_condition_check",
     "sign_solution",
     "min_norm_solution",
     "synthetic_alphas",
     "exact_synthetic_alphas",
     "predicted_test_score",
     "analytic_test_error",
-    "verify_lemma_trajectory",
     "solution_to_document",
 ]
 
@@ -57,39 +54,14 @@ class OracleSolution:
     alpha_minus: float | None = None
 
 
-@dataclass(frozen=True)
-class LemmaTrace:
-    """Deviation of a trajectory from the constant-sign-pattern line.
-
-    `lambdas` holds the per-iterate scale read off the first supported
-    coordinate; `max_deviation` is the largest gap to ``lambda_k * sign(u)``
-    over supported coordinates; `off_support_max` is the largest absolute
-    value ever seen on coordinates where ``u = X^T y`` vanishes (exactly 0.0
-    for a conforming run).
-    """
-
-    lambdas: np.ndarray
-    max_deviation: float
-    off_support_max: float
-
-
-def label_correlation(ds: Dataset) -> np.ndarray:
-    """The vector ``u = X^T y`` (exact for integer-valued designs)."""
-    return ds.expand(quotient_t_product(ds, ds.y))
-
-
-def lemma_condition_check(ds: Dataset) -> float | None:
-    """Scalar c with ``X sign(X^T y) = c y`` exactly, if one exists.
+def _sign_scale(ds: Dataset, u: np.ndarray) -> float | None:
+    """Scalar c with ``X sign(X^T y) = c y`` exactly, if one exists, given
+    ``u = X_q^T y``, one entry per quotient column.
 
     Returns None when any nonzero column of X has a zero label correlation,
     when the row sums disagree, or when they disagree in sign with y.
     All-zero columns are zero in every gradient and are not part of the test.
     """
-    return _sign_scale(ds, quotient_t_product(ds, ds.y))
-
-
-def _sign_scale(ds: Dataset, u: np.ndarray) -> float | None:
-    """`lemma_condition_check` given ``u = X_q^T y``, one entry per quotient column."""
     if np.any(u == 0.0):
         return None
     v = quotient_product(ds, ds.multiplicity * np.sign(u))
@@ -196,45 +168,6 @@ def analytic_test_error(kind: str, p: float, n_pos: int, n_neg: int) -> float:
     if predicted_test_score(kind, n_pos, n_neg, -1.0) >= 0.0:
         err += 1.0 - p
     return err
-
-
-def verify_lemma_trajectory(iterates, ds: Dataset) -> LemmaTrace:
-    """Measure how far a trajectory strays from the constant-sign line.
-
-    `iterates` must start at the zero vector (raises otherwise).  For each
-    iterate the scale ``lambda_k`` is read off the first supported
-    coordinate of ``u = X^T y`` (for synthetic data that is coordinate 1,
-    whose correlation is n > 0); the deviation is measured on supported
-    coordinates and the largest magnitude seen off support is reported
-    separately, since a conforming run keeps those exactly zero.
-    """
-    iterates = list(iterates)
-    if not iterates:
-        raise ValueError("empty trajectory")
-    first = np.asarray(iterates[0], dtype=np.float64)
-    if np.any(first != 0.0):
-        raise LemmaPreconditionError("trajectory must start at the zero vector")
-
-    u = label_correlation(ds)
-    support = u != 0.0
-    if not support.any():
-        raise LemmaPreconditionError("X^T y vanishes everywhere")
-    signs = np.sign(u[support])
-    j0 = int(np.argmax(support))
-    s0 = np.sign(u[j0])
-
-    lambdas = np.empty(len(iterates))
-    max_dev = 0.0
-    off_max = 0.0
-    for t, w in enumerate(iterates):
-        w = np.asarray(w, dtype=np.float64)
-        lam = float(w[j0] * s0)
-        lambdas[t] = lam
-        max_dev = max(max_dev, float(np.max(np.abs(w[support] - lam * signs))))
-        if not support.all():
-            off_max = max(off_max, float(np.max(np.abs(w[~support]))))
-
-    return LemmaTrace(lambdas=lambdas, max_deviation=max_dev, off_support_max=off_max)
 
 
 # ---------------------------------------------------------------------------

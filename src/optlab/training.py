@@ -111,7 +111,10 @@ MAX_STACK_SIZE = 45 * 10**6
 
 
 def check_label_stream(name: str, size: int) -> None:
-    """Reject a label stream longer than `MAX_LABELS`, before it is drawn."""
+    """Reject an empty label stream, or one longer than `MAX_LABELS`, before
+    it is drawn; `name` is the option that sets its size."""
+    if size < 1:
+        raise ValueError(f"{name} must be at least 1, got {size}")
     if size > MAX_LABELS:
         raise ValueError(f"{name} = {size} exceeds the ceiling of {MAX_LABELS} labels "
                          "per stream (training.MAX_LABELS, sized for a 2 GiB peak)")
@@ -275,7 +278,7 @@ def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
             if not rows:
                 break
             if counts is not None:
-                # A dev score reads features 1-3 only (`lsq.test_scores`).
+                # A dev score reads features 1-3 only (`lsq.error_rates`).
                 dev = lsq.error_rates(ds.expand(state.w, slice(3)), counts)
                 improved = [d < best for d, best in zip(dev, best_dev)]
                 for i in compress(range(len(dev)), improved):

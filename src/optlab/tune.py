@@ -76,8 +76,12 @@ class Grid:
             raise ValueError("grid must not be empty")
         if not self.ratio > 1.0:
             raise ValueError(f"ratio must exceed 1, got {self.ratio}")
+        if math.isinf(self.ratio):
+            raise ValueError(f"ratio must be finite, got {self.ratio}")
         if not all(v > 0 for v in self.values):
             raise ValueError(f"step sizes must be positive, got {self.values}")
+        if not all(math.isfinite(v) for v in self.values):
+            raise ValueError(f"step sizes must be finite, got {self.values}")
         ordered = tuple(sorted(self.values, reverse=True))
         if len(set(ordered)) != len(ordered):
             raise ValueError("grid contains duplicate step sizes")
@@ -91,6 +95,8 @@ def make_log_grid(center: float, ratio: float, count: int = 5) -> Grid:
     """Geometric grid of `count` step sizes around `center`."""
     if not center > 0:
         raise ValueError(f"center must be positive, got {center}")
+    if math.isinf(center):
+        raise ValueError(f"center must be finite, got {center}")
     if count < 1:
         raise ValueError("count must be at least 1")
     half = (count - 1) // 2
@@ -141,7 +147,6 @@ class TuneReport:
     winner: WinnerSummary
     grid: Grid
     extensions: int
-    seeds: tuple[int, ...]
 
 
 def _trial_metric(trial: TrialResult, selection: str) -> float:
@@ -202,7 +207,6 @@ def tune(
     included, diverged.
     """
     check_tune_budget(epochs, seeds, extension_cap, stop_loss)
-    seed_values = tuple(range(seeds))
     selection = "dev" if dev_size is not None else "train_loss"
     if dev_size is not None and ds.p is None:
         raise ValueError("dataset has no label probability p to draw dev labels from; "
@@ -212,7 +216,7 @@ def tune(
 
     # A stack has a row per step size and dev stream, or a row per step size,
     # shared by every seed, without one.
-    streams = seed_values if dev_size is not None else (None,)
+    streams = range(seeds) if dev_size is not None else (None,)
     width = len(streams)
     by_alpha: dict[float, list[TrialResult]] = {}  # in the order of evaluation
 
@@ -234,7 +238,7 @@ def tune(
         by_alpha[alpha] = [
             TrialResult(seed, alpha, r.final_loss, r.best_dev, r.epoch_of_best, r.status,
                         r.iterations)
-            for seed, r in zip(seed_values, per_seed)]
+            for seed, r in zip(range(seeds), per_seed)]
 
     def walk(current: Grid) -> float | None:
         """The walk's rule: the step size to try next, or None where it ends."""
@@ -308,7 +312,6 @@ def tune(
         winner=winner,
         grid=current,
         extensions=current.extensions,
-        seeds=seed_values,
     )
 
 
@@ -322,7 +325,7 @@ def tune_report_to_document(report: TuneReport) -> dict:
             "ratio": report.grid.ratio,
             "extensions": report.grid.extensions,
         },
-        "seeds": list(report.seeds),
+        "seeds": sorted({t.seed for t in report.trials}),
         "trials": [
             {
                 "method": spec.method.value,

@@ -27,6 +27,7 @@ from optlab.optim import MethodKind, OptimizerSpec
 from optlab.schedules import DecayPolicy
 from optlab.training import run_training
 from optlab.tune import extend_if_edge, make_log_grid
+from reference import dense_gram, test_scores, verify_lemma_trajectory
 
 NONADAPTIVE = ("sgd", "hb", "nag")
 ADAPTIVE = ("adagrad", "rmsprop", "adam")
@@ -35,19 +36,6 @@ ADAPTIVE = ("adagrad", "rmsprop", "adam")
 def report(criterion: str, ok: bool, detail: str) -> None:
     print(f"\nacceptance {criterion}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"{criterion}: {detail}"
-
-
-def dense_quotient(ds):
-    """The n-by-q quotient ``X_q``, dense, from its entry arrays."""
-    xq = np.zeros((ds.n, ds.multiplicity.size))
-    xq[ds.row, ds.col] = ds.val
-    return xq
-
-
-def dense_gram(ds):
-    """The Gram matrix ``X X^T`` of the design, expanded to dense."""
-    x = ds.expand(dense_quotient(ds))
-    return x @ x.T
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +67,7 @@ def test_criterion_1_lemma_trajectory(run_with_iterates):
     for name, spec in specs.items():
         res, iterates = run_with_iterates(ds, spec, 500, record_trace=False)
         assert res.status == "ok", name
-        trace = oracle.verify_lemma_trajectory(iterates, ds)
+        trace = verify_lemma_trajectory(iterates, ds)
         lam_max = float(np.max(np.abs(trace.lambdas)))
         assert trace.max_deviation <= 1e-8 * lam_max, (name, trace.max_deviation)
         assert trace.off_support_max == 0.0, name
@@ -120,7 +108,7 @@ def test_criterion_2_generalization_gap(standard_experiment):
 def test_criterion_2_empirical_error_is_the_per_label_mean(standard_experiment):
     # The experiment scores each label class once and weights its misses by
     # the class counts (`lsq.error_rates`); the result must be the mean over
-    # the m_test scores (`lsq.test_scores`), bit for bit.
+    # the m_test scores (`reference.test_scores`), bit for bit.
     summary, rows, out = standard_experiment
     cfg = summary["config"]
     labels = lsq.dev_labels_for(cfg["p"], cfg["m_test"], np.random.SeedSequence(
@@ -129,7 +117,7 @@ def test_criterion_2_empirical_error_is_the_per_label_mean(standard_experiment):
     for name, row in rows.items():
         weights = json.loads((out / "weights" / f"{name}.json").read_text(encoding="utf-8"))
         w = np.array(weights["w"])
-        per_label = float(np.mean(lsq.test_scores(w, labels) * labels <= 0.0))
+        per_label = float(np.mean(test_scores(w, labels) * labels <= 0.0))
         assert row["empirical_test_error"].hex() == per_label.hex(), name
         details.append(f"{name}={per_label!r}")
     report("criterion 2 (empirical error per label)", True, ", ".join(details))
@@ -303,7 +291,7 @@ def test_criterion_8_gradient_check():
         ds = lsq.Dataset(n=6, d=10, rows=tuple(rows),
                          y=np.where(rng.random(6) < 0.5, 1.0, -1.0))
         w = rng.standard_normal(10)
-        g = lsq.gradient(ds, w)
+        g = ds.expand(lsq.residual_gradient(ds, lsq.residual(ds, w)))
         h = 0.5  # central differences are exact for quadratics
         fd = np.empty(10)
         for j in range(10):

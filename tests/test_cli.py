@@ -325,7 +325,8 @@ def test_all_zero_design(tmp_path, capsys):
     w = np.array([1.0, -2.0, 3.0])
     assert ds.multiplicity.size == 0  # no column survives the quotient
     assert np.array_equal(lsq.product(ds, w), [0.0, 0.0])
-    assert np.array_equal(lsq.gradient(ds, w), np.zeros(3))
+    assert np.array_equal(ds.expand(lsq.residual_gradient(ds, lsq.residual(ds, w))),
+                          np.zeros(3))
     for method in MethodKind:
         res = run_training(ds, OptimizerSpec(method=method, alpha=0.1, epsilon=0.0), 5)
         assert (res.status, res.iterations, res.final_loss) == ("ok", 5, 2.0)
@@ -366,7 +367,7 @@ def test_empty_samples_are_usage_errors(dataset_file, tmp_path, capsys):
     tune_out = tmp_path / "tune.json"
     assert run_cli("tune", "--dataset", str(dataset_file), "--count", "3", "--iters", "5",
                    "--seeds", "2", "--dev-size", "0", "--out", str(tune_out)) == 1
-    assert "must not be empty" in capsys.readouterr().err
+    assert "dev_size must be at least 1, got 0" in capsys.readouterr().err
     assert not tune_out.exists()
     for flags, message in ((["--m-test", "0"], "m_test"), (["--methods", ""], "methods")):
         exp_out = tmp_path / "exp"
@@ -445,12 +446,19 @@ def test_experiment_checks_its_config_before_writing(flags, message, tmp_path, c
      f"dev_size = {MAX_LABELS + 1} exceeds the ceiling of {MAX_LABELS} labels per stream"),
     (["tune", "--dev-size", str(MAX_LABELS + 1)],
      f"dev_size = {MAX_LABELS + 1} exceeds the ceiling of {MAX_LABELS} labels per stream"),
-], ids=["generate_n", "experiment_n", "experiment_m_test", "train_dev_size", "tune_dev_size"])
+    (["train", "--dev-size", "-1"], "dev_size must be at least 1, got -1"),
+    (["train", "--dev-size", "0"], "dev_size must be at least 1, got 0"),
+    (["tune", "--dev-size", "-1"], "dev_size must be at least 1, got -1"),
+    (["tune", "--dev-size", "0"], "dev_size must be at least 1, got 0"),
+], ids=["generate_n", "experiment_n", "experiment_m_test", "train_dev_size", "tune_dev_size",
+        "train_dev_size_negative", "train_dev_size_zero", "tune_dev_size_negative",
+        "tune_dev_size_zero"])
 def test_ceilings_are_usage_errors_before_anything_is_allocated(argv, message, tmp_path,
                                                                 capsys, monkeypatch):
-    # One past each ceiling: exit 1 with a message naming the limit, before
-    # any random draw or dataset read (train and tune name a dataset that
-    # does not exist: reading it would exit 3) and before any output.
+    # One past each ceiling, and each empty or negative label stream: exit 1
+    # with a message naming the limit, before any random draw or dataset
+    # read (train and tune name a dataset that does not exist: reading it
+    # would exit 3) and before any output.
     def no_draws(*args, **kwargs):
         raise AssertionError("a random stream was made")
 

@@ -9,18 +9,7 @@ from hypothesis import strategies as st
 
 from optlab import lsq, oracle
 from optlab.errors import DataGenerationError
-
-
-def dense_quotient(ds):
-    """The n-by-q quotient ``X_q``, dense, from its entry arrays."""
-    xq = np.zeros((ds.n, ds.multiplicity.size))
-    xq[ds.row, ds.col] = ds.val
-    return xq
-
-
-def dense(ds):
-    """The n-by-d design, expanded to dense from its column quotient."""
-    return ds.expand(dense_quotient(ds))
+from reference import dense, dense_quotient, design_rows, test_scores
 
 
 def toy_dataset(rows, y, d):
@@ -44,7 +33,7 @@ def test_single_positive_example_row():
     ds = lsq.generate_synthetic(1, 0.75, seed=1)
     assert ds.rejections == 0
     assert ds.d == 8
-    assert ds.rows[0] == ((1, 1.0), (2, 1.0), (3, 1.0), (4, 1.0))
+    assert design_rows(ds)[0] == ((1, 1.0), (2, 1.0), (3, 1.0), (4, 1.0))
     np.testing.assert_array_equal(dense(ds)[0], [1, 1, 1, 1, 0, 0, 0, 0])
 
 
@@ -58,7 +47,7 @@ def test_negative_first_draw_is_rejected_and_redrawn():
 def test_two_positive_examples_have_disjoint_blocks():
     ds = lsq.generate_synthetic(2, 0.75, seed=0)
     assert ds.n_pos == 2
-    starts = [row[3][0] for row in ds.rows]
+    starts = [row[3][0] for row in design_rows(ds)]
     assert starts == [4, 9]
 
 
@@ -90,7 +79,7 @@ def test_generator_template_invariants(n, p_milli, seed):
     assert ds.n_pos + ds.n_neg == n
     assert ds.label_sum > 0
     seen = set()
-    for i, (row, label) in enumerate(zip(ds.rows, ds.y), start=1):
+    for i, (row, label) in enumerate(zip(design_rows(ds), ds.y), start=1):
         lookup = dict(row)
         assert lookup[1] == label
         assert lookup[2] == 1.0 and lookup[3] == 1.0
@@ -104,16 +93,16 @@ def test_generator_template_invariants(n, p_milli, seed):
 
 def test_label_correlation_structure():
     ds = lsq.generate_synthetic(12, 0.75, seed=5)
-    u = oracle.label_correlation(ds)
+    u = ds.expand(lsq.quotient_t_product(ds, ds.y))
     b = ds.label_sum
     assert u[0] == ds.n
     assert u[1] == b and u[2] == b
-    for i, (row, label) in enumerate(zip(ds.rows, ds.y), start=1):
+    for i, (row, label) in enumerate(zip(design_rows(ds), ds.y), start=1):
         for j, _ in row:
             if j >= 4:
                 assert u[j - 1] == label
     # never-touched slots of positive blocks stay zero
-    touched = {j for row in ds.rows for j, _ in row}
+    touched = {j for row in design_rows(ds) for j, _ in row}
     for j in range(1, ds.d + 1):
         if j not in touched:
             assert u[j - 1] == 0.0
@@ -142,10 +131,12 @@ def test_min_norm_is_interpolating():
 
 def test_gradient_at_zero_and_at_interpolant():
     ds = lsq.generate_synthetic(6, 0.75, seed=3)
-    u = oracle.label_correlation(ds)
-    np.testing.assert_array_equal(lsq.gradient(ds, np.zeros(ds.d)), -2.0 * u)
+    u = ds.expand(lsq.quotient_t_product(ds, ds.y))
+    g = ds.expand(lsq.residual_gradient(ds, lsq.residual(ds, np.zeros(ds.d))))
+    np.testing.assert_array_equal(g, -2.0 * u)
     w = oracle.min_norm_solution(ds).w
-    assert np.max(np.abs(lsq.gradient(ds, w))) < 1e-12
+    g = ds.expand(lsq.residual_gradient(ds, lsq.residual(ds, w)))
+    assert np.max(np.abs(g)) < 1e-12
 
 
 def test_gradient_matches_central_differences():
@@ -158,7 +149,7 @@ def test_gradient_matches_central_differences():
         rows.append(tuple((int(j) + 1, float(rng.standard_normal())) for j in idx))
     ds = toy_dataset(rows, np.where(rng.random(5) < 0.5, 1.0, -1.0), d=10)
     w = rng.standard_normal(10)
-    g = lsq.gradient(ds, w)
+    g = ds.expand(lsq.residual_gradient(ds, lsq.residual(ds, w)))
     h = 0.5
     fd = np.empty(10)
     for j in range(10):
@@ -172,7 +163,8 @@ def test_gradient_lies_in_row_span():
     ds = lsq.generate_synthetic(7, 0.75, seed=9)
     rng = np.random.default_rng(1)
     for _ in range(5):
-        g = lsq.gradient(ds, rng.standard_normal(ds.d))
+        w = rng.standard_normal(ds.d)
+        g = ds.expand(lsq.residual_gradient(ds, lsq.residual(ds, w)))
         assert lsq.row_span_residual(ds, g) <= 1e-10 * (1 + np.linalg.norm(g))
 
 
@@ -182,7 +174,7 @@ def test_small_gradient_step_decreases_loss(seed):
     rng = np.random.default_rng(seed)
     ds = lsq.generate_synthetic(5, 0.75, seed=seed % 17)
     w = rng.standard_normal(ds.d)
-    g = lsq.gradient(ds, w)
+    g = ds.expand(lsq.residual_gradient(ds, lsq.residual(ds, w)))
     if np.linalg.norm(g) < 1e-9:
         return
     lipschitz = 2.0 * np.linalg.norm(dense(ds), 2) ** 2
@@ -350,7 +342,7 @@ def test_quotient_merges_exactly_the_identical_columns(n, seed, collide):
                                   np.bincount(ds.columns[ds.columns >= 0], minlength=q))
     firsts = [int(np.flatnonzero(ds.columns == c)[0]) for c in range(q)]
     assert firsts == sorted(firsts)
-    rebuilt = lsq.Dataset(n=n, d=x.shape[1], rows=ds.rows, y=np.ones(n))
+    rebuilt = lsq.Dataset(n=n, d=x.shape[1], rows=design_rows(ds), y=np.ones(n))
     assert np.array_equal(dense(rebuilt), x)
 
 
@@ -437,7 +429,7 @@ def test_duplicate_entries_are_summed_in_the_order_given():
     # zero, which is dropped; the second keeps the 1.
     for row, expected in ((((1, 1.0), (1, 1e16), (1, -1e16), (2, 1.0)), ((2, 1.0),)),
                           (((1, 1e16), (1, -1e16), (2, 1.0), (1, 1.0)), ((1, 1.0), (2, 1.0)))):
-        assert lsq.Dataset(n=1, d=2, rows=(row,), y=[1.0]).rows == (expected,)
+        assert design_rows(lsq.Dataset(n=1, d=2, rows=(row,), y=[1.0])) == (expected,)
 
 
 def test_dimension_mismatch_raises():
@@ -445,7 +437,7 @@ def test_dimension_mismatch_raises():
     with pytest.raises(ValueError):
         lsq.loss(ds, np.zeros(ds.d + 1))
     with pytest.raises(ValueError):
-        lsq.gradient(ds, np.zeros(2))
+        lsq.margin(ds, np.zeros(2))
 
 
 # ---------------------------------------------------------------------------
@@ -455,18 +447,18 @@ def test_dimension_mismatch_raises():
 
 def test_test_score_examples():
     w = np.ones(10)
-    assert lsq.test_scores(w, [-1.0]) == [1.0]
+    assert test_scores(w, [-1.0]) == [1.0]
     e1 = np.zeros(10)
     e1[0] = 1.0
-    assert lsq.test_scores(e1, [-1.0]) == [-1.0]
-    assert lsq.test_scores(np.zeros(10), [1.0]) == [0.0]
+    assert test_scores(e1, [-1.0]) == [-1.0]
+    assert test_scores(np.zeros(10), [1.0]) == [0.0]
 
 
 def test_sign_solution_scores_misclassify_negatives():
     rng = np.random.default_rng(7)
     labels = np.where(rng.random(4000) < 0.75, 1.0, -1.0)
     w = oracle.sign_solution(lsq.generate_synthetic(6, 0.75, seed=2)).w
-    scores = lsq.test_scores(w, labels)
+    scores = test_scores(w, labels)
     err = np.mean(scores * labels <= 0.0)
     assert err == np.mean(labels < 0)
     assert abs(err - 0.25) < 0.03
@@ -476,7 +468,7 @@ def test_min_norm_scores_make_no_errors():
     ds = lsq.generate_synthetic(3, 0.6, seed=1)  # n_pos=2, n_neg=1
     w = oracle.min_norm_solution(ds).w
     labels = np.array([1.0, -1.0, 1.0, -1.0])
-    scores = lsq.test_scores(w, labels)
+    scores = test_scores(w, labels)
     assert np.all(scores * labels > 0.0)
 
 
@@ -507,7 +499,7 @@ def test_row_span_residual_cases():
     in_span = dense(ds).T @ rng.standard_normal(ds.n)
     assert lsq.row_span_residual(ds, in_span) <= 1e-10
     # a coordinate no example touches is orthogonal to the span
-    touched = {j for row in ds.rows for j, _ in row}
+    touched = {j for row in design_rows(ds) for j, _ in row}
     free = next(j for j in range(1, ds.d + 1) if j not in touched)
     e = np.zeros(ds.d)
     e[free - 1] = 1.0
@@ -536,7 +528,7 @@ def test_dataset_roundtrip(tmp_path):
     assert set(doc) == {"n", "d", "p", "seed", "labels", "rows", "rejections"}
     assert doc["rows"][0][0] == [1, ds.y[0]]  # 1-based indices
     back = lsq.load_dataset(path)
-    assert back.rows == ds.rows
+    assert design_rows(back) == design_rows(ds)
     np.testing.assert_array_equal(back.y, ds.y)
     assert (back.n, back.d, back.p, back.seed, back.rejections) == (
         ds.n, ds.d, ds.p, ds.seed, ds.rejections,
@@ -585,14 +577,14 @@ def test_write_json_is_json_dump_text(doc, tmp_path):
 
 def reference_dataset_text(ds) -> str:
     """The dataset file as `save_dataset` wrote it through `json.dump` of the
-    document of `Dataset.rows`."""
+    document of the design's rows, read off the dense design."""
     doc = {
         "n": ds.n,
         "d": ds.d,
         "p": ds.p,
         "seed": ds.seed,
         "labels": [int(v) for v in ds.y],
-        "rows": ds.rows,
+        "rows": design_rows(ds),
         "rejections": ds.rejections,
     }
     fh = io.StringIO()

@@ -6,25 +6,13 @@ from hypothesis import strategies as st
 from optlab import lsq, oracle
 from optlab.errors import LemmaPreconditionError, SingularKernelError
 from optlab.optim import MethodKind, OptimizerSpec
+from reference import dense_gram, test_scores, verify_lemma_trajectory
 
 UPSTREAM_ALPHA_NOTE = (
     "published closed form solves a reduced system whose negative-class "
     "diagonal is 3n-+3, but the generated kernel's is 3n-+5; the exact "
     "variant (exact_synthetic_alphas) matches the kernel solve instead"
 )
-
-
-def dense_quotient(ds):
-    """The n-by-q quotient ``X_q``, dense, from its entry arrays."""
-    xq = np.zeros((ds.n, ds.multiplicity.size))
-    xq[ds.row, ds.col] = ds.val
-    return xq
-
-
-def dense_gram(ds):
-    """The Gram matrix ``X X^T`` of the design, expanded to dense."""
-    x = ds.expand(dense_quotient(ds))
-    return x @ x.T
 
 
 def identity_dataset(y):
@@ -48,7 +36,7 @@ def two_one_dataset():
 def test_condition_on_synthetic_data_is_four():
     for seed in range(5):
         ds = lsq.generate_synthetic(10, 0.75, seed=seed)
-        assert oracle.lemma_condition_check(ds) == 4.0
+        assert oracle.sign_solution(ds).c == 4.0
 
 
 def test_condition_absent_with_zero_correlation():
@@ -57,11 +45,12 @@ def test_condition_absent_with_zero_correlation():
         rows=(((1, 1.0), (2, 1.0)), ((1, 1.0), (2, -1.0))),
         y=np.array([1.0, 1.0]),
     )
-    assert oracle.lemma_condition_check(ds) is None
+    with pytest.raises(LemmaPreconditionError):
+        oracle.sign_solution(ds)
 
 
 def test_condition_on_identity_design():
-    assert oracle.lemma_condition_check(identity_dataset([1.0, -1.0])) == 1.0
+    assert oracle.sign_solution(identity_dataset([1.0, -1.0])).c == 1.0
 
 
 def test_condition_requires_equal_row_sums():
@@ -71,7 +60,8 @@ def test_condition_requires_equal_row_sums():
         rows=(((1, 1.0), (3, 1.0)), ((2, 1.0),)),
         y=np.array([1.0, 1.0]),
     )
-    assert oracle.lemma_condition_check(ds) is None
+    with pytest.raises(LemmaPreconditionError):
+        oracle.sign_solution(ds)
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +76,7 @@ def test_sign_solution_on_synthetic_data():
     assert set(np.unique(sol.w)) <= {-0.25, 0.0, 0.25}
     assert lsq.loss(ds, sol.w) == 0.0
     # every nonzero component matches the sign of the label correlation
-    u = oracle.label_correlation(ds)
+    u = ds.expand(lsq.quotient_t_product(ds, ds.y))
     nz = sol.w != 0
     np.testing.assert_array_equal(np.sign(sol.w[nz]), np.sign(u[nz]))
 
@@ -114,7 +104,7 @@ def test_sign_solution_identity_design():
 def test_sign_solution_scores_positive_for_both_labels():
     ds = lsq.generate_synthetic(6, 0.75, seed=2)
     sol = oracle.sign_solution(ds)
-    np.testing.assert_allclose(lsq.test_scores(sol.w, [-1.0, 1.0]),
+    np.testing.assert_allclose(test_scores(sol.w, [-1.0, 1.0]),
                                [sol.tau, 3 * sol.tau], rtol=1e-15)
 
 
@@ -339,7 +329,7 @@ def test_oracles_interpolate():
 
 def test_lemma_trace_zero_trajectory():
     ds = lsq.generate_synthetic(4, 0.75, seed=0)
-    tr = oracle.verify_lemma_trajectory([np.zeros(ds.d)] * 3, ds)
+    tr = verify_lemma_trajectory([np.zeros(ds.d)] * 3, ds)
     assert tr.max_deviation == 0.0
     assert tr.off_support_max == 0.0
     np.testing.assert_array_equal(tr.lambdas, [0.0, 0.0, 0.0])
@@ -348,14 +338,14 @@ def test_lemma_trace_zero_trajectory():
 def test_lemma_trace_requires_zero_start():
     ds = lsq.generate_synthetic(4, 0.75, seed=0)
     with pytest.raises(LemmaPreconditionError):
-        oracle.verify_lemma_trajectory([np.ones(ds.d)], ds)
+        verify_lemma_trajectory([np.ones(ds.d)], ds)
 
 
 def test_adaptive_trajectory_stays_on_sign_line(run_with_iterates):
     ds = lsq.generate_synthetic(20, 0.8, seed=5)
     spec = OptimizerSpec(method=MethodKind.ADAGRAD, alpha=0.1, epsilon=0.0, g_init=0.0)
     _, iterates = run_with_iterates(ds, spec, 200, record_trace=False)
-    tr = oracle.verify_lemma_trajectory(iterates, ds)
+    tr = verify_lemma_trajectory(iterates, ds)
     lam_max = np.max(np.abs(tr.lambdas))
     assert tr.max_deviation <= 1e-8 * lam_max
     assert tr.off_support_max == 0.0
@@ -365,7 +355,7 @@ def test_sgd_trajectory_leaves_sign_line(run_with_iterates):
     ds = lsq.generate_synthetic(20, 0.8, seed=5)
     spec = OptimizerSpec(method=MethodKind.SGD, alpha=0.002)
     _, iterates = run_with_iterates(ds, spec, 300, record_trace=False)
-    tr = oracle.verify_lemma_trajectory(iterates, ds)
+    tr = verify_lemma_trajectory(iterates, ds)
     lam_max = np.max(np.abs(tr.lambdas))
     assert tr.max_deviation > 1e-2 * lam_max
 

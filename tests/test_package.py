@@ -1,8 +1,10 @@
-"""The package's export lists, what importing it loads, and the input
-checks of its entry points."""
+"""The package's export lists, what importing it loads, README's layout of
+it, and the input checks of its entry points (and of the tests' lemma
+reference)."""
 
 import ast
 import importlib
+import math
 import os
 import re
 import subprocess
@@ -13,8 +15,9 @@ import numpy as np
 import pytest
 
 import optlab
-from optlab import lsq, oracle, training, tune
+from optlab import lsq, training, tune
 from optlab.optim import MethodKind, OptimizerSpec
+from reference import verify_lemma_trajectory
 
 PACKAGE_DIR = Path(optlab.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE_DIR.glob("*.py") if p.stem != "__init__")
@@ -38,15 +41,36 @@ def test_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def _names_used_by_the_program() -> set[str]:
+    """Every name that code in the package or in `scripts/` refers to: an
+    AST `Name`, an `Attribute` or an imported name.  Strings (docstrings and
+    `__all__` entries among them) and definitions do not count."""
+    used = set()
+    for path in sorted([*PACKAGE_DIR.glob("*.py"), *(ROOT / "scripts").glob("*.py")]):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return used
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_every_export_has_a_user_elsewhere(module):
-    # An exported name that no other file names is API without a caller.
-    own = (PACKAGE_DIR / f"{module}.py").resolve()
-    texts = [p.read_text(encoding="utf-8") for d in (PACKAGE_DIR, ROOT / "tests", ROOT / "bench")
-             for p in sorted(d.rglob("*.py")) if p.resolve() != own]
-    unused = [name for name in importlib.import_module(f"optlab.{module}").__all__
-              if not any(re.search(rf"\b{name}\b", text) for text in texts)]
-    assert unused == []
+    # An exported name that no command or script uses is API without a
+    # caller: the tests keep their references to themselves.
+    exported = set(importlib.import_module(f"optlab.{module}").__all__)
+    assert sorted(exported - _names_used_by_the_program()) == []
+
+
+def test_readme_layout_names_every_module_and_script():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    layout = text.split("## Layout", 1)[1].split("```")[1]
+    files = [*(f"{p.name}" for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py"),
+             *(f"scripts/{p.name}" for p in (ROOT / "scripts").glob("*.py"))]
+    assert sorted(f for f in files if not re.search(rf"(^|\s){re.escape(f)}\s", layout)) == []
 
 
 def test_json_files_have_one_writer():
@@ -72,10 +96,12 @@ _SGD = OptimizerSpec(method=MethodKind.SGD, alpha=0.1)
     (lambda: training.run_lockstep(_DS, _SGD, [0.1], -1), "iters must be nonnegative"),
     (lambda: lsq.Dataset(n=2, d=3, rows=((), ()), y=np.ones(3)),
      r"labels must have shape \(2,\)"),
-    (lambda: lsq.test_scores(np.zeros(2), np.ones(5)), "at least 3 coordinates"),
-    (lambda: oracle.verify_lemma_trajectory([], _DS), "empty trajectory"),
+    (lambda: lsq.error_rates(np.zeros((1, 2)), [[1, 0]]), "at least 3 coordinates"),
+    (lambda: verify_lemma_trajectory([], _DS), "empty trajectory"),
+    (lambda: tune.make_log_grid(math.inf, 2), "center must be finite, got inf"),
+    (lambda: tune.make_log_grid(0.5, math.inf), "ratio must be finite, got inf"),
 ], ids=["generate_n0", "spec_g_init", "grid_center", "grid_empty", "lockstep_iters",
-        "label_shape", "test_scores_dim", "lemma_empty"])
+        "label_shape", "test_scores_dim", "lemma_empty", "grid_center_inf", "grid_ratio_inf"])
 def test_input_checks_raise_their_stated_errors(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -16,6 +16,7 @@ from optlab.training import (
     run_training,
     write_trace_csv,
 )
+from reference import test_scores
 
 
 @pytest.fixture(scope="module")
@@ -327,7 +328,7 @@ def test_dev_errors_equal_per_label_mean(w, size, seed):
     w = np.array(w)
     labels = np.where(np.random.default_rng(seed).random((len(w), size)) < 0.75, 1.0, -1.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        per_label = np.mean(lsq.test_scores(w, labels) * labels <= 0.0, axis=-1)
+        per_label = np.mean(test_scores(w, labels) * labels <= 0.0, axis=-1)
         by_class = np.array(lsq.error_rates(w, lsq.label_counts(labels)))
     assert by_class.tobytes() == per_label.tobytes()
 
@@ -368,7 +369,7 @@ def reference_run(x, y, spec, iters, policy, labels, stop_loss):
     lockstep row must reproduce, up to the order of summation.
     Also returns the largest loss the run met."""
     def dev_error(w):
-        return float(np.mean(lsq.test_scores(w, labels) * labels <= 0.0))
+        return float(np.mean(test_scores(w, labels) * labels <= 0.0))
 
     def loss_at(w):
         r = x @ w - y

@@ -398,7 +398,7 @@ def sequential_tune(ds, spec, grid, policy, epochs, seeds, *, dev_size, extensio
     winner = WinnerSummary(replace(spec, alpha=alpha), policy, selection, float(metrics.mean()),
                            float(metrics.std()), float(losses.mean()), float(losses.std()))
     return TuneReport(tuple(t for trials in by_alpha.values() for t in trials), winner, current,
-                      current.extensions, tuple(range(seeds)))
+                      current.extensions)
 
 
 def tune_outcome(tuner, path, *args, **kwargs):
@@ -426,8 +426,8 @@ WALKS = {
     "ends_inside_a_batch": (make_log_grid(4.0, 2, 5), DecayPolicy(), 1, None, 12, 1e-12),
     "turn": (None, DecayPolicy(), 1, None, 8, 1e-12),
     "all_diverged": (Grid((4096.0, 2048.0), 2.0), DecayPolicy(), 1, None, 2, None),
-    # Up from 1e308 the walk tries inf, and the value after it (inf again)
-    # is no grid value: adagrad's and adam's walks end before it.
+    # Up from 1e308 the walk asks for inf, which is no grid value: every walk
+    # but rmsprop's (which goes down) fails there, before a row runs at inf.
     "past_the_float_range": (Grid((1e308, 5e307), 2.0), DecayPolicy(), 1, None, 8, 1e-12),
     "dev_stream": (make_log_grid(1.0, 2, 3), DecayPolicy(), 3, 40, 5, 1e-12),
     "dev_decay": (make_log_grid(8.0, 2, 3), DecayPolicy(kind="dev_decay", delta=0.9), 2, 40,
@@ -437,7 +437,8 @@ WALKS = {
 
 @pytest.mark.parametrize("walk", list(WALKS))
 @pytest.mark.parametrize("method", list(MethodKind))
-def test_batched_walk_writes_the_sequential_walks_document(small_ds, method, walk, tmp_path):
+def test_batched_walk_writes_the_sequential_walks_document(small_ds, method, walk, tmp_path,
+                                                           monkeypatch):
     grid, policy, seeds, dev_size, cap, stop_loss = WALKS[walk]
     grid = grid or make_log_grid(TURNING_CENTER[method], 2, 1)
     spec = OptimizerSpec(method=method, alpha=1.0, beta2=0.9, epsilon=0.0)
@@ -453,7 +454,17 @@ def test_batched_walk_writes_the_sequential_walks_document(small_ds, method, wal
         assert batched.startswith("AllTrialsDivergedError: every step size diverged for sgd")
         return
     if walk == "past_the_float_range":
-        assert batched == "ValueError: grid contains duplicate step sizes"
+        assert batched == "ValueError: step sizes must be finite, got (1e+308, 5e+307, inf)"
+        ran, run_lockstep = [], training.run_lockstep
+
+        def recorded(ds, spec, alphas, *rest, **kwargs):
+            ran.extend(alphas)
+            return run_lockstep(ds, spec, alphas, *rest, **kwargs)
+
+        monkeypatch.setattr(training, "run_lockstep", recorded)
+        with pytest.raises(ValueError):
+            tune(*args, **options)
+        assert ran == [1e308, 5e307]  # round 0 only: no row runs at inf
         return
     report = tune(*args, **options)
     expected = {"up": (7, 2.56e-3, 5e-6), "up_to_the_cap": (3, 1.6e-4, 5e-6),
