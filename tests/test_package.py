@@ -68,7 +68,7 @@ def test_every_export_has_a_user_elsewhere(module):
 def test_readme_layout_names_every_module_and_script():
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     layout = text.split("## Layout", 1)[1].split("```")[1]
-    files = [*(f"{p.name}" for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py"),
+    files = [*(p.name for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py"),
              *(f"scripts/{p.name}" for p in (ROOT / "scripts").glob("*.py"))]
     assert sorted(f for f in files if not re.search(rf"(^|\s){re.escape(f)}\s", layout)) == []
 
