@@ -17,9 +17,11 @@ n = 1000 dataset; two tunes (dev decay and fixed decay) and two trains
 (traced with a stop loss, and dev decay) per method on an n = 100 dataset,
 and four extension walks there (a one-point grid's walk that goes up once and
 turns down, two dev-stream walks that extend, and a walk that stops at its
-cap); and, on a hand-built real-valued 6 x 9 design with a duplicate and an
+cap); on a hand-built real-valued 6 x 9 design with a duplicate and an
 all-zero column, a traced, a diverging and a tuned run per method, plus its
-oracle.
+oracle; and on a hand-built 8 x 10 design whose rows fall into orbit classes
+of several rows (and two pairs of rows that must stay apart), a traced and a
+tuned run per method.
 """
 
 from __future__ import annotations
@@ -55,16 +57,31 @@ HAND_DESIGN = (
 )
 HAND_LABELS = (1, -1, 1, 1, -1, 1)
 
+# Real-valued 8 x 10 design: rows 1-3 are equal but for their private
+# features 8-10, rows 4 and 5 differ only in their label, rows 6 and 7 only in
+# the last bit of their first value; features 6 and 7 are equal.
+ORBIT_DESIGN = (
+    (1.0, 0.5, 0.0, 2.0, 0.0, -0.25, -0.25, 1.0, 0.0, 0.0),
+    (1.0, 0.5, 0.0, 2.0, 0.0, -0.25, -0.25, 0.0, 1.0, 0.0),
+    (1.0, 0.5, 0.0, 2.0, 0.0, -0.25, -0.25, 0.0, 0.0, 1.0),
+    (0.0, -1.0, 1.5, 0.0, 0.75, 0.0, 0.0, 0.0, 0.0, 0.0),
+    (0.0, -1.0, 1.5, 0.0, 0.75, 0.0, 0.0, 0.0, 0.0, 0.0),
+    (0.3, 0.0, 1.0, 0.0, -0.5, 1.25, 1.25, 0.0, 0.0, 0.0),
+    (0.30000000000000004, 0.0, 1.0, 0.0, -0.5, 1.25, 1.25, 0.0, 0.0, 0.0),
+    (0.0, 0.5, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+)
+ORBIT_LABELS = (1, 1, 1, 1, -1, 1, 1, -1)
 
-def hand_document() -> dict:
-    rows = [[[j + 1, v] for j, v in enumerate(row) if v != 0.0] for row in HAND_DESIGN]
-    return {"n": len(HAND_DESIGN), "d": len(HAND_DESIGN[0]), "labels": list(HAND_LABELS),
+
+def hand_document(design=HAND_DESIGN, labels=HAND_LABELS) -> dict:
+    rows = [[[j + 1, v] for j, v in enumerate(row) if v != 0.0] for row in design]
+    return {"n": len(design), "d": len(design[0]), "labels": list(labels),
             "rows": rows, "p": None, "seed": None}
 
 
 def commands() -> list[list[str]]:
-    """The sweep's command lines, in order (the hand-built dataset file is
-    written before the first command that reads it)."""
+    """The sweep's command lines, in order (the hand-built dataset files are
+    written before the first command that reads them)."""
     cmds = [["experiment", "--iters", "5000", "--seed", str(seed),
              "--out", f"experiment-5000/seed{seed}"] for seed in range(1, 21)]
     cmds.append(["experiment", "--out", "experiment-default"])
@@ -105,6 +122,12 @@ def commands() -> list[list[str]]:
                      "--out", f"hand/diverge/{method}"])
         cmds.append(["tune", *data, "--iters", "300", "--seeds", "2",
                      "--out", f"hand/tune/{method}.json"])
+    for method in METHODS:
+        data = ["--dataset", "orbit/dataset.json", "--method", method]
+        cmds.append(["train", *data, "--alpha", "0.05", "--iters", "300",
+                     "--out", f"orbit/train/{method}"])
+        cmds.append(["tune", *data, "--iters", "300", "--seeds", "2",
+                     "--out", f"orbit/tune/{method}.json"])
     return cmds
 
 
@@ -127,9 +150,10 @@ def main(argv: list[str]) -> int:
     root = Path(".")
     from optlab.cli import main as optlab_main
 
-    hand = Path("hand/dataset.json")
-    hand.parent.mkdir()
-    hand.write_text(json.dumps(hand_document(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    for path, doc in (("hand/dataset.json", hand_document()),
+                      ("orbit/dataset.json", hand_document(ORBIT_DESIGN, ORBIT_LABELS))):
+        Path(path).parent.mkdir()
+        Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     seen = digests(root)
     for path, digest in seen.items():  # written here, by no command
         print(f"{digest}  -  {path}")

@@ -12,7 +12,10 @@ folds over the entries: each output starts at 0.0 and adds its terms one by
 one in entry order, so its bits depend on the design alone, never on BLAS or
 threads.  Every product, loss, gradient and diagnostic reads it, and the
 Gram system ``X X^T c = b`` is solved by conjugate gradients on it, never
-formed.
+formed.  The run loop steps a coarser form built from it on first use, the
+orbit quotient (`Orbits`, `Dataset.orbits`): classes of rows and of columns
+that take the same bits at every step, whose folds add the same terms in
+the same order as the quotient's.
 
 Each reported quantity is computed here alone, for one weight vector or row
 by row for an (R, d) stack: `residual_loss`, `residual_gradient`, `l2_norm`,
@@ -25,10 +28,12 @@ example owns a private block of indicator features -- width 1 for positive
 examples and width 5 for negative ones -- so only the first feature carries
 out-of-sample signal.  Its quotient has n + 2 columns: features 2 and 3
 merge, so does each negative example's block, and the 4 unused slots of each
-positive example's block are dropped.  Fresh test points are never
-materialized as rows: their private block would land outside the training
-dimensions, so a test inner product reduces to the first three coordinates
-(see `error_rates`).
+positive example's block are dropped.  Its orbit quotient has 2 row classes
+(the positive and the negative examples) and 4 column classes (feature 1,
+features 2 and 3, the positive and the negative private blocks).  Fresh
+test points are never materialized as rows: their private block would land
+outside the training dimensions, so a test inner product reduces to the
+first three coordinates (see `error_rates`).
 
 Every JSON file is written by `write_json` (a dataset by `save_dataset`):
 byte for byte the text of ``json.dump(doc, fh, indent=2, sort_keys=True)``
@@ -40,6 +45,7 @@ from __future__ import annotations
 
 import json
 import os
+from functools import cached_property
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_string  # json.dump's escaper
 
@@ -49,6 +55,7 @@ from .errors import DataGenerationError
 
 __all__ = [
     "Dataset",
+    "Orbits",
     "generate_synthetic",
     "synthetic_shape",
     "loss",
@@ -226,6 +233,11 @@ class Dataset:
             u = np.zeros(np.shape(u)[:-1] + (1,))
         return np.where(kept[features], np.take(u, index[features], axis=-1), 0.0)
 
+    @cached_property
+    def orbits(self) -> Orbits:
+        """The design's orbit quotient, built on first use."""
+        return Orbits(self)
+
     def gram_solve(self, b: np.ndarray) -> np.ndarray:
         """Solve ``X X^T c = b`` by conjugate gradients from ``c = 0``, with
         ``X X^T = X_q diag(multiplicity) X_q^T``; for a (P, n) stack, one
@@ -269,6 +281,70 @@ class Dataset:
         if not np.all(np.isfinite(xw)):
             raise ValueError("array must not contain infs or NaNs")
         return self.expand(quotient_t_product(self, self.gram_solve(xw)))
+
+
+class Orbits:
+    """A dataset's orbit quotient: its rows and quotient columns in classes
+    whose members take the same bits at every step of every method, from a
+    zero start.
+
+    Rows share a class when their labels are equal and their entries list the
+    same (value bits, column class) pairs in column order; columns, when their
+    multiplicities are equal and their entries list the same (value bits, row
+    class) pairs in row order.  Both are refined to a fixed point from the
+    labels and multiplicities (`_equal_segments`), so a class's rows add the
+    same terms in the same order, and so do its columns.  The synthetic design
+    has 2 row classes and 4 column classes; a design whose rows are all
+    distinct has one row a row class and one column a column class.  Classes
+    are numbered in the order of their first member.  Kept: each row's and
+    column's class, `row_class` and `col_class`; each column class's
+    `multiplicity` and each row class's label `y`; and the folds of
+    `quotient_product` (per row class, over each class's first row) and
+    `quotient_t_product` (per column class, over each class's first column,
+    in row order), which take an `Orbits` in place of a dataset, as
+    `expand` does.
+    """
+
+    def __init__(self, ds: Dataset) -> None:
+        bits, n, q = ds.val.view(np.uint64), ds.n, ds.multiplicity.size
+        order = np.argsort(ds.col, kind="stable")  # column-major, rows ascending in each
+        col_rows, col_bits = ds.row[order], bits[order]
+        row_ptr = np.searchsorted(ds.row, np.arange(n + 1))
+        col_ptr = np.searchsorted(ds.col[order], np.arange(q + 1))
+        # Each class is named by its first member; refine until neither side splits.
+        cols = _first_of(ds.multiplicity)
+        rows = _equal_segments(row_ptr, cols[ds.col], bits, _first_of(ds.y))
+        while True:
+            refined = _equal_segments(col_ptr, rows[col_rows], col_bits, cols)
+            if np.array_equal(refined, cols):
+                break
+            cols, refined = refined, _equal_segments(row_ptr, refined[ds.col], bits, rows)
+            if np.array_equal(refined, rows):
+                break
+            rows = refined
+        (self.row_class, row_reps), (self.col_class, col_reps) = _ranks(rows), _ranks(cols)
+        self.multiplicity, self.y = ds.multiplicity[col_reps], ds.y[row_reps]
+        fwd, tr = rows[ds.row] == ds.row, cols[ds.col] == ds.col
+        self._times = _Fold(self.row_class[ds.row[fwd]], self.col_class[ds.col[fwd]],
+                            ds.val[fwd], row_reps.size)
+        self._times_t = _Fold(self.col_class[ds.col[tr]], self.row_class[ds.row[tr]],
+                              ds.val[tr], col_reps.size)
+        # Feature j's class; an all-zero column (-1) takes the appended 0.
+        self._gather = np.append(self.col_class, 0)[ds.columns], ds.columns >= 0
+
+    #: Full-length vector(s) from class values: feature j takes the value of
+    #: its column's class, and an all-zero column takes 0.
+    expand = Dataset.expand
+
+
+def _ranks(first_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each member's class number (-1 where `first_of` is -1), classes
+    numbered in the order of their first member, and each class's first
+    member."""
+    reps = np.flatnonzero(first_of == np.arange(first_of.size))
+    rank = np.full(first_of.size, -1)
+    rank[reps] = np.arange(reps.size)
+    return np.where(first_of >= 0, rank[first_of], -1), reps
 
 
 def _labels(n: int, y) -> np.ndarray:
@@ -317,53 +393,73 @@ def _mix(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> 31)
 
 
-def _column_keys(ptr: np.ndarray, rows: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """A 64-bit hash of each column's (row, value bits) entries; 0 if empty.
-    Column j's entries are ``rows[ptr[j]:ptr[j + 1]]`` and the same `bits`."""
-    nonempty = np.flatnonzero(np.diff(ptr))
-    keys = np.zeros(ptr.size - 1, dtype=np.uint64)
+def _segment_keys(ptr: np.ndarray, ids: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """A 64-bit hash of each segment's (position, id, value bits) entries; 0
+    if empty.  Segment s's entries are ``ids[ptr[s]:ptr[s + 1]]`` and the
+    same `bits`."""
+    count = np.diff(ptr)
+    keys = np.zeros(count.size, dtype=np.uint64)
+    nonempty = np.flatnonzero(count)
     if nonempty.size:
-        entry = _mix(_mix(rows.astype(np.uint64)) ^ bits)
+        position = np.arange(ids.size) - np.repeat(ptr[:-1], count)
+        entry = _mix(_mix(_mix(ids.astype(np.uint64)) ^ bits) + position.astype(np.uint64))
         keys[nonempty] = np.add.reduceat(entry, ptr[nonempty])
     return keys
 
 
+def _equal_segments(ptr: np.ndarray, ids: np.ndarray, bits: np.ndarray,
+                    key: np.ndarray) -> np.ndarray:
+    """For each segment s (entries ``ptr[s]:ptr[s + 1]`` of `ids` and `bits`),
+    the first segment with its `key` and the same (id, bits) entries in the
+    same order.
+
+    Segments are bucketed by (key, entry count, a hash of the entries and
+    their positions), and each is then compared entry for entry with the
+    first segment of its bucket.  Segments that differ from it (a hash
+    collision) go round again among themselves, so a match never rests on the
+    hash alone.
+    """
+    count, hashes = np.diff(ptr), _segment_keys(ptr, ids, bits)
+    first_of, pending = np.empty(count.size, dtype=np.intp), np.arange(count.size)
+    while pending.size:
+        segs = pending[np.lexsort((pending, hashes[pending], count[pending], key[pending]))]
+        first = np.ones(segs.size, dtype=bool)
+        first[1:] = ((hashes[segs[1:]] != hashes[segs[:-1]]) | (count[segs[1:]] != count[segs[:-1]])
+                     | (key[segs[1:]] != key[segs[:-1]]))
+        rep, size = segs[first][np.cumsum(first) - 1], count[segs]
+        start = np.cumsum(size) - size
+        offset = np.arange(size.sum()) - np.repeat(start, size)
+        a, b = np.repeat(ptr[segs], size) + offset, np.repeat(ptr[rep], size) + offset
+        differs = (ids[a] != ids[b]) | (bits[a] != bits[b])
+        same = np.ones(segs.size, dtype=bool)
+        if differs.size:  # an empty segment matches its bucket's first
+            same[size > 0] = ~np.logical_or.reduceat(differs, start[size > 0])
+        first_of[segs[same]] = rep[same]
+        pending = segs[~same]
+    return first_of
+
+
+def _first_of(key: np.ndarray) -> np.ndarray:
+    """The index of the first entry of `key` equal to each entry."""
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return first[inverse]
+
+
 def _column_quotient(d: int, row: np.ndarray, feature: np.ndarray, value: np.ndarray):
     """The feature-to-column map and the ``(row, col, value)`` entries of the
-    distinct nonzero columns, from canonical entries of the design.
-
-    Columns are bucketed by (entry count, hash), and each column is then
-    compared entry for entry, value bits included, with the first column of
-    its bucket.  Columns that differ from it (a hash collision) go round
-    again among themselves, so a merge never rests on the hash alone.
-    """
+    distinct nonzero columns, from canonical entries of the design: a group
+    is the features with the same (row, value bits) entries
+    (`_equal_segments`)."""
     order = np.argsort(feature, kind="stable")  # column-major, rows ascending in each
-    rows, bits = row[order], value[order].view(np.uint64)
     nnz = np.bincount(feature, minlength=d)
-    ptr = np.concatenate([[0], np.cumsum(nnz)])
-    keys = _column_keys(ptr, rows, bits)
+    nonempty = np.flatnonzero(nnz)
+    ptr = np.concatenate([[0], np.cumsum(nnz[nonempty])])
     rep_of = np.full(d, -1)  # feature -> first feature of its group
-    pending = np.flatnonzero(nnz)
-    while pending.size:
-        cols = pending[np.lexsort((pending, keys[pending], nnz[pending]))]
-        first = np.ones(cols.size, dtype=bool)
-        first[1:] = (keys[cols[1:]] != keys[cols[:-1]]) | (nnz[cols[1:]] != nnz[cols[:-1]])
-        rep = cols[first][np.cumsum(first) - 1]
-        count = nnz[cols]
-        start = np.cumsum(count) - count
-        offset = np.arange(count.sum()) - np.repeat(start, count)
-        a = np.repeat(ptr[cols], count) + offset
-        b = np.repeat(ptr[rep], count) + offset
-        differs = (rows[a] != rows[b]) | (bits[a] != bits[b])
-        same = ~np.logical_or.reduceat(differs, start)
-        rep_of[cols[same]] = rep[same]
-        pending = cols[~same]
-    reps = np.flatnonzero(rep_of == np.arange(d))
-    rank = np.full(d, -1)
-    rank[reps] = np.arange(reps.size)
-    columns = np.where(rep_of >= 0, rank[rep_of], -1)
-    kept = rank[feature] >= 0  # the entries of each group's first feature, still row-major
-    return columns, (row[kept], rank[feature[kept]], value[kept])
+    rep_of[nonempty] = nonempty[_equal_segments(ptr, row[order], value[order].view(np.uint64),
+                                                np.zeros(nonempty.size, dtype=np.intp))]
+    columns, _ = _ranks(rep_of)
+    kept = rep_of[feature] == feature  # the entries of each group's first feature, still row-major
+    return columns, (row[kept], columns[feature[kept]], value[kept])
 
 
 def _synthetic_entries(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -416,8 +512,9 @@ def _check_dim(ds: Dataset, w: np.ndarray, stack: bool = False) -> np.ndarray:
     return w
 
 
-def quotient_product(ds: Dataset, s: np.ndarray) -> np.ndarray:
+def quotient_product(ds: Dataset | Orbits, s: np.ndarray) -> np.ndarray:
     """``X_q s`` for group sums s, shape (q,), or row by row for an (R, q) stack.
+    For `Orbits`, s holds class values and the product is per row class.
 
     Each row is bit for bit its solo product whatever R is; a stack comes
     back C-contiguous, so reductions over it take the single-vector path.
@@ -425,10 +522,10 @@ def quotient_product(ds: Dataset, s: np.ndarray) -> np.ndarray:
     return ds._times(s)
 
 
-def quotient_t_product(ds: Dataset, r: np.ndarray) -> np.ndarray:
+def quotient_t_product(ds: Dataset | Orbits, r: np.ndarray) -> np.ndarray:
     """``X_q^T r`` for a vector r of shape (n,), or row by row for an (R, n)
     stack (C-contiguous): entry c is ``(X^T r)_j`` for every feature j of
-    column c."""
+    column c.  For `Orbits`, r is per row class and entry c per column class."""
     return ds._times_t(r)
 
 
@@ -449,7 +546,7 @@ def residual_loss(r: np.ndarray) -> np.ndarray:
     return np.add.reduce(r * r, axis=-1)
 
 
-def residual_gradient(ds: Dataset, r: np.ndarray) -> np.ndarray:
+def residual_gradient(ds: Dataset | Orbits, r: np.ndarray) -> np.ndarray:
     """``2 X_q^T r`` for a residual, or per row of a stack of them
     (C-contiguous): entry c is the gradient of every feature of column c."""
     g = quotient_t_product(ds, r)

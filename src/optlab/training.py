@@ -2,13 +2,18 @@
 
 The run loop advances a lockstep stack of R rows: one trajectory each, all
 with the same spec and policy and all starting at zero, but each with its own
-step size and dev labels.  It runs on the design's column quotient: the state
-arrays have shape (R, q), one entry per distinct nonzero column, which
-identical columns share exactly under every method (their gradients,
-accumulators and updates are equal), while all-zero columns stay at zero.
-The product is ``X_q diag(multiplicity) u`` and the gradient ``2 X_q^T r``;
-full-length vectors appear only at the edges (the results, the trace and the
-dev scores), through `Dataset.expand`.
+step size and dev labels.  It runs on the design's orbit quotient
+(`lsq.Orbits`): the state arrays have shape (R, C), one entry per column
+class, whose columns (identical columns among them) take the same bits under
+every method, while all-zero columns stay at zero; the residuals have one
+entry per row class.  On the synthetic design C is 4 and there are 2 row
+classes; a design whose rows are all distinct has one column a class, the
+column quotient.  The product is ``X_q diag(multiplicity) u`` over each row
+class's first row and the gradient ``2 X_q^T r`` over each column class's
+first column, in row order; the loss sums the n residuals, expanded from
+their classes.  Full-length vectors appear only at the edges (the results,
+the trace and the dev scores), through `Orbits.expand`, and the trace's
+diagnostics run on the column quotient.
 
 The engine, `step`, steps the stack once per iteration; a single run is a
 stack of one row.  A row that converges, or fails (non-finite loss or
@@ -16,8 +21,8 @@ iterate, singular preconditioner), stops with its status and drops out while
 the others go on, so each row is bit for bit the run it gives alone; a caller
 can also drop running rows as others stop (`cancel`).  What a run's constants
 fix is computed once: the spec's Table 1 row (not Adam's, which depends on k)
-and the multiplicities, labels and step sizes repeated to the stack's shape
-(so no op broadcasts).  Each iterate's product ``Xw``,
+and the class multiplicities, labels and step sizes repeated to the stack's
+shape (so no op broadcasts).  Each iterate's product ``Xw``,
 residual and loss are computed in one place (`lsq.residual_loss`); the
 next gradient (`lsq.residual_gradient`) and the trace reuse them, and the
 loop reduces its few per-row numbers as Python floats.  Each row records
@@ -63,8 +68,8 @@ DENSE_TRACE_LIMIT = 1000
 SPARSE_TRACE_EVERY = 10
 
 #: Floats per block of trace rows, whose diagnostics are computed together:
-#: each row counts its quotient iterate, its ``X w`` and its full-length
-#: iterate (q + n + d floats).
+#: each row counts its column-quotient iterate, its ``X w`` and its
+#: full-length iterate (q + n + d floats).
 TRACE_BLOCK_FLOATS = 1 << 15
 
 
@@ -144,7 +149,8 @@ def _append_trace_rows(ds: lsq.Dataset, pending: list) -> None:
     d) full-length iterates, given the products ``X w`` the loop made.
     """
     traces, iterations, alphas, losses, devs, u, xw = zip(*pending)
-    w, xw = ds.expand(np.array(u)), np.array(xw)
+    orbits = ds.orbits
+    w, xw = orbits.expand(np.array(u)), np.array(xw).take(orbits.row_class, axis=-1)
     norms = lsq.l2_norm(w)
     diagnostics = (norms, lsq.linf_norm(w), lsq.margin(ds, w, xw, norms),
                    lsq.row_span_residual(ds, w, xw))
@@ -194,19 +200,20 @@ def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
     check_stack(n_rows, ds.val.size + ds.d
                 + (0 if dev_labels is None else max(map(len, dev_labels), default=0)))
 
-    # The multiplicities, labels and step sizes repeated to the stack's shape,
-    # so that no op of an iteration broadcasts.  Every row of `m` and `y` is
-    # the same, so a shorter stack uses their first rows.
-    m_rows, y_rows = np.tile(ds.multiplicity, (n_rows, 1)), np.tile(ds.y, (n_rows, 1))
+    # The class multiplicities, labels and step sizes repeated to the stack's
+    # shape, so that no op of an iteration broadcasts.  Every row of `m` and
+    # `y` is the same, so a shorter stack uses their first rows.
+    orbits = ds.orbits
+    m_rows, y_rows = np.tile(orbits.multiplicity, (n_rows, 1)), np.tile(orbits.y, (n_rows, 1))
     m, y = m_rows, y_rows
-    rates = np.repeat(alpha, ds.multiplicity.size, axis=1)
+    rates = np.repeat(alpha, orbits.multiplicity.size, axis=1)
     state = init_state(spec, np.zeros(m.shape))
     # Row r's result is completed when r stops; its trace rows arrive by block.
     results = [RunResult("ok", False, None, math.nan, 0, []) for _ in range(n_rows)]
     rows = list(range(n_rows))  # stack position -> row
     # Trace rows wait, as views of the arrays the loop makes (and never
     # writes into), until a block of TRACE_BLOCK_FLOATS floats is full.
-    pending, block = [], max(1, TRACE_BLOCK_FLOATS // (m.shape[1] + ds.n + ds.d))
+    pending, block = [], max(1, TRACE_BLOCK_FLOATS // (ds.multiplicity.size + ds.n + ds.d))
 
     # The dev record, one list entry per row in the stack (Python numbers).
     counts = dev = best_dev = epoch_of_best = improved = None
@@ -216,14 +223,15 @@ def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
     decays = policy.kind != "none"
 
     def residual_at(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # `lsq.residual` of a quotient stack, with the product it subtracts y from.
-        xw = lsq.quotient_product(ds, m * v)
+        # `lsq.residual` of a class stack, per row class, with the product it
+        # subtracts y from.
+        xw = lsq.quotient_product(orbits, m * v)
         return xw, xw - y
 
     def grad_at(v: np.ndarray) -> np.ndarray:
         # Without extrapolation the engine asks for the gradient at state.w
         # itself, whose residual the loss has already computed.
-        return lsq.residual_gradient(ds, resid if v is state.w else residual_at(v)[1])
+        return lsq.residual_gradient(orbits, resid if v is state.w else residual_at(v)[1])
 
     def record(i: int, k: int) -> None:
         pending.append((results[rows[i]].trace, k, alpha[i, 0], loss[i],
@@ -235,7 +243,7 @@ def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
                failure: str | None = None) -> None:
         res = results[rows[i]]
         res.status, res.converged, res.failure = status, converged, failure
-        res.w, res.final_loss, res.iterations = ds.expand(state.w[i]), float(loss[i]), k
+        res.w, res.final_loss, res.iterations = orbits.expand(state.w[i]), float(loss[i]), k
         if best_dev is not None:
             res.best_dev, res.epoch_of_best = best_dev[i], epoch_of_best[i]
 
@@ -267,7 +275,8 @@ def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
             # One product per iterate: the loss, the next gradient (via the
             # residual) and the trace's margin and span projection all use it.
             xw, resid = residual_at(state.w)
-            loss = lsq.residual_loss(resid)
+            # The loss sums the n residuals, pairwise in row order.
+            loss = lsq.residual_loss(resid.take(orbits.row_class, axis=-1))
             if not math.isfinite(sum(loss.tolist())):
                 for i in np.flatnonzero(~np.isfinite(loss)):
                     if i not in failed:
@@ -279,7 +288,7 @@ def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
                 break
             if counts is not None:
                 # A dev score reads features 1-3 only (`lsq.error_rates`).
-                dev = lsq.error_rates(ds.expand(state.w, slice(3)), counts)
+                dev = lsq.error_rates(orbits.expand(state.w, slice(3)), counts)
                 improved = [d < best for d, best in zip(dev, best_dev)]
                 for i in compress(range(len(dev)), improved):
                     best_dev[i], epoch_of_best[i] = dev[i], k

@@ -52,13 +52,13 @@ __all__ = [
 #: The most rows, and the most quotient entries (rows times
 #: ``Dataset.val.size``), in a stack of the extension walk.  An extra row
 #: costs a stack less than a run of its own only while the stack is small:
-#: five rows cost 1.6-1.8 times one row's iteration at n = 100 (300 entries a
-#: row), 3.4 times at n = 1 000, 4.3 at 2 000 and 5.3-5.5 at 10^4 (sgd, nag,
-#: rmsprop; one BLAS thread).  Taller stacks were slower: at n = 100 a walk
-#: that ended after one step size, in 25-row stacks of five dev streams,
-#: made adam's default `tune` 29 % slower.  So on the synthetic design (3n
-#: entries a row) a batch holds 5 rows up to n = 1 000, fewer up to 2 500
-#: and one step size's rows above.
+#: on the orbit quotient, five rows cost 1.2-1.4 times one row's iteration at
+#: n = 100 (300 entries a row), 2.3-2.8 times at n = 1 000, 2.9-3.4 at 2 000,
+#: 3.7-4.1 at 5 000 and 4.6-4.9 at 10^4 (sgd, nag, rmsprop; one BLAS thread).
+#: Taller stacks were slower: at n = 100 a walk that ended after one step
+#: size, in 25-row stacks of five dev streams, made adam's default `tune` 29 %
+#: slower.  So on the synthetic design (3n entries a row) a batch holds 5 rows
+#: up to n = 1 000, fewer up to 2 500 and one step size's rows above.
 MAX_BATCH_ROWS = 5
 MAX_BATCH_ENTRIES = 15_000
 

@@ -20,7 +20,7 @@ def run_with_iterates(monkeypatch):
         stepped = []
 
         def recorded(state, *args):
-            stepped.append(ds.expand(state.w[0]))
+            stepped.append(ds.orbits.expand(state.w[0]))
             return step(state, *args)
 
         with monkeypatch.context() as patch:

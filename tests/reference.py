@@ -2,16 +2,19 @@
 
 Each one is written from the dense design or from the definitions, not from
 the code paths it checks: the dense matrices, the design's rows in the file
-format, the scores of fresh points, and the paper's lemma that adaptive
-methods started at zero stay on the line ``lambda_k * sign(X^T y)``.
+format, the scores of fresh points, the paper's lemma that adaptive methods
+started at zero stay on the line ``lambda_k * sign(X^T y)``, and one run on
+the column quotient, the run loop's form before its orbit quotient.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from optlab import lsq
+from optlab import lsq, training
 from optlab.errors import LemmaPreconditionError
+from optlab.optim import init_state, step
 
 
 def dense_quotient(ds):
@@ -109,3 +112,84 @@ def verify_lemma_trajectory(iterates, ds) -> LemmaTrace:
             off_max = max(off_max, float(np.max(np.abs(w[~support]))))
 
     return LemmaTrace(lambdas=lambdas, max_deviation=max_dev, off_support_max=off_max)
+
+
+def quotient_run(ds, spec, alpha, iters, *, dev_labels=None, stop_loss=None,
+                 trace_every=None):
+    """One `training.run_lockstep` row, without a decay policy, run plainly on
+    the column quotient: a (q,) state stepped by `step`, the products
+    ``X_q diag(multiplicity) u`` and ``2 X_q^T r`` over all n rows, and each
+    trace row's diagnostics from the standalone `lsq` calls."""
+    counts = None if dev_labels is None else lsq.label_counts([dev_labels])
+    state = init_state(spec, np.zeros(ds.multiplicity.size))
+    result = training.RunResult("ok", False, None, math.nan, 0, [])
+    best, epoch_of_best, k = math.inf, 0, 0
+
+    def residual_at(v):
+        xw = lsq.quotient_product(ds, ds.multiplicity * v)
+        return xw, xw - ds.y
+
+    def grad_at(v):
+        return lsq.residual_gradient(ds, resid if v is state.w else residual_at(v)[1])
+
+    def finish(status="ok", converged=False, failure=None):
+        result.status, result.converged, result.failure = status, converged, failure
+        result.w, result.final_loss, result.iterations = ds.expand(state.w), float(loss), k
+        if counts is not None:
+            result.best_dev, result.epoch_of_best = best, epoch_of_best
+        return result
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while True:
+            xw, resid = residual_at(state.w)
+            loss = lsq.residual_loss(resid)
+            if not math.isfinite(loss):
+                return finish("diverged", failure=f"non-finite loss at iteration {k}")
+            dev = math.nan
+            if counts is not None:
+                [dev] = lsq.error_rates(ds.expand(state.w)[None], counts)
+                if dev < best:
+                    best, epoch_of_best = dev, k
+            converged = stop_loss is not None and loss <= stop_loss
+            cadence = (k % trace_every == 0 if trace_every is not None
+                       else k <= training.DENSE_TRACE_LIMIT
+                       or k % training.SPARSE_TRACE_EVERY == 0)
+            if k == iters or cadence or converged:
+                w = ds.expand(state.w)
+                norm = lsq.l2_norm(w)
+                result.trace.append(training.TraceRow(
+                    k, float(alpha), float(loss), dev, norm, lsq.linf_norm(w),
+                    lsq.margin(ds, w, xw, norm) if norm > 0.0 else math.nan,
+                    lsq.row_span_residual(ds, w, xw)))
+            if k == iters or converged:
+                return finish(converged=converged)
+            new = step(state, spec, grad_at, alpha)
+            if new.failures:
+                [(_, status, failure)] = new.failures
+                return finish(status, failure=failure)
+            state, k = new, k + 1
+
+
+def orbit_classes(ds):
+    """Each row's and each quotient column's orbit class, by the definition:
+    refine row classes from the labels and column classes from the
+    multiplicities until neither splits, a row keyed by its class and its
+    (value bits, column class) entries in column order, a column by its class
+    and its (value bits, row class) entries in row order.  Classes are
+    numbered in the order of their first member."""
+    entries = list(zip(ds.row.tolist(), ds.col.tolist(), ds.val.view(np.uint64).tolist()))
+    by_column = sorted(entries, key=lambda e: (e[1], e[0]))
+
+    def numbered(keys):
+        first = {}
+        return [first.setdefault(key, len(first)) for key in keys]
+
+    rows, cols = numbered(ds.y.tolist()), numbered(ds.multiplicity.tolist())
+    while True:
+        new_rows = numbered((rows[i], tuple((b, cols[c]) for r, c, b in entries if r == i))
+                            for i in range(ds.n))
+        new_cols = numbered((cols[j], tuple((b, new_rows[r]) for r, c, b in by_column if c == j))
+                            for j in range(len(cols)))
+        if (new_rows, new_cols) == (rows, cols):
+            return np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
+        rows, cols = new_rows, new_cols

@@ -328,8 +328,8 @@ def test_quotient_merges_exactly_the_identical_columns(n, seed, collide):
     # for bit (so columns equal up to sign or scale stay apart).  With every
     # hash colliding, the entry-by-entry comparison alone must do the grouping.
     x, rows = _grouped_design(n, seed)
-    keys = _colliding_keys if collide else lsq._column_keys
-    with mock.patch.object(lsq, "_column_keys", keys):
+    keys = _colliding_keys if collide else lsq._segment_keys
+    with mock.patch.object(lsq, "_segment_keys", keys):
         ds = lsq.Dataset(n=n, d=x.shape[1], rows=rows, y=np.ones(n))
     xq = dense_quotient(ds)
     q = xq.shape[1]
