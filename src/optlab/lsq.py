@@ -3,19 +3,16 @@
 The training objective is the squared interpolation error ``||Xw - y||^2``
 over labels in {-1, +1}.  Rows arrive as sparse ``(index, value)`` pairs
 with 1-based feature indices (the generator emits values in {-1, +1}; hand-
-built designs may use any finite reals).  The design's one numeric form is
-its column quotient ``X_q``: the q distinct nonzero columns as one row-major
-entry list, with a multiplicity per column and a map from every feature to
-its column, so that ``X w = X_q S w`` where ``S w`` sums w over each group of
-identical columns.  Both products with ``X_q`` (and ``S w``) are `np.bincount`
-folds over the entries: each output starts at 0.0 and adds its terms one by
-one in entry order, so its bits depend on the design alone, never on BLAS or
-threads.  Every product, loss, gradient and diagnostic reads it, and the
-Gram system ``X X^T c = b`` is solved by conjugate gradients on it, never
-formed.  The run loop steps a coarser form built from it on first use, the
-orbit quotient (`Orbits`, `Dataset.orbits`): classes of rows and of columns
-that take the same bits at every step, whose folds add the same terms in
-the same order as the quotient's.
+built designs may use any finite reals).  The design is held as two
+quotients (`Quotient`), rows and columns in classes: a `Dataset`, the column
+quotient ``X_q`` with ``X w = X_q S w`` where ``S w`` sums w over each group
+of identical columns, and its orbit quotient (`Dataset.orbits`), on which
+the run loop and the trace's span residual run.  Every product (and
+``S w``) is an `np.bincount` fold over entries: each output starts at 0.0
+and adds its terms one by one in entry order, so its bits depend on the
+design alone, never on BLAS or threads, and a class adds the same terms in
+the same order on either quotient.  The Gram system ``X X^T c = b`` is
+solved by conjugate gradients on a quotient, never formed.
 
 Each reported quantity is computed here alone, for one weight vector or row
 by row for an (R, d) stack: `residual_loss`, `residual_gradient`, `l2_norm`,
@@ -54,6 +51,7 @@ import numpy as np
 from .errors import DataGenerationError
 
 __all__ = [
+    "Quotient",
     "Dataset",
     "Orbits",
     "generate_synthetic",
@@ -95,7 +93,7 @@ MAX_EXAMPLES = 10**6
 #: (The file of n = 10^6 synthetic examples has about 2.3e8 bytes.)
 MAX_DATASET_BYTES = 3 * 10**8
 
-#: Relative residual at which `Dataset.gram_solve` stops.
+#: Relative residual at which `Quotient.gram_solve` stops.
 CG_TOL = 1e-14
 
 
@@ -145,21 +143,100 @@ class _Fold:
         return np.bincount(bins, terms, minlength=length).reshape(shape)
 
 
-class Dataset:
+class Quotient:
+    """A quotient of an n-by-d design: its rows and its quotient columns in
+    classes, numbered in the order of their first member.  Kept: each row's
+    and each column's class, `row_class` and `col_class`; each column class's
+    `multiplicity` (the features each of its columns stands for) and each row
+    class's label `y`; `row`, `col` and `val`, the entries of each row
+    class's first row in class numbers and in the design's order, over which
+    `quotient_product` folds; and the fold of `quotient_t_product` (per
+    column class, over each class's first column, in row order).
+    """
+
+    def _set_classes(self, ds: Dataset, rows: np.ndarray, cols: np.ndarray) -> None:
+        """Make this the quotient of `ds` whose classes are named by their
+        first member: ``rows[i]`` for row i and ``cols[c]`` for column c."""
+        self.n, self.d = ds.n, ds.d
+        (self.row_class, row_reps), (self.col_class, col_reps) = _ranks(rows), _ranks(cols)
+        self.multiplicity, self.y = ds.multiplicity[col_reps], ds.y[row_reps]
+        fwd, tr = rows[ds.row] == ds.row, cols[ds.col] == ds.col
+        self._times_t = _Fold(self.col_class[ds.col[tr]], self.row_class[ds.row[tr]],
+                              ds.val[tr], col_reps.size)
+        self.row, self.col, self.val = (self.row_class[ds.row[fwd]], self.col_class[ds.col[fwd]],
+                                        ds.val[fwd])
+        self._times = _Fold(self.row, self.col, self.val, row_reps.size)
+        # Feature j's class; an all-zero column (-1) takes the appended 0.
+        self._gather = np.append(self.col_class, 0)[ds.columns], ds.columns >= 0
+
+    def expand(self, u: np.ndarray, features=slice(None)) -> np.ndarray:
+        """Full-length vector(s) from class values: feature j takes the value
+        of its column's class, and an all-zero column takes 0.  `features`
+        selects the features to return."""
+        index, kept = self._gather
+        if not self.multiplicity.size:  # no column to take from
+            u = np.zeros(np.shape(u)[:-1] + (1,))
+        return np.where(kept[features], np.take(u, index[features], axis=-1), 0.0)
+
+    def gram_solve(self, b: np.ndarray) -> np.ndarray:
+        """Solve ``X X^T c = b`` by conjugate gradients from ``c = 0``, with
+        ``X X^T = X_q diag(multiplicity) X_q^T`` and b and c per row class;
+        for a (P, row classes) stack, one solve per row.
+
+        Each step takes two quotient products and numpy sums (no BLAS) over
+        the n rows, expanded by `row_class`: the column quotient's bits on
+        every quotient.  A row stops once its residual is at most `CG_TOL`
+        times ``|b|``, after 2n steps, or on breakdown (no positive
+        curvature), and leaves the stack; every op is per row, so each row is
+        bit for bit its solo solve.  The iterates stay in the range of
+        ``X X^T``, so dependent rows need no special case.  Callers check the
+        residual.
+        """
+        r = np.array(b, dtype=np.float64).reshape(-1, self.y.size)
+        c = np.zeros(r.shape)
+        p, live = r.copy(), np.arange(len(r))  # live: the rows still running
+        rr = residual_loss(r.take(self.row_class, axis=-1))
+        stop = CG_TOL * CG_TOL * rr
+        for _ in range(2 * self.n):
+            keep = rr > stop
+            if not keep.all():
+                live, r, p, rr, stop = (v[keep] for v in (live, r, p, rr, stop))
+            if not live.size:
+                break
+            q = quotient_product(self, self.multiplicity * quotient_t_product(self, p))
+            curvature = np.add.reduce((p * q).take(self.row_class, axis=-1), axis=-1)
+            keep = curvature > 0.0
+            if not keep.all():
+                live, r, p, q, rr, stop, curvature = (
+                    v[keep] for v in (live, r, p, q, rr, stop, curvature))
+            a = (rr / curvature)[:, None]
+            c[live] += a * p
+            r -= a * q
+            rr, rr_old = residual_loss(r.take(self.row_class, axis=-1)), rr
+            p = r + (rr / rr_old)[:, None] * p
+        return c.reshape(np.shape(b))
+
+    def _span_projector(self, w: np.ndarray, xw: np.ndarray | None = None) -> np.ndarray:
+        """Projection ``X^T (X X^T)^+ X w`` of w, or of each row of an (R, d)
+        stack, onto the span of the rows; `xw`, if given, is ``X w`` per row class."""
+        xw = product(self, w) if xw is None else xw
+        if not np.all(np.isfinite(xw)):
+            raise ValueError("array must not contain infs or NaNs")
+        return self.expand(quotient_t_product(self, self.gram_solve(xw)))
+
+
+class Dataset(Quotient):
     """Design matrix plus labels, held as the design's column quotient.
 
     `rows` is the n-by-d design: n rows of 1-based ``(index, value)`` pairs.
     Duplicate pairs of one feature in a row are summed in the order given,
     and zeros are dropped.  Bit-identical columns are merged (columns equal
     only up to sign or scale stay apart) and all-zero columns are dropped.
-    What is kept:
-
-    * `row`, `col` and `val`, the entries of the n-by-q matrix ``X_q`` of the
-      distinct nonzero columns (numbered in the order of their first
-      feature), sorted by (row, col);
-    * `columns`, for each (0-based) feature, the index of its quotient
-      column, or -1 for an all-zero column;
-    * `multiplicity`, the number of features in each quotient column.
+    It is the `Quotient` with one class per row and per column, so `row`,
+    `col` and `val` are the entries of the n-by-q matrix ``X_q`` of the
+    distinct nonzero columns (numbered in the order of their first feature),
+    sorted by (row, col); it keeps `columns` too, for each (0-based) feature
+    the index of its quotient column, or -1 for an all-zero column.
 
     `p`/`seed` are present only for synthetic data; `rejections` counts
     redraws the generator needed before the positive class outnumbered the
@@ -187,10 +264,8 @@ class Dataset:
         kept = self.columns >= 0
         q = int(self.columns.max(initial=-1)) + 1
         self.multiplicity = np.bincount(self.columns[kept], minlength=q).astype(np.float64)
-        self._times = _Fold(self.row, self.col, self.val, n)
-        self._times_t = _Fold(self.col, self.row, self.val, q)
         self._group_sums = _Fold(self.columns[kept], np.flatnonzero(kept), None, q)
-        self._gather = np.where(kept, self.columns, 0), kept
+        self._set_classes(self, np.arange(n), np.arange(q))
 
     @property
     def n_pos(self) -> int:
@@ -224,85 +299,22 @@ class Dataset:
         stack: entry c sums w over the features of quotient column c."""
         return self._group_sums(w)
 
-    def expand(self, u: np.ndarray, features=slice(None)) -> np.ndarray:
-        """Full-length vector(s) from quotient ones: feature j takes
-        ``u[..., columns[j]]``, and an all-zero column takes 0.  `features`
-        selects the features to return."""
-        index, kept = self._gather
-        if not self.multiplicity.size:  # no column to take from
-            u = np.zeros(np.shape(u)[:-1] + (1,))
-        return np.where(kept[features], np.take(u, index[features], axis=-1), 0.0)
-
     @cached_property
     def orbits(self) -> Orbits:
         """The design's orbit quotient, built on first use."""
         return Orbits(self)
 
-    def gram_solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve ``X X^T c = b`` by conjugate gradients from ``c = 0``, with
-        ``X X^T = X_q diag(multiplicity) X_q^T``; for a (P, n) stack, one
-        solve per row.
 
-        Each step takes two quotient products and numpy sums (no BLAS).  A
-        row stops once its residual is at most `CG_TOL` times ``|b|``, after
-        2n steps, or on breakdown (no positive curvature), and leaves the
-        stack; every op is per row, so each row is bit for bit its solo
-        solve.  The iterates stay in the range of ``X X^T``, so dependent rows
-        need no special case.  Callers check the residual.
-        """
-        r = np.array(b, dtype=np.float64).reshape(-1, self.n)
-        c = np.zeros(r.shape)
-        p, live = r.copy(), np.arange(len(r))  # live: the rows still running
-        rr = np.add.reduce(r * r, axis=-1)
-        stop = CG_TOL * CG_TOL * rr
-        for _ in range(2 * self.n):
-            keep = rr > stop
-            if not keep.all():
-                live, r, p, rr, stop = (v[keep] for v in (live, r, p, rr, stop))
-            if not live.size:
-                break
-            q = quotient_product(self, self.multiplicity * quotient_t_product(self, p))
-            curvature = np.add.reduce(p * q, axis=-1)
-            keep = curvature > 0.0
-            if not keep.all():
-                live, r, p, q, rr, stop, curvature = (
-                    v[keep] for v in (live, r, p, q, rr, stop, curvature))
-            a = (rr / curvature)[:, None]
-            c[live] += a * p
-            r -= a * q
-            rr, rr_old = np.add.reduce(r * r, axis=-1), rr
-            p = r + (rr / rr_old)[:, None] * p
-        return c.reshape(np.shape(b))
-
-    def _span_projector(self, w: np.ndarray, xw: np.ndarray | None = None) -> np.ndarray:
-        """Projection ``X^T (X X^T)^+ X w`` of w, or of each row of an (R, d)
-        stack, onto the span of the rows; `xw`, if given, is ``X w``."""
-        xw = product(self, w) if xw is None else xw
-        if not np.all(np.isfinite(xw)):
-            raise ValueError("array must not contain infs or NaNs")
-        return self.expand(quotient_t_product(self, self.gram_solve(xw)))
-
-
-class Orbits:
-    """A dataset's orbit quotient: its rows and quotient columns in classes
-    whose members take the same bits at every step of every method, from a
-    zero start.
+class Orbits(Quotient):
+    """A dataset's orbit quotient: the classes of rows and of columns that
+    take the same bits at every step of every method, from a zero start.
 
     Rows share a class when their labels are equal and their entries list the
     same (value bits, column class) pairs in column order; columns, when their
     multiplicities are equal and their entries list the same (value bits, row
     class) pairs in row order.  Both are refined to a fixed point from the
-    labels and multiplicities (`_equal_segments`), so a class's rows add the
-    same terms in the same order, and so do its columns.  The synthetic design
-    has 2 row classes and 4 column classes; a design whose rows are all
-    distinct has one row a row class and one column a column class.  Classes
-    are numbered in the order of their first member.  Kept: each row's and
-    column's class, `row_class` and `col_class`; each column class's
-    `multiplicity` and each row class's label `y`; and the folds of
-    `quotient_product` (per row class, over each class's first row) and
-    `quotient_t_product` (per column class, over each class's first column,
-    in row order), which take an `Orbits` in place of a dataset, as
-    `expand` does.
+    labels and multiplicities (`_equal_segments`).  A design whose rows are
+    all distinct has one row a row class and one column a column class.
     """
 
     def __init__(self, ds: Dataset) -> None:
@@ -322,19 +334,7 @@ class Orbits:
             if np.array_equal(refined, rows):
                 break
             rows = refined
-        (self.row_class, row_reps), (self.col_class, col_reps) = _ranks(rows), _ranks(cols)
-        self.multiplicity, self.y = ds.multiplicity[col_reps], ds.y[row_reps]
-        fwd, tr = rows[ds.row] == ds.row, cols[ds.col] == ds.col
-        self._times = _Fold(self.row_class[ds.row[fwd]], self.col_class[ds.col[fwd]],
-                            ds.val[fwd], row_reps.size)
-        self._times_t = _Fold(self.col_class[ds.col[tr]], self.row_class[ds.row[tr]],
-                              ds.val[tr], col_reps.size)
-        # Feature j's class; an all-zero column (-1) takes the appended 0.
-        self._gather = np.append(self.col_class, 0)[ds.columns], ds.columns >= 0
-
-    #: Full-length vector(s) from class values: feature j takes the value of
-    #: its column's class, and an all-zero column takes 0.
-    expand = Dataset.expand
+        self._set_classes(ds, rows, cols)
 
 
 def _ranks(first_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -504,7 +504,7 @@ def generate_synthetic(n: int, p: float, seed: int) -> Dataset:
     )
 
 
-def _check_dim(ds: Dataset, w: np.ndarray, stack: bool = False) -> np.ndarray:
+def _check_dim(ds: Quotient, w: np.ndarray, stack: bool = False) -> np.ndarray:
     w = np.asarray(w, dtype=np.float64)
     if w.shape[-1:] != (ds.d,) or w.ndim > (2 if stack else 1):
         shapes = f"({ds.d},) or (R, {ds.d})" if stack else f"({ds.d},)"
@@ -512,9 +512,9 @@ def _check_dim(ds: Dataset, w: np.ndarray, stack: bool = False) -> np.ndarray:
     return w
 
 
-def quotient_product(ds: Dataset | Orbits, s: np.ndarray) -> np.ndarray:
-    """``X_q s`` for group sums s, shape (q,), or row by row for an (R, q) stack.
-    For `Orbits`, s holds class values and the product is per row class.
+def quotient_product(ds: Quotient, s: np.ndarray) -> np.ndarray:
+    """``X_q s`` per row class, for s per column class (the group sums of a
+    `Dataset`), or row by row for an (R, column classes) stack.
 
     Each row is bit for bit its solo product whatever R is; a stack comes
     back C-contiguous, so reductions over it take the single-vector path.
@@ -522,10 +522,10 @@ def quotient_product(ds: Dataset | Orbits, s: np.ndarray) -> np.ndarray:
     return ds._times(s)
 
 
-def quotient_t_product(ds: Dataset | Orbits, r: np.ndarray) -> np.ndarray:
-    """``X_q^T r`` for a vector r of shape (n,), or row by row for an (R, n)
-    stack (C-contiguous): entry c is ``(X^T r)_j`` for every feature j of
-    column c.  For `Orbits`, r is per row class and entry c per column class."""
+def quotient_t_product(ds: Quotient, r: np.ndarray) -> np.ndarray:
+    """``X_q^T r`` per column class, for r per row class, or row by row for
+    an (R, row classes) stack (C-contiguous): entry c is ``(X^T r)_j`` for
+    every feature j of column class c."""
     return ds._times_t(r)
 
 
@@ -546,9 +546,9 @@ def residual_loss(r: np.ndarray) -> np.ndarray:
     return np.add.reduce(r * r, axis=-1)
 
 
-def residual_gradient(ds: Dataset | Orbits, r: np.ndarray) -> np.ndarray:
+def residual_gradient(ds: Quotient, r: np.ndarray) -> np.ndarray:
     """``2 X_q^T r`` for a residual, or per row of a stack of them
-    (C-contiguous): entry c is the gradient of every feature of column c."""
+    (C-contiguous): entry c is the gradient of every feature of column class c."""
     g = quotient_t_product(ds, r)
     return np.multiply(2.0, g, out=g)
 
@@ -586,9 +586,10 @@ def margin(ds: Dataset, w: np.ndarray, xw: np.ndarray | None = None, norm=None):
         return float(worst / norm) if w.ndim == 1 else worst / norm
 
 
-def row_span_residual(ds: Dataset, w: np.ndarray, xw: np.ndarray | None = None):
+def row_span_residual(ds: Quotient, w: np.ndarray, xw: np.ndarray | None = None):
     """Distance from `w` to the span of the data rows (a float), or from each
-    row of an (R, d) stack (an array); `xw`, if given, is ``X w``."""
+    row of an (R, d) stack (an array); `xw`, if given, is ``X w`` per row
+    class of `ds` (a `Dataset` computes it if not)."""
     w = _check_dim(ds, w, stack=True)
     return l2_norm(w - ds._span_projector(w, xw))
 

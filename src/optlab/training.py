@@ -3,17 +3,14 @@
 The run loop advances a lockstep stack of R rows: one trajectory each, all
 with the same spec and policy and all starting at zero, but each with its own
 step size and dev labels.  It runs on the design's orbit quotient
-(`lsq.Orbits`): the state arrays have shape (R, C), one entry per column
-class, whose columns (identical columns among them) take the same bits under
-every method, while all-zero columns stay at zero; the residuals have one
-entry per row class.  On the synthetic design C is 4 and there are 2 row
-classes; a design whose rows are all distinct has one column a class, the
-column quotient.  The product is ``X_q diag(multiplicity) u`` over each row
-class's first row and the gradient ``2 X_q^T r`` over each column class's
-first column, in row order; the loss sums the n residuals, expanded from
+(`lsq.Orbits`, 4 column classes and 2 row classes on the synthetic design):
+the state arrays have shape (R, C), one entry per column class, while
+all-zero columns stay at zero, and the residuals have one entry per row
+class.  The product is ``X_q diag(multiplicity) u`` and the gradient
+``2 X_q^T r``, one fold each; the loss sums the n residuals, expanded from
 their classes.  Full-length vectors appear only at the edges (the results,
 the trace and the dev scores), through `Orbits.expand`, and the trace's
-diagnostics run on the column quotient.
+span residual solves its CG on the orbit quotient too.
 
 The engine, `step`, steps the stack once per iteration; a single run is a
 stack of one row.  A row that converges, or fails (non-finite loss or
@@ -68,8 +65,8 @@ DENSE_TRACE_LIMIT = 1000
 SPARSE_TRACE_EVERY = 10
 
 #: Floats per block of trace rows, whose diagnostics are computed together:
-#: each row counts its column-quotient iterate, its ``X w`` and its
-#: full-length iterate (q + n + d floats).
+#: each row counts q + n + d floats, its class values (at most q), its ``X w``
+#: expanded to rows and its full-length iterate.
 TRACE_BLOCK_FLOATS = 1 << 15
 
 
@@ -108,10 +105,10 @@ class RunResult:
 MAX_LABELS = 10**6
 
 #: The largest lockstep stack: rows times each row's quotient entries,
-#: features and dev labels.  Adam tune rounds of 4.8 * 10^7 units peaked at
-#: 1353 MiB (60 rows, n = 10^5) and 1384 MiB (30 rows, 2 * 10^5), about 27
-#: bytes per unit past the first rows; this bound admits the default
-#: `experiment` at n = 10^6 (5 rows, about 1.9 GB in all), not a sixth row.
+#: features and dev labels.  On the orbit loop adam tune rounds of 4.8 * 10^7
+#: units peak at 509 MiB (60 rows, n = 10^5) and 559 MiB (30 rows, 2 * 10^5),
+#: about 9 bytes per unit (27 on the column-quotient loop it was sized on);
+#: it admits the default `experiment` at n = 10^6 (5 rows), not a sixth row.
 MAX_STACK_SIZE = 45 * 10**6
 
 
@@ -146,14 +143,16 @@ def _append_trace_rows(ds: lsq.Dataset, pending: list) -> None:
 
     The block's diagnostics are one stacked call each of `lsq.l2_norm`,
     `lsq.linf_norm`, `lsq.margin` and `lsq.row_span_residual` on its (rows,
-    d) full-length iterates, given the products ``X w`` the loop made.
+    d) full-length iterates, given the products ``X w`` the loop made per row
+    class (the margin reads them per row: over the classes, a minimum could
+    pick -0.0 where the rows' minimum picks +0.0).
     """
     traces, iterations, alphas, losses, devs, u, xw = zip(*pending)
     orbits = ds.orbits
-    w, xw = orbits.expand(np.array(u)), np.array(xw).take(orbits.row_class, axis=-1)
-    norms = lsq.l2_norm(w)
-    diagnostics = (norms, lsq.linf_norm(w), lsq.margin(ds, w, xw, norms),
-                   lsq.row_span_residual(ds, w, xw))
+    w, xw = orbits.expand(np.array(u)), np.array(xw)
+    norms, xw_rows = lsq.l2_norm(w), xw.take(orbits.row_class, axis=-1)
+    diagnostics = (norms, lsq.linf_norm(w), lsq.margin(ds, w, xw_rows, norms),
+                   lsq.row_span_residual(orbits, w, xw))
     for trace, k, alpha, loss, dev, norm, linf, margin, resid in zip(
             traces, iterations, alphas, losses, devs, *(v.tolist() for v in diagnostics)):
         trace.append(TraceRow(k, float(alpha), float(loss), dev, norm, linf,

@@ -1,5 +1,6 @@
 """The run loop's orbit quotient (`lsq.Orbits`): its partition against the
-definition, and every run against the column-quotient reference, bit for bit."""
+definition, its CG and span residual against the column quotient's, and
+every run against the column-quotient reference, bit for bit."""
 
 import math
 from dataclasses import astuple
@@ -141,6 +142,43 @@ def test_random_partition_is_the_definitions(seed, collide):
     rows, cols = orbit_classes(ds)
     np.testing.assert_array_equal(orbits.row_class, rows)
     np.testing.assert_array_equal(orbits.col_class, cols)
+
+
+def assert_orbit_solves_equal_the_column_quotients(ds, orbits):
+    """On class-constant inputs the orbit quotient's CG and span residual give
+    the column quotient's bits: `gram_solve` of a stack of a zero row (no
+    step), the labels, class indicators and random rows, each stopping on its
+    own test, expanded by `row_class`; and `row_span_residual` given ``X w``
+    per row class, as the trace calls it, against the expanded ``X w``."""
+    rng = np.random.default_rng(ds.n)
+    rows, cols = orbits.y.size, orbits.multiplicity.size
+    b = np.vstack([np.zeros(rows), orbits.y, np.eye(rows)[:3], rng.standard_normal((2, rows))])
+    expanded = orbits.gram_solve(b).take(orbits.row_class, axis=-1)
+    assert expanded.tobytes() == ds.gram_solve(b.take(orbits.row_class, axis=-1)).tobytes()
+    u = np.vstack([np.zeros(cols), np.ones(cols), rng.standard_normal((2, cols))])
+    w, xw = orbits.expand(u), lsq.quotient_product(orbits, orbits.multiplicity * u)
+    assert lsq.row_span_residual(orbits, w, xw).tobytes() == lsq.row_span_residual(
+        ds, w, xw.take(orbits.row_class, axis=-1)).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(DESIGNS))
+@pytest.mark.parametrize("collide", [False, True])
+def test_orbit_solves_equal_the_column_quotients(name, collide, monkeypatch):
+    ds = DESIGNS[name]()
+    if collide:
+        monkeypatch.setattr(lsq, "_segment_keys", _colliding_keys)
+    assert_orbit_solves_equal_the_column_quotients(ds, lsq.Orbits(ds))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), collide=st.booleans())
+def test_random_orbit_solves_equal_the_column_quotients(seed, collide):
+    ds = orbit_design(seed)
+    with pytest.MonkeyPatch.context() as patch:
+        if collide:
+            patch.setattr(lsq, "_segment_keys", _colliding_keys)
+        orbits = lsq.Orbits(ds)
+    assert_orbit_solves_equal_the_column_quotients(ds, orbits)
 
 
 def bits(x):

@@ -296,14 +296,14 @@ def test_trace_blocks_count_the_full_length_iterates(monkeypatch):
     data = lsq.Dataset(n=4, d=d, rows=rows, y=np.array([1.0, -1.0, 1.0, 1.0]))
     assert data.multiplicity.size == 4
     shapes = []
-    expand = lsq.Dataset.expand
+    expand = lsq.Quotient.expand
 
     def recorded(self, u, *args):
         w = expand(self, u, *args)
         shapes.append(w.shape)
         return w
 
-    monkeypatch.setattr(lsq.Dataset, "expand", recorded)
+    monkeypatch.setattr(lsq.Quotient, "expand", recorded)
     (row,) = run_lockstep(data, sgd_spec(0.01), [0.01], 40)
     assert [t.iteration for t in row.trace] == list(range(41))
     assert all(len(shape) == 1 or shape[0] == 1
