@@ -21,7 +21,10 @@ cap); on a hand-built real-valued 6 x 9 design with a duplicate and an
 all-zero column, a traced, a diverging and a tuned run per method, plus its
 oracle; and on a hand-built 8 x 10 design whose rows fall into orbit classes
 of several rows (and two pairs of rows that must stay apart), a traced and a
-tuned run per method.
+tuned run per method, plus its oracle, which exits 2 (two equal rows have
+opposite labels, so the Gram solve's residual stays large, in digits that
+come from the CG's bits), and the oracle of a copy with those labels made
+equal, whose 8 rows fall into 5 classes.
 """
 
 from __future__ import annotations
@@ -71,6 +74,8 @@ ORBIT_DESIGN = (
     (0.0, 0.5, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
 )
 ORBIT_LABELS = (1, 1, 1, 1, -1, 1, 1, -1)
+# Row 5 relabelled +1: rows 4 and 5 join one class.
+ORBIT_JOINED_LABELS = (1, 1, 1, 1, 1, 1, 1, -1)
 
 
 def hand_document(design=HAND_DESIGN, labels=HAND_LABELS) -> dict:
@@ -128,6 +133,9 @@ def commands() -> list[list[str]]:
                      "--out", f"orbit/train/{method}"])
         cmds.append(["tune", *data, "--iters", "300", "--seeds", "2",
                      "--out", f"orbit/tune/{method}.json"])
+    for name in ("orbit", "orbit-joined"):
+        cmds.append(["oracle", "--dataset", f"{name}/dataset.json",
+                     "--out", f"{name}/oracle.json"])
     return cmds
 
 
@@ -151,7 +159,9 @@ def main(argv: list[str]) -> int:
     from optlab.cli import main as optlab_main
 
     for path, doc in (("hand/dataset.json", hand_document()),
-                      ("orbit/dataset.json", hand_document(ORBIT_DESIGN, ORBIT_LABELS))):
+                      ("orbit/dataset.json", hand_document(ORBIT_DESIGN, ORBIT_LABELS)),
+                      ("orbit-joined/dataset.json",
+                       hand_document(ORBIT_DESIGN, ORBIT_JOINED_LABELS))):
         Path(path).parent.mkdir()
         Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     seen = digests(root)

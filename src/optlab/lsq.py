@@ -3,21 +3,21 @@
 The training objective is the squared interpolation error ``||Xw - y||^2``
 over labels in {-1, +1}.  Rows arrive as sparse ``(index, value)`` pairs
 with 1-based feature indices (the generator emits values in {-1, +1}; hand-
-built designs may use any finite reals).  The design is held as two
-quotients (`Quotient`), rows and columns in classes: a `Dataset`, the column
-quotient ``X_q`` with ``X w = X_q S w`` where ``S w`` sums w over each group
-of identical columns, and its orbit quotient (`Dataset.orbits`), on which
-the run loop and the trace's span residual run.  Every product (and
-``S w``) is an `np.bincount` fold over entries: each output starts at 0.0
-and adds its terms one by one in entry order, so its bits depend on the
-design alone, never on BLAS or threads, and a class adds the same terms in
-the same order on either quotient.  The Gram system ``X X^T c = b`` is
-solved by conjugate gradients on a quotient, never formed.
+built designs may use any finite reals).  A `Dataset` holds the design as
+``X_q``, its distinct nonzero columns, with ``X w = X_q S w`` where ``S w``
+sums w over each group of identical columns.  The run loop, the trace and
+the oracles run on one quotient of it (a `Quotient`, rows and columns in
+classes), its orbit quotient `Dataset.orbits`.  Every product (and ``S w``)
+is an `np.bincount` fold over entries: each output starts at 0.0 and adds
+its terms one by one in entry order, so its bits depend on the design
+alone, never on BLAS or threads, and a class adds the same terms in the
+same order as each of its members.  The Gram system ``X X^T c = b`` is
+solved by conjugate gradients on the orbit quotient, never formed.
 
 Each reported quantity is computed here alone, for one weight vector or row
 by row for an (R, d) stack: `residual_loss`, `residual_gradient`, `l2_norm`,
-`linf_norm`, `margin`, `row_span_residual` (given ``X w`` if the caller has
-it) and the error on fresh labels, `error_rates`.
+`linf_norm`, `margin`, `row_span_residual` (given ``X w``) and the error on
+fresh labels, `error_rates`.
 
 The synthetic family is deliberately overparameterized (``d = 3 + 5n``):
 feature 1 equals the label, features 2 and 3 are constant one, and every
@@ -53,7 +53,6 @@ from .errors import DataGenerationError
 __all__ = [
     "Quotient",
     "Dataset",
-    "Orbits",
     "generate_synthetic",
     "synthetic_shape",
     "loss",
@@ -151,12 +150,13 @@ class Quotient:
     class's label `y`; `row`, `col` and `val`, the entries of each row
     class's first row in class numbers and in the design's order, over which
     `quotient_product` folds; and the fold of `quotient_t_product` (per
-    column class, over each class's first column, in row order).
+    column class, over each class's first column, in row order).  The one
+    quotient built here is a design's orbit quotient, `Dataset.orbits`.
     """
 
-    def _set_classes(self, ds: Dataset, rows: np.ndarray, cols: np.ndarray) -> None:
-        """Make this the quotient of `ds` whose classes are named by their
-        first member: ``rows[i]`` for row i and ``cols[c]`` for column c."""
+    def __init__(self, ds: Dataset, rows: np.ndarray, cols: np.ndarray) -> None:
+        """The quotient of `ds` whose classes are named by their first member:
+        ``rows[i]`` for row i and ``cols[c]`` for quotient column c."""
         self.n, self.d = ds.n, ds.d
         (self.row_class, row_reps), (self.col_class, col_reps) = _ranks(rows), _ranks(cols)
         self.multiplicity, self.y = ds.multiplicity[col_reps], ds.y[row_reps]
@@ -184,11 +184,11 @@ class Quotient:
         for a (P, row classes) stack, one solve per row.
 
         Each step takes two quotient products and numpy sums (no BLAS) over
-        the n rows, expanded by `row_class`: the column quotient's bits on
-        every quotient.  A row stops once its residual is at most `CG_TOL`
-        times ``|b|``, after 2n steps, or on breakdown (no positive
-        curvature), and leaves the stack; every op is per row, so each row is
-        bit for bit its solo solve.  The iterates stay in the range of
+        the n rows, expanded by `row_class`, so on class-constant b the bits
+        do not depend on the classes.  A row stops once its residual is at
+        most `CG_TOL` times ``|b|``, after 2n steps, or on breakdown (no
+        positive curvature), and leaves the stack; every op is per row, so
+        each row is bit for bit its solo solve.  The iterates stay in the range of
         ``X X^T``, so dependent rows need no special case.  Callers check the
         residual.
         """
@@ -216,27 +216,27 @@ class Quotient:
             p = r + (rr / rr_old)[:, None] * p
         return c.reshape(np.shape(b))
 
-    def _span_projector(self, w: np.ndarray, xw: np.ndarray | None = None) -> np.ndarray:
+    def _span_projector(self, w: np.ndarray, xw: np.ndarray) -> np.ndarray:
         """Projection ``X^T (X X^T)^+ X w`` of w, or of each row of an (R, d)
-        stack, onto the span of the rows; `xw`, if given, is ``X w`` per row class."""
-        xw = product(self, w) if xw is None else xw
+        stack, onto the span of the rows, given `xw`, ``X w`` per row class."""
         if not np.all(np.isfinite(xw)):
             raise ValueError("array must not contain infs or NaNs")
         return self.expand(quotient_t_product(self, self.gram_solve(xw)))
 
 
-class Dataset(Quotient):
-    """Design matrix plus labels, held as the design's column quotient.
+class Dataset:
+    """Design matrix plus labels, held as its distinct nonzero columns.
 
     `rows` is the n-by-d design: n rows of 1-based ``(index, value)`` pairs.
     Duplicate pairs of one feature in a row are summed in the order given,
     and zeros are dropped.  Bit-identical columns are merged (columns equal
     only up to sign or scale stay apart) and all-zero columns are dropped.
-    It is the `Quotient` with one class per row and per column, so `row`,
-    `col` and `val` are the entries of the n-by-q matrix ``X_q`` of the
-    distinct nonzero columns (numbered in the order of their first feature),
-    sorted by (row, col); it keeps `columns` too, for each (0-based) feature
-    the index of its quotient column, or -1 for an all-zero column.
+    `row`, `col` and `val` are the entries of the n-by-q matrix ``X_q`` of
+    the distinct nonzero columns (numbered in the order of their first
+    feature), sorted by (row, col), over which `product` folds;
+    `multiplicity` counts each quotient column's features and `columns` maps
+    each (0-based) feature to its quotient column, or -1 for an all-zero
+    column.  Every solve runs on its orbit quotient, `orbits`.
 
     `p`/`seed` are present only for synthetic data; `rejections` counts
     redraws the generator needed before the positive class outnumbered the
@@ -265,7 +265,7 @@ class Dataset(Quotient):
         q = int(self.columns.max(initial=-1)) + 1
         self.multiplicity = np.bincount(self.columns[kept], minlength=q).astype(np.float64)
         self._group_sums = _Fold(self.columns[kept], np.flatnonzero(kept), None, q)
-        self._set_classes(self, np.arange(n), np.arange(q))
+        self._times = _Fold(self.row, self.col, self.val, n)
 
     @property
     def n_pos(self) -> int:
@@ -294,20 +294,16 @@ class Dataset(Quotient):
         ptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=self.n))])
         return ptr, feature[order] + 1, np.repeat(np.arange(self.val.size), each)[order]
 
-    def reduce(self, w: np.ndarray) -> np.ndarray:
-        """Group sums ``S w`` of a full-length vector, or per row of an (R, d)
-        stack: entry c sums w over the features of quotient column c."""
-        return self._group_sums(w)
-
     @cached_property
-    def orbits(self) -> Orbits:
-        """The design's orbit quotient, built on first use."""
-        return Orbits(self)
+    def orbits(self) -> Quotient:
+        """The design's orbit quotient (`_orbit_partition`), built on first use."""
+        return Quotient(self, *_orbit_partition(self))
 
 
-class Orbits(Quotient):
-    """A dataset's orbit quotient: the classes of rows and of columns that
-    take the same bits at every step of every method, from a zero start.
+def _orbit_partition(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """The classes of rows and of quotient columns that take the same bits at
+    every step of every method, from a zero start, each named by its first
+    member (as `Quotient` takes them).
 
     Rows share a class when their labels are equal and their entries list the
     same (value bits, column class) pairs in column order; columns, when their
@@ -316,25 +312,22 @@ class Orbits(Quotient):
     labels and multiplicities (`_equal_segments`).  A design whose rows are
     all distinct has one row a row class and one column a column class.
     """
-
-    def __init__(self, ds: Dataset) -> None:
-        bits, n, q = ds.val.view(np.uint64), ds.n, ds.multiplicity.size
-        order = np.argsort(ds.col, kind="stable")  # column-major, rows ascending in each
-        col_rows, col_bits = ds.row[order], bits[order]
-        row_ptr = np.searchsorted(ds.row, np.arange(n + 1))
-        col_ptr = np.searchsorted(ds.col[order], np.arange(q + 1))
-        # Each class is named by its first member; refine until neither side splits.
-        cols = _first_of(ds.multiplicity)
-        rows = _equal_segments(row_ptr, cols[ds.col], bits, _first_of(ds.y))
-        while True:
-            refined = _equal_segments(col_ptr, rows[col_rows], col_bits, cols)
-            if np.array_equal(refined, cols):
-                break
-            cols, refined = refined, _equal_segments(row_ptr, refined[ds.col], bits, rows)
-            if np.array_equal(refined, rows):
-                break
-            rows = refined
-        self._set_classes(ds, rows, cols)
+    bits, n, q = ds.val.view(np.uint64), ds.n, ds.multiplicity.size
+    order = np.argsort(ds.col, kind="stable")  # column-major, rows ascending in each
+    col_rows, col_bits = ds.row[order], bits[order]
+    row_ptr = np.searchsorted(ds.row, np.arange(n + 1))
+    col_ptr = np.searchsorted(ds.col[order], np.arange(q + 1))
+    # Refine until neither side splits.
+    cols = _first_of(ds.multiplicity)
+    rows = _equal_segments(row_ptr, cols[ds.col], bits, _first_of(ds.y))
+    while True:
+        refined = _equal_segments(col_ptr, rows[col_rows], col_bits, cols)
+        if np.array_equal(refined, cols):
+            return rows, cols
+        cols, refined = refined, _equal_segments(row_ptr, refined[ds.col], bits, rows)
+        if np.array_equal(refined, rows):
+            return rows, cols
+        rows = refined
 
 
 def _ranks(first_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -513,8 +506,8 @@ def _check_dim(ds: Quotient, w: np.ndarray, stack: bool = False) -> np.ndarray:
 
 
 def quotient_product(ds: Quotient, s: np.ndarray) -> np.ndarray:
-    """``X_q s`` per row class, for s per column class (the group sums of a
-    `Dataset`), or row by row for an (R, column classes) stack.
+    """``X_q s`` per row class, for s per column class, or row by row for an
+    (R, column classes) stack.
 
     Each row is bit for bit its solo product whatever R is; a stack comes
     back C-contiguous, so reductions over it take the single-vector path.
@@ -531,8 +524,9 @@ def quotient_t_product(ds: Quotient, r: np.ndarray) -> np.ndarray:
 
 def product(ds: Dataset, w: np.ndarray) -> np.ndarray:
     """``Xw = X_q S w`` for a full-length weight vector, or row by row for an
-    (R, d) stack."""
-    return quotient_product(ds, ds.reduce(w))
+    (R, d) stack, where ``S w`` sums w over each quotient column's features
+    (each row bit for bit its solo product)."""
+    return ds._times(ds._group_sums(w))
 
 
 def residual(ds: Dataset, w: np.ndarray) -> np.ndarray:
@@ -586,10 +580,10 @@ def margin(ds: Dataset, w: np.ndarray, xw: np.ndarray | None = None, norm=None):
         return float(worst / norm) if w.ndim == 1 else worst / norm
 
 
-def row_span_residual(ds: Quotient, w: np.ndarray, xw: np.ndarray | None = None):
+def row_span_residual(ds: Quotient, w: np.ndarray, xw: np.ndarray):
     """Distance from `w` to the span of the data rows (a float), or from each
-    row of an (R, d) stack (an array); `xw`, if given, is ``X w`` per row
-    class of `ds` (a `Dataset` computes it if not)."""
+    row of an (R, d) stack (an array), given `xw`, ``X w`` per row class of
+    `ds`."""
     w = _check_dim(ds, w, stack=True)
     return l2_norm(w - ds._span_projector(w, xw))
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LemmaPreconditionError, SingularKernelError
-from .lsq import Dataset, l2_norm, quotient_product, quotient_t_product, residual
+from .lsq import Dataset, Quotient, l2_norm, quotient_product, quotient_t_product, residual
 
 __all__ = [
     "sign_solution",
@@ -54,9 +54,9 @@ class OracleSolution:
     alpha_minus: float | None = None
 
 
-def _sign_scale(ds: Dataset, u: np.ndarray) -> float | None:
+def _sign_scale(orbits: Quotient, u: np.ndarray) -> float | None:
     """Scalar c with ``X sign(X^T y) = c y`` exactly, if one exists, given
-    ``u = X_q^T y``, one entry per quotient column.
+    ``u = X_q^T y`` on the orbit quotient, one entry per column class.
 
     Returns None when any nonzero column of X has a zero label correlation,
     when the row sums disagree, or when they disagree in sign with y.
@@ -64,8 +64,8 @@ def _sign_scale(ds: Dataset, u: np.ndarray) -> float | None:
     """
     if np.any(u == 0.0):
         return None
-    v = quotient_product(ds, ds.multiplicity * np.sign(u))
-    cs = v * ds.y
+    v = quotient_product(orbits, orbits.multiplicity * np.sign(u))
+    cs = v * orbits.y
     c = float(cs[0])
     if c <= 0.0 or np.any(cs != c):
         return None
@@ -73,29 +73,34 @@ def _sign_scale(ds: Dataset, u: np.ndarray) -> float | None:
 
 
 def sign_solution(ds: Dataset) -> OracleSolution:
-    """The interpolating constant-magnitude solution ``(1/c) sign(X^T y)``."""
-    u = quotient_t_product(ds, ds.y)  # X^T y, computed once for the check and w
-    c = _sign_scale(ds, u)
+    """The interpolating constant-magnitude solution ``(1/c) sign(X^T y)``,
+    on the orbit quotient."""
+    orbits = ds.orbits
+    u = quotient_t_product(orbits, orbits.y)  # X^T y, computed once for the check and w
+    c = _sign_scale(orbits, u)
     if c is None:
         raise LemmaPreconditionError(
             "no scalar c with X sign(X^T y) = c y; sign solution undefined"
         )
     tau = 1.0 / c
-    w = tau * np.sign(ds.expand(u))
+    w = tau * np.sign(orbits.expand(u))
     return OracleSolution(kind="sign", w=w, c=c, tau=tau)
 
 
 def min_norm_solution(ds: Dataset) -> OracleSolution:
-    """The least-L2-norm interpolant ``X^T (XX^T)^{-1} y``; raises
-    `SingularKernelError` when ``Xw = y`` has none (the residual stays large)."""
-    coef = ds.gram_solve(ds.y)
-    w = ds.expand(quotient_t_product(ds, coef))
+    """The least-L2-norm interpolant ``X^T (XX^T)^{-1} y``, solved on the
+    orbit quotient; raises `SingularKernelError` when ``Xw = y`` has none
+    (the residual stays large).  `alpha_plus` and `alpha_minus` are the
+    means of the coefficients over the rows of each label."""
+    orbits = ds.orbits
+    coef = orbits.gram_solve(orbits.y)
+    w = orbits.expand(quotient_t_product(orbits, coef))
     resid = l2_norm(residual(ds, w))
     if not np.all(np.isfinite(coef)) or resid > 1e-8 * np.sqrt(ds.n):
         raise SingularKernelError(f"Gram solve residual {resid:.3e} too large")
     a_plus = a_minus = None
     if ds.p is not None:
-        pos, neg = ds.y > 0, ds.y < 0
+        coef, pos, neg = coef.take(orbits.row_class), ds.y > 0, ds.y < 0
         if pos.any():
             a_plus = float(np.mean(coef[pos]))
         if neg.any():

@@ -3,14 +3,15 @@
 The run loop advances a lockstep stack of R rows: one trajectory each, all
 with the same spec and policy and all starting at zero, but each with its own
 step size and dev labels.  It runs on the design's orbit quotient
-(`lsq.Orbits`, 4 column classes and 2 row classes on the synthetic design):
-the state arrays have shape (R, C), one entry per column class, while
-all-zero columns stay at zero, and the residuals have one entry per row
-class.  The product is ``X_q diag(multiplicity) u`` and the gradient
-``2 X_q^T r``, one fold each; the loss sums the n residuals, expanded from
-their classes.  Full-length vectors appear only at the edges (the results,
-the trace and the dev scores), through `Orbits.expand`, and the trace's
-span residual solves its CG on the orbit quotient too.
+(`lsq.Dataset.orbits`, a `lsq.Quotient` of 4 column classes and 2 row
+classes on the synthetic design): the state arrays have shape (R, C), one
+entry per column class, while all-zero columns stay at zero, and the
+residuals have one entry per row class.  The product is
+``X_q diag(multiplicity) u`` and the gradient ``2 X_q^T r``, one fold each;
+the loss sums the n residuals, expanded from their classes.  Full-length
+vectors appear only at the edges (the results, the trace and the dev
+scores), through `lsq.Quotient.expand`, and the trace's span residual
+solves its CG on the orbit quotient too.
 
 The engine, `step`, steps the stack once per iteration; a single run is a
 stack of one row.  A row that converges, or fails (non-finite loss or

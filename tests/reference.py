@@ -3,10 +3,12 @@
 Each one is written from the dense design or from the definitions, not from
 the code paths it checks: the dense matrices, the design's rows in the file
 format, the scores of fresh points, the paper's lemma that adaptive methods
-started at zero stay on the line ``lambda_k * sign(X^T y)``, and one run on
-the column quotient, the run loop's form before its orbit quotient.
+started at zero stay on the line ``lambda_k * sign(X^T y)``, and the column
+quotient, the form of the run loop and the oracles before the orbit quotient,
+with one run on it.
 """
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -15,6 +17,33 @@ import numpy as np
 from optlab import lsq, training
 from optlab.errors import LemmaPreconditionError
 from optlab.optim import init_state, step
+
+
+def column_quotient(ds):
+    """The design's column quotient: the `lsq.Quotient` with one class per
+    row and per quotient column."""
+    return lsq.Quotient(ds, np.arange(ds.n), np.arange(ds.multiplicity.size))
+
+
+def gradient(ds, w):
+    """The full-length gradient ``2 X^T (X w - y)`` at `w`, on the column
+    quotient."""
+    cq = column_quotient(ds)
+    return cq.expand(lsq.residual_gradient(cq, lsq.residual(ds, w)))
+
+
+def span_residual(ds, w):
+    """`lsq.row_span_residual` of `w`, or of each row of an (R, d) stack, on
+    the column quotient, given ``X w`` from `lsq.product`."""
+    return lsq.row_span_residual(column_quotient(ds), w, lsq.product(ds, w))
+
+
+def on_column_quotient(ds):
+    """A copy of `ds` whose `orbits` is its column quotient, so that the code
+    that reads ``ds.orbits`` (the run loop and the oracles) runs on that."""
+    ref = copy.copy(ds)
+    vars(ref)["orbits"] = column_quotient(ds)
+    return ref
 
 
 def dense_quotient(ds):
@@ -26,7 +55,7 @@ def dense_quotient(ds):
 
 def dense(ds):
     """The n-by-d design, expanded to dense from its column quotient."""
-    return ds.expand(dense_quotient(ds))
+    return column_quotient(ds).expand(dense_quotient(ds))
 
 
 def dense_gram(ds):
@@ -92,7 +121,8 @@ def verify_lemma_trajectory(iterates, ds) -> LemmaTrace:
     if np.any(first != 0.0):
         raise LemmaPreconditionError("trajectory must start at the zero vector")
 
-    u = ds.expand(lsq.quotient_t_product(ds, ds.y))
+    cq = column_quotient(ds)
+    u = cq.expand(lsq.quotient_t_product(cq, cq.y))
     support = u != 0.0
     if not support.any():
         raise LemmaPreconditionError("X^T y vanishes everywhere")
@@ -120,21 +150,22 @@ def quotient_run(ds, spec, alpha, iters, *, dev_labels=None, stop_loss=None,
     the column quotient: a (q,) state stepped by `step`, the products
     ``X_q diag(multiplicity) u`` and ``2 X_q^T r`` over all n rows, and each
     trace row's diagnostics from the standalone `lsq` calls."""
+    cq = column_quotient(ds)
     counts = None if dev_labels is None else lsq.label_counts([dev_labels])
     state = init_state(spec, np.zeros(ds.multiplicity.size))
     result = training.RunResult("ok", False, None, math.nan, 0, [])
     best, epoch_of_best, k = math.inf, 0, 0
 
     def residual_at(v):
-        xw = lsq.quotient_product(ds, ds.multiplicity * v)
-        return xw, xw - ds.y
+        xw = lsq.quotient_product(cq, cq.multiplicity * v)
+        return xw, xw - cq.y
 
     def grad_at(v):
-        return lsq.residual_gradient(ds, resid if v is state.w else residual_at(v)[1])
+        return lsq.residual_gradient(cq, resid if v is state.w else residual_at(v)[1])
 
     def finish(status="ok", converged=False, failure=None):
         result.status, result.converged, result.failure = status, converged, failure
-        result.w, result.final_loss, result.iterations = ds.expand(state.w), float(loss), k
+        result.w, result.final_loss, result.iterations = cq.expand(state.w), float(loss), k
         if counts is not None:
             result.best_dev, result.epoch_of_best = best, epoch_of_best
         return result
@@ -147,7 +178,7 @@ def quotient_run(ds, spec, alpha, iters, *, dev_labels=None, stop_loss=None,
                 return finish("diverged", failure=f"non-finite loss at iteration {k}")
             dev = math.nan
             if counts is not None:
-                [dev] = lsq.error_rates(ds.expand(state.w)[None], counts)
+                [dev] = lsq.error_rates(cq.expand(state.w)[None], counts)
                 if dev < best:
                     best, epoch_of_best = dev, k
             converged = stop_loss is not None and loss <= stop_loss
@@ -155,12 +186,12 @@ def quotient_run(ds, spec, alpha, iters, *, dev_labels=None, stop_loss=None,
                        else k <= training.DENSE_TRACE_LIMIT
                        or k % training.SPARSE_TRACE_EVERY == 0)
             if k == iters or cadence or converged:
-                w = ds.expand(state.w)
+                w = cq.expand(state.w)
                 norm = lsq.l2_norm(w)
                 result.trace.append(training.TraceRow(
                     k, float(alpha), float(loss), dev, norm, lsq.linf_norm(w),
                     lsq.margin(ds, w, xw, norm) if norm > 0.0 else math.nan,
-                    lsq.row_span_residual(ds, w, xw)))
+                    lsq.row_span_residual(cq, w, xw)))
             if k == iters or converged:
                 return finish(converged=converged)
             new = step(state, spec, grad_at, alpha)

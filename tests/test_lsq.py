@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from optlab import lsq, oracle
 from optlab.errors import DataGenerationError
-from reference import dense, dense_quotient, design_rows, test_scores
+from reference import (column_quotient, dense, dense_quotient, design_rows, gradient,
+                       span_residual, test_scores)
 
 
 def toy_dataset(rows, y, d):
@@ -93,7 +94,8 @@ def test_generator_template_invariants(n, p_milli, seed):
 
 def test_label_correlation_structure():
     ds = lsq.generate_synthetic(12, 0.75, seed=5)
-    u = ds.expand(lsq.quotient_t_product(ds, ds.y))
+    cq = column_quotient(ds)
+    u = cq.expand(lsq.quotient_t_product(cq, cq.y))
     b = ds.label_sum
     assert u[0] == ds.n
     assert u[1] == b and u[2] == b
@@ -131,11 +133,10 @@ def test_min_norm_is_interpolating():
 
 def test_gradient_at_zero_and_at_interpolant():
     ds = lsq.generate_synthetic(6, 0.75, seed=3)
-    u = ds.expand(lsq.quotient_t_product(ds, ds.y))
-    g = ds.expand(lsq.residual_gradient(ds, lsq.residual(ds, np.zeros(ds.d))))
-    np.testing.assert_array_equal(g, -2.0 * u)
-    w = oracle.min_norm_solution(ds).w
-    g = ds.expand(lsq.residual_gradient(ds, lsq.residual(ds, w)))
+    cq = column_quotient(ds)
+    u = cq.expand(lsq.quotient_t_product(cq, cq.y))
+    np.testing.assert_array_equal(gradient(ds, np.zeros(ds.d)), -2.0 * u)
+    g = gradient(ds, oracle.min_norm_solution(ds).w)
     assert np.max(np.abs(g)) < 1e-12
 
 
@@ -149,7 +150,7 @@ def test_gradient_matches_central_differences():
         rows.append(tuple((int(j) + 1, float(rng.standard_normal())) for j in idx))
     ds = toy_dataset(rows, np.where(rng.random(5) < 0.5, 1.0, -1.0), d=10)
     w = rng.standard_normal(10)
-    g = ds.expand(lsq.residual_gradient(ds, lsq.residual(ds, w)))
+    g = gradient(ds, w)
     h = 0.5
     fd = np.empty(10)
     for j in range(10):
@@ -163,9 +164,8 @@ def test_gradient_lies_in_row_span():
     ds = lsq.generate_synthetic(7, 0.75, seed=9)
     rng = np.random.default_rng(1)
     for _ in range(5):
-        w = rng.standard_normal(ds.d)
-        g = ds.expand(lsq.residual_gradient(ds, lsq.residual(ds, w)))
-        assert lsq.row_span_residual(ds, g) <= 1e-10 * (1 + np.linalg.norm(g))
+        g = gradient(ds, rng.standard_normal(ds.d))
+        assert span_residual(ds, g) <= 1e-10 * (1 + np.linalg.norm(g))
 
 
 @settings(max_examples=25, deadline=None)
@@ -174,7 +174,7 @@ def test_small_gradient_step_decreases_loss(seed):
     rng = np.random.default_rng(seed)
     ds = lsq.generate_synthetic(5, 0.75, seed=seed % 17)
     w = rng.standard_normal(ds.d)
-    g = ds.expand(lsq.residual_gradient(ds, lsq.residual(ds, w)))
+    g = gradient(ds, w)
     if np.linalg.norm(g) < 1e-9:
         return
     lipschitz = 2.0 * np.linalg.norm(dense(ds), 2) ** 2
@@ -197,12 +197,12 @@ def test_stacked_products_do_not_depend_on_stack_size(n, seed, heights):
     # only ever sees single vectors.  The stacked diagnostics (norms, margins
     # from the stack's products, span residuals) must equal their solo calls.
     ds = lsq.generate_synthetic(n, 0.75, seed)
-    solo = lsq.generate_synthetic(n, 0.75, seed)
+    cq, solo = column_quotient(ds), column_quotient(lsq.generate_synthetic(n, 0.75, seed))
     q = ds.multiplicity.size
     rng = np.random.default_rng(seed)
     for height in heights:
         s, r = rng.standard_normal((height, q)), rng.standard_normal((height, n))
-        forward, transposed = lsq.quotient_product(ds, s), lsq.quotient_t_product(ds, r)
+        forward, transposed = lsq.quotient_product(cq, s), lsq.quotient_t_product(cq, r)
         assert forward.shape == (height, n) and transposed.shape == (height, q)
         for i in range(height):
             assert forward[i].tobytes() == lsq.quotient_product(solo, s[i]).tobytes()
@@ -211,25 +211,24 @@ def test_stacked_products_do_not_depend_on_stack_size(n, seed, heights):
     W = rng.standard_normal((8, ds.d)) * 10.0
     for size in (1, 2, 5, 8):
         resid = lsq.residual(ds, W[:size])
-        grads = lsq.residual_gradient(ds, resid)
+        grads = lsq.residual_gradient(cq, resid)
         losses = lsq.residual_loss(resid)
         xw = lsq.product(ds, W[:size])
         norms, largest = lsq.l2_norm(W[:size]), lsq.linf_norm(W[:size])
         margins = lsq.margin(ds, W[:size], xw, norms)
-        spans = lsq.row_span_residual(ds, W[:size], xw)
+        spans = lsq.row_span_residual(cq, W[:size], xw)
         for i in range(size):
             r = lsq.residual(ds, W[i])
             assert xw[i].tobytes() == lsq.product(ds, W[i]).tobytes()
             assert (norms[i], largest[i]) == (lsq.l2_norm(W[i]), lsq.linf_norm(W[i]))
-            assert (margins[i], spans[i]) == (lsq.margin(ds, W[i]),
-                                              lsq.row_span_residual(ds, W[i]))
+            assert (margins[i], spans[i]) == (lsq.margin(ds, W[i]), span_residual(ds, W[i]))
             assert resid[i].tobytes() == r.tobytes()
-            assert grads[i].tobytes() == lsq.residual_gradient(ds, r).tobytes()
+            assert grads[i].tobytes() == lsq.residual_gradient(cq, r).tobytes()
             assert float(losses[i]) == float(lsq.residual_loss(r))
             ref = X @ W[i] - ds.y
             g_ref = 2.0 * (ref @ X)
             assert np.max(np.abs(r - ref)) <= 1e-12 * np.max(np.abs(ref))
-            assert np.max(np.abs(ds.expand(grads[i]) - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
+            assert np.max(np.abs(cq.expand(grads[i]) - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
     # A zero row of a stack has no margin (NaN); alone, it raises.
     margins = lsq.margin(ds, np.vstack([W[0], np.zeros(ds.d)]))
     assert margins[0] == lsq.margin(ds, W[0]) and np.isnan(margins[1])
@@ -263,14 +262,16 @@ def test_gram_solve_and_projector_match_dense_solves(n, seed, synthetic):
     b = ds.y if synthetic else X @ w
     ref = (np.linalg.solve(gram, b) if synthetic
            else np.linalg.lstsq(gram, b, rcond=None)[0])
-    c = ds.gram_solve(b)
+    cq = column_quotient(ds)
+    c = cq.gram_solve(b)
     assert np.linalg.norm(X.T @ c - X.T @ ref) <= 1e-10 * np.linalg.norm(X.T @ ref)
     assert np.linalg.norm(gram @ c - b) <= 1e-10 * np.linalg.norm(b)
     if synthetic:
         assert np.linalg.norm(c - ref) <= 1e-10 * np.linalg.norm(ref)
     # The projector against the dense least-squares projection onto the rows.
     proj = X.T @ np.linalg.lstsq(X.T, w, rcond=None)[0]
-    assert np.linalg.norm(ds._span_projector(w) - proj) <= 1e-10 * np.linalg.norm(w)
+    projected = cq._span_projector(w, lsq.product(ds, w))
+    assert np.linalg.norm(projected - proj) <= 1e-10 * np.linalg.norm(w)
 
 
 @settings(max_examples=15, deadline=None)
@@ -289,11 +290,11 @@ def test_stacked_gram_solve_equals_solo_solves(n, seed, synthetic, kinds):
     make = {"y": lambda: ds.y, "range": lambda: lsq.product(ds, rng.standard_normal(ds.d)),
             "random": lambda: rng.standard_normal(ds.n), "zero": lambda: np.zeros(ds.n),
             "small": lambda: 1e-100 * rng.standard_normal(ds.n)}
-    b = np.array([make[kind]() for kind in kinds])
-    c = ds.gram_solve(b)
+    b, cq = np.array([make[kind]() for kind in kinds]), column_quotient(ds)
+    c = cq.gram_solve(b)
     assert c.shape == b.shape
     for row, c_row in zip(b, c):
-        assert c_row.tobytes() == ds.gram_solve(row).tobytes()
+        assert c_row.tobytes() == cq.gram_solve(row).tobytes()
 
 
 def _grouped_design(n: int, seed: int):
@@ -333,7 +334,7 @@ def test_quotient_merges_exactly_the_identical_columns(n, seed, collide):
         ds = lsq.Dataset(n=n, d=x.shape[1], rows=rows, y=np.ones(n))
     xq = dense_quotient(ds)
     q = xq.shape[1]
-    assert np.array_equal(ds.expand(xq), x)
+    assert np.array_equal(column_quotient(ds).expand(xq), x)
     assert np.all(np.diff(ds.row * q + ds.col) > 0)  # sorted by (row, col), no duplicates
     assert np.all(xq.any(axis=0))
     assert len({c.tobytes() for c in xq.T}) == q
@@ -386,12 +387,12 @@ def test_products_are_sequential_folds_bit_for_bit(n, seed, height):
     x, rows = _real_design(n, seed)
     ds = lsq.Dataset(n=n, d=x.shape[1], rows=rows, y=np.ones(n))
     q = ds.multiplicity.size
-    kept = np.flatnonzero(ds.columns >= 0)
+    kept, cq = np.flatnonzero(ds.columns >= 0), column_quotient(ds)
     rng = np.random.default_rng(seed)
     cases = [
-        (lambda v: lsq.quotient_product(ds, v), ds.row, ds.col, ds.val, q, n),
-        (lambda v: lsq.quotient_t_product(ds, v), ds.col, ds.row, ds.val, n, q),
-        (ds.reduce, ds.columns[kept], kept, np.ones(kept.size), ds.d, q),
+        (ds._times, ds.row, ds.col, ds.val, q, n),
+        (lambda v: lsq.quotient_t_product(cq, v), ds.col, ds.row, ds.val, n, q),
+        (ds._group_sums, ds.columns[kept], kept, np.ones(kept.size), ds.d, q),
     ]
     for fold, bins, take, weight, width, size in cases:
         stack = rng.standard_normal((height, width))
@@ -497,13 +498,13 @@ def test_row_span_residual_cases():
     ds = lsq.generate_synthetic(6, 0.75, seed=11)
     rng = np.random.default_rng(3)
     in_span = dense(ds).T @ rng.standard_normal(ds.n)
-    assert lsq.row_span_residual(ds, in_span) <= 1e-10
+    assert span_residual(ds, in_span) <= 1e-10
     # a coordinate no example touches is orthogonal to the span
     touched = {j for row in design_rows(ds) for j, _ in row}
     free = next(j for j in range(1, ds.d + 1) if j not in touched)
     e = np.zeros(ds.d)
     e[free - 1] = 1.0
-    assert lsq.row_span_residual(ds, e) == pytest.approx(1.0, abs=1e-12)
+    assert span_residual(ds, e) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -512,7 +513,7 @@ def test_row_span_residual_rejects_non_finite(bad):
     w = np.zeros(ds.d)
     w[0] = bad
     with pytest.raises(ValueError, match="infs or NaNs"):
-        lsq.row_span_residual(ds, w)
+        span_residual(ds, w)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from optlab import lsq, oracle
 from optlab.errors import LemmaPreconditionError, SingularKernelError
 from optlab.optim import MethodKind, OptimizerSpec
-from reference import dense_gram, test_scores, verify_lemma_trajectory
+from reference import column_quotient, dense_gram, test_scores, verify_lemma_trajectory
 
 UPSTREAM_ALPHA_NOTE = (
     "published closed form solves a reduced system whose negative-class "
@@ -76,7 +76,8 @@ def test_sign_solution_on_synthetic_data():
     assert set(np.unique(sol.w)) <= {-0.25, 0.0, 0.25}
     assert lsq.loss(ds, sol.w) == 0.0
     # every nonzero component matches the sign of the label correlation
-    u = ds.expand(lsq.quotient_t_product(ds, ds.y))
+    cq = column_quotient(ds)
+    u = cq.expand(lsq.quotient_t_product(cq, cq.y))
     nz = sol.w != 0
     np.testing.assert_array_equal(np.sign(sol.w[nz]), np.sign(u[nz]))
 
@@ -297,10 +298,10 @@ def test_min_norm_maximizes_margin_over_perturbations():
     ds = lsq.generate_synthetic(10, 0.75, seed=21)
     w_mn = oracle.min_norm_solution(ds).w
     base = lsq.margin(ds, w_mn)
-    rng = np.random.default_rng(0)
+    rng, cq = np.random.default_rng(0), column_quotient(ds)
     for _ in range(25):
         v = rng.standard_normal(ds.d)
-        v_null = v - ds._span_projector(v)
+        v_null = v - cq._span_projector(v, lsq.product(ds, v))
         cand = w_mn + 0.5 * v_null
         assert lsq.loss(ds, cand) < 1e-16
         assert base >= lsq.margin(ds, cand) - 1e-12

@@ -1,6 +1,7 @@
-"""The run loop's orbit quotient (`lsq.Orbits`): its partition against the
-definition, its CG and span residual against the column quotient's, and
-every run against the column-quotient reference, bit for bit."""
+"""The design's orbit quotient (`lsq.Dataset.orbits`): its partition against
+the definition, its CG, span residual and oracles against the column
+quotient's, and every run against the column-quotient reference, bit for
+bit."""
 
 import math
 from dataclasses import astuple
@@ -10,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optlab import lsq
+from optlab import lsq, oracle
+from optlab.errors import LemmaPreconditionError, SingularKernelError
 from optlab.optim import MethodKind, OptimizerSpec
 from optlab.training import run_lockstep
-from reference import orbit_classes, quotient_run
+from reference import column_quotient, on_column_quotient, orbit_classes, quotient_run
 
 
 def dataset(x, y, extra=None):
@@ -125,7 +127,7 @@ def test_partition_is_the_definitions(name, collide, monkeypatch):
     ds = DESIGNS[name]()
     if collide:
         monkeypatch.setattr(lsq, "_segment_keys", _colliding_keys)
-    orbits = lsq.Orbits(ds)
+    orbits = ds.orbits
     rows, cols = orbit_classes(ds)
     np.testing.assert_array_equal(orbits.row_class, rows)
     np.testing.assert_array_equal(orbits.col_class, cols)
@@ -138,27 +140,46 @@ def test_random_partition_is_the_definitions(seed, collide):
     keys = _colliding_keys if collide else lsq._segment_keys
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lsq, "_segment_keys", keys)
-        orbits = lsq.Orbits(ds)
+        orbits = ds.orbits
     rows, cols = orbit_classes(ds)
     np.testing.assert_array_equal(orbits.row_class, rows)
     np.testing.assert_array_equal(orbits.col_class, cols)
 
 
-def assert_orbit_solves_equal_the_column_quotients(ds, orbits):
+def oracle_results(ds):
+    """Each oracle's result on `ds`, its fields as bytes (the sign solution's
+    c and w, the minimum-norm w, alpha_plus and alpha_minus), or its error."""
+    results = []
+    for solve in (oracle.sign_solution, oracle.min_norm_solution):
+        try:
+            sol = solve(ds)
+        except (LemmaPreconditionError, SingularKernelError) as exc:
+            results.append(repr(exc))
+        else:
+            results.append([v if v is None or isinstance(v, str) else np.asarray(v).tobytes()
+                            for v in vars(sol).values()])
+    return results
+
+
+def assert_orbit_solves_equal_the_column_quotients(ds):
     """On class-constant inputs the orbit quotient's CG and span residual give
     the column quotient's bits: `gram_solve` of a stack of a zero row (no
     step), the labels, class indicators and random rows, each stopping on its
     own test, expanded by `row_class`; and `row_span_residual` given ``X w``
-    per row class, as the trace calls it, against the expanded ``X w``."""
-    rng = np.random.default_rng(ds.n)
+    per row class, as the trace calls it, against the expanded ``X w``.  So do
+    the oracles, solution or error, against the same code on the column
+    quotient, where `alpha_plus` and `alpha_minus` are means over the rows
+    whatever the classes."""
+    rng, orbits, cq = np.random.default_rng(ds.n), ds.orbits, column_quotient(ds)
     rows, cols = orbits.y.size, orbits.multiplicity.size
     b = np.vstack([np.zeros(rows), orbits.y, np.eye(rows)[:3], rng.standard_normal((2, rows))])
     expanded = orbits.gram_solve(b).take(orbits.row_class, axis=-1)
-    assert expanded.tobytes() == ds.gram_solve(b.take(orbits.row_class, axis=-1)).tobytes()
+    assert expanded.tobytes() == cq.gram_solve(b.take(orbits.row_class, axis=-1)).tobytes()
     u = np.vstack([np.zeros(cols), np.ones(cols), rng.standard_normal((2, cols))])
     w, xw = orbits.expand(u), lsq.quotient_product(orbits, orbits.multiplicity * u)
     assert lsq.row_span_residual(orbits, w, xw).tobytes() == lsq.row_span_residual(
-        ds, w, xw.take(orbits.row_class, axis=-1)).tobytes()
+        cq, w, xw.take(orbits.row_class, axis=-1)).tobytes()
+    assert oracle_results(ds) == oracle_results(on_column_quotient(ds))
 
 
 @pytest.mark.parametrize("name", sorted(DESIGNS))
@@ -167,18 +188,19 @@ def test_orbit_solves_equal_the_column_quotients(name, collide, monkeypatch):
     ds = DESIGNS[name]()
     if collide:
         monkeypatch.setattr(lsq, "_segment_keys", _colliding_keys)
-    assert_orbit_solves_equal_the_column_quotients(ds, lsq.Orbits(ds))
+    assert_orbit_solves_equal_the_column_quotients(ds)
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 10**6), collide=st.booleans())
-def test_random_orbit_solves_equal_the_column_quotients(seed, collide):
-    ds = orbit_design(seed)
+@given(seed=st.integers(0, 10**6), collide=st.booleans(), synthetic=st.booleans())
+def test_random_orbit_solves_equal_the_column_quotients(seed, collide, synthetic):
+    # A synthetic draw has class coefficients to compare, a hand-built one none.
+    ds = lsq.generate_synthetic(1 + seed % 40, 0.75, seed) if synthetic else orbit_design(seed)
     with pytest.MonkeyPatch.context() as patch:
         if collide:
             patch.setattr(lsq, "_segment_keys", _colliding_keys)
-        orbits = lsq.Orbits(ds)
-    assert_orbit_solves_equal_the_column_quotients(ds, orbits)
+        ds.orbits  # built with the colliding keys
+    assert_orbit_solves_equal_the_column_quotients(ds)
 
 
 def bits(x):
