@@ -24,7 +24,8 @@ of several rows (and two pairs of rows that must stay apart), a traced and a
 tuned run per method, plus its oracle, which exits 2 (two equal rows have
 opposite labels, so the Gram solve's residual stays large, in digits that
 come from the CG's bits), and the oracle of a copy with those labels made
-equal, whose 8 rows fall into 5 classes.
+equal, whose 8 rows fall into 5 classes; and last, two seed-1 `experiment
+--iters 5000` runs away from the default p = 0.75, at p = 0.501 and 0.9.
 """
 
 from __future__ import annotations
@@ -136,6 +137,8 @@ def commands() -> list[list[str]]:
     for name in ("orbit", "orbit-joined"):
         cmds.append(["oracle", "--dataset", f"{name}/dataset.json",
                      "--out", f"{name}/oracle.json"])
+    for p in ("0.501", "0.9"):
+        cmds.append(["experiment", "--iters", "5000", "--p", p, "--out", f"experiment-p/{p}"])
     return cmds
 
 

@@ -21,7 +21,8 @@ from . import lsq, oracle
 from .errors import LemmaPreconditionError, OptlabError
 from .optim import ADAPTIVE_METHODS, MethodKind, OptimizerSpec, spec_to_document
 from .schedules import DECAY_KINDS, DecayPolicy
-from .training import RunResult, check_label_stream, check_stack, run_training, write_trace_csv
+from .training import (RunResult, check_label_stream, check_run_options, check_stack,
+                       run_training, write_trace_csv)
 from .tune import check_tune_budget, make_log_grid, tune, tune_report_to_document
 
 __all__ = ["main", "run_experiment", "ExperimentConfig", "GenerateOptions", "TrainOptions",
@@ -41,6 +42,7 @@ _DECAY = {"choices": DECAY_KINDS}
 # Spawn keys carving independent RNG streams out of one experiment seed.
 _TEST_STREAM = 101
 _DEV_STREAM = 202
+_DEV_SIZE = 2000  # the length of the final runs' dev stream
 
 
 class _Parser(argparse.ArgumentParser):
@@ -189,10 +191,11 @@ class TrainOptions:
 def cmd_train(options: TrainOptions) -> int:
     if options.dev_size is not None:
         check_label_stream("dev_size", options.dev_size)
-    ds = lsq.load_dataset(options.dataset)
+    check_run_options(options.iters, options.trace_every, options.stop_loss)
     spec = OptimizerSpec(MethodKind.parse(options.method), **{
         f.name: getattr(options, f.name) for f in fields(OptimizerSpec) if f.name != "method"})
     policy = _policy_from(options)
+    ds = lsq.load_dataset(options.dataset)
     options = replace(options, dev_size=_dev_size_for(ds, options.dev_size))
     dev_labels = None
     if options.dev_size is not None:
@@ -230,8 +233,8 @@ def _oracle_report(ds: lsq.Dataset):
         "n_pos": ds.n_pos,
         "n_neg": ds.n_neg,
         "min_norm": oracle.solution_to_document(mn),
-        "min_norm_margin": lsq.margin(ds, mn.w),
-        "min_norm_loss": lsq.loss(ds, mn.w),
+        "min_norm_margin": lsq.margin(ds, mn.w, mn.xw),
+        "min_norm_loss": float(lsq.residual_loss(mn.xw - ds.y)),
     }
     try:
         sg = oracle.sign_solution(ds)
@@ -241,8 +244,8 @@ def _oracle_report(ds: lsq.Dataset):
     report["sign"] = None
     if sg is not None:
         report["sign"] = oracle.solution_to_document(sg)
-        report["sign_margin"] = lsq.margin(ds, sg.w)
-        report["sign_loss"] = lsq.loss(ds, sg.w)
+        report["sign_margin"] = lsq.margin(ds, sg.w, sg.xw)
+        report["sign_loss"] = float(lsq.residual_loss(sg.xw - ds.y))
     if ds.p is not None and ds.n_pos >= 1 and ds.n_neg >= 1:
         a_plus, a_minus = oracle.synthetic_alphas(ds.n_pos, ds.n_neg)
         e_plus, e_minus = oracle.exact_synthetic_alphas(ds.n_pos, ds.n_neg)
@@ -291,10 +294,11 @@ class TuneOptions:
 def cmd_tune(options: TuneOptions) -> int:
     if options.dev_size is not None:
         check_label_stream("dev_size", options.dev_size)
-    ds = lsq.load_dataset(options.dataset)
+    check_tune_budget(options.iters, options.seeds, options.extension_cap, options.stop_loss)
     spec = OptimizerSpec(MethodKind.parse(options.method), alpha=1.0)
     grid = make_log_grid(options.alpha, options.ratio, options.count)
     policy = _policy_from(options)
+    ds = lsq.load_dataset(options.dataset)
     dev_size = _dev_size_for(ds, options.dev_size)
     report = tune(ds, spec, grid, policy, options.iters, options.seeds, dev_size=dev_size,
                   extension_cap=options.extension_cap, stop_loss=options.stop_loss)
@@ -359,8 +363,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
         raise ValueError(f"methods must not repeat: {', '.join(cfg.methods)}")
     check_tune_budget(cfg.iters, cfg.seeds, cfg.extension_cap, cfg.stop_loss)
     grid = make_log_grid(cfg.grid_center, cfg.grid_ratio, cfg.grid_count)
-    # The tallest stack is a tune's round 0: a row per grid value, no dev labels.
-    check_stack(len(grid.values), sum(lsq.synthetic_shape(cfg.n)))
+    # The tallest stacks: a tune's round 0, a row per grid value without dev
+    # labels, and a final run, one traced row with its dev stream.
+    terms, d = lsq.synthetic_shape(cfg.n)
+    check_stack(len(grid.values), terms, 0)
+    check_stack(1, terms, _DEV_SIZE, d)
     ds = lsq.generate_synthetic(cfg.n, cfg.p, cfg.seed)
     # A synthetic design always has the sign solution (c = 4).
     oracle_doc, mn, sg = _oracle_report(ds)
@@ -371,7 +378,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     )
     test_counts = lsq.label_counts(test_labels)
     dev_labels = lsq.dev_labels_for(
-        cfg.p, 2000, np.random.SeedSequence(entropy=cfg.seed, spawn_key=(_DEV_STREAM,))
+        cfg.p, _DEV_SIZE, np.random.SeedSequence(entropy=cfg.seed, spawn_key=(_DEV_STREAM,))
     )
 
     rows, runs = [], []  # runs: (method, tune report, final run), written after the loop

@@ -4,20 +4,21 @@ The training objective is the squared interpolation error ``||Xw - y||^2``
 over labels in {-1, +1}.  Rows arrive as sparse ``(index, value)`` pairs
 with 1-based feature indices (the generator emits values in {-1, +1}; hand-
 built designs may use any finite reals).  A `Dataset` holds the design as
-``X_q``, its distinct nonzero columns, with ``X w = X_q S w`` where ``S w``
-sums w over each group of identical columns.  The run loop, the trace and
-the oracles run on one quotient of it (a `Quotient`, rows and columns in
-classes), its orbit quotient `Dataset.orbits`.  Every product (and ``S w``)
-is an `np.bincount` fold over entries: each output starts at 0.0 and adds
-its terms one by one in entry order, so its bits depend on the design
-alone, never on BLAS or threads, and a class adds the same terms in the
-same order as each of its members.  The Gram system ``X X^T c = b`` is
+the entries of ``X_q``, its distinct nonzero columns, and the size of each
+group of identical columns.  Every product, solve and reported ``X w`` runs
+on one quotient of it (a `Quotient`, rows and columns in classes), its
+orbit quotient `Dataset.orbits`: ``X w = X_q diag(multiplicity) u`` for a
+w that takes the value ``u[c]`` on every feature of column class c.  Every
+product is an `np.bincount` fold over entries: each output starts at 0.0
+and adds its terms one by one in entry order, so its bits depend on the
+design alone, never on BLAS or threads, and a class adds the same terms in
+the same order as each of its members.  The Gram system ``X X^T c = b`` is
 solved by conjugate gradients on the orbit quotient, never formed.
 
 Each reported quantity is computed here alone, for one weight vector or row
 by row for an (R, d) stack: `residual_loss`, `residual_gradient`, `l2_norm`,
-`linf_norm`, `margin`, `row_span_residual` (given ``X w``) and the error on
-fresh labels, `error_rates`.
+`linf_norm`, `margin` and `row_span_residual` (given ``X w``) and the error
+on fresh labels, `error_rates`.
 
 The synthetic family is deliberately overparameterized (``d = 3 + 5n``):
 feature 1 equals the label, features 2 and 3 are constant one, and every
@@ -55,11 +56,8 @@ __all__ = [
     "Dataset",
     "generate_synthetic",
     "synthetic_shape",
-    "loss",
-    "product",
     "quotient_product",
     "quotient_t_product",
-    "residual",
     "residual_loss",
     "residual_gradient",
     "l2_norm",
@@ -78,18 +76,17 @@ __all__ = [
 #: Redraws allowed before the generator gives up on a label imbalance.
 MAX_REDRAWS = 1000
 
-# Ceilings that keep a command's peak RSS under 2 GiB, at the peak per unit
-# measured at n = 10^5 and 2 * 10^5 (numpy 2.4, one BLAS thread): `experiment`
-# 216 MiB at 10^5 and 1.9 KB per further example (`generate` alone 0.84 KB
-# per example), and `load_dataset` about 6.8 bytes per file byte.  Beyond
-# them a command is a usage error, raised before anything is allocated.
+# Ceilings that keep a command's peak RSS under 2 GiB, from peaks measured
+# with `scripts/peak_rss.py` (numpy 2.4, one BLAS thread).  Beyond them a
+# command is a usage error, raised before anything is allocated.
 
-#: The most examples `generate_synthetic` draws: `experiment` extrapolates to
-#: about 1.9 GB at 10^6 (a power of ten; 2 * 10^6 would need 3.7 GB).
+#: The most examples `generate_synthetic` draws: `experiment --n 10^6 --iters
+#: 20` peaks at 1 185 MiB (`generate` alone at 718 MiB), about twice that at 2 * 10^6.
 MAX_EXAMPLES = 10**6
 
-#: The largest dataset file `load_dataset` reads: 2 GiB / 6.8 B, rounded down.
-#: (The file of n = 10^6 synthetic examples has about 2.3e8 bytes.)
+#: The largest dataset file `load_dataset` reads: loading takes 6.9 bytes per
+#: file byte over the import's 30 MiB (180 MiB for the n = 10^5 file of
+#: 2.3e7 bytes, 407 MiB at 2.5 * 10^5), so about 2.0 GiB at the ceiling.
 MAX_DATASET_BYTES = 3 * 10**8
 
 #: Relative residual at which `Quotient.gram_solve` stops.
@@ -102,17 +99,17 @@ class _Fold:
 
     Each sum starts at 0.0 and adds its terms in entry order (`np.bincount`),
     as a C loop over a CSR matrix does, so a row's bits do not depend on the
-    rows beside it.  No weight (None) means weight 1.  A stack is one take,
-    one multiply and one `bincount` over R copies of the entries' bins and
-    weights (so the multiply does not broadcast), made once for the tallest
-    stack so far, with views of them per input shape.
+    rows beside it.  A stack is one take, one multiply and one `bincount`
+    over R copies of the entries' bins and weights (so the multiply does not
+    broadcast), made once for the tallest stack so far, with views of them
+    per input shape.
     """
 
-    def __init__(self, bins: np.ndarray, take: np.ndarray, weight: np.ndarray | None,
+    def __init__(self, bins: np.ndarray, take: np.ndarray, weight: np.ndarray,
                  size: int) -> None:
         self.bins, self.take, self.weight, self.size = bins, take, weight, size
         # With no |weight| above 1, no term can overflow (bincount's sums never warn).
-        self.may_overflow = weight is not None and bool(np.any(np.abs(weight) > 1.0))
+        self.may_overflow = bool(np.any(np.abs(weight) > 1.0))
         # Row i's copy of the bins adds size * i.
         self._height, self._bins, self._weights = 1, bins, weight
         self._plans = {}  # input shape -> (bins, weights, bincount's minlength, output shape)
@@ -122,10 +119,9 @@ class _Fold:
         if height > self._height:
             self._height, self._plans = height, {}
             self._bins = (self.bins + self.size * np.arange(height)[:, None]).ravel()
-            self._weights = None if self.weight is None else np.tile(self.weight, height)
+            self._weights = np.tile(self.weight, height)
         terms = height * self.bins.size
-        plan = self._plans[shape] = (self._bins[:terms],
-                                     None if self.weight is None else self._weights[:terms],
+        plan = self._plans[shape] = (self._bins[:terms], self._weights[:terms],
                                      height * self.size, shape[:-1] + (self.size,))
         return plan
 
@@ -135,7 +131,7 @@ class _Fold:
         if self.may_overflow:
             with np.errstate(over="ignore"):  # an overflowing term is inf, silently, as in C
                 terms *= weights
-        elif weights is not None:
+        else:
             terms *= weights
         if not terms.size:  # bincount of nothing is an int array
             return np.zeros(shape)
@@ -150,8 +146,9 @@ class Quotient:
     class's label `y`; `row`, `col` and `val`, the entries of each row
     class's first row in class numbers and in the design's order, over which
     `quotient_product` folds; and the fold of `quotient_t_product` (per
-    column class, over each class's first column, in row order).  The one
-    quotient built here is a design's orbit quotient, `Dataset.orbits`.
+    column class, over each class's first column, in row order), whose
+    `terms` a stacked row holds as bins and weights.  The one quotient built
+    here is a design's orbit quotient, `Dataset.orbits`.
     """
 
     def __init__(self, ds: Dataset, rows: np.ndarray, cols: np.ndarray) -> None:
@@ -163,6 +160,7 @@ class Quotient:
         fwd, tr = rows[ds.row] == ds.row, cols[ds.col] == ds.col
         self._times_t = _Fold(self.col_class[ds.col[tr]], self.row_class[ds.row[tr]],
                               ds.val[tr], col_reps.size)
+        self.terms = int(np.count_nonzero(tr))
         self.row, self.col, self.val = (self.row_class[ds.row[fwd]], self.col_class[ds.col[fwd]],
                                         ds.val[fwd])
         self._times = _Fold(self.row, self.col, self.val, row_reps.size)
@@ -233,10 +231,10 @@ class Dataset:
     only up to sign or scale stay apart) and all-zero columns are dropped.
     `row`, `col` and `val` are the entries of the n-by-q matrix ``X_q`` of
     the distinct nonzero columns (numbered in the order of their first
-    feature), sorted by (row, col), over which `product` folds;
-    `multiplicity` counts each quotient column's features and `columns` maps
-    each (0-based) feature to its quotient column, or -1 for an all-zero
-    column.  Every solve runs on its orbit quotient, `orbits`.
+    feature), sorted by (row, col); `multiplicity` counts each quotient
+    column's features and `columns` maps each (0-based) feature to its
+    quotient column, or -1 for an all-zero column.  Every product and solve
+    runs on its orbit quotient, `orbits`.
 
     `p`/`seed` are present only for synthetic data; `rejections` counts
     redraws the generator needed before the positive class outnumbered the
@@ -261,11 +259,7 @@ class Dataset:
         self.n, self.d, self.y = n, d, y
         self.p, self.seed, self.rejections = p, seed, rejections
         self.columns, (self.row, self.col, self.val) = _column_quotient(d, *entries)
-        kept = self.columns >= 0
-        q = int(self.columns.max(initial=-1)) + 1
-        self.multiplicity = np.bincount(self.columns[kept], minlength=q).astype(np.float64)
-        self._group_sums = _Fold(self.columns[kept], np.flatnonzero(kept), None, q)
-        self._times = _Fold(self.row, self.col, self.val, n)
+        self.multiplicity = np.bincount(self.columns[self.columns >= 0]).astype(np.float64)
 
     @property
     def n_pos(self) -> int:
@@ -466,15 +460,16 @@ def _synthetic_entries(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def synthetic_shape(n: int) -> tuple[int, int]:
-    """The synthetic design's size for `n` examples, whatever its labels: its
-    quotient entries (3n: features 1, 2 = 3 and each private block) and its
+    """The synthetic design's size for `n` examples, whatever its labels: the
+    most terms of its orbit quotient's transposed fold (2n + 2: features 1
+    and 2 = 3 over every row, and one row of each private block) and its
     features (5n + 3).  `n` must lie in 1..`MAX_EXAMPLES`."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > MAX_EXAMPLES:
         raise ValueError(f"n = {n} exceeds the ceiling of {MAX_EXAMPLES} examples "
                          "(lsq.MAX_EXAMPLES, sized for a 2 GiB peak)")
-    return 3 * n, 5 * n + 3
+    return 2 * n + 2, 5 * n + 3
 
 
 def generate_synthetic(n: int, p: float, seed: int) -> Dataset:
@@ -522,18 +517,6 @@ def quotient_t_product(ds: Quotient, r: np.ndarray) -> np.ndarray:
     return ds._times_t(r)
 
 
-def product(ds: Dataset, w: np.ndarray) -> np.ndarray:
-    """``Xw = X_q S w`` for a full-length weight vector, or row by row for an
-    (R, d) stack, where ``S w`` sums w over each quotient column's features
-    (each row bit for bit its solo product)."""
-    return ds._times(ds._group_sums(w))
-
-
-def residual(ds: Dataset, w: np.ndarray) -> np.ndarray:
-    """``Xw - y`` for a weight vector, or row by row for an (R, d) stack."""
-    return product(ds, w) - ds.y
-
-
 def residual_loss(r: np.ndarray) -> np.ndarray:
     """``r . r`` for a residual, or per row of a stack of them, as a numpy sum
     (not a BLAS dot, whose bits depend on the thread count)."""
@@ -561,21 +544,17 @@ def linf_norm(v: np.ndarray):
     return float(largest) if np.ndim(v) == 1 else largest
 
 
-def loss(ds: Dataset, w: np.ndarray) -> float:
-    """Squared interpolation error ``||Xw - y||^2``."""
-    return float(residual_loss(residual(ds, _check_dim(ds, w))))
-
-
-def margin(ds: Dataset, w: np.ndarray, xw: np.ndarray | None = None, norm=None):
+def margin(ds: Dataset, w: np.ndarray, xw: np.ndarray, norm=None):
     """Normalized worst-case score ``min_i y_i <w, x_i> / ||w||`` of a weight
     vector (a float; the zero vector raises), or of each row of an (R, d)
-    stack (an array; NaN for a zero row).  `xw` and `norm`, if given, are
-    ``X w`` and the `l2_norm` of `w`, not computed again."""
+    stack (an array; NaN for a zero row), given `xw`, ``X w`` per row (over
+    the row classes, a minimum could pick -0.0 where the rows' picks +0.0).
+    `norm`, if given, is the `l2_norm` of `w`, not computed again."""
     w = _check_dim(ds, w, stack=True)
     norm = l2_norm(w) if norm is None else norm
     if w.ndim == 1 and norm == 0.0:
         raise ValueError("margin is undefined for the zero vector")
-    worst = np.minimum.reduce(ds.y * (product(ds, w) if xw is None else xw), axis=-1)
+    worst = np.minimum.reduce(ds.y * xw, axis=-1)
     with np.errstate(invalid="ignore"):  # a zero row: 0/0
         return float(worst / norm) if w.ndim == 1 else worst / norm
 
@@ -594,14 +573,6 @@ def dev_labels_for(p: float, size: int, seed_sequence) -> np.ndarray:
     are all drawn here."""
     rng = np.random.default_rng(seed_sequence)
     return np.where(rng.random(size) < p, 1.0, -1.0)
-
-
-def _scored(w: np.ndarray) -> np.ndarray:
-    """`w` as float64; a fresh point's score reads its first 3 coordinates."""
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape[-1] < 3:
-        raise ValueError("weight vector must have at least 3 coordinates")
-    return w
 
 
 def label_counts(labels) -> list:
@@ -629,8 +600,11 @@ def error_rates(w: np.ndarray, counts) -> list[float]:
     stack has few rows, so this runs on Python floats (the same IEEE
     operations).
     """
+    w = np.asarray(w, dtype=np.float64)
+    if w.shape[-1] < 3:
+        raise ValueError("weight vector must have at least 3 coordinates")
     return [((pos if (w1 + w2) + w3 <= 0.0 else 0) + (neg if (w2 - w1) + w3 >= 0.0 else 0))
-            / (pos + neg) for (w1, w2, w3), (pos, neg) in zip(_scored(w)[:, :3].tolist(), counts)]
+            / (pos + neg) for (w1, w2, w3), (pos, neg) in zip(w[:, :3].tolist(), counts)]
 
 
 # ---------------------------------------------------------------------------

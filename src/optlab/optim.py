@@ -97,7 +97,7 @@ class OptimizerSpec:
 
     def __post_init__(self) -> None:
         if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+            raise ValueError(f"alpha must be positive, got {self.alpha}")
         if not self.epsilon >= 0:
             raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
         if not self.g_init >= 0:

@@ -20,16 +20,19 @@ while `exact_synthetic_alphas` solves the reduction of the actual Gram
 matrix, whose negative-class row carries ``3*n_neg + 5`` (diagonal 8, not
 6).  Only the latter reproduces `min_norm_solution` numerically; both give
 the same classification signs for every ``n_pos, n_neg >= 1``.
+
+Both are solved on the orbit quotient (`lsq.Dataset.orbits`), one value per
+column class, and their ``X w`` is the run loop's product of such values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import LemmaPreconditionError, SingularKernelError
-from .lsq import Dataset, Quotient, l2_norm, quotient_product, quotient_t_product, residual
+from .lsq import Dataset, Quotient, l2_norm, quotient_product, quotient_t_product
 
 __all__ = [
     "sign_solution",
@@ -44,10 +47,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OracleSolution:
-    """A closed-form weight vector plus its derivation constants."""
+    """A closed-form weight vector, its ``X w`` per row, and its derivation
+    constants."""
 
     kind: str  # "min_norm" or "sign"
     w: np.ndarray
+    xw: np.ndarray
     c: float | None = None
     tau: float | None = None
     alpha_plus: float | None = None
@@ -72,6 +77,11 @@ def _sign_scale(orbits: Quotient, u: np.ndarray) -> float | None:
     return c
 
 
+def _product(orbits: Quotient, u: np.ndarray) -> np.ndarray:
+    """``X w`` per row, for w taking ``u[c]`` on column class c."""
+    return quotient_product(orbits, orbits.multiplicity * u).take(orbits.row_class)
+
+
 def sign_solution(ds: Dataset) -> OracleSolution:
     """The interpolating constant-magnitude solution ``(1/c) sign(X^T y)``,
     on the orbit quotient."""
@@ -84,7 +94,7 @@ def sign_solution(ds: Dataset) -> OracleSolution:
         )
     tau = 1.0 / c
     w = tau * np.sign(orbits.expand(u))
-    return OracleSolution(kind="sign", w=w, c=c, tau=tau)
+    return OracleSolution(kind="sign", w=w, xw=_product(orbits, tau * np.sign(u)), c=c, tau=tau)
 
 
 def min_norm_solution(ds: Dataset) -> OracleSolution:
@@ -94,8 +104,9 @@ def min_norm_solution(ds: Dataset) -> OracleSolution:
     means of the coefficients over the rows of each label."""
     orbits = ds.orbits
     coef = orbits.gram_solve(orbits.y)
-    w = orbits.expand(quotient_t_product(orbits, coef))
-    resid = l2_norm(residual(ds, w))
+    u = quotient_t_product(orbits, coef)
+    w, xw = orbits.expand(u), _product(orbits, u)
+    resid = l2_norm(xw - ds.y)
     if not np.all(np.isfinite(coef)) or resid > 1e-8 * np.sqrt(ds.n):
         raise SingularKernelError(f"Gram solve residual {resid:.3e} too large")
     a_plus = a_minus = None
@@ -105,7 +116,7 @@ def min_norm_solution(ds: Dataset) -> OracleSolution:
             a_plus = float(np.mean(coef[pos]))
         if neg.any():
             a_minus = float(-np.mean(coef[neg]))
-    return OracleSolution(kind="min_norm", w=w, alpha_plus=a_plus, alpha_minus=a_minus)
+    return OracleSolution(kind="min_norm", w=w, xw=xw, alpha_plus=a_plus, alpha_minus=a_minus)
 
 
 def synthetic_alphas(n_pos: int, n_neg: int) -> tuple[float, float]:
@@ -181,11 +192,5 @@ def analytic_test_error(kind: str, p: float, n_pos: int, n_neg: int) -> float:
 
 
 def solution_to_document(sol: OracleSolution) -> dict:
-    return {
-        "kind": sol.kind,
-        "c": sol.c,
-        "tau": sol.tau,
-        "alpha_plus": sol.alpha_plus,
-        "alpha_minus": sol.alpha_minus,
-        "w": sol.w,
-    }
+    """Every field of `sol` but `xw`."""
+    return {f.name: getattr(sol, f.name) for f in fields(sol) if f.name != "xw"}

@@ -9,9 +9,11 @@ entry per column class, while all-zero columns stay at zero, and the
 residuals have one entry per row class.  The product is
 ``X_q diag(multiplicity) u`` and the gradient ``2 X_q^T r``, one fold each;
 the loss sums the n residuals, expanded from their classes.  Full-length
-vectors appear only at the edges (the results, the trace and the dev
-scores), through `lsq.Quotient.expand`, and the trace's span residual
-solves its CG on the orbit quotient too.
+vectors appear only at the edges, through `lsq.Quotient.expand`: a traced
+run's result and trace rows (a tune round, untraced, builds none), and the
+dev scores' first three coordinates; the trace's span residual solves its
+CG on the orbit quotient too.  `check_stack` states what a stack row holds
+and bounds the stack by it.
 
 The engine, `step`, steps the stack once per iteration; a single run is a
 stack of one row.  A row that converges, or fails (non-finite loss or
@@ -53,6 +55,7 @@ __all__ = [
     "MAX_LABELS",
     "MAX_STACK_SIZE",
     "check_label_stream",
+    "check_run_options",
     "check_stack",
     "run_training",
     "run_lockstep",
@@ -85,7 +88,7 @@ class TraceRow:
 
 @dataclass
 class RunResult:
-    """Outcome of one trajectory; `w` is full length (d)."""
+    """Outcome of one trajectory; `w` is full length (d), None untraced."""
 
     status: str  # "ok" | "diverged" | "singular_preconditioner"
     converged: bool
@@ -105,12 +108,11 @@ class RunResult:
 #: ceilings; `MAX_STACK_SIZE` bounds the number of streams.
 MAX_LABELS = 10**6
 
-#: The largest lockstep stack: rows times each row's quotient entries,
-#: features and dev labels.  On the orbit loop adam tune rounds of 4.8 * 10^7
-#: units peak at 509 MiB (60 rows, n = 10^5) and 559 MiB (30 rows, 2 * 10^5),
-#: about 9 bytes per unit (27 on the column-quotient loop it was sized on);
-#: it admits the default `experiment` at n = 10^6 (5 rows), not a sixth row.
-MAX_STACK_SIZE = 45 * 10**6
+#: The largest lockstep stack, in `check_stack`'s bytes.  A tune round's peak
+#: RSS rises 1.5 bytes per counted byte of terms and 1.0 per dev label's: at
+#: n = 2.5 * 10^5, 99 rows (7.97 * 10^8) peak at 1 294 MiB and the default 25
+#: (2.0 * 10^8) at 447 MiB; 60 adam rows at n = 10^5 (1.9 * 10^8) at 385 MiB.
+MAX_STACK_SIZE = 8 * 10**8
 
 
 def check_label_stream(name: str, size: int) -> None:
@@ -123,10 +125,23 @@ def check_label_stream(name: str, size: int) -> None:
                          "per stream (training.MAX_LABELS, sized for a 2 GiB peak)")
 
 
-def check_stack(rows: int, row_size: int) -> None:
-    """Reject a stack of `rows` rows above `MAX_STACK_SIZE`; `row_size` is a
-    row's quotient entries, features and dev labels."""
-    size = rows * row_size
+def check_run_options(iters: int, trace_every: int | None, stop_loss: float | None) -> None:
+    """Reject a negative budget, a trace cadence below 1 or a NaN stop loss."""
+    if iters < 0:
+        raise ValueError(f"iters must be nonnegative, got {iters}")
+    if trace_every is not None and trace_every < 1:
+        raise ValueError(f"trace_every must be at least 1, got {trace_every}")
+    if stop_loss is not None and math.isnan(stop_loss):
+        raise ValueError(f"stop_loss must be a number, got {stop_loss}")
+
+
+def check_stack(rows: int, terms: int, dev_labels: int, features: int = 0) -> None:
+    """Reject a lockstep stack of `rows` rows above `MAX_STACK_SIZE`, in
+    bytes of what a row holds on the orbit loop: 16 for each of the
+    transposed fold's `terms` (`lsq.Quotient.terms`; its stacked bins and
+    weights), 24 for each of its dev labels (`MAX_LABELS`) and, for a traced
+    row only, 8 for each of the `features` of its full-length result `w`."""
+    size = rows * (16 * terms + 24 * dev_labels + 8 * features)
     if size > MAX_STACK_SIZE:
         raise ValueError(f"a lockstep stack of {rows} rows has size {size}, above the ceiling "
                          f"of {MAX_STACK_SIZE} (training.MAX_STACK_SIZE, sized for a 2 GiB peak)")
@@ -182,28 +197,25 @@ def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
     status "ok" with converged=False).  `policy` adjusts each row's step size
     between epochs; dev-driven decay requires `dev_labels`.  `trace_every`,
     if given, records every `trace_every`-th iteration (and the last) instead
-    of the default cadence.  `cancel`, if given, is called after each
-    iteration in which rows stopped, with a dict of those rows' results by
-    row; it returns the rows to drop from the stack (rows no longer running
-    are ignored).  A dropped row takes no further step and its result is None.
+    of the default cadence; without `record_trace` a row records no trace
+    and builds no full-length `w` (None).  `cancel`, if given, is called
+    after each iteration in which rows stopped, with a dict of those rows'
+    results by row; it returns the rows to drop from the stack (rows no
+    longer running are ignored).  A dropped row takes no further step and
+    its result is None.
     """
-    if iters < 0:
-        raise ValueError("iters must be nonnegative")
-    if trace_every is not None and trace_every < 1:
-        raise ValueError(f"trace_every must be at least 1, got {trace_every}")
-    if stop_loss is not None and math.isnan(stop_loss):
-        raise ValueError(f"stop_loss must be a number, got {stop_loss}")
+    check_run_options(iters, trace_every, stop_loss)
     if policy.kind == "dev_decay" and dev_labels is None:
         raise ValueError("dev_decay policy needs a dev label stream")
     alpha = np.array(alphas, dtype=np.float64).reshape(-1, 1)
-    n_rows = len(alpha)
-    check_stack(n_rows, ds.val.size + ds.d
-                + (0 if dev_labels is None else max(map(len, dev_labels), default=0)))
+    n_rows, orbits = len(alpha), ds.orbits
+    check_stack(n_rows, orbits.terms,
+                0 if dev_labels is None else max(map(len, dev_labels), default=0),
+                ds.d if record_trace else 0)
 
     # The class multiplicities, labels and step sizes repeated to the stack's
     # shape, so that no op of an iteration broadcasts.  Every row of `m` and
     # `y` is the same, so a shorter stack uses their first rows.
-    orbits = ds.orbits
     m_rows, y_rows = np.tile(orbits.multiplicity, (n_rows, 1)), np.tile(orbits.y, (n_rows, 1))
     m, y = m_rows, y_rows
     rates = np.repeat(alpha, orbits.multiplicity.size, axis=1)
@@ -223,7 +235,7 @@ def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
     decays = policy.kind != "none"
 
     def residual_at(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # `lsq.residual` of a class stack, per row class, with the product it
+        # ``X w - y`` of a class stack, per row class, with the product it
         # subtracts y from.
         xw = lsq.quotient_product(orbits, m * v)
         return xw, xw - y
@@ -243,7 +255,9 @@ def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
                failure: str | None = None) -> None:
         res = results[rows[i]]
         res.status, res.converged, res.failure = status, converged, failure
-        res.w, res.final_loss, res.iterations = orbits.expand(state.w[i]), float(loss[i]), k
+        res.final_loss, res.iterations = float(loss[i]), k
+        if record_trace:
+            res.w = orbits.expand(state.w[i])
         if best_dev is not None:
             res.best_dev, res.epoch_of_best = best_dev[i], epoch_of_best[i]
 

@@ -18,8 +18,8 @@ a value other than the batch's next, the rest of the batch is dropped.  Each
 row is bit for bit its solo run, so the trials, their order and their dev
 streams are those of a walk that runs one step size at a time.  A batch holds
 at most as many rows as the initial grid's stack, `MAX_BATCH_ROWS` rows and
-`MAX_BATCH_ENTRIES` quotient entries, and always one step size's rows: a row
-stacked on others saves time only in a short stack at small n.  So a walk
+`MAX_BATCH_TERMS` transposed-fold terms, and always one step size's rows: a
+row stacked on others saves time only in a short stack at small n.  So a walk
 with a dev stream of five seeds or more, as `tune` runs by default, runs one
 step size a stack.
 """
@@ -39,7 +39,7 @@ from .schedules import DecayPolicy
 
 __all__ = [
     "MAX_BATCH_ROWS",
-    "MAX_BATCH_ENTRIES",
+    "MAX_BATCH_TERMS",
     "Grid",
     "make_log_grid",
     "extend_if_edge",
@@ -49,18 +49,18 @@ __all__ = [
 ]
 
 
-#: The most rows, and the most quotient entries (rows times
-#: ``Dataset.val.size``), in a stack of the extension walk.  An extra row
+#: The most rows, and the most terms of the orbit loop's transposed fold (rows
+#: times `lsq.Quotient.terms`), in a stack of the extension walk.  An extra row
 #: costs a stack less than a run of its own only while the stack is small:
-#: on the orbit quotient, five rows cost 1.2-1.4 times one row's iteration at
-#: n = 100 (300 entries a row), 2.3-2.8 times at n = 1 000, 2.9-3.4 at 2 000,
-#: 3.7-4.1 at 5 000 and 4.6-4.9 at 10^4 (sgd, nag, rmsprop; one BLAS thread).
-#: Taller stacks were slower: at n = 100 a walk that ended after one step
-#: size, in 25-row stacks of five dev streams, made adam's default `tune` 29 %
-#: slower.  So on the synthetic design (3n entries a row) a batch holds 5 rows
-#: up to n = 1 000, fewer up to 2 500 and one step size's rows above.
+#: five rows cost 1.2-1.6 times one row's iteration at n = 100 (202 terms a
+#: row), 1.9-2.6 at 1 000, 2.6-3.2 at 2 000, 3.6-4.4 at 5 000 and 4.2-4.7 at
+#: 10^4 (sgd, nag, rmsprop; one BLAS thread).  Taller stacks were slower: at
+#: n = 100 a walk that ended after one step size, in 25-row stacks of five dev
+#: streams, made adam's default `tune` 29 % slower.  So on the synthetic design
+#: (2n + 2 terms a row) a batch holds 5 rows up to n = 1 000, fewer up to 2 500
+#: and one step size's rows above.
 MAX_BATCH_ROWS = 5
-MAX_BATCH_ENTRIES = 15_000
+MAX_BATCH_TERMS = 10_010
 
 
 @dataclass(frozen=True)
@@ -168,14 +168,11 @@ def check_tune_budget(epochs: int, seeds: int, extension_cap: int,
                       stop_loss: float | None) -> None:
     """Reject a negative epoch count or extension cap, fewer than one seed, or
     a NaN stop loss."""
-    if epochs < 0:
-        raise ValueError("iters must be nonnegative")
+    training.check_run_options(epochs, None, stop_loss)
     if seeds < 1:
-        raise ValueError("need at least one seed")
+        raise ValueError(f"need at least one seed, got {seeds}")
     if extension_cap < 0:
         raise ValueError(f"extension_cap must be nonnegative, got {extension_cap}")
-    if stop_loss is not None and math.isnan(stop_loss):
-        raise ValueError(f"stop_loss must be a number, got {stop_loss}")
 
 
 def tune(
@@ -224,7 +221,7 @@ def tune(
         """Run `alphas`, the next step sizes in evaluation order, as one
         lockstep stack: their rows' results, `width` per step size."""
         keys = [(i, a, s) for i, a in enumerate(alphas, start=len(by_alpha)) for s in streams]
-        training.check_stack(len(keys), ds.val.size + ds.d + (dev_size or 0))
+        training.check_stack(len(keys), ds.orbits.terms, dev_size or 0)
         labels = None if dev_size is None else [
             dev_labels_for(ds.p, dev_size, np.random.SeedSequence(entropy=s, spawn_key=(i,)))
             for i, _, s in keys]
@@ -251,7 +248,8 @@ def tune(
     for j, alpha in enumerate(grid.values):
         accept(alpha, results[j * width:(j + 1) * width])
     current, candidate = grid, walk(grid)
-    rows = min(len(grid.values) * width, MAX_BATCH_ROWS, MAX_BATCH_ENTRIES // max(1, ds.val.size))
+    rows = min(len(grid.values) * width, MAX_BATCH_ROWS,
+               MAX_BATCH_TERMS // max(1, ds.orbits.terms))
     height = max(1, rows // width)  # step sizes a batch
     while candidate is not None:
         # The batch: the candidate, then the values the walk tries after it

@@ -5,7 +5,8 @@ the code paths it checks: the dense matrices, the design's rows in the file
 format, the scores of fresh points, the paper's lemma that adaptive methods
 started at zero stay on the line ``lambda_k * sign(X^T y)``, and the column
 quotient, the form of the run loop and the oracles before the orbit quotient,
-with one run on it.
+with one run on it and the full-length ``X w = X_q S w`` (`product`) and
+what reads it: the residual, the loss and the margin.
 """
 
 import copy
@@ -25,17 +26,51 @@ def column_quotient(ds):
     return lsq.Quotient(ds, np.arange(ds.n), np.arange(ds.multiplicity.size))
 
 
+def group_sums(ds, w):
+    """``S w``: w summed over each quotient column's features, one by one in
+    feature order, for a full-length weight vector or row by row for an
+    (R, d) stack (a fold of weight 1, whose products are exact)."""
+    kept = ds.columns >= 0
+    fold = lsq._Fold(ds.columns[kept], np.flatnonzero(kept), np.ones(int(kept.sum())),
+                     ds.multiplicity.size)
+    return fold(np.asarray(w, dtype=np.float64))
+
+
+def product(ds, w):
+    """``X w = X_q S w`` for a full-length weight vector, or row by row for
+    an (R, d) stack: the column quotient's forward fold of `group_sums`."""
+    return lsq.quotient_product(column_quotient(ds), group_sums(ds, w))
+
+
+def residual(ds, w):
+    """``X w - y`` for a weight vector, or row by row for an (R, d) stack."""
+    return product(ds, w) - ds.y
+
+
+def loss(ds, w):
+    """The squared interpolation error ``||X w - y||^2`` of a weight vector."""
+    if np.shape(w) != (ds.d,):
+        raise ValueError(f"weight vector must have shape ({ds.d},), got {np.shape(w)}")
+    return float(lsq.residual_loss(residual(ds, w)))
+
+
+def margin(ds, w):
+    """`lsq.margin` of `w`, or of each row of an (R, d) stack, given
+    `product`."""
+    return lsq.margin(ds, w, product(ds, w))
+
+
 def gradient(ds, w):
     """The full-length gradient ``2 X^T (X w - y)`` at `w`, on the column
     quotient."""
     cq = column_quotient(ds)
-    return cq.expand(lsq.residual_gradient(cq, lsq.residual(ds, w)))
+    return cq.expand(lsq.residual_gradient(cq, residual(ds, w)))
 
 
 def span_residual(ds, w):
     """`lsq.row_span_residual` of `w`, or of each row of an (R, d) stack, on
-    the column quotient, given ``X w`` from `lsq.product`."""
-    return lsq.row_span_residual(column_quotient(ds), w, lsq.product(ds, w))
+    the column quotient, given ``X w`` from `product`."""
+    return lsq.row_span_residual(column_quotient(ds), w, product(ds, w))
 
 
 def on_column_quotient(ds):

@@ -18,7 +18,7 @@ from optlab.cli import (
 )
 from optlab.optim import MethodKind, OptimizerSpec
 from optlab.training import MAX_LABELS, TRACE_HEADER, run_training
-from reference import gradient
+from reference import gradient, product
 
 
 def run_cli(*argv):
@@ -325,7 +325,7 @@ def test_all_zero_design(tmp_path, capsys):
     ds = lsq.Dataset(n=2, d=3, rows=((), ()), y=np.array([1.0, -1.0]))
     w = np.array([1.0, -2.0, 3.0])
     assert ds.multiplicity.size == 0  # no column survives the quotient
-    assert np.array_equal(lsq.product(ds, w), [0.0, 0.0])
+    assert np.array_equal(product(ds, w), [0.0, 0.0])
     assert np.array_equal(gradient(ds, w), np.zeros(3))
     for method in MethodKind:
         res = run_training(ds, OptimizerSpec(method=method, alpha=0.1, epsilon=0.0), 5)
@@ -491,11 +491,13 @@ def test_dataset_file_above_the_ceiling_is_a_usage_error(dataset_file, tmp_path,
 
 def test_tune_stack_above_the_ceiling_is_a_usage_error(dataset_file, tmp_path, capsys,
                                                       monkeypatch):
-    # The default tune round is 5 step sizes times 5 seeds, 25 rows of the
-    # design's quotient entries and features and 2000 dev labels each.  With
-    # the ceiling one below that, the round fails before its labels are drawn.
+    # The default tune round is 5 step sizes times 5 seeds, 25 untraced rows
+    # of the orbit quotient's 2n + 2 = 26 transposed-fold terms (16 bytes
+    # each) and 2000 dev labels (24 bytes each).  With the ceiling one below
+    # that, the round fails before its labels are drawn.
     ds = lsq.load_dataset(dataset_file)
-    size = 25 * (ds.val.size + ds.d + 2000)
+    assert ds.orbits.terms == 26
+    size = 25 * (16 * 26 + 24 * 2000)
     out = tmp_path / "tune.json"
     argv = ["tune", "--dataset", str(dataset_file), "--iters", "20", "--out", str(out)]
     with monkeypatch.context() as patch:
@@ -512,12 +514,13 @@ def test_tune_stack_above_the_ceiling_is_a_usage_error(dataset_file, tmp_path, c
 
 def test_experiment_stack_above_the_ceiling_fails_before_the_dataset_is_drawn(
         tmp_path, capsys, monkeypatch):
-    # An experiment's tallest stack is a tune's round 0: 5 rows of the n = 12
-    # synthetic design's 36 quotient entries and 63 features.  With the
-    # ceiling one below that, it fails before anything is drawn or written.
-    size = 5 * (3 * 12 + 5 * 12 + 3)
-    out = tmp_path / "exp"
-    argv = ["experiment", "--n", "12", "--iters", "5", "--out", str(out)]
+    # An experiment's tallest stacks are a tune's round 0, 5 untraced rows of
+    # the synthetic design's 2n + 2 transposed-fold terms (16 bytes each), and
+    # a final run, one traced row of as many terms, 2000 dev labels (24 bytes
+    # each) and 5n + 3 features (8 bytes each).  At n = 12 the final run is
+    # the taller, at n = 1 000 round 0.  With the ceiling one below the
+    # taller, the experiment fails before anything is drawn or written; at
+    # it, the dataset is drawn.
     drawn = []
 
     def generate(*args):
@@ -525,15 +528,42 @@ def test_experiment_stack_above_the_ceiling_fails_before_the_dataset_is_drawn(
         raise ValueError("the dataset was drawn")
 
     monkeypatch.setattr(lsq, "generate_synthetic", generate)
-    monkeypatch.setattr(training, "MAX_STACK_SIZE", size - 1)
-    assert run_cli(*argv) == 1
-    assert (f"a lockstep stack of 5 rows has size {size}, above the ceiling of {size - 1} "
-            "(training.MAX_STACK_SIZE") in capsys.readouterr().err
-    assert not drawn and not out.exists()
-    monkeypatch.setattr(training, "MAX_STACK_SIZE", size)  # a stack at the ceiling passes
-    assert run_cli(*argv) == 1
-    assert "the dataset was drawn" in capsys.readouterr().err
-    assert drawn == [(12, 0.75, 1)]
+    for n, rows, size in ((12, 1, 16 * 26 + 24 * 2000 + 8 * 63), (1000, 5, 5 * 16 * 2002)):
+        out = tmp_path / f"exp{n}"
+        argv = ["experiment", "--n", str(n), "--iters", "5", "--out", str(out)]
+        monkeypatch.setattr(training, "MAX_STACK_SIZE", size - 1)
+        assert run_cli(*argv) == 1
+        assert (f"a lockstep stack of {rows} rows has size {size}, above the ceiling of "
+                f"{size - 1} (training.MAX_STACK_SIZE") in capsys.readouterr().err
+        assert not drawn and not out.exists()
+        monkeypatch.setattr(training, "MAX_STACK_SIZE", size)  # a stack at the ceiling passes
+        assert run_cli(*argv) == 1
+        assert "the dataset was drawn" in capsys.readouterr().err
+        assert drawn.pop() == (n, 0.75, 1)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--iters", "-1"], "iters must be nonnegative, got -1"),
+    (["train", "--stop-loss", "nan"], "stop_loss must be a number, got nan"),
+    (["train", "--trace-every", "0"], "trace_every must be at least 1, got 0"),
+    (["train", "--alpha", "nan"], "alpha must be positive, got nan"),
+    (["tune", "--seeds", "0"], "need at least one seed, got 0"),
+], ids=["train_iters", "train_stop_loss", "train_trace_every", "train_alpha", "tune_seeds"])
+def test_run_options_are_checked_before_the_dataset_is_read(argv, message, dataset_file,
+                                                           tmp_path, capsys, monkeypatch):
+    # `train` and `tune` build their spec, policy and grid and check their
+    # run options before they load the dataset, let alone run anything.
+    def fail(name):
+        def patched(*args, **kwargs):
+            raise AssertionError(f"{name} ran")
+        return patched
+
+    monkeypatch.setattr(lsq, "load_dataset", fail("lsq.load_dataset"))
+    monkeypatch.setattr(training, "run_lockstep", fail("training.run_lockstep"))
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--dataset", str(dataset_file), "--out", str(out)) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from optlab import lsq, oracle
 from optlab.errors import DataGenerationError
 from reference import (column_quotient, dense, dense_quotient, design_rows, gradient,
-                       span_residual, test_scores)
+                       group_sums, loss, margin, product, residual, span_residual, test_scores)
 
 
 def toy_dataset(rows, y, d):
@@ -117,18 +117,18 @@ def test_label_correlation_structure():
 
 def test_loss_at_zero_equals_n():
     ds = lsq.generate_synthetic(9, 0.75, seed=2)
-    assert lsq.loss(ds, np.zeros(ds.d)) == ds.n
+    assert loss(ds, np.zeros(ds.d)) == ds.n
 
 
 def test_loss_single_row_example():
     ds = toy_dataset([((1, 1.0),)], [1.0], d=2)
-    assert lsq.loss(ds, np.array([2.0, 5.0])) == 1.0
+    assert loss(ds, np.array([2.0, 5.0])) == 1.0
 
 
 def test_min_norm_is_interpolating():
     ds = lsq.generate_synthetic(8, 0.75, seed=4)
     w = oracle.min_norm_solution(ds).w
-    assert lsq.loss(ds, w) <= 1e-18
+    assert loss(ds, w) <= 1e-18
 
 
 def test_gradient_at_zero_and_at_interpolant():
@@ -156,7 +156,7 @@ def test_gradient_matches_central_differences():
     for j in range(10):
         e = np.zeros(10)
         e[j] = h
-        fd[j] = (lsq.loss(ds, w + e) - lsq.loss(ds, w - e)) / (2 * h)
+        fd[j] = (loss(ds, w + e) - loss(ds, w - e)) / (2 * h)
     assert np.linalg.norm(fd - g) <= 1e-8 * (1 + np.linalg.norm(g))
 
 
@@ -179,7 +179,7 @@ def test_small_gradient_step_decreases_loss(seed):
         return
     lipschitz = 2.0 * np.linalg.norm(dense(ds), 2) ** 2
     w2 = w - (1.0 / (2.0 * lipschitz)) * g
-    assert lsq.loss(ds, w2) < lsq.loss(ds, w)
+    assert loss(ds, w2) < loss(ds, w)
 
 
 @settings(max_examples=20, deadline=None)
@@ -210,18 +210,18 @@ def test_stacked_products_do_not_depend_on_stack_size(n, seed, heights):
     X = dense(ds)
     W = rng.standard_normal((8, ds.d)) * 10.0
     for size in (1, 2, 5, 8):
-        resid = lsq.residual(ds, W[:size])
+        resid = residual(ds, W[:size])
         grads = lsq.residual_gradient(cq, resid)
         losses = lsq.residual_loss(resid)
-        xw = lsq.product(ds, W[:size])
+        xw = product(ds, W[:size])
         norms, largest = lsq.l2_norm(W[:size]), lsq.linf_norm(W[:size])
         margins = lsq.margin(ds, W[:size], xw, norms)
         spans = lsq.row_span_residual(cq, W[:size], xw)
         for i in range(size):
-            r = lsq.residual(ds, W[i])
-            assert xw[i].tobytes() == lsq.product(ds, W[i]).tobytes()
+            r = residual(ds, W[i])
+            assert xw[i].tobytes() == product(ds, W[i]).tobytes()
             assert (norms[i], largest[i]) == (lsq.l2_norm(W[i]), lsq.linf_norm(W[i]))
-            assert (margins[i], spans[i]) == (lsq.margin(ds, W[i]), span_residual(ds, W[i]))
+            assert (margins[i], spans[i]) == (margin(ds, W[i]), span_residual(ds, W[i]))
             assert resid[i].tobytes() == r.tobytes()
             assert grads[i].tobytes() == lsq.residual_gradient(cq, r).tobytes()
             assert float(losses[i]) == float(lsq.residual_loss(r))
@@ -230,8 +230,8 @@ def test_stacked_products_do_not_depend_on_stack_size(n, seed, heights):
             assert np.max(np.abs(r - ref)) <= 1e-12 * np.max(np.abs(ref))
             assert np.max(np.abs(cq.expand(grads[i]) - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
     # A zero row of a stack has no margin (NaN); alone, it raises.
-    margins = lsq.margin(ds, np.vstack([W[0], np.zeros(ds.d)]))
-    assert margins[0] == lsq.margin(ds, W[0]) and np.isnan(margins[1])
+    margins = margin(ds, np.vstack([W[0], np.zeros(ds.d)]))
+    assert margins[0] == margin(ds, W[0]) and np.isnan(margins[1])
 
 
 def _dependent_design(n: int, seed: int) -> lsq.Dataset:
@@ -270,7 +270,7 @@ def test_gram_solve_and_projector_match_dense_solves(n, seed, synthetic):
         assert np.linalg.norm(c - ref) <= 1e-10 * np.linalg.norm(ref)
     # The projector against the dense least-squares projection onto the rows.
     proj = X.T @ np.linalg.lstsq(X.T, w, rcond=None)[0]
-    projected = cq._span_projector(w, lsq.product(ds, w))
+    projected = cq._span_projector(w, product(ds, w))
     assert np.linalg.norm(projected - proj) <= 1e-10 * np.linalg.norm(w)
 
 
@@ -287,7 +287,7 @@ def test_stacked_gram_solve_equals_solo_solves(n, seed, synthetic, kinds):
     # and with its own tolerance (a small row beside a large one).
     ds = lsq.generate_synthetic(n, 0.75, seed) if synthetic else _dependent_design(n, seed)
     rng = np.random.default_rng(seed)
-    make = {"y": lambda: ds.y, "range": lambda: lsq.product(ds, rng.standard_normal(ds.d)),
+    make = {"y": lambda: ds.y, "range": lambda: product(ds, rng.standard_normal(ds.d)),
             "random": lambda: rng.standard_normal(ds.n), "zero": lambda: np.zeros(ds.n),
             "small": lambda: 1e-100 * rng.standard_normal(ds.n)}
     b, cq = np.array([make[kind]() for kind in kinds]), column_quotient(ds)
@@ -390,9 +390,9 @@ def test_products_are_sequential_folds_bit_for_bit(n, seed, height):
     kept, cq = np.flatnonzero(ds.columns >= 0), column_quotient(ds)
     rng = np.random.default_rng(seed)
     cases = [
-        (ds._times, ds.row, ds.col, ds.val, q, n),
+        (lambda v: lsq.quotient_product(cq, v), ds.row, ds.col, ds.val, q, n),
         (lambda v: lsq.quotient_t_product(cq, v), ds.col, ds.row, ds.val, n, q),
-        (ds._group_sums, ds.columns[kept], kept, np.ones(kept.size), ds.d, q),
+        (lambda v: group_sums(ds, v), ds.columns[kept], kept, np.ones(kept.size), ds.d, q),
     ]
     for fold, bins, take, weight, width, size in cases:
         stack = rng.standard_normal((height, width))
@@ -435,10 +435,11 @@ def test_duplicate_entries_are_summed_in_the_order_given():
 
 def test_dimension_mismatch_raises():
     ds = lsq.generate_synthetic(3, 0.75, seed=1)
-    with pytest.raises(ValueError):
-        lsq.loss(ds, np.zeros(ds.d + 1))
-    with pytest.raises(ValueError):
-        lsq.margin(ds, np.zeros(2))
+    for w in (np.zeros(ds.d + 1), np.zeros(2), np.zeros((2, 2, ds.d))):
+        with pytest.raises(ValueError, match="weight vector must have shape"):
+            lsq.margin(ds, w, np.ones(ds.n))
+        with pytest.raises(ValueError, match="weight vector must have shape"):
+            lsq.row_span_residual(ds.orbits, w, np.ones(2))
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +477,7 @@ def test_min_norm_scores_make_no_errors():
 def test_margin_symmetric_case():
     ds = identity_dataset([1.0, -1.0])
     w = np.array([1.0, -1.0]) / np.sqrt(2.0)
-    assert lsq.margin(ds, w) == pytest.approx(1 / np.sqrt(2.0), rel=1e-15)
+    assert margin(ds, w) == pytest.approx(1 / np.sqrt(2.0), rel=1e-15)
 
 
 @settings(max_examples=25, deadline=None)
@@ -485,13 +486,13 @@ def test_margin_scale_invariance(scale, seed):
     ds = lsq.generate_synthetic(4, 0.75, seed=seed)
     rng = np.random.default_rng(seed)
     w = rng.standard_normal(ds.d)
-    assert lsq.margin(ds, scale * w) == pytest.approx(lsq.margin(ds, w), rel=1e-9)
+    assert margin(ds, scale * w) == pytest.approx(margin(ds, w), rel=1e-9)
 
 
 def test_margin_zero_vector_raises():
     ds = lsq.generate_synthetic(2, 0.75, seed=0)
     with pytest.raises(ValueError):
-        lsq.margin(ds, np.zeros(ds.d))
+        margin(ds, np.zeros(ds.d))
 
 
 def test_row_span_residual_cases():

@@ -1,12 +1,18 @@
+import re
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optlab import lsq, oracle
+from optlab.cli import _oracle_report
 from optlab.errors import LemmaPreconditionError, SingularKernelError
 from optlab.optim import MethodKind, OptimizerSpec
-from reference import column_quotient, dense_gram, test_scores, verify_lemma_trajectory
+from reference import (column_quotient, dense_gram, loss, margin, product, residual, test_scores,
+                       verify_lemma_trajectory)
 
 UPSTREAM_ALPHA_NOTE = (
     "published closed form solves a reduced system whose negative-class "
@@ -74,7 +80,7 @@ def test_sign_solution_on_synthetic_data():
     sol = oracle.sign_solution(ds)
     assert sol.c == 4.0 and sol.tau == 0.25
     assert set(np.unique(sol.w)) <= {-0.25, 0.0, 0.25}
-    assert lsq.loss(ds, sol.w) == 0.0
+    assert loss(ds, sol.w) == 0.0
     # every nonzero component matches the sign of the label correlation
     cq = column_quotient(ds)
     u = cq.expand(lsq.quotient_t_product(cq, cq.y))
@@ -287,8 +293,8 @@ def test_analytic_test_error():
 
 def test_min_norm_margin_beats_sign_margin():
     ds = two_one_dataset()
-    m_mn = lsq.margin(ds, oracle.min_norm_solution(ds).w)
-    m_sg = lsq.margin(ds, oracle.sign_solution(ds).w)
+    m_mn = margin(ds, oracle.min_norm_solution(ds).w)
+    m_sg = margin(ds, oracle.sign_solution(ds).w)
     assert m_mn == pytest.approx(np.sqrt(2.0), rel=1e-12)
     assert m_sg == pytest.approx(4 / np.sqrt(10.0), rel=1e-12)
     assert m_mn >= m_sg
@@ -297,15 +303,15 @@ def test_min_norm_margin_beats_sign_margin():
 def test_min_norm_maximizes_margin_over_perturbations():
     ds = lsq.generate_synthetic(10, 0.75, seed=21)
     w_mn = oracle.min_norm_solution(ds).w
-    base = lsq.margin(ds, w_mn)
+    base = margin(ds, w_mn)
     rng, cq = np.random.default_rng(0), column_quotient(ds)
     for _ in range(25):
         v = rng.standard_normal(ds.d)
-        v_null = v - cq._span_projector(v, lsq.product(ds, v))
+        v_null = v - cq._span_projector(v, product(ds, v))
         cand = w_mn + 0.5 * v_null
-        assert lsq.loss(ds, cand) < 1e-16
-        assert base >= lsq.margin(ds, cand) - 1e-12
-    assert base >= lsq.margin(ds, oracle.sign_solution(ds).w) - 1e-12
+        assert loss(ds, cand) < 1e-16
+        assert base >= margin(ds, cand) - 1e-12
+    assert base >= margin(ds, oracle.sign_solution(ds).w) - 1e-12
 
 
 def test_solutions_are_distinct():
@@ -320,7 +326,7 @@ def test_solutions_are_distinct():
 def test_oracles_interpolate():
     ds = lsq.generate_synthetic(20, 0.8, seed=12)
     for sol in (oracle.min_norm_solution(ds), oracle.sign_solution(ds)):
-        assert np.linalg.norm(lsq.residual(ds, sol.w)) <= 1e-8
+        assert np.linalg.norm(residual(ds, sol.w)) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -360,3 +366,63 @@ def test_sgd_trajectory_leaves_sign_line(run_with_iterates):
     lam_max = np.max(np.abs(tr.lambdas))
     assert tr.max_deviation > 1e-2 * lam_max
 
+
+# ---------------------------------------------------------------------------
+# the oracle report's X w, against the column quotient's
+# ---------------------------------------------------------------------------
+
+
+SWEEP = runpy.run_path(str(Path(__file__).parents[1] / "scripts" / "sweep.py"))
+
+
+def dense_dataset(x, y):
+    rows = tuple(tuple((j + 1, float(v)) for j, v in enumerate(r) if v != 0.0) for r in x)
+    return lsq.Dataset(n=len(x), d=len(x[0]), rows=rows, y=np.asarray(y, dtype=float))
+
+
+def multiplicities_dataset():
+    """Five random columns of a 4-row design, the k-th repeated k times."""
+    base = np.random.default_rng(5).standard_normal((4, 5))
+    return dense_dataset(np.repeat(base, [1, 2, 3, 4, 5], axis=1), [1, -1, 1, 1])
+
+
+ORACLE_DESIGNS = {
+    **{f"synthetic_{n}_{seed}": (lambda n=n, seed=seed: lsq.generate_synthetic(n, 0.75, seed))
+       for n in (20, 100, 1000) for seed in (1, 2, 3)},
+    "sweep_hand": lambda: dense_dataset(SWEEP["HAND_DESIGN"], SWEEP["HAND_LABELS"]),
+    "sweep_orbit_joined": lambda: dense_dataset(SWEEP["ORBIT_DESIGN"],
+                                                SWEEP["ORBIT_JOINED_LABELS"]),
+    "multiplicities_1_to_5": multiplicities_dataset,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_DESIGNS))
+def test_oracle_report_equals_the_column_quotients_bit_for_bit(name):
+    # The report's margins and losses read X w from the orbit quotient, as
+    # the run loop makes it (``X_q diag(multiplicity) u``); the column
+    # quotient's ``X_q S w`` adds a column's equal values one by one.  On
+    # these designs (multiplicities up to 5) the two agree bit for bit.
+    ds = ORACLE_DESIGNS[name]()
+    if name == "multiplicities_1_to_5":
+        assert sorted(ds.multiplicity) == [1.0, 2.0, 3.0, 4.0, 5.0]
+    doc, mn, sg = _oracle_report(ds)
+    assert name != "sweep_hand" or sg is None  # the hand design has no sign solution
+    for key, sol in (("min_norm", mn), ("sign", sg)):
+        if sol is None:
+            continue
+        assert sol.xw.tobytes() == product(ds, sol.w).tobytes()
+        for quantity, reference in (("margin", margin), ("loss", loss)):
+            assert (np.float64(doc[f"{key}_{quantity}"]).tobytes()
+                    == np.float64(reference(ds, sol.w)).tobytes()), (key, quantity)
+
+
+def test_min_norm_residual_check_reads_the_column_quotients_bits():
+    # The sweep's orbit design has two equal rows of opposite labels, so no
+    # interpolant: the message gives the residual, in the column quotient's
+    # bits of the CG's solution.
+    ds = dense_dataset(SWEEP["ORBIT_DESIGN"], SWEEP["ORBIT_LABELS"])
+    orbits = ds.orbits
+    w = orbits.expand(lsq.quotient_t_product(orbits, orbits.gram_solve(orbits.y)))
+    resid = lsq.l2_norm(residual(ds, w))
+    with pytest.raises(SingularKernelError, match=re.escape(f"Gram solve residual {resid:.3e} ")):
+        oracle.min_norm_solution(ds)

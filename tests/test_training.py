@@ -16,7 +16,7 @@ from optlab.training import (
     run_training,
     write_trace_csv,
 )
-from reference import column_quotient, span_residual, test_scores
+from reference import column_quotient, margin, span_residual, test_scores
 
 
 @pytest.fixture(scope="module")
@@ -217,8 +217,8 @@ def test_trace_diagnostics_equal_standalone_calls(ds, method, dependent, monkeyp
         for row, iterates in zip(rows, solo):
             assert [t.iteration for t in row.trace] == list(range(len(iterates)))
             for t, w in zip(row.trace, iterates):
-                margin = lsq.margin(data, w) if np.linalg.norm(w) > 0.0 else math.nan
-                assert np.float64(t.margin).tobytes() == np.float64(margin).tobytes()
+                expected = margin(data, w) if np.linalg.norm(w) > 0.0 else math.nan
+                assert np.float64(t.margin).tobytes() == np.float64(expected).tobytes()
                 assert t.rowspan_resid == span_residual(data, w)
                 assert (t.w_l2, t.w_linf) == (lsq.l2_norm(w), float(np.max(np.abs(w))))
 
@@ -248,6 +248,34 @@ def test_run_loop_steps_through_the_engine_once_per_iteration(ds, monkeypatch):
     # Steps each row took part in: up to its last iteration, or the failing one.
     steps = [64, 95, 150, 1]
     assert heights == [sum(j <= last for last in steps) for j in range(1, 151)]
+
+
+def test_rows_without_a_trace_build_no_full_length_w(ds, monkeypatch):
+    # No caller reads an untraced row's w (a tune round reads its loss, dev
+    # record, status and iterations), so the mixed stack above, untraced,
+    # expands only the 3 coordinates its dev scores read, whichever way each
+    # row stops; traced, every row gets its d-long w.
+    widths = []
+    expand = lsq.Quotient.expand
+
+    def recorded(self, u, *args):
+        w = expand(self, u, *args)
+        widths.append(w.shape[-1])
+        return w
+
+    monkeypatch.setattr(lsq.Quotient, "expand", recorded)
+    labels = [lsq.dev_labels_for(0.75, 100, np.random.SeedSequence(entropy=1, spawn_key=(i,)))
+              for i in range(4)]
+    spec, alphas = OptimizerSpec(method=MethodKind.HB, alpha=1.0), [0.02, 1.0, 1e-7, 1e308]
+    untraced = run_lockstep(ds, spec, alphas, 150, dev_labels=labels, stop_loss=1e-3,
+                            record_trace=False)
+    assert [(r.status, r.converged, r.iterations) for r in untraced] == [
+        ("ok", True, 64), ("diverged", False, 95), ("ok", False, 150), ("diverged", False, 0)]
+    assert all(r.w is None and r.trace == [] for r in untraced)
+    assert set(widths) == {3}
+    traced = run_lockstep(ds, spec, alphas, 150, dev_labels=labels, stop_loss=1e-3)
+    assert all(r.w.shape == (ds.d,) for r in traced)
+    assert [r.final_loss for r in traced] == [r.final_loss for r in untraced]
 
 
 def test_dropped_rows_step_no_further_and_the_others_run_as_alone(ds, monkeypatch):
@@ -416,20 +444,20 @@ def singular_dataset():
 def test_singular_preconditioner_stops_only_its_row():
     ds = singular_dataset()
     spec = OptimizerSpec(method=MethodKind.ADAGRAD, alpha=1e10, epsilon=0.0)
-    solo = run_training(ds, spec, 50, record_trace=False)
+    solo = run_training(ds, spec, 50)
     assert solo.status == "singular_preconditioner"
     assert solo.iterations == 1
     assert solo.failure == ("zero preconditioner entry with nonzero update at step 2 "
                             "(epsilon=0.0)")
 
     alphas = [0.5, 1e10, 0.25]
-    rows = run_lockstep(ds, spec, alphas, 50, record_trace=False)
+    rows = run_lockstep(ds, spec, alphas, 50)
     assert [r.status for r in rows] == ["ok", "singular_preconditioner", "ok"]
     assert [r.iterations for r in rows] == [50, 1, 50]
     x = np.array([[1e-20, 5e-161], [0.0, 5e-161]])
     for alpha, row in zip(alphas, rows):
         row_spec = OptimizerSpec(method=MethodKind.ADAGRAD, alpha=alpha, epsilon=0.0)
-        solo = run_training(ds, row_spec, 50, record_trace=False)
+        solo = run_training(ds, row_spec, 50)
         assert_same_run(row, solo)
         outcome = reference_run(x, ds.y, row_spec, 50, DecayPolicy(), None, None)[2:5]
         assert outcome == (row.iterations, row.status, row.failure)

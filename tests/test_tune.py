@@ -490,10 +490,10 @@ def test_walk_runs_its_candidates_as_stacks_no_taller_than_round_0(small_ds, mon
                   dev_size=None, extension_cap=7, stop_loss=1e-12)
     assert report.extensions == 7
     assert stacks == [[True] * 3, [True] * 3, [True] * 3, [True]]
-    # The bound on quotient entries leaves one step size per stack.
+    # The bound on transposed-fold terms leaves one step size per stack.
     stacks.clear()
     with monkeypatch.context() as patch:
-        patch.setattr(tune_module, "MAX_BATCH_ENTRIES", small_ds.val.size * 2 - 1)
+        patch.setattr(tune_module, "MAX_BATCH_TERMS", small_ds.orbits.terms * 2 - 1)
         assert tune(small_ds, SGD, make_log_grid(1e-5, 2, 3), DecayPolicy(), 300, 2,
                     dev_size=None, extension_cap=7, stop_loss=1e-12) == report
     assert stacks == [[True] * 3] + [[True]] * 7
