@@ -21,11 +21,12 @@ cap); on a hand-built real-valued 6 x 9 design with a duplicate and an
 all-zero column, a traced, a diverging and a tuned run per method, plus its
 oracle; and on a hand-built 8 x 10 design whose rows fall into orbit classes
 of several rows (and two pairs of rows that must stay apart), a traced and a
-tuned run per method, plus its oracle, which exits 2 (two equal rows have
-opposite labels, so the Gram solve's residual stays large, in digits that
-come from the CG's bits), and the oracle of a copy with those labels made
-equal, whose 8 rows fall into 5 classes; and last, two seed-1 `experiment
---iters 5000` runs away from the default p = 0.75, at p = 0.501 and 0.9.
+tuned run per method, plus its oracle, which exits 2 naming its two equal
+rows with opposite labels, and the oracle of a copy with those labels made
+equal, whose 8 rows fall into 5 classes; the oracle of a hand-built 4 x 5
+design with an empty row, which exits 2 naming it; and last, two seed-1
+`experiment --iters 5000` runs away from the default p = 0.75, at p = 0.501
+and 0.9.
 """
 
 from __future__ import annotations
@@ -77,6 +78,16 @@ ORBIT_DESIGN = (
 ORBIT_LABELS = (1, 1, 1, 1, -1, 1, 1, -1)
 # Row 5 relabelled +1: rows 4 and 5 join one class.
 ORBIT_JOINED_LABELS = (1, 1, 1, 1, 1, 1, 1, -1)
+
+# Real-valued 4 x 5 design whose row 3 has no entries, so X w = y has no
+# solution; feature 5 is all zero.
+ZERO_ROW_DESIGN = (
+    (1.0, 0.5, 0.0, -1.0, 0.0),
+    (0.0, 2.0, 1.0, 0.0, 0.0),
+    (0.0, 0.0, 0.0, 0.0, 0.0),
+    (0.5, 0.0, -1.5, 1.0, 0.0),
+)
+ZERO_ROW_LABELS = (1, -1, 1, -1)
 
 
 def hand_document(design=HAND_DESIGN, labels=HAND_LABELS) -> dict:
@@ -134,7 +145,7 @@ def commands() -> list[list[str]]:
                      "--out", f"orbit/train/{method}"])
         cmds.append(["tune", *data, "--iters", "300", "--seeds", "2",
                      "--out", f"orbit/tune/{method}.json"])
-    for name in ("orbit", "orbit-joined"):
+    for name in ("orbit", "orbit-joined", "zero-row"):
         cmds.append(["oracle", "--dataset", f"{name}/dataset.json",
                      "--out", f"{name}/oracle.json"])
     for p in ("0.501", "0.9"):
@@ -164,7 +175,8 @@ def main(argv: list[str]) -> int:
     for path, doc in (("hand/dataset.json", hand_document()),
                       ("orbit/dataset.json", hand_document(ORBIT_DESIGN, ORBIT_LABELS)),
                       ("orbit-joined/dataset.json",
-                       hand_document(ORBIT_DESIGN, ORBIT_JOINED_LABELS))):
+                       hand_document(ORBIT_DESIGN, ORBIT_JOINED_LABELS)),
+                      ("zero-row/dataset.json", hand_document(ZERO_ROW_DESIGN, ZERO_ROW_LABELS))):
         Path(path).parent.mkdir()
         Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     seen = digests(root)

@@ -233,7 +233,7 @@ def _oracle_report(ds: lsq.Dataset):
         "n_pos": ds.n_pos,
         "n_neg": ds.n_neg,
         "min_norm": oracle.solution_to_document(mn),
-        "min_norm_margin": lsq.margin(ds, mn.w, mn.xw),
+        "min_norm_margin": lsq.margin(ds, mn.xw, lsq.l2_norm(mn.w)),
         "min_norm_loss": float(lsq.residual_loss(mn.xw - ds.y)),
     }
     try:
@@ -244,7 +244,7 @@ def _oracle_report(ds: lsq.Dataset):
     report["sign"] = None
     if sg is not None:
         report["sign"] = oracle.solution_to_document(sg)
-        report["sign_margin"] = lsq.margin(ds, sg.w, sg.xw)
+        report["sign_margin"] = lsq.margin(ds, sg.xw, lsq.l2_norm(sg.w))
         report["sign_loss"] = float(lsq.residual_loss(sg.xw - ds.y))
     if ds.p is not None and ds.n_pos >= 1 and ds.n_neg >= 1:
         a_plus, a_minus = oracle.synthetic_alphas(ds.n_pos, ds.n_neg)

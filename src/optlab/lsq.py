@@ -16,9 +16,9 @@ the same order as each of its members.  The Gram system ``X X^T c = b`` is
 solved by conjugate gradients on the orbit quotient, never formed.
 
 Each reported quantity is computed here alone, for one weight vector or row
-by row for an (R, d) stack: `residual_loss`, `residual_gradient`, `l2_norm`,
-`linf_norm`, `margin` and `row_span_residual` (given ``X w``) and the error
-on fresh labels, `error_rates`.
+by row for a stack: `residual_loss`, `residual_gradient`, `l2_norm`,
+`linf_norm`, `margin` (given ``X w`` and ``||w||``), `row_span_residual` (given
+class values and ``X w``) and the error on fresh labels, `error_rates`.
 
 The synthetic family is deliberately overparameterized (``d = 3 + 5n``):
 feature 1 equals the label, features 2 and 3 are constant one, and every
@@ -164,17 +164,15 @@ class Quotient:
         self.row, self.col, self.val = (self.row_class[ds.row[fwd]], self.col_class[ds.col[fwd]],
                                         ds.val[fwd])
         self._times = _Fold(self.row, self.col, self.val, row_reps.size)
-        # Feature j's class; an all-zero column (-1) takes the appended 0.
-        self._gather = np.append(self.col_class, 0)[ds.columns], ds.columns >= 0
+        # Feature j's class; an all-zero column (-1) takes the padding 0.0.
+        self._gather = np.append(self.col_class, col_reps.size)[ds.columns]
 
     def expand(self, u: np.ndarray, features=slice(None)) -> np.ndarray:
         """Full-length vector(s) from class values: feature j takes the value
-        of its column's class, and an all-zero column takes 0.  `features`
+        of its column's class, and an all-zero column takes 0.0.  `features`
         selects the features to return."""
-        index, kept = self._gather
-        if not self.multiplicity.size:  # no column to take from
-            u = np.zeros(np.shape(u)[:-1] + (1,))
-        return np.where(kept[features], np.take(u, index[features], axis=-1), 0.0)
+        padded = np.concatenate((u, np.zeros(np.shape(u)[:-1] + (1,))), axis=-1)
+        return padded.take(self._gather[features], axis=-1)
 
     def gram_solve(self, b: np.ndarray) -> np.ndarray:
         """Solve ``X X^T c = b`` by conjugate gradients from ``c = 0``, with
@@ -187,39 +185,33 @@ class Quotient:
         most `CG_TOL` times ``|b|``, after 2n steps, or on breakdown (no
         positive curvature), and leaves the stack; every op is per row, so
         each row is bit for bit its solo solve.  The iterates stay in the range of
-        ``X X^T``, so dependent rows need no special case.  Callers check the
-        residual.
+        ``X X^T``, so dependent rows need no special case; off it, c may grow
+        to inf or NaN, silently.  Callers check the residual.
         """
         r = np.array(b, dtype=np.float64).reshape(-1, self.y.size)
         c = np.zeros(r.shape)
         p, live = r.copy(), np.arange(len(r))  # live: the rows still running
         rr = residual_loss(r.take(self.row_class, axis=-1))
         stop = CG_TOL * CG_TOL * rr
-        for _ in range(2 * self.n):
-            keep = rr > stop
-            if not keep.all():
-                live, r, p, rr, stop = (v[keep] for v in (live, r, p, rr, stop))
-            if not live.size:
-                break
-            q = quotient_product(self, self.multiplicity * quotient_t_product(self, p))
-            curvature = np.add.reduce((p * q).take(self.row_class, axis=-1), axis=-1)
-            keep = curvature > 0.0
-            if not keep.all():
-                live, r, p, q, rr, stop, curvature = (
-                    v[keep] for v in (live, r, p, q, rr, stop, curvature))
-            a = (rr / curvature)[:, None]
-            c[live] += a * p
-            r -= a * q
-            rr, rr_old = residual_loss(r.take(self.row_class, axis=-1)), rr
-            p = r + (rr / rr_old)[:, None] * p
+        with np.errstate(over="ignore", invalid="ignore"):  # see the docstring
+            for _ in range(2 * self.n):
+                keep = rr > stop
+                if not keep.all():
+                    live, r, p, rr, stop = (v[keep] for v in (live, r, p, rr, stop))
+                if not live.size:
+                    break
+                q = quotient_product(self, self.multiplicity * quotient_t_product(self, p))
+                curvature = np.add.reduce((p * q).take(self.row_class, axis=-1), axis=-1)
+                keep = curvature > 0.0
+                if not keep.all():
+                    live, r, p, q, rr, stop, curvature = (
+                        v[keep] for v in (live, r, p, q, rr, stop, curvature))
+                a = (rr / curvature)[:, None]
+                c[live] += a * p
+                r -= a * q
+                rr, rr_old = residual_loss(r.take(self.row_class, axis=-1)), rr
+                p = r + (rr / rr_old)[:, None] * p
         return c.reshape(np.shape(b))
-
-    def _span_projector(self, w: np.ndarray, xw: np.ndarray) -> np.ndarray:
-        """Projection ``X^T (X X^T)^+ X w`` of w, or of each row of an (R, d)
-        stack, onto the span of the rows, given `xw`, ``X w`` per row class."""
-        if not np.all(np.isfinite(xw)):
-            raise ValueError("array must not contain infs or NaNs")
-        return self.expand(quotient_t_product(self, self.gram_solve(xw)))
 
 
 class Dataset:
@@ -492,14 +484,6 @@ def generate_synthetic(n: int, p: float, seed: int) -> Dataset:
     )
 
 
-def _check_dim(ds: Quotient, w: np.ndarray, stack: bool = False) -> np.ndarray:
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape[-1:] != (ds.d,) or w.ndim > (2 if stack else 1):
-        shapes = f"({ds.d},) or (R, {ds.d})" if stack else f"({ds.d},)"
-        raise ValueError(f"weight vector must have shape {shapes}, got {w.shape}")
-    return w
-
-
 def quotient_product(ds: Quotient, s: np.ndarray) -> np.ndarray:
     """``X_q s`` per row class, for s per column class, or row by row for an
     (R, column classes) stack.
@@ -544,27 +528,23 @@ def linf_norm(v: np.ndarray):
     return float(largest) if np.ndim(v) == 1 else largest
 
 
-def margin(ds: Dataset, w: np.ndarray, xw: np.ndarray, norm=None):
+def margin(ds: Dataset, xw: np.ndarray, norm):
     """Normalized worst-case score ``min_i y_i <w, x_i> / ||w||`` of a weight
-    vector (a float; the zero vector raises), or of each row of an (R, d)
-    stack (an array; NaN for a zero row), given `xw`, ``X w`` per row (over
-    the row classes, a minimum could pick -0.0 where the rows' picks +0.0).
-    `norm`, if given, is the `l2_norm` of `w`, not computed again."""
-    w = _check_dim(ds, w, stack=True)
-    norm = l2_norm(w) if norm is None else norm
-    if w.ndim == 1 and norm == 0.0:
-        raise ValueError("margin is undefined for the zero vector")
+    vector (a float), or of each row of a stack (an array), NaN for the zero
+    vector, given `xw`, ``X w`` per row (over the row classes, a minimum could
+    pick -0.0 where the rows' picks +0.0), and `norm`, ``||w||``."""
     worst = np.minimum.reduce(ds.y * xw, axis=-1)
-    with np.errstate(invalid="ignore"):  # a zero row: 0/0
-        return float(worst / norm) if w.ndim == 1 else worst / norm
+    with np.errstate(invalid="ignore"):  # the zero vector: 0/0
+        return float(worst / norm) if np.ndim(xw) == 1 else worst / norm
 
 
-def row_span_residual(ds: Quotient, w: np.ndarray, xw: np.ndarray):
-    """Distance from `w` to the span of the data rows (a float), or from each
-    row of an (R, d) stack (an array), given `xw`, ``X w`` per row class of
-    `ds`."""
-    w = _check_dim(ds, w, stack=True)
-    return l2_norm(w - ds._span_projector(w, xw))
+def row_span_residual(ds: Quotient, u: np.ndarray, xw: np.ndarray):
+    """Distance from w to the span of the data rows (a float), or from each
+    row of a stack (an array), for w taking ``u[c]`` on column class c of
+    `ds`, given `xw`, ``X w`` per row class (``w - P w`` is class-constant)."""
+    if not np.all(np.isfinite(xw)):
+        raise ValueError("array must not contain infs or NaNs")
+    return l2_norm(ds.expand(u - quotient_t_product(ds, ds.gram_solve(xw))))
 
 
 def dev_labels_for(p: float, size: int, seed_sequence) -> np.ndarray:
@@ -576,15 +556,17 @@ def dev_labels_for(p: float, size: int, seed_sequence) -> np.ndarray:
 
 
 def label_counts(labels) -> list:
-    """``[count of +1, count of -1]`` of a label stream, or of each row of a
-    stack of them, as Python ints."""
+    """``[count of +1, count of -1]`` of a label stream, or of each stream of
+    a stack of them (one at a time: no stacked copy), as Python ints."""
+    if len(labels) and np.ndim(labels[0]):
+        return [label_counts(stream) for stream in labels]
     labels = np.asarray(labels, dtype=np.float64)
     if labels.size == 0:
         raise ValueError("a dev label stream must not be empty")
-    if not np.all(np.abs(labels) == 1.0):
+    counts = [int(np.count_nonzero(labels == 1.0)), int(np.count_nonzero(labels == -1.0))]
+    if sum(counts) != labels.size:
         raise ValueError("dev labels must be +1 or -1")
-    return np.stack([np.sum(labels > 0.0, axis=-1), np.sum(labels < 0.0, axis=-1)],
-                    axis=-1).tolist()
+    return counts
 
 
 def error_rates(w: np.ndarray, counts) -> list[float]:

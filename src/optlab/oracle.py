@@ -32,7 +32,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import LemmaPreconditionError, SingularKernelError
-from .lsq import Dataset, Quotient, l2_norm, quotient_product, quotient_t_product
+from .lsq import (Dataset, Quotient, _equal_segments, l2_norm, quotient_product,
+                  quotient_t_product)
 
 __all__ = [
     "sign_solution",
@@ -97,18 +98,34 @@ def sign_solution(ds: Dataset) -> OracleSolution:
     return OracleSolution(kind="sign", w=w, xw=_product(orbits, tau * np.sign(u)), c=c, tau=tau)
 
 
+def _witness(ds: Dataset) -> str | None:
+    """A message naming rows (from 1) that show ``Xw = y`` has no solution, an
+    empty row or two bit-equal rows with different labels; else None."""
+    ptr = np.searchsorted(ds.row, np.arange(ds.n + 1))
+    first = _equal_segments(ptr, ds.col, ds.val.view(np.uint64), np.zeros(ds.n, dtype=np.intp))
+    bad = np.flatnonzero((ptr[:-1] == ptr[1:]) | (ds.y != ds.y[first]))
+    if not bad.size:
+        return None
+    i, j = first[bad[0]], bad[0]  # an empty row is the first of its kind: i = j
+    if i == j:
+        return f"Xw = y has no solution: row {j + 1} has no entries and label {ds.y[j]:+.0f}"
+    return (f"Xw = y has no solution: rows {i + 1} and {j + 1} have equal entries and "
+            f"labels {ds.y[i]:+.0f} and {ds.y[j]:+.0f}")
+
+
 def min_norm_solution(ds: Dataset) -> OracleSolution:
     """The least-L2-norm interpolant ``X^T (XX^T)^{-1} y``, solved on the
     orbit quotient; raises `SingularKernelError` when ``Xw = y`` has none
-    (the residual stays large).  `alpha_plus` and `alpha_minus` are the
-    means of the coefficients over the rows of each label."""
+    (the residual stays large; `_witness` names rows that show it).
+    `alpha_plus` and `alpha_minus` are the coefficients' means by label."""
     orbits = ds.orbits
     coef = orbits.gram_solve(orbits.y)
-    u = quotient_t_product(orbits, coef)
-    w, xw = orbits.expand(u), _product(orbits, u)
-    resid = l2_norm(xw - ds.y)
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverged solve fails the check
+        u = quotient_t_product(orbits, coef)
+        w, xw = orbits.expand(u), _product(orbits, u)
+        resid = l2_norm(xw - ds.y)
     if not np.all(np.isfinite(coef)) or resid > 1e-8 * np.sqrt(ds.n):
-        raise SingularKernelError(f"Gram solve residual {resid:.3e} too large")
+        raise SingularKernelError(_witness(ds) or f"Gram solve residual {resid:.3e} too large")
     a_plus = a_minus = None
     if ds.p is not None:
         coef, pos, neg = coef.take(orbits.row_class), ds.y > 0, ds.y < 0

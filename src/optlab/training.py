@@ -10,10 +10,10 @@ residuals have one entry per row class.  The product is
 ``X_q diag(multiplicity) u`` and the gradient ``2 X_q^T r``, one fold each;
 the loss sums the n residuals, expanded from their classes.  Full-length
 vectors appear only at the edges, through `lsq.Quotient.expand`: a traced
-run's result and trace rows (a tune round, untraced, builds none), and the
-dev scores' first three coordinates; the trace's span residual solves its
-CG on the orbit quotient too.  `check_stack` states what a stack row holds
-and bounds the stack by it.
+run's result and the two norms of its trace rows (a tune round, untraced,
+builds none), and the dev scores' first three coordinates; the trace's span
+residual solves its CG on the orbit quotient too.  `check_stack` states what
+a stack row holds and bounds the stack by it.
 
 The engine, `step`, steps the stack once per iteration; a single run is a
 stack of one row.  A row that converges, or fails (non-finite loss or
@@ -28,8 +28,8 @@ next gradient (`lsq.residual_gradient`) and the trace reuse them, and the
 loop reduces its few per-row numbers as Python floats.  Each row records
 loss/norm/margin/span diagnostics every iteration up to 1000, then every
 10th, plus the final one (default); they are the stacked `lsq.l2_norm`,
-`lsq.linf_norm`, `lsq.margin` and `lsq.row_span_residual` calls, given the
-products ``Xw``, once per block of recorded rows (at most
+`lsq.linf_norm`, `lsq.margin` and `lsq.row_span_residual` calls on class
+values, given the products ``Xw``, once per block of recorded rows (at most
 `TRACE_BLOCK_FLOATS` floats).  The dev error of an iterate is
 `lsq.error_rates` of its first three coordinates.
 
@@ -69,8 +69,8 @@ DENSE_TRACE_LIMIT = 1000
 SPARSE_TRACE_EVERY = 10
 
 #: Floats per block of trace rows, whose diagnostics are computed together:
-#: each row counts q + n + d floats, its class values (at most q), its ``X w``
-#: expanded to rows and its full-length iterate.
+#: each row counts C + n + d floats, its C class values, its ``X w`` expanded
+#: to rows and a full-length vector.
 TRACE_BLOCK_FLOATS = 1 << 15
 
 
@@ -101,17 +101,17 @@ class RunResult:
     failure: str | None = None
 
 
-#: The longest dev or test label stream (`dev_size`, `m_test`).  Drawing and
-#: scoring take about 24 bytes of peak RSS per label and stream (measured on
-#: 25 streams of 10^6, a default tune round with a dev stream), so such a
-#: round at the ceiling peaks near 0.6 GB, inside the 2 GiB of `lsq`'s
-#: ceilings; `MAX_STACK_SIZE` bounds the number of streams.
+#: The longest dev or test label stream (`dev_size`, `m_test`).  A round holds
+#: its streams, 8 bytes of peak RSS a label, and counts them one at a time: 25
+#: of 10^6 (a default tune round) peak at 230 MiB, inside `lsq`'s 2 GiB;
+#: `MAX_STACK_SIZE` bounds the number of streams.
 MAX_LABELS = 10**6
 
 #: The largest lockstep stack, in `check_stack`'s bytes.  A tune round's peak
 #: RSS rises 1.5 bytes per counted byte of terms and 1.0 per dev label's: at
 #: n = 2.5 * 10^5, 99 rows (7.97 * 10^8) peak at 1 294 MiB and the default 25
-#: (2.0 * 10^8) at 447 MiB; 60 adam rows at n = 10^5 (1.9 * 10^8) at 385 MiB.
+#: (2.0 * 10^8) at 447 MiB; 60 adam rows at n = 10^5 (1.9 * 10^8) at 385 MiB;
+#: 99 dev streams of 10^6 at n = 1 000 (7.9 * 10^8) at 797 MiB.
 MAX_STACK_SIZE = 8 * 10**8
 
 
@@ -139,9 +139,9 @@ def check_stack(rows: int, terms: int, dev_labels: int, features: int = 0) -> No
     """Reject a lockstep stack of `rows` rows above `MAX_STACK_SIZE`, in
     bytes of what a row holds on the orbit loop: 16 for each of the
     transposed fold's `terms` (`lsq.Quotient.terms`; its stacked bins and
-    weights), 24 for each of its dev labels (`MAX_LABELS`) and, for a traced
+    weights), 8 for each of its dev labels (`MAX_LABELS`) and, for a traced
     row only, 8 for each of the `features` of its full-length result `w`."""
-    size = rows * (16 * terms + 24 * dev_labels + 8 * features)
+    size = rows * (16 * terms + 8 * dev_labels + 8 * features)
     if size > MAX_STACK_SIZE:
         raise ValueError(f"a lockstep stack of {rows} rows has size {size}, above the ceiling "
                          f"of {MAX_STACK_SIZE} (training.MAX_STACK_SIZE, sized for a 2 GiB peak)")
@@ -159,17 +159,17 @@ def _append_trace_rows(ds: lsq.Dataset, pending: list) -> None:
 
     The block's diagnostics are one stacked call each of `lsq.l2_norm`,
     `lsq.linf_norm`, `lsq.margin` and `lsq.row_span_residual` on its (rows,
-    d) full-length iterates, given the products ``X w`` the loop made per row
-    class (the margin reads them per row: over the classes, a minimum could
-    pick -0.0 where the rows' minimum picks +0.0).
+    C) class values, given the products ``X w`` the loop made per row class
+    (the margin reads them per row); only ``||w||`` and the span residual,
+    pairwise sums whose bits need every term, expand to full length.
     """
     traces, iterations, alphas, losses, devs, u, xw = zip(*pending)
     orbits = ds.orbits
-    w, xw = orbits.expand(np.array(u)), np.array(xw)
-    norms, xw_rows = lsq.l2_norm(w), xw.take(orbits.row_class, axis=-1)
-    diagnostics = (norms, lsq.linf_norm(w), lsq.margin(ds, w, xw_rows, norms),
-                   lsq.row_span_residual(orbits, w, xw))
-    for trace, k, alpha, loss, dev, norm, linf, margin, resid in zip(
+    u, xw = np.array(u), np.array(xw)
+    norms = lsq.l2_norm(orbits.expand(u))
+    diagnostics = (norms, lsq.linf_norm(u), lsq.row_span_residual(orbits, u, xw),
+                   lsq.margin(ds, xw.take(orbits.row_class, axis=-1), norms))
+    for trace, k, alpha, loss, dev, norm, linf, resid, margin in zip(
             traces, iterations, alphas, losses, devs, *(v.tolist() for v in diagnostics)):
         trace.append(TraceRow(k, float(alpha), float(loss), dev, norm, linf,
                               margin if norm > 0.0 else math.nan, resid))
@@ -225,7 +225,7 @@ def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
     rows = list(range(n_rows))  # stack position -> row
     # Trace rows wait, as views of the arrays the loop makes (and never
     # writes into), until a block of TRACE_BLOCK_FLOATS floats is full.
-    pending, block = [], max(1, TRACE_BLOCK_FLOATS // (ds.multiplicity.size + ds.n + ds.d))
+    pending, block = [], max(1, TRACE_BLOCK_FLOATS // (orbits.multiplicity.size + ds.n + ds.d))
 
     # The dev record, one list entry per row in the stack (Python numbers).
     counts = dev = best_dev = epoch_of_best = improved = None

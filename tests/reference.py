@@ -6,7 +6,9 @@ format, the scores of fresh points, the paper's lemma that adaptive methods
 started at zero stay on the line ``lambda_k * sign(X^T y)``, and the column
 quotient, the form of the run loop and the oracles before the orbit quotient,
 with one run on it and the full-length ``X w = X_q S w`` (`product`) and
-what reads it: the residual, the loss and the margin.
+what reads it: the residual, the loss and the margin; and the trace's
+diagnostics as they were computed over full-length iterates, the margin and
+the span residual with its projection ``P w``.
 """
 
 import copy
@@ -54,10 +56,27 @@ def loss(ds, w):
     return float(lsq.residual_loss(residual(ds, w)))
 
 
-def margin(ds, w):
-    """`lsq.margin` of `w`, or of each row of an (R, d) stack, given
-    `product`."""
-    return lsq.margin(ds, w, product(ds, w))
+def full_length(ds, w):
+    """`w` as float64, which must be a full-length weight vector or an (R, d)
+    stack of them (`ds` is a dataset or a quotient)."""
+    w = np.asarray(w, dtype=np.float64)
+    if w.shape[-1:] != (ds.d,) or w.ndim > 2:
+        raise ValueError(f"weight vector must have shape ({ds.d},) or (R, {ds.d}), got {w.shape}")
+    return w
+
+
+def margin(ds, w, xw=None):
+    """``min_i y_i (X w)_i / ||w||`` of a full-length `w` (a float; the zero
+    vector raises), or of each row of an (R, d) stack (NaN for a zero row),
+    with the norm over its d entries, given `xw`, ``X w`` per row (by
+    default `product`)."""
+    w = full_length(ds, w)
+    norm = lsq.l2_norm(w)
+    if w.ndim == 1 and norm == 0.0:
+        raise ValueError("margin is undefined for the zero vector")
+    worst = np.minimum.reduce(ds.y * (product(ds, w) if xw is None else xw), axis=-1)
+    with np.errstate(invalid="ignore"):
+        return float(worst / norm) if w.ndim == 1 else worst / norm
 
 
 def gradient(ds, w):
@@ -67,10 +86,25 @@ def gradient(ds, w):
     return cq.expand(lsq.residual_gradient(cq, residual(ds, w)))
 
 
-def span_residual(ds, w):
-    """`lsq.row_span_residual` of `w`, or of each row of an (R, d) stack, on
-    the column quotient, given ``X w`` from `product`."""
-    return lsq.row_span_residual(column_quotient(ds), w, product(ds, w))
+def projection(q, w, xw):
+    """The full-length projection ``X^T (X X^T)^+ X w`` of `w`, or of each
+    row of an (R, d) stack, onto the span of the rows, on the quotient `q`,
+    given `xw`, ``X w`` per row class of `q`."""
+    full_length(q, w)
+    if not np.all(np.isfinite(xw)):
+        raise ValueError("array must not contain infs or NaNs")
+    return q.expand(lsq.quotient_t_product(q, q.gram_solve(xw)))
+
+
+def span_residual(ds, w, q=None, xw=None):
+    """Distance ``||w - P w||`` from a full-length `w`, or from each row of an
+    (R, d) stack, to the span of the rows, subtracted and summed over its d
+    entries: `projection` on the quotient `q` given `xw`, by default the
+    column quotient and `product`."""
+    w = full_length(ds, w)
+    if q is None:
+        q, xw = column_quotient(ds), product(ds, w)
+    return lsq.l2_norm(w - projection(q, w, xw))
 
 
 def on_column_quotient(ds):
@@ -184,7 +218,7 @@ def quotient_run(ds, spec, alpha, iters, *, dev_labels=None, stop_loss=None,
     """One `training.run_lockstep` row, without a decay policy, run plainly on
     the column quotient: a (q,) state stepped by `step`, the products
     ``X_q diag(multiplicity) u`` and ``2 X_q^T r`` over all n rows, and each
-    trace row's diagnostics from the standalone `lsq` calls."""
+    trace row's diagnostics from its full-length iterate."""
     cq = column_quotient(ds)
     counts = None if dev_labels is None else lsq.label_counts([dev_labels])
     state = init_state(spec, np.zeros(ds.multiplicity.size))
@@ -225,8 +259,8 @@ def quotient_run(ds, spec, alpha, iters, *, dev_labels=None, stop_loss=None,
                 norm = lsq.l2_norm(w)
                 result.trace.append(training.TraceRow(
                     k, float(alpha), float(loss), dev, norm, lsq.linf_norm(w),
-                    lsq.margin(ds, w, xw, norm) if norm > 0.0 else math.nan,
-                    lsq.row_span_residual(cq, w, xw)))
+                    margin(ds, w, xw) if norm > 0.0 else math.nan,
+                    span_residual(ds, w, cq, xw)))
             if k == iters or converged:
                 return finish(converged=converged)
             new = step(state, spec, grad_at, alpha)

@@ -27,8 +27,8 @@ from optlab.optim import MethodKind, OptimizerSpec
 from optlab.schedules import DecayPolicy
 from optlab.training import run_training
 from optlab.tune import extend_if_edge, make_log_grid
-from reference import (column_quotient, dense_gram, gradient, loss, margin, product, test_scores,
-                       verify_lemma_trajectory)
+from reference import (column_quotient, dense_gram, gradient, loss, margin, product, projection,
+                       test_scores, verify_lemma_trajectory)
 
 NONADAPTIVE = ("sgd", "hb", "nag")
 ADAPTIVE = ("adagrad", "rmsprop", "adam")
@@ -266,7 +266,7 @@ def test_criterion_7_margin_maximality():
         candidates = [oracle.sign_solution(ds).w]
         for _ in range(100):
             v = rng.standard_normal(ds.d)
-            v_null = v - column_quotient(ds)._span_projector(v, product(ds, v))
+            v_null = v - projection(column_quotient(ds), v, product(ds, v))
             candidates.append(w_mn + rng.uniform(0.1, 2.0) * v_null)
         for cand in candidates:
             gap = margin(ds, cand) - base

@@ -334,7 +334,7 @@ def test_all_zero_design(tmp_path, capsys):
     path = tmp_path / "zero.json"
     lsq.save_dataset(ds, path)
     assert run_cli("oracle", "--dataset", str(path), "--out", str(tmp_path / "o.json")) == 2
-    assert "Gram solve residual" in capsys.readouterr().err
+    assert "Xw = y has no solution: row 1 has no entries and label +1" in capsys.readouterr().err
 
 
 def test_dev_stream_needs_dataset_p(tmp_path, capsys):
@@ -493,11 +493,11 @@ def test_tune_stack_above_the_ceiling_is_a_usage_error(dataset_file, tmp_path, c
                                                       monkeypatch):
     # The default tune round is 5 step sizes times 5 seeds, 25 untraced rows
     # of the orbit quotient's 2n + 2 = 26 transposed-fold terms (16 bytes
-    # each) and 2000 dev labels (24 bytes each).  With the ceiling one below
+    # each) and 2000 dev labels (8 bytes each).  With the ceiling one below
     # that, the round fails before its labels are drawn.
     ds = lsq.load_dataset(dataset_file)
     assert ds.orbits.terms == 26
-    size = 25 * (16 * 26 + 24 * 2000)
+    size = 25 * (16 * 26 + 8 * 2000)
     out = tmp_path / "tune.json"
     argv = ["tune", "--dataset", str(dataset_file), "--iters", "20", "--out", str(out)]
     with monkeypatch.context() as patch:
@@ -516,7 +516,7 @@ def test_experiment_stack_above_the_ceiling_fails_before_the_dataset_is_drawn(
         tmp_path, capsys, monkeypatch):
     # An experiment's tallest stacks are a tune's round 0, 5 untraced rows of
     # the synthetic design's 2n + 2 transposed-fold terms (16 bytes each), and
-    # a final run, one traced row of as many terms, 2000 dev labels (24 bytes
+    # a final run, one traced row of as many terms, 2000 dev labels (8 bytes
     # each) and 5n + 3 features (8 bytes each).  At n = 12 the final run is
     # the taller, at n = 1 000 round 0.  With the ceiling one below the
     # taller, the experiment fails before anything is drawn or written; at
@@ -528,7 +528,7 @@ def test_experiment_stack_above_the_ceiling_fails_before_the_dataset_is_drawn(
         raise ValueError("the dataset was drawn")
 
     monkeypatch.setattr(lsq, "generate_synthetic", generate)
-    for n, rows, size in ((12, 1, 16 * 26 + 24 * 2000 + 8 * 63), (1000, 5, 5 * 16 * 2002)):
+    for n, rows, size in ((12, 1, 16 * 26 + 8 * 2000 + 8 * 63), (1000, 5, 5 * 16 * 2002)):
         out = tmp_path / f"exp{n}"
         argv = ["experiment", "--n", str(n), "--iters", "5", "--out", str(out)]
         monkeypatch.setattr(training, "MAX_STACK_SIZE", size - 1)

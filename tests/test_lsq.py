@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from optlab import lsq, oracle
 from optlab.errors import DataGenerationError
 from reference import (column_quotient, dense, dense_quotient, design_rows, gradient,
-                       group_sums, loss, margin, product, residual, span_residual, test_scores)
+                       group_sums, loss, margin, product, projection, residual, span_residual,
+                       test_scores)
 
 
 def toy_dataset(rows, y, d):
@@ -195,7 +196,8 @@ def test_stacked_products_do_not_depend_on_stack_size(n, seed, heights):
     # drawn sequence of heights, shrinking and growing, on one dataset, and
     # each row must equal the product of a second copy of the dataset that
     # only ever sees single vectors.  The stacked diagnostics (norms, margins
-    # from the stack's products, span residuals) must equal their solo calls.
+    # from the stack's products, and span residuals of class values) must
+    # equal their solo calls and the full-length references.
     ds = lsq.generate_synthetic(n, 0.75, seed)
     cq, solo = column_quotient(ds), column_quotient(lsq.generate_synthetic(n, 0.75, seed))
     q = ds.multiplicity.size
@@ -209,19 +211,23 @@ def test_stacked_products_do_not_depend_on_stack_size(n, seed, heights):
             assert transposed[i].tobytes() == lsq.quotient_t_product(solo, r[i]).tobytes()
     X = dense(ds)
     W = rng.standard_normal((8, ds.d)) * 10.0
+    U = rng.standard_normal((8, q)) * 10.0  # class values on the column quotient
+    V = cq.expand(U)
     for size in (1, 2, 5, 8):
         resid = residual(ds, W[:size])
         grads = lsq.residual_gradient(cq, resid)
         losses = lsq.residual_loss(resid)
         xw = product(ds, W[:size])
         norms, largest = lsq.l2_norm(W[:size]), lsq.linf_norm(W[:size])
-        margins = lsq.margin(ds, W[:size], xw, norms)
-        spans = lsq.row_span_residual(cq, W[:size], xw)
+        margins = lsq.margin(ds, xw, norms)
+        spans = lsq.row_span_residual(cq, U[:size], product(ds, V[:size]))
         for i in range(size):
             r = residual(ds, W[i])
             assert xw[i].tobytes() == product(ds, W[i]).tobytes()
             assert (norms[i], largest[i]) == (lsq.l2_norm(W[i]), lsq.linf_norm(W[i]))
-            assert (margins[i], spans[i]) == (margin(ds, W[i]), span_residual(ds, W[i]))
+            assert margins[i] == margin(ds, W[i]) == lsq.margin(ds, xw[i], norms[i])
+            assert spans[i] == span_residual(ds, V[i]) == lsq.row_span_residual(
+                cq, U[i], product(ds, V[i]))
             assert resid[i].tobytes() == r.tobytes()
             assert grads[i].tobytes() == lsq.residual_gradient(cq, r).tobytes()
             assert float(losses[i]) == float(lsq.residual_loss(r))
@@ -270,7 +276,7 @@ def test_gram_solve_and_projector_match_dense_solves(n, seed, synthetic):
         assert np.linalg.norm(c - ref) <= 1e-10 * np.linalg.norm(ref)
     # The projector against the dense least-squares projection onto the rows.
     proj = X.T @ np.linalg.lstsq(X.T, w, rcond=None)[0]
-    projected = cq._span_projector(w, product(ds, w))
+    projected = projection(cq, w, product(ds, w))
     assert np.linalg.norm(projected - proj) <= 1e-10 * np.linalg.norm(w)
 
 
@@ -434,12 +440,14 @@ def test_duplicate_entries_are_summed_in_the_order_given():
 
 
 def test_dimension_mismatch_raises():
+    # The full-length margin and span residual take a weight vector or an
+    # (R, d) stack, nothing else.
     ds = lsq.generate_synthetic(3, 0.75, seed=1)
     for w in (np.zeros(ds.d + 1), np.zeros(2), np.zeros((2, 2, ds.d))):
         with pytest.raises(ValueError, match="weight vector must have shape"):
-            lsq.margin(ds, w, np.ones(ds.n))
+            margin(ds, w, np.ones(ds.n))
         with pytest.raises(ValueError, match="weight vector must have shape"):
-            lsq.row_span_residual(ds.orbits, w, np.ones(2))
+            span_residual(ds, w, ds.orbits, np.ones(2))
 
 
 # ---------------------------------------------------------------------------
@@ -490,9 +498,13 @@ def test_margin_scale_invariance(scale, seed):
 
 
 def test_margin_zero_vector_raises():
+    # The full-length reference raises; `lsq.margin`, given X w and the norm,
+    # gives the zero vector NaN, alone as in a stack.
     ds = lsq.generate_synthetic(2, 0.75, seed=0)
     with pytest.raises(ValueError):
         margin(ds, np.zeros(ds.d))
+    assert np.isnan(lsq.margin(ds, np.zeros(ds.n), 0.0))
+    assert np.isnan(lsq.margin(ds, np.zeros((2, ds.n)), np.zeros(2))).all()
 
 
 def test_row_span_residual_cases():
@@ -515,6 +527,11 @@ def test_row_span_residual_rejects_non_finite(bad):
     w[0] = bad
     with pytest.raises(ValueError, match="infs or NaNs"):
         span_residual(ds, w)
+    orbits = ds.orbits
+    u = np.zeros(orbits.multiplicity.size)
+    u[0] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        lsq.row_span_residual(orbits, u, lsq.quotient_product(orbits, orbits.multiplicity * u))
 
 
 # ---------------------------------------------------------------------------

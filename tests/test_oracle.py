@@ -11,8 +11,8 @@ from optlab import lsq, oracle
 from optlab.cli import _oracle_report
 from optlab.errors import LemmaPreconditionError, SingularKernelError
 from optlab.optim import MethodKind, OptimizerSpec
-from reference import (column_quotient, dense_gram, loss, margin, product, residual, test_scores,
-                       verify_lemma_trajectory)
+from reference import (column_quotient, dense_gram, loss, margin, product, projection, residual,
+                       test_scores, verify_lemma_trajectory)
 
 UPSTREAM_ALPHA_NOTE = (
     "published closed form solves a reduced system whose negative-class "
@@ -307,7 +307,7 @@ def test_min_norm_maximizes_margin_over_perturbations():
     rng, cq = np.random.default_rng(0), column_quotient(ds)
     for _ in range(25):
         v = rng.standard_normal(ds.d)
-        v_null = v - cq._span_projector(v, product(ds, v))
+        v_null = v - projection(cq, v, product(ds, v))
         cand = w_mn + 0.5 * v_null
         assert loss(ds, cand) < 1e-16
         assert base >= margin(ds, cand) - 1e-12
@@ -416,13 +416,54 @@ def test_oracle_report_equals_the_column_quotients_bit_for_bit(name):
                     == np.float64(reference(ds, sol.w)).tobytes()), (key, quantity)
 
 
+# Row 3 is the sum of rows 1 and 2, so X w = y needs y3 = y1 + y2; no row is
+# empty and no two are equal.
+DEPENDENT_TRIPLE = ((1.0, 0.0, 0.5), (0.0, 1.0, -0.5), (1.0, 1.0, 0.0))
+
+
 def test_min_norm_residual_check_reads_the_column_quotients_bits():
-    # The sweep's orbit design has two equal rows of opposite labels, so no
-    # interpolant: the message gives the residual, in the column quotient's
-    # bits of the CG's solution.
-    ds = dense_dataset(SWEEP["ORBIT_DESIGN"], SWEEP["ORBIT_LABELS"])
+    # A design without an interpolant whose rows give no witness: the message
+    # gives the residual, in the column quotient's bits of the CG's solution.
+    ds = dense_dataset(DEPENDENT_TRIPLE, [1, 1, 1])
     orbits = ds.orbits
     w = orbits.expand(lsq.quotient_t_product(orbits, orbits.gram_solve(orbits.y)))
     resid = lsq.l2_norm(residual(ds, w))
     with pytest.raises(SingularKernelError, match=re.escape(f"Gram solve residual {resid:.3e} ")):
         oracle.min_norm_solution(ds)
+
+
+INCONSISTENT_DESIGNS = {
+    "zero_row": (lambda: dense_dataset(SWEEP["ZERO_ROW_DESIGN"], SWEEP["ZERO_ROW_LABELS"]),
+                 "Xw = y has no solution: row 3 has no entries and label +1"),
+    "equal_rows": (lambda: dense_dataset(SWEEP["ORBIT_DESIGN"], SWEEP["ORBIT_LABELS"]),
+                   "Xw = y has no solution: rows 4 and 5 have equal entries and labels +1 and -1"),
+    "equal_rows_apart": (lambda: dense_dataset([[2.0, 1.0], [1.0, 2.0], [2.0, 1.0]], [-1, 1, 1]),
+                         "rows 1 and 3 have equal entries and labels -1 and +1"),
+    "dependent_triple": (lambda: dense_dataset(DEPENDENT_TRIPLE, [1, 1, 1]),
+                         "Gram solve residual 6.124e-01 too large"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INCONSISTENT_DESIGNS))
+def test_min_norm_names_an_exact_witness(name):
+    # A row with no entries, or two rows with bit-equal entries and different
+    # labels, shows that X w = y has no solution whatever the CG's bits; the
+    # message names the rows (numbered from 1).  Without such rows it gives
+    # the residual.
+    make, message = INCONSISTENT_DESIGNS[name]
+    with pytest.raises(SingularKernelError, match=re.escape(message)):
+        oracle.min_norm_solution(make())
+
+
+@pytest.mark.parametrize("x, y", [
+    (SWEEP["ORBIT_DESIGN"], SWEEP["ORBIT_JOINED_LABELS"]),
+    (((1.0, 0.0, 0.5), (0.0, 1.0, -0.5), (0.5, 0.5, 0.0)), [1, 1, 1]),
+    ([[2.0, 1.0], [1.0, 2.0], [2.0, 1.0]], [1, -1, 1]),
+])
+def test_consistent_designs_look_for_no_witness(x, y, monkeypatch):
+    # The same designs made consistent (equal rows with equal labels, the
+    # third row half the sum of the others) solve without the witness search.
+    monkeypatch.setattr(oracle, "_witness", lambda ds: pytest.fail("looked for a witness"))
+    ds = dense_dataset(x, y)
+    sol = oracle.min_norm_solution(ds)
+    assert lsq.l2_norm(sol.xw - ds.y) <= 1e-8 * np.sqrt(ds.n)

@@ -8,14 +8,15 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from optlab import lsq, oracle
 from optlab.errors import LemmaPreconditionError, SingularKernelError
 from optlab.optim import MethodKind, OptimizerSpec
 from optlab.training import run_lockstep
-from reference import column_quotient, on_column_quotient, orbit_classes, quotient_run
+from reference import (column_quotient, margin, on_column_quotient, orbit_classes,
+                       quotient_run, span_residual)
 
 
 def dataset(x, y, extra=None):
@@ -177,8 +178,8 @@ def assert_orbit_solves_equal_the_column_quotients(ds):
     assert expanded.tobytes() == cq.gram_solve(b.take(orbits.row_class, axis=-1)).tobytes()
     u = np.vstack([np.zeros(cols), np.ones(cols), rng.standard_normal((2, cols))])
     w, xw = orbits.expand(u), lsq.quotient_product(orbits, orbits.multiplicity * u)
-    assert lsq.row_span_residual(orbits, w, xw).tobytes() == lsq.row_span_residual(
-        cq, w, xw.take(orbits.row_class, axis=-1)).tobytes()
+    assert lsq.row_span_residual(orbits, u, xw).tobytes() == span_residual(
+        ds, w, cq, xw.take(orbits.row_class, axis=-1)).tobytes()
     assert oracle_results(ds) == oracle_results(on_column_quotient(ds))
 
 
@@ -193,6 +194,10 @@ def test_orbit_solves_equal_the_column_quotients(name, collide, monkeypatch):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10**6), collide=st.booleans(), synthetic=st.booleans())
+# Inconsistent designs whose CG overflows: on a right-hand side off the range
+# of X X^T, and on the labels (the oracle's residual).
+@example(seed=8312, collide=False, synthetic=False)
+@example(seed=49636, collide=False, synthetic=False)
 def test_random_orbit_solves_equal_the_column_quotients(seed, collide, synthetic):
     # A synthetic draw has class coefficients to compare, a hand-built one none.
     ds = lsq.generate_synthetic(1 + seed % 40, 0.75, seed) if synthetic else orbit_design(seed)
@@ -201,6 +206,77 @@ def test_random_orbit_solves_equal_the_column_quotients(seed, collide, synthetic
             patch.setattr(lsq, "_segment_keys", _colliding_keys)
         ds.orbits  # built with the colliding keys
     assert_orbit_solves_equal_the_column_quotients(ds)
+
+
+def assert_class_diagnostics_equal_the_full_length_ones(ds):
+    """The trace's diagnostics of class values u, given ``X w`` per row class,
+    equal their full-length references on ``w = expand(u)`` bit for bit, for
+    a stack and for each of its rows alone: `lsq.row_span_residual` (w - P w
+    subtracted over the d entries), `lsq.linf_norm` of u (of w) and
+    `lsq.margin` given ``||w||`` (NaN for the zero row of a stack)."""
+    rng, orbits = np.random.default_rng(ds.n), ds.orbits
+    cols = orbits.multiplicity.size
+    u = np.vstack([np.zeros(cols), np.ones(cols), -np.ones(cols),
+                   rng.standard_normal((3, cols)) * 10.0 ** rng.integers(-3, 4, (3, 1))])
+    w, xw = orbits.expand(u), lsq.quotient_product(orbits, orbits.multiplicity * u)
+    xw_rows, norms = xw.take(orbits.row_class, axis=-1), lsq.l2_norm(w)
+    stacked = (lsq.row_span_residual(orbits, u, xw), lsq.linf_norm(u),
+               lsq.margin(ds, xw_rows, norms))
+    full = (span_residual(ds, w, orbits, xw), lsq.linf_norm(w), margin(ds, w, xw_rows))
+    for got, want in zip(stacked, full):
+        assert got.tobytes() == want.tobytes()
+    assert np.isnan(stacked[2][0])
+    for i in range(len(u)):
+        solo = [lsq.row_span_residual(orbits, u[i], xw[i]), lsq.linf_norm(u[i])]
+        if norms[i] > 0.0:  # alone, the zero vector's margin raises
+            solo.append(lsq.margin(ds, xw_rows[i], norms[i]))
+        assert [bits(v) for v in solo] == [bits(v[i]) for v in full[:len(solo)]]
+
+
+@pytest.mark.parametrize("name", sorted(DESIGNS))
+def test_class_diagnostics_equal_the_full_length_ones(name):
+    assert_class_diagnostics_equal_the_full_length_ones(DESIGNS[name]())
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), synthetic=st.booleans())
+def test_random_class_diagnostics_equal_the_full_length_ones(seed, synthetic):
+    ds = lsq.generate_synthetic(1 + seed % 40, 0.75, seed) if synthetic else orbit_design(seed)
+    assert_class_diagnostics_equal_the_full_length_ones(ds)
+
+
+def expand_where(ds, quotient, u, features=slice(None)):
+    """`lsq.Quotient.expand` in its `np.where` form: feature j takes the
+    value of its column's class, an all-zero column 0.0, and a design
+    without columns takes its zeros from a padding column."""
+    index, kept = np.append(quotient.col_class, 0)[ds.columns], ds.columns >= 0
+    if not quotient.multiplicity.size:
+        u = np.zeros(np.shape(u)[:-1] + (1,))
+    return np.where(kept[features], np.take(u, index[features], axis=-1), 0.0)
+
+
+@pytest.mark.parametrize("name", ["synthetic", "zero_columns", "no_column"])
+def test_expand_is_one_take(name):
+    # Bit for bit, signed zeros, NaN and infinities included, for one vector
+    # and a stack, on both quotients: the synthetic design drops the unused
+    # slots of its positive blocks, the hand-built one has two all-zero
+    # columns and the last none at all.
+    ds = {"synthetic": DESIGNS["synthetic"],
+          "zero_columns": lambda: dataset([[1.0, 0.0, 2.0, 0.0, 0.5], [1.0, 0.0, 2.0, 0.0, -1.0]],
+                                          [1, -1]),
+          "no_column": lambda: lsq.Dataset(n=2, d=3, rows=((), ()), y=np.array([1.0, -1.0])),
+          }[name]()
+    assert name == "synthetic" or np.any(ds.columns < 0)
+    rng = np.random.default_rng(1)
+    for quotient in (ds.orbits, column_quotient(ds)):
+        cols = quotient.multiplicity.size
+        specials = [-0.0, 0.0, math.nan, math.inf, -math.inf]
+        u = np.vstack([rng.choice(specials, cols), rng.standard_normal((2, cols))])
+        for values in (u, u[0], u[1]):
+            for features in (slice(None), slice(3)):
+                got, want = quotient.expand(values, features), expand_where(
+                    ds, quotient, values, features)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def bits(x):

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -212,7 +213,7 @@ def test_trace_diagnostics_equal_standalone_calls(ds, method, dependent, monkeyp
         with monkeypatch.context() as patch:
             if block_rows is not None:
                 patch.setattr(training, "TRACE_BLOCK_FLOATS",
-                              block_rows * (data.multiplicity.size + data.n + data.d))
+                              block_rows * (data.orbits.multiplicity.size + data.n + data.d))
             rows = run_lockstep(data, spec, alphas, 30)
         for row, iterates in zip(rows, solo):
             assert [t.iteration for t in row.trace] == list(range(len(iterates)))
@@ -315,14 +316,16 @@ def test_dropped_rows_step_no_further_and_the_others_run_as_alone(ds, monkeypatc
 
 
 def test_trace_blocks_count_the_full_length_iterates(monkeypatch):
-    # A block's diagnostics work on its (rows, d) full-length iterates, so its
-    # height must count d, not only q + n: here a hand-built design whose
-    # 40 000 features collapse to 4 quotient columns.  Every full-length
-    # array the trace makes stays within TRACE_BLOCK_FLOATS, or is one row.
+    # A block's norms expand its class values to (rows, d) full-length
+    # vectors, so its height must count d, not only C + n: here a hand-built
+    # design whose 40 000 features collapse to 4 column classes.  Every
+    # full-length array the trace makes stays within TRACE_BLOCK_FLOATS, or
+    # is one row.
     d = 40_000
     rows = (((1, 1.0), (d, 2.0)), ((2, 1.0),), ((1, 1.0), (3, -1.0)), ((2, 3.0), (3, 1.0)))
     data = lsq.Dataset(n=4, d=d, rows=rows, y=np.array([1.0, -1.0, 1.0, 1.0]))
-    assert data.multiplicity.size == 4
+    classes = data.orbits.multiplicity.size
+    assert classes == 4
     shapes = []
     expand = lsq.Quotient.expand
 
@@ -335,7 +338,7 @@ def test_trace_blocks_count_the_full_length_iterates(monkeypatch):
     (row,) = run_lockstep(data, sgd_spec(0.01), [0.01], 40)
     assert [t.iteration for t in row.trace] == list(range(41))
     assert all(len(shape) == 1 or shape[0] == 1
-               or shape[0] * (4 + data.n + d) <= training.TRACE_BLOCK_FLOATS
+               or shape[0] * (classes + data.n + d) <= training.TRACE_BLOCK_FLOATS
                for shape in shapes)
 
 
@@ -369,6 +372,31 @@ def test_dev_labels_must_be_signs(ds):
         run_training(ds, sgd_spec(0.002), 5, dev_labels=np.array([]))
     with pytest.raises(ValueError, match="must not be empty"):
         run_lockstep(ds, sgd_spec(0.002), [0.002, 0.001], 5, dev_labels=np.ones((2, 0)))
+
+
+def test_label_counts_count_each_stream_by_itself():
+    # Counting R streams of L labels allocates O(L), one stream's
+    # comparisons, not an (R, L) stack of them (numpy reports its buffers to
+    # tracemalloc).  One stream gives one pair; an empty stream or a label
+    # other than +1 or -1 is rejected.
+    rng = np.random.default_rng(0)
+    size = 100_000
+    streams = [np.where(rng.random(size) < 0.75, 1.0, -1.0) for _ in range(20)]
+    tracemalloc.start()
+    try:
+        counts = lsq.label_counts(streams)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * size  # the stack alone would take 8 * 20 * size bytes
+    assert counts == [[int(np.sum(v > 0.0)), int(np.sum(v < 0.0))] for v in streams]
+    assert lsq.label_counts(streams[0]) == counts[0]
+    assert lsq.label_counts(np.array(streams[:3])) == counts[:3]
+    for labels, message in (([], "must not be empty"), ([np.array([])], "must not be empty"),
+                            (np.array([1.0, 0.5]), "dev labels must be"),
+                            ([np.ones(2), np.array([1.0, np.nan])], "dev labels must be")):
+        with pytest.raises(ValueError, match=message):
+            lsq.label_counts(labels)
 
 
 def test_dev_labels_stream_deterministic():
