@@ -197,11 +197,11 @@ def cmd_train(options: TrainOptions) -> int:
     policy = _policy_from(options)
     ds = lsq.load_dataset(options.dataset)
     options = replace(options, dev_size=_dev_size_for(ds, options.dev_size))
-    dev_labels = None
+    dev_counts = None
     if options.dev_size is not None:
         ss = np.random.SeedSequence(entropy=options.seed, spawn_key=(_DEV_STREAM,))
-        dev_labels = lsq.dev_labels_for(ds.p, options.dev_size, ss)
-    result = run_training(ds, spec, options.iters, policy=policy, dev_labels=dev_labels,
+        dev_counts = lsq.label_counts(lsq.dev_labels_for(ds.p, options.dev_size, ss))
+    result = run_training(ds, spec, options.iters, policy=policy, dev_counts=dev_counts,
                           stop_loss=options.stop_loss, trace_every=options.trace_every)
     out = Path(options.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -364,29 +364,27 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     check_tune_budget(cfg.iters, cfg.seeds, cfg.extension_cap, cfg.stop_loss)
     grid = make_log_grid(cfg.grid_center, cfg.grid_ratio, cfg.grid_count)
     # The tallest stacks: a tune's round 0, a row per grid value without dev
-    # labels, and a final run, one traced row with its dev stream.
+    # labels, and a final run, one traced row.
     terms, d = lsq.synthetic_shape(cfg.n)
-    check_stack(len(grid.values), terms, 0)
-    check_stack(1, terms, _DEV_SIZE, d)
+    check_stack(len(grid.values), terms)
+    check_stack(1, terms, d)
     ds = lsq.generate_synthetic(cfg.n, cfg.p, cfg.seed)
     # A synthetic design always has the sign solution (c = 4).
     oracle_doc, mn, sg = _oracle_report(ds)
     if "analytic_test_error" not in oracle_doc:  # its closed forms need both classes
         raise ValueError(f"the drawn dataset has no negative example (n={cfg.n}, seed={cfg.seed})")
-    test_labels = lsq.dev_labels_for(
-        cfg.p, cfg.m_test, np.random.SeedSequence(entropy=cfg.seed, spawn_key=(_TEST_STREAM,))
-    )
-    test_counts = lsq.label_counts(test_labels)
-    dev_labels = lsq.dev_labels_for(
-        cfg.p, _DEV_SIZE, np.random.SeedSequence(entropy=cfg.seed, spawn_key=(_DEV_STREAM,))
-    )
+    # Each stream is counted as it is drawn: its counts are all its error reads.
+    test_counts = lsq.label_counts(lsq.dev_labels_for(
+        cfg.p, cfg.m_test, np.random.SeedSequence(entropy=cfg.seed, spawn_key=(_TEST_STREAM,))))
+    dev_counts = lsq.label_counts(lsq.dev_labels_for(
+        cfg.p, _DEV_SIZE, np.random.SeedSequence(entropy=cfg.seed, spawn_key=(_DEV_STREAM,))))
 
     rows, runs = [], []  # runs: (method, tune report, final run), written after the loop
     for method in methods:
         adaptive = method in ADAPTIVE_METHODS
         report = tune(ds, base_spec_for(method), grid, DecayPolicy(), cfg.iters, cfg.seeds,
                       dev_size=None, extension_cap=cfg.extension_cap, stop_loss=cfg.stop_loss)
-        final = run_training(ds, report.winner.spec, cfg.iters, dev_labels=dev_labels,
+        final = run_training(ds, report.winner.spec, cfg.iters, dev_counts=dev_counts,
                              stop_loss=cfg.stop_loss)
         runs.append((method, report, final))
 

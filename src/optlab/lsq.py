@@ -556,10 +556,8 @@ def dev_labels_for(p: float, size: int, seed_sequence) -> np.ndarray:
 
 
 def label_counts(labels) -> list:
-    """``[count of +1, count of -1]`` of a label stream, or of each stream of
-    a stack of them (one at a time: no stacked copy), as Python ints."""
-    if len(labels) and np.ndim(labels[0]):
-        return [label_counts(stream) for stream in labels]
+    """``[count of +1, count of -1]`` of a label stream, as Python ints: all
+    that its dev or test error reads (`error_rates`)."""
     labels = np.asarray(labels, dtype=np.float64)
     if labels.size == 0:
         raise ValueError("a dev label stream must not be empty")

@@ -2,7 +2,7 @@
 
 The run loop advances a lockstep stack of R rows: one trajectory each, all
 with the same spec and policy and all starting at zero, but each with its own
-step size and dev labels.  It runs on the design's orbit quotient
+step size and dev stream.  It runs on the design's orbit quotient
 (`lsq.Dataset.orbits`, a `lsq.Quotient` of 4 column classes and 2 row
 classes on the synthetic design): the state arrays have shape (R, C), one
 entry per column class, while all-zero columns stay at zero, and the
@@ -31,7 +31,8 @@ loss/norm/margin/span diagnostics every iteration up to 1000, then every
 `lsq.linf_norm`, `lsq.margin` and `lsq.row_span_residual` calls on class
 values, given the products ``Xw``, once per block of recorded rows (at most
 `TRACE_BLOCK_FLOATS` floats).  The dev error of an iterate is
-`lsq.error_rates` of its first three coordinates.
+`lsq.error_rates` of its first three coordinates and of its row's two label
+counts, taken where the stream is drawn (`lsq.label_counts`): no labels.
 
 One iteration equals one epoch here: all gradients are full-batch.
 """
@@ -101,17 +102,14 @@ class RunResult:
     failure: str | None = None
 
 
-#: The longest dev or test label stream (`dev_size`, `m_test`).  A round holds
-#: its streams, 8 bytes of peak RSS a label, and counts them one at a time: 25
-#: of 10^6 (a default tune round) peak at 230 MiB, inside `lsq`'s 2 GiB;
-#: `MAX_STACK_SIZE` bounds the number of streams.
+#: The longest dev or test label stream (`dev_size`, `m_test`).  Each stream
+#: is counted as it is drawn and dropped, so a command holds one at a time.
 MAX_LABELS = 10**6
 
 #: The largest lockstep stack, in `check_stack`'s bytes.  A tune round's peak
-#: RSS rises 1.5 bytes per counted byte of terms and 1.0 per dev label's: at
-#: n = 2.5 * 10^5, 99 rows (7.97 * 10^8) peak at 1 294 MiB and the default 25
-#: (2.0 * 10^8) at 447 MiB; 60 adam rows at n = 10^5 (1.9 * 10^8) at 385 MiB;
-#: 99 dev streams of 10^6 at n = 1 000 (7.9 * 10^8) at 797 MiB.
+#: RSS rises 1.5 bytes per counted byte of terms: at n = 2.5 * 10^5, 99 rows
+#: (7.97 * 10^8) peak at 1 294 MiB and the default 25 (2.0 * 10^8) at
+#: 447 MiB; 60 adam rows at n = 10^5 (1.9 * 10^8) at 385 MiB.
 MAX_STACK_SIZE = 8 * 10**8
 
 
@@ -135,13 +133,13 @@ def check_run_options(iters: int, trace_every: int | None, stop_loss: float | No
         raise ValueError(f"stop_loss must be a number, got {stop_loss}")
 
 
-def check_stack(rows: int, terms: int, dev_labels: int, features: int = 0) -> None:
+def check_stack(rows: int, terms: int, features: int = 0) -> None:
     """Reject a lockstep stack of `rows` rows above `MAX_STACK_SIZE`, in
     bytes of what a row holds on the orbit loop: 16 for each of the
     transposed fold's `terms` (`lsq.Quotient.terms`; its stacked bins and
-    weights), 8 for each of its dev labels (`MAX_LABELS`) and, for a traced
-    row only, 8 for each of the `features` of its full-length result `w`."""
-    size = rows * (16 * terms + 8 * dev_labels + 8 * features)
+    weights) and, for a traced row only, 8 for each of the `features` of its
+    full-length result `w`; a dev stream is two counts (`MAX_LABELS`)."""
+    size = rows * (16 * terms + 8 * features)
     if size > MAX_STACK_SIZE:
         raise ValueError(f"a lockstep stack of {rows} rows has size {size}, above the ceiling "
                          f"of {MAX_STACK_SIZE} (training.MAX_STACK_SIZE, sized for a 2 GiB peak)")
@@ -177,41 +175,41 @@ def _append_trace_rows(ds: lsq.Dataset, pending: list) -> None:
 
 
 def run_training(ds: lsq.Dataset, spec: OptimizerSpec, iters: int, *,
-                 dev_labels: np.ndarray | None = None, **options) -> RunResult:
+                 dev_counts: list[int] | None = None, **options) -> RunResult:
     """Run `spec` on `ds` for up to `iters` full-batch iterations: a
     `run_lockstep` stack of one row, with step size ``spec.alpha``."""
-    labels = None if dev_labels is None else [dev_labels]
-    return run_lockstep(ds, spec, [spec.alpha], iters, dev_labels=labels, **options)[0]
+    counts = None if dev_counts is None else [dev_counts]
+    return run_lockstep(ds, spec, [spec.alpha], iters, dev_counts=counts, **options)[0]
 
 
 def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
-                 policy: DecayPolicy = DecayPolicy(), dev_labels=None,
+                 policy: DecayPolicy = DecayPolicy(), dev_counts=None,
                  stop_loss: float | None = None, trace_every: int | None = None,
                  record_trace: bool = True, cancel=None) -> list[RunResult | None]:
     """Run `spec` once per base step size in `alphas`, as one lockstep stack.
 
     Row i uses step size ``alphas[i]`` (not ``spec.alpha``) and scores its dev
-    error on ``dev_labels[i]``, if given; the results come in that order.  A
-    row stops early once its training loss reaches `stop_loss` (that is the
-    operational meaning of "converged"; hitting the budget without it leaves
-    status "ok" with converged=False).  `policy` adjusts each row's step size
-    between epochs; dev-driven decay requires `dev_labels`.  `trace_every`,
-    if given, records every `trace_every`-th iteration (and the last) instead
-    of the default cadence; without `record_trace` a row records no trace
-    and builds no full-length `w` (None).  `cancel`, if given, is called
-    after each iteration in which rows stopped, with a dict of those rows'
-    results by row; it returns the rows to drop from the stack (rows no
-    longer running are ignored).  A dropped row takes no further step and
-    its result is None.
+    error on the stream counted in ``dev_counts[i]``, ``[pos, neg]``, if
+    given; the results come in that order.  A row stops early once its
+    training loss reaches `stop_loss` (that is the operational meaning of
+    "converged"; hitting the budget without it leaves status "ok" with
+    converged=False).  `policy` adjusts each row's step size between epochs;
+    dev-driven decay requires `dev_counts`.  `trace_every`, if given, records
+    every `trace_every`-th iteration (and the last) instead of the default
+    cadence; without `record_trace` a row records no trace and builds no
+    full-length `w` (None).  `cancel`, if given, is called after each
+    iteration in which rows stopped, with a dict of those rows' results by
+    row; it returns the rows to drop from the stack (rows no longer running
+    are ignored).  A dropped row takes no further step and its result is None.
     """
     check_run_options(iters, trace_every, stop_loss)
-    if policy.kind == "dev_decay" and dev_labels is None:
+    if policy.kind == "dev_decay" and dev_counts is None:
         raise ValueError("dev_decay policy needs a dev label stream")
     alpha = np.array(alphas, dtype=np.float64).reshape(-1, 1)
     n_rows, orbits = len(alpha), ds.orbits
-    check_stack(n_rows, orbits.terms,
-                0 if dev_labels is None else max(map(len, dev_labels), default=0),
-                ds.d if record_trace else 0)
+    if dev_counts is not None and len(dev_counts) != n_rows:
+        raise ValueError(f"got {len(dev_counts)} dev streams for {n_rows} step sizes")
+    check_stack(n_rows, orbits.terms, ds.d if record_trace else 0)
 
     # The class multiplicities, labels and step sizes repeated to the stack's
     # shape, so that no op of an iteration broadcasts.  Every row of `m` and
@@ -228,9 +226,9 @@ def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
     pending, block = [], max(1, TRACE_BLOCK_FLOATS // (orbits.multiplicity.size + ds.n + ds.d))
 
     # The dev record, one list entry per row in the stack (Python numbers).
-    counts = dev = best_dev = epoch_of_best = improved = None
-    if dev_labels is not None:
-        counts = lsq.label_counts(dev_labels)
+    counts, dev = dev_counts, None
+    best_dev = epoch_of_best = improved = None
+    if counts is not None:
         best_dev, epoch_of_best = [math.inf] * n_rows, [0] * n_rows
     decays = policy.kind != "none"
 
@@ -283,7 +281,7 @@ def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
     # After its checks, the stack holds the rows still running, each with a
     # finite loss.  A stack is short: Python's min and sum of its loss list
     # cost less than a ufunc reduction.
-    k, failed = 0, []
+    k = 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while True:
             # One product per iterate: the loss, the next gradient (via the
@@ -292,12 +290,11 @@ def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
             # The loss sums the n residuals, pairwise in row order.
             loss = lsq.residual_loss(resid.take(orbits.row_class, axis=-1))
             if not math.isfinite(sum(loss.tolist())):
-                for i in np.flatnonzero(~np.isfinite(loss)):
-                    if i not in failed:
-                        finish(i, k, "diverged", failure=f"non-finite loss at iteration {k}")
-                        failed.append(i)
-            if failed:
-                keep_rows(np.isin(np.arange(len(rows)), failed, invert=True))
+                finite = np.isfinite(loss)
+                for i in np.flatnonzero(~finite):
+                    finish(i, k, "diverged", failure=f"non-finite loss at iteration {k}")
+                if not finite.all():
+                    keep_rows(finite)
             if not rows:
                 break
             if counts is not None:
@@ -334,10 +331,13 @@ def run_lockstep(ds: lsq.Dataset, spec: OptimizerSpec, alphas, iters: int, *,
                 if not rows:
                     break
             new = step(state, spec, grad_at, rates)
-            failed = [i for i, _, _ in new.failures]
             for i, status, failure in new.failures:
                 finish(i, k, status, failure=failure)
             state = new
+            if new.failures:
+                keep_rows(~np.isin(np.arange(len(rows)), [i for i, *_ in new.failures]))
+                if not rows:
+                    break
             k += 1
         if pending:
             _append_trace_rows(ds, pending)

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import training
 from .errors import AllTrialsDivergedError
-from .lsq import Dataset, dev_labels_for
+from .lsq import Dataset, dev_labels_for, label_counts
 from .optim import OptimizerSpec, spec_to_document
 from .schedules import DecayPolicy
 
@@ -198,7 +198,9 @@ def tune(
     the dataset's `p`, so a dataset without one needs ``dev_size=None``.
     The budget (`epochs`, `seeds`, `dev_size`, `extension_cap`, `stop_loss`)
     has no defaults here: the caller's options hold them.  A stack is
-    checked (`training.check_stack`) before its dev labels are drawn.
+    checked (`training.check_stack`) before its dev labels are drawn, and
+    each dev stream is counted as it is drawn (`lsq.label_counts`), so a
+    round holds one stream at a time.
 
     Raises `AllTrialsDivergedError` when every step size, extensions
     included, diverged.
@@ -221,12 +223,12 @@ def tune(
         """Run `alphas`, the next step sizes in evaluation order, as one
         lockstep stack: their rows' results, `width` per step size."""
         keys = [(i, a, s) for i, a in enumerate(alphas, start=len(by_alpha)) for s in streams]
-        training.check_stack(len(keys), ds.orbits.terms, dev_size or 0)
-        labels = None if dev_size is None else [
-            dev_labels_for(ds.p, dev_size, np.random.SeedSequence(entropy=s, spawn_key=(i,)))
+        training.check_stack(len(keys), ds.orbits.terms)
+        counts = None if dev_size is None else [label_counts(
+            dev_labels_for(ds.p, dev_size, np.random.SeedSequence(entropy=s, spawn_key=(i,))))
             for i, _, s in keys]
         return training.run_lockstep(
-            ds, spec, [a for _, a, _ in keys], epochs, policy=policy, dev_labels=labels,
+            ds, spec, [a for _, a, _ in keys], epochs, policy=policy, dev_counts=counts,
             stop_loss=stop_loss, record_trace=False, cancel=cancel)
 
     def accept(alpha: float, results) -> None:

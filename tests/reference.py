@@ -213,14 +213,14 @@ def verify_lemma_trajectory(iterates, ds) -> LemmaTrace:
     return LemmaTrace(lambdas=lambdas, max_deviation=max_dev, off_support_max=off_max)
 
 
-def quotient_run(ds, spec, alpha, iters, *, dev_labels=None, stop_loss=None,
+def quotient_run(ds, spec, alpha, iters, *, dev_counts=None, stop_loss=None,
                  trace_every=None):
     """One `training.run_lockstep` row, without a decay policy, run plainly on
     the column quotient: a (q,) state stepped by `step`, the products
     ``X_q diag(multiplicity) u`` and ``2 X_q^T r`` over all n rows, and each
     trace row's diagnostics from its full-length iterate."""
     cq = column_quotient(ds)
-    counts = None if dev_labels is None else lsq.label_counts([dev_labels])
+    counts = None if dev_counts is None else [dev_counts]
     state = init_state(spec, np.zeros(ds.multiplicity.size))
     result = training.RunResult("ok", False, None, math.nan, 0, [])
     best, epoch_of_best, k = math.inf, 0, 0

@@ -320,12 +320,12 @@ def test_criterion_9_tuning_protocol():
     # (strictly below every earlier one) and multiplies it by exactly 0.9
     # after any other epoch, a tie included.
     ds = lsq.generate_synthetic(30, 0.75, seed=2)
-    labels = lsq.dev_labels_for(0.75, 200, np.random.SeedSequence(9))
+    counts = lsq.label_counts(lsq.dev_labels_for(0.75, 200, np.random.SeedSequence(9)))
     policy = DecayPolicy(kind="dev_decay", delta=0.9)
     epochs = {"new best": 0, "tie": 0, "worse": 0}
     for alpha in (1.0, 0.3, 0.001953125):
         trace = run_training(ds, OptimizerSpec(method=MethodKind.SGD, alpha=alpha), 60,
-                             policy=policy, dev_labels=labels, trace_every=1).trace
+                             policy=policy, dev_counts=counts, trace_every=1).trace
         assert [r.iteration for r in trace] == list(range(61))
         assert trace[0].alpha == trace[1].alpha == alpha
         best = trace[0].dev_error

@@ -493,11 +493,11 @@ def test_tune_stack_above_the_ceiling_is_a_usage_error(dataset_file, tmp_path, c
                                                       monkeypatch):
     # The default tune round is 5 step sizes times 5 seeds, 25 untraced rows
     # of the orbit quotient's 2n + 2 = 26 transposed-fold terms (16 bytes
-    # each) and 2000 dev labels (8 bytes each).  With the ceiling one below
-    # that, the round fails before its labels are drawn.
+    # each); a row's dev stream costs only its draw.  With the ceiling one
+    # below that, the round fails before its labels are drawn.
     ds = lsq.load_dataset(dataset_file)
     assert ds.orbits.terms == 26
-    size = 25 * (16 * 26 + 8 * 2000)
+    size = 25 * 16 * 26
     out = tmp_path / "tune.json"
     argv = ["tune", "--dataset", str(dataset_file), "--iters", "20", "--out", str(out)]
     with monkeypatch.context() as patch:
@@ -514,13 +514,13 @@ def test_tune_stack_above_the_ceiling_is_a_usage_error(dataset_file, tmp_path, c
 
 def test_experiment_stack_above_the_ceiling_fails_before_the_dataset_is_drawn(
         tmp_path, capsys, monkeypatch):
-    # An experiment's tallest stacks are a tune's round 0, 5 untraced rows of
-    # the synthetic design's 2n + 2 transposed-fold terms (16 bytes each), and
-    # a final run, one traced row of as many terms, 2000 dev labels (8 bytes
-    # each) and 5n + 3 features (8 bytes each).  At n = 12 the final run is
-    # the taller, at n = 1 000 round 0.  With the ceiling one below the
-    # taller, the experiment fails before anything is drawn or written; at
-    # it, the dataset is drawn.
+    # An experiment's tallest stacks are a tune's round 0, a row per grid
+    # value, untraced, of the synthetic design's 2n + 2 transposed-fold terms
+    # (16 bytes each), and a final run, one traced row of as many terms and
+    # 5n + 3 features (8 bytes each).  With the default 5 grid values round 0
+    # is the taller (here at n = 1 000); with one, the final run (here at
+    # n = 12).  With the ceiling one below the taller, the experiment fails
+    # before anything is drawn or written; at it, the dataset is drawn.
     drawn = []
 
     def generate(*args):
@@ -528,9 +528,10 @@ def test_experiment_stack_above_the_ceiling_fails_before_the_dataset_is_drawn(
         raise ValueError("the dataset was drawn")
 
     monkeypatch.setattr(lsq, "generate_synthetic", generate)
-    for n, rows, size in ((12, 1, 16 * 26 + 8 * 2000 + 8 * 63), (1000, 5, 5 * 16 * 2002)):
+    for n, rows, size in ((12, 1, 16 * 26 + 8 * 63), (1000, 5, 5 * 16 * 2002)):
         out = tmp_path / f"exp{n}"
-        argv = ["experiment", "--n", str(n), "--iters", "5", "--out", str(out)]
+        argv = ["experiment", "--n", str(n), "--grid-count", str(rows), "--iters", "5",
+                "--out", str(out)]
         monkeypatch.setattr(training, "MAX_STACK_SIZE", size - 1)
         assert run_cli(*argv) == 1
         assert (f"a lockstep stack of {rows} rows has size {size}, above the ceiling of "

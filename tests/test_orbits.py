@@ -290,13 +290,13 @@ def assert_runs_equal_the_quotient_reference(ds, iters=40):
     status, iterations, failure, convergence, dev record, the bytes of the
     final loss and of w, and every trace row."""
     alphas = [0.05, 0.7, 1e300]
-    labels = [lsq.dev_labels_for(0.75, 40, np.random.SeedSequence(entropy=7, spawn_key=(i,)))
-              for i in range(len(alphas))]
+    counts = [lsq.label_counts(lsq.dev_labels_for(
+        0.75, 40, np.random.SeedSequence(entropy=7, spawn_key=(i,)))) for i in range(len(alphas))]
     for method in MethodKind:
         spec = OptimizerSpec(method=method, alpha=1.0, beta2=0.9)
-        rows = run_lockstep(ds, spec, alphas, iters, dev_labels=labels, stop_loss=1e-9)
-        for alpha, row, dev in zip(alphas, rows, labels):
-            ref = quotient_run(ds, spec, alpha, iters, dev_labels=dev, stop_loss=1e-9)
+        rows = run_lockstep(ds, spec, alphas, iters, dev_counts=counts, stop_loss=1e-9)
+        for alpha, row, dev in zip(alphas, rows, counts):
+            ref = quotient_run(ds, spec, alpha, iters, dev_counts=dev, stop_loss=1e-9)
             assert (row.status, row.iterations, row.failure, row.converged) == (
                 ref.status, ref.iterations, ref.failure, ref.converged), (method, alpha)
             assert (row.best_dev, row.epoch_of_best) == (ref.best_dev, ref.epoch_of_best)

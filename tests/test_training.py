@@ -1,6 +1,5 @@
 import math
 import re
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +26,12 @@ def ds():
 
 def sgd_spec(alpha):
     return OptimizerSpec(method=MethodKind.SGD, alpha=alpha)
+
+
+def dev_counts(rows):
+    """The label counts of `rows` dev streams of 100 labels, one per stack row."""
+    return [lsq.label_counts(lsq.dev_labels_for(
+        0.75, 100, np.random.SeedSequence(entropy=1, spawn_key=(i,)))) for i in range(rows)]
 
 
 def test_zero_iterations_single_row(ds):
@@ -73,9 +78,9 @@ def test_trace_every_override(ds):
 
 
 def test_dev_decay_shrinks_alpha_only_without_new_best(ds):
-    labels = lsq.dev_labels_for(ds.p, 400, np.random.SeedSequence(0))
+    counts = lsq.label_counts(lsq.dev_labels_for(ds.p, 400, np.random.SeedSequence(0)))
     policy = DecayPolicy(kind="dev_decay", delta=0.9)
-    res = run_training(ds, sgd_spec(0.002), 60, policy=policy, dev_labels=labels,
+    res = run_training(ds, sgd_spec(0.002), 60, policy=policy, dev_counts=counts,
                        trace_every=1)
     # replay the rule from the recorded dev metrics
     best = res.trace[0].dev_error
@@ -237,10 +242,9 @@ def test_run_loop_steps_through_the_engine_once_per_iteration(ds, monkeypatch):
         return step(state, spec, grad_at, alpha)
 
     monkeypatch.setattr(training, "step", counted)
-    labels = [lsq.dev_labels_for(0.75, 100, np.random.SeedSequence(entropy=1, spawn_key=(i,)))
-              for i in range(4)]
+    counts = dev_counts(4)
     rows = run_lockstep(ds, OptimizerSpec(method=MethodKind.HB, alpha=1.0),
-                        [0.02, 1.0, 1e-7, 1e308], 150, dev_labels=labels, stop_loss=1e-3)
+                        [0.02, 1.0, 1e-7, 1e308], 150, dev_counts=counts, stop_loss=1e-3)
     outcomes = [(r.status, r.converged, r.iterations, r.failure) for r in rows]
     assert outcomes == [("ok", True, 64, None),
                         ("diverged", False, 95, "non-finite loss at iteration 95"),
@@ -265,16 +269,15 @@ def test_rows_without_a_trace_build_no_full_length_w(ds, monkeypatch):
         return w
 
     monkeypatch.setattr(lsq.Quotient, "expand", recorded)
-    labels = [lsq.dev_labels_for(0.75, 100, np.random.SeedSequence(entropy=1, spawn_key=(i,)))
-              for i in range(4)]
+    counts = dev_counts(4)
     spec, alphas = OptimizerSpec(method=MethodKind.HB, alpha=1.0), [0.02, 1.0, 1e-7, 1e308]
-    untraced = run_lockstep(ds, spec, alphas, 150, dev_labels=labels, stop_loss=1e-3,
+    untraced = run_lockstep(ds, spec, alphas, 150, dev_counts=counts, stop_loss=1e-3,
                             record_trace=False)
     assert [(r.status, r.converged, r.iterations) for r in untraced] == [
         ("ok", True, 64), ("diverged", False, 95), ("ok", False, 150), ("diverged", False, 0)]
     assert all(r.w is None and r.trace == [] for r in untraced)
     assert set(widths) == {3}
-    traced = run_lockstep(ds, spec, alphas, 150, dev_labels=labels, stop_loss=1e-3)
+    traced = run_lockstep(ds, spec, alphas, 150, dev_counts=counts, stop_loss=1e-3)
     assert all(r.w.shape == (ds.d,) for r in traced)
     assert [r.final_loss for r in traced] == [r.final_loss for r in untraced]
 
@@ -298,16 +301,15 @@ def test_dropped_rows_step_no_further_and_the_others_run_as_alone(ds, monkeypatc
     monkeypatch.setattr(training, "step", counted)
     spec = OptimizerSpec(method=MethodKind.HB, alpha=1.0)
     alphas = [0.02, 1.0, 1e-7, 1e308, 1e-6]
-    labels = [lsq.dev_labels_for(0.75, 100, np.random.SeedSequence(entropy=1, spawn_key=(i,)))
-              for i in range(5)]
-    rows = run_lockstep(ds, spec, alphas, 150, dev_labels=labels, stop_loss=1e-3,
+    counts = dev_counts(5)
+    rows = run_lockstep(ds, spec, alphas, 150, dev_counts=counts, stop_loss=1e-3,
                         cancel=cancel)
     assert (rows[2], rows[4]) == (None, None)
     assert [list(stopped) for stopped in seen] == [[3], [0], [1]]
     assert [stopped[r] for stopped, r in zip(seen, (3, 0, 1))] == [rows[3], rows[0], rows[1]]
     monkeypatch.setattr(training, "step", step)
     for i in (0, 1, 3):
-        solo = run_training(ds, replace(spec, alpha=alphas[i]), 150, dev_labels=labels[i],
+        solo = run_training(ds, replace(spec, alpha=alphas[i]), 150, dev_counts=counts[i],
                             stop_loss=1e-3)
         assert_same_run(rows[i], solo)
         assert rows[i].trace == solo.trace
@@ -360,43 +362,30 @@ def test_dev_errors_equal_per_label_mean(w, size, seed):
     labels = np.where(np.random.default_rng(seed).random((len(w), size)) < 0.75, 1.0, -1.0)
     with np.errstate(over="ignore", invalid="ignore"):
         per_label = np.mean(test_scores(w, labels) * labels <= 0.0, axis=-1)
-        by_class = np.array(lsq.error_rates(w, lsq.label_counts(labels)))
+        by_class = np.array(lsq.error_rates(w, [lsq.label_counts(v) for v in labels]))
     assert by_class.tobytes() == per_label.tobytes()
 
 
-def test_dev_labels_must_be_signs(ds):
-    with pytest.raises(ValueError, match="dev labels"):
-        run_training(ds, sgd_spec(0.002), 5, dev_labels=np.array([1.0, 0.5]))
-    # An empty stream has no dev error (0/0): reject it rather than rank on NaN.
-    with pytest.raises(ValueError, match="must not be empty"):
-        run_training(ds, sgd_spec(0.002), 5, dev_labels=np.array([]))
-    with pytest.raises(ValueError, match="must not be empty"):
-        run_lockstep(ds, sgd_spec(0.002), [0.002, 0.001], 5, dev_labels=np.ones((2, 0)))
-
-
-def test_label_counts_count_each_stream_by_itself():
-    # Counting R streams of L labels allocates O(L), one stream's
-    # comparisons, not an (R, L) stack of them (numpy reports its buffers to
-    # tracemalloc).  One stream gives one pair; an empty stream or a label
-    # other than +1 or -1 is rejected.
-    rng = np.random.default_rng(0)
-    size = 100_000
-    streams = [np.where(rng.random(size) < 0.75, 1.0, -1.0) for _ in range(20)]
-    tracemalloc.start()
-    try:
-        counts = lsq.label_counts(streams)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * size  # the stack alone would take 8 * 20 * size bytes
-    assert counts == [[int(np.sum(v > 0.0)), int(np.sum(v < 0.0))] for v in streams]
-    assert lsq.label_counts(streams[0]) == counts[0]
-    assert lsq.label_counts(np.array(streams[:3])) == counts[:3]
-    for labels, message in (([], "must not be empty"), ([np.array([])], "must not be empty"),
+def test_dev_labels_must_be_signs():
+    # A stream is counted where it is drawn: one pair, [count of +1, count
+    # of -1].  An empty stream has no dev error (0/0): reject it rather than
+    # rank on NaN; so is a label other than +1 or -1, NaN included.
+    labels = lsq.dev_labels_for(0.75, 1000, np.random.SeedSequence(0))
+    assert lsq.label_counts(labels) == [int(np.sum(labels > 0.0)), int(np.sum(labels < 0.0))]
+    for labels, message in (([], "must not be empty"), (np.array([]), "must not be empty"),
                             (np.array([1.0, 0.5]), "dev labels must be"),
-                            ([np.ones(2), np.array([1.0, np.nan])], "dev labels must be")):
+                            (np.array([1.0, np.nan]), "dev labels must be")):
         with pytest.raises(ValueError, match=message):
             lsq.label_counts(labels)
+
+
+def test_dev_streams_must_match_the_step_sizes(ds, monkeypatch):
+    # One [pos, neg] pair a row: a stack with fewer would fail mid-run, and
+    # one with more would ignore the rest.  Both fail before any step.
+    monkeypatch.setattr(training, "step", lambda *args: pytest.fail("a step ran"))
+    for streams in (1, 3):
+        with pytest.raises(ValueError, match=f"got {streams} dev streams for 2 step sizes"):
+            run_lockstep(ds, sgd_spec(0.002), [0.002, 0.001], 5, dev_counts=dev_counts(streams))
 
 
 def test_dev_labels_stream_deterministic():
@@ -577,12 +566,14 @@ def test_lockstep_rows_equal_solo_runs(n, seed, synthetic, method, log2_alphas, 
                                      np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
                   for i in range(len(alphas))]
         policy = DecayPolicy(kind="dev_decay", delta=0.5)
-    rows = run_lockstep(ds, spec, alphas, iters, policy=policy, dev_labels=labels,
+    counts = None if labels is None else [lsq.label_counts(v) for v in labels]
+    rows = run_lockstep(ds, spec, alphas, iters, policy=policy, dev_counts=counts,
                         stop_loss=stop_loss, trace_every=7)
     for i, (alpha, row) in enumerate(zip(alphas, rows)):
         row_spec = OptimizerSpec(method=method, alpha=alpha, beta2=0.9, epsilon=0.0)
         row_labels = None if labels is None else labels[i]
-        solo = run_training(ds, row_spec, iters, policy=policy, dev_labels=row_labels,
+        solo = run_training(ds, row_spec, iters, policy=policy,
+                            dev_counts=None if counts is None else counts[i],
                             stop_loss=stop_loss, trace_every=7)
         assert_same_run(row, solo)
         assert row.trace == solo.trace

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -324,6 +325,24 @@ def test_tune_dev_stream_needs_dataset_p():
              epochs=10, seeds=1, dev_size=200, extension_cap=8, stop_loss=None)
 
 
+def test_a_dev_stream_round_holds_one_stream_at_a_time(small_ds):
+    # A round of 20 seeds draws 20 dev streams, and each is counted as it is
+    # drawn (`lsq.label_counts`) and dropped, so the round's peak is one
+    # draw's (its uniforms or labels and a comparison: 9 bytes a label), not
+    # the 8 bytes a label of 20 held streams (numpy reports its buffers to
+    # tracemalloc).
+    size, seeds = 100_000, 20
+    tracemalloc.start()
+    try:
+        report = tune(small_ds, SGD, Grid((0.01,), 2.0), DecayPolicy(), 2, seeds,
+                      dev_size=size, extension_cap=0, stop_loss=None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [t.seed for t in report.trials] == list(range(seeds))
+    assert peak < 2 * 8 * size  # the streams alone would take 8 * 20 * size bytes
+
+
 def test_tune_report_document(small_ds):
     report = tune(
         small_ds,
@@ -360,11 +379,11 @@ def sequential_tune(ds, spec, grid, policy, epochs, seeds, *, dev_size, extensio
 
     def evaluate(alphas):
         keys = [(i, a, s) for i, a in enumerate(alphas, start=len(by_alpha)) for s in streams]
-        labels = None if dev_size is None else [
-            lsq.dev_labels_for(ds.p, dev_size, np.random.SeedSequence(entropy=s, spawn_key=(i,)))
+        counts = None if dev_size is None else [lsq.label_counts(
+            lsq.dev_labels_for(ds.p, dev_size, np.random.SeedSequence(entropy=s, spawn_key=(i,))))
             for i, _, s in keys]
         runs = iter(training.run_lockstep(
-            ds, spec, [a for _, a, _ in keys], epochs, policy=policy, dev_labels=labels,
+            ds, spec, [a for _, a, _ in keys], epochs, policy=policy, dev_counts=counts,
             stop_loss=stop_loss, record_trace=False))
         for alpha in alphas:
             shared = next(runs) if dev_size is None else None
